@@ -98,13 +98,6 @@ def smallest_odd_prime_factor(n: int):
     return min(factorize(n))
 
 
-def euler_phi(n: int) -> int:
-    phi = 1
-    for p, e in factorize(n).items():
-        phi *= (p - 1) * p ** (e - 1)
-    return phi
-
-
 def primitive_root(p: int) -> int:
     """Least primitive root modulo an odd prime p."""
     if not is_prime(p) or p == 2:

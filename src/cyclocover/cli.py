@@ -5,14 +5,15 @@ cross-check failure.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
 from importlib import resources
 
 from . import __version__
-from .classnumbers import (gate_theorem_CD, hp_minus, load_hplus_table,
-                           odd_prime_factor, prime_bound)
+from .classnumbers import (default_fixture_path, gate_theorem_CD, hp_minus,
+                           load_hplus_table, odd_prime_factor, prime_bound)
 from .covers import (SelfCoverWitness, cover_homology_field,
                      mapping_torus_complex, verify_self_cover_relation,
                      wang_dimensions)
@@ -24,11 +25,6 @@ from .serialize import (canonical_dumps, complex_to_json, input_digest,
                         laurent_to_json, parse_complex, parse_int,
                         parse_int_matrix, parse_presentation,
                         parse_rational_matrix, scalar_str)
-
-SUBCOMMANDS = ("fingen", "order-ideal", "mapping-torus", "cover-homology",
-               "wang", "verify-selfcover", "dimension-bound", "prop-matrix",
-               "periodicity", "hp-minus", "gate", "corpus")
-
 
 def _parse_kappa(raw):
     if raw == "Q":
@@ -147,8 +143,6 @@ def _run_prop_matrix(params):
     sign = parse_int(params["sign"])
     try:
         m = solve_prop_matrix(a, b, k, sign)
-    except InternalCheckError:
-        raise
     except (TypeError, ValueError) as exc:
         raise PreconditionError(str(exc))
     return {"m": str(m)}
@@ -183,8 +177,6 @@ def _run_periodicity(params):
         witness.append((parse_int_matrix(o["b"]), parse_int(o["sign"])))
     try:
         m, l = cor_period_driver(monodromy, k, witness)
-    except InternalCheckError:
-        raise
     except (TypeError, ValueError) as exc:
         raise PreconditionError(str(exc))
     return {"m": str(m), "l": str(l)}
@@ -202,7 +194,6 @@ def _run_gate(params):
     p = parse_int(params["p"])
     fixture_path = params["fixture"]
     if fixture_path in (None, "default"):
-        from .classnumbers import default_fixture_path
         fixture_path = default_fixture_path()
     fixture = load_hplus_table(fixture_path)
     rep = gate_theorem_CD(p, fixture, prime_bound())
@@ -221,26 +212,73 @@ def _run_gate(params):
             "gate": rep.gate if rep.gate is not None else "unknown"}
 
 
-_DISPATCH = {
-    "fingen": _run_fingen,
-    "order-ideal": _run_order_ideal,
-    "mapping-torus": _run_mapping_torus,
-    "cover-homology": _run_cover_homology,
-    "wang": _run_wang,
-    "verify-selfcover": _run_verify_selfcover,
-    "dimension-bound": _run_dimension_bound,
-    "prop-matrix": _run_prop_matrix,
-    "periodicity": _run_periodicity,
-    "hp-minus": _run_hp_minus,
-    "gate": _run_gate,
+def _json_arg(raw):
+    """Inline JSON, or @path to read JSON from a file."""
+    text = raw
+    if raw.startswith("@"):
+        try:
+            with open(raw[1:]) as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise PreconditionError(f"cannot read {raw[1:]!r}: {exc}")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise PreconditionError(f"bad JSON argument: {exc}")
+
+
+def _parse_cli_int(raw):
+    try:
+        return int(raw)
+    except (TypeError, ValueError):
+        raise PreconditionError(f"bad integer argument {raw!r}")
+
+
+def _int_list_arg(raw):
+    """Comma-separated integers."""
+    return [_parse_cli_int(tok) for tok in raw.split(",")]
+
+
+def _fixture_arg(raw):
+    return default_fixture_path() if raw is None else raw
+
+
+# One row per subcommand: name -> (runner, {flag: converter}).  Each
+# converter turns the raw --flag string into the parameter of the same
+# name.  Runners look up library functions as this module's globals.
+_COMMANDS = {
+    "fingen": (_run_fingen, {"module": _json_arg}),
+    "order-ideal": (_run_order_ideal, {"module": _json_arg}),
+    "mapping-torus": (_run_mapping_torus, {"f": _json_arg}),
+    "cover-homology": (_run_cover_homology,
+                       {"complex": _json_arg, "kappa": str, "q": _parse_cli_int}),
+    "wang": (_run_wang,
+             {"complex": _json_arg, "kappa": str, "q": _parse_cli_int}),
+    "verify-selfcover": (_run_verify_selfcover,
+                         {"complex": _json_arg, "k": _parse_cli_int,
+                          "sign": _parse_cli_int, "hbar": _json_arg}),
+    "dimension-bound": (_run_dimension_bound,
+                        {"complex": _json_arg, "kappa": str, "q": _int_list_arg}),
+    "prop-matrix": (_run_prop_matrix,
+                    {"a": _json_arg, "b": _json_arg, "k": _parse_cli_int,
+                     "sign": _parse_cli_int}),
+    "periodicity": (_run_periodicity,
+                    {"monodromy": _json_arg, "k": _parse_cli_int,
+                     "witness": _json_arg}),
+    "hp-minus": (_run_hp_minus, {"p": _parse_cli_int}),
+    "gate": (_run_gate, {"p": _parse_cli_int, "fixture": _fixture_arg}),
 }
+
+# flags that may be left out; their converter supplies the default
+_OPTIONAL_FLAGS = {"fixture"}
 
 
 def compute(subcommand, params):
     """Run one subcommand on already-parsed JSON parameters."""
-    if subcommand not in _DISPATCH:
+    if subcommand not in _COMMANDS:
         raise PreconditionError(f"unknown subcommand {subcommand!r}")
-    return _DISPATCH[subcommand](params)
+    runner, _ = _COMMANDS[subcommand]
+    return runner(params)
 
 
 def default_corpus_path():
@@ -277,47 +315,16 @@ def run_corpus(path):
             "passed": len(names) - failed, "failed": failed}
 
 
-def _json_arg(raw):
-    """Inline JSON, or @path to read JSON from a file."""
-    text = raw
-    if raw.startswith("@"):
-        try:
-            with open(raw[1:]) as fh:
-                text = fh.read()
-        except OSError as exc:
-            raise PreconditionError(f"cannot read {raw[1:]!r}: {exc}")
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise PreconditionError(f"bad JSON argument: {exc}")
-
-
-def _build_parser():
+@functools.cache
+def _parser():
     parser = argparse.ArgumentParser(prog="cyclocover")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, *flags):
+    for name, (_, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
         for flag in flags:
-            sp.add_argument(flag, required=True)
+            sp.add_argument("--" + flag, required=flag not in _OPTIONAL_FLAGS)
         sp.add_argument("--out")
-        return sp
-
-    add("fingen", "--module")
-    add("order-ideal", "--module")
-    add("mapping-torus", "--f")
-    add("cover-homology", "--complex", "--kappa", "--q")
-    add("wang", "--complex", "--kappa", "--q")
-    add("verify-selfcover", "--complex", "--k", "--sign", "--hbar")
-    add("dimension-bound", "--complex", "--kappa", "--q")
-    add("prop-matrix", "--a", "--b", "--k", "--sign")
-    add("periodicity", "--monodromy", "--k", "--witness")
-    add("hp-minus", "--p")
-    gate = sub.add_parser("gate")
-    gate.add_argument("--p", required=True)
-    gate.add_argument("--fixture")
-    gate.add_argument("--out")
     corpus = sub.add_parser("corpus")
     corpus.add_argument("--path")
     corpus.add_argument("--out")
@@ -325,44 +332,8 @@ def _build_parser():
 
 
 def _collect_params(args):
-    sc = args.subcommand
-    if sc in ("fingen", "order-ideal"):
-        return {"module": _json_arg(args.module)}
-    if sc == "mapping-torus":
-        return {"f": _json_arg(args.f)}
-    if sc in ("cover-homology", "wang"):
-        return {"complex": _json_arg(args.complex), "kappa": args.kappa,
-                "q": _parse_cli_int(args.q)}
-    if sc == "verify-selfcover":
-        return {"complex": _json_arg(args.complex),
-                "k": _parse_cli_int(args.k), "sign": _parse_cli_int(args.sign),
-                "hbar": _json_arg(args.hbar)}
-    if sc == "dimension-bound":
-        return {"complex": _json_arg(args.complex), "kappa": args.kappa,
-                "q": [_parse_cli_int(tok) for tok in args.q.split(",")]}
-    if sc == "prop-matrix":
-        return {"a": _json_arg(args.a), "b": _json_arg(args.b),
-                "k": _parse_cli_int(args.k), "sign": _parse_cli_int(args.sign)}
-    if sc == "periodicity":
-        return {"monodromy": _json_arg(args.monodromy),
-                "k": _parse_cli_int(args.k),
-                "witness": _json_arg(args.witness)}
-    if sc == "hp-minus":
-        return {"p": _parse_cli_int(args.p)}
-    if sc == "gate":
-        fixture = args.fixture
-        if fixture is None:
-            from .classnumbers import default_fixture_path
-            fixture = default_fixture_path()
-        return {"p": _parse_cli_int(args.p), "fixture": fixture}
-    raise PreconditionError(f"unknown subcommand {sc!r}")
-
-
-def _parse_cli_int(raw):
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise PreconditionError(f"bad integer argument {raw!r}")
+    _, flags = _COMMANDS[args.subcommand]
+    return {flag: convert(getattr(args, flag)) for flag, convert in flags.items()}
 
 
 def _emit(payload, out_path):
@@ -374,8 +345,7 @@ def _emit(payload, out_path):
 
 
 def run(argv):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     out_path = args.out
     try:
         if args.subcommand == "corpus":

@@ -9,7 +9,7 @@ algebraic cone of (t - f).
 from dataclasses import dataclass
 from typing import List
 
-from .linfield import QuotientSpace, kernel_basis, rref
+from .linfield import QuotientSpace, inverse, kernel_basis, rref
 from .matrices import LaurentMatrix, mat_copy, mat_identity, mat_mul
 from .normal_forms import _PolyDomain, laurent_cokernel, smith_normal_form
 from .rings import LaurentPoly, Poly, QQ, ZZ, poly_gcd
@@ -221,14 +221,6 @@ def wang_dimensions(X: TwistedChainComplex, field, q):
     return dims
 
 
-def _t_power_block(q, e):
-    """q x q permutation matrix of multiplication by t**e on kappa[t]/(t^q-1)."""
-    m = [[0] * q for _ in range(q)]
-    for i in range(q):
-        m[(i + e) % q][i] = 1
-    return m
-
-
 def _big_matrix(mat: LaurentMatrix, field, q):
     """Base change along kappa[t,1/t] -> kappa[t]/(t^q - 1), cell-major basis."""
     zero = field.coerce(0)
@@ -263,20 +255,16 @@ def cover_homology_field(X: TwistedChainComplex, field, q):
         n = X.ranks[j] * q
         dj = _big_matrix(X.boundary(j).to_ring(field), field, q)
         dj1 = _big_matrix(X.boundary(j + 1).to_ring(field), field, q)
-        ker = kernel_basis(field, dj, n) if dj else kernel_basis(field, [], n)
-        im_cols = []
-        for col in range(len(dj1[0]) if dj1 else 0):
-            im_cols.append([dj1[i][col] for i in range(n)])
+        ker = kernel_basis(field, dj, n)
+        im_cols = [list(col) for col in zip(*dj1)]
         quot = QuotientSpace(field, ker, im_cols, n)
-        # t acts cell-block-diagonally as the cyclic shift
-        tblock = _t_power_block(q, 1)
-        trows = [[field.coerce(0)] * n for _ in range(n)]
-        for cell in range(X.ranks[j]):
-            for a in range(q):
-                for b in range(q):
-                    if tblock[a][b]:
-                        trows[cell * q + a][cell * q + b] = field.coerce(1)
-        action = quot.action_matrix(trows) if quot.dim else []
+
+        def shift(v):
+            # t acts on each cell's block of q coordinates as the cyclic shift
+            return [v[c * q + (a - 1) % q]
+                    for c in range(X.ranks[j]) for a in range(q)]
+
+        action = quot.action_matrix(shift) if quot.dim else []
         out.append((quot.dim, action))
     return out
 
@@ -311,34 +299,12 @@ def verify_self_cover_relation(X: TwistedChainComplex, w: SelfCoverWitness):
     return results
 
 
-def _field_mat_inverse(field, m):
-    n = len(m)
-    zero = field.coerce(0)
-    one = field.coerce(1)
-    work = [row[:] + [one if i == j else zero for j in range(n)]
-            for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if work[i][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        work[col], work[piv] = work[piv], work[col]
-        inv = field.inv(work[col][col])
-        work[col] = [x * inv for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    return [[work[i][n + j] for j in range(n)] for i in range(n)]
-
-
 def _field_mat_pow(field, m, e):
     n = len(m)
     if e < 0:
-        m = _field_mat_inverse(field, m)
+        m = inverse(field, m)
         e = -e
-    zero = field.coerce(0)
-    one = field.coerce(1)
-    result = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    result = mat_identity(n, field.coerce(1), field.coerce(0))
     base = mat_copy(m)
     while e:
         if e & 1:

@@ -2,12 +2,9 @@
 
 Matrices are lists of rows whose entries are field elements coerced by the
 given ring object.  Used for finite-cover homology, where everything is a
-finite-dimensional vector space.
+finite-dimensional vector space, and for exact matrix inverses.  `rref` is the one elimination routine;
+kernels, solutions and inverses are read off its result.
 """
-
-
-def _coerce(ring, rows):
-    return [[ring.coerce(e) for e in row] for row in rows]
 
 
 def rref(ring, rows):
@@ -35,19 +32,10 @@ def rref(ring, rows):
     return R, pivots
 
 
-def rank(ring, rows):
-    if not rows or not rows[0]:
-        return 0
-    return len(rref(ring, rows)[1])
-
-
 def kernel_basis(ring, rows, ncols):
     """Basis (list of column vectors) of the right kernel of `rows`."""
     zero = ring.coerce(0)
     one = ring.coerce(1)
-    if not rows:
-        return [[one if i == j else zero for i in range(ncols)]
-                for j in range(ncols)]
     R, pivots = rref(ring, rows)
     pivset = set(pivots)
     free = [j for j in range(ncols) if j not in pivset]
@@ -61,63 +49,35 @@ def kernel_basis(ring, rows, ncols):
     return basis
 
 
-class SpanSolver:
-    """Solve K * x = w for w in the column span of K (K has full column rank)."""
+def solve(ring, columns, targets, nrows):
+    """Coordinates x with K * x = w for each target w; K has the given columns.
 
-    def __init__(self, ring, columns, nrows):
-        self.ring = ring
-        self.ncols = len(columns)
-        self.nrows = nrows
-        # augment with the identity to read off coordinates
-        zero = ring.coerce(0)
-        one = ring.coerce(1)
-        aug = []
-        for i in range(nrows):
-            aug.append([col[i] for col in columns])
-        # row-reduce [K] keeping the elementary operations
-        self.R = [row[:] for row in aug]
-        self.ops = [[one if i == j else zero for j in range(nrows)]
-                    for i in range(nrows)]
-        r = 0
-        self.pivots = []
-        for c in range(self.ncols):
-            piv = next((i for i in range(r, nrows) if self.R[i][c]), None)
-            if piv is None:
-                raise ValueError("columns are linearly dependent")
-            self.R[r], self.R[piv] = self.R[piv], self.R[r]
-            self.ops[r], self.ops[piv] = self.ops[piv], self.ops[r]
-            inv = ring.inv(self.R[r][c])
-            self.R[r] = [x * inv for x in self.R[r]]
-            self.ops[r] = [x * inv for x in self.ops[r]]
-            for i in range(nrows):
-                if i != r and self.R[i][c]:
-                    f = self.R[i][c]
-                    self.R[i] = [x - f * y for x, y in zip(self.R[i], self.R[r])]
-                    self.ops[i] = [x - f * y for x, y in zip(self.ops[i], self.ops[r])]
-            self.pivots.append(c)
-            r += 1
-
-    def solve(self, w):
-        """Coordinates x with K * x = w; raises if w is outside the span."""
-        y = [sum_prod(self.ring, row, w) for row in self.ops]
-        x = y[:self.ncols]
-        zero = self.ring.coerce(0)
-        for i in range(self.ncols, self.nrows):
-            if y[i] != zero:
-                raise ValueError("vector not in the column span")
-        return x
+    Row-reduces [K | W]: when K has full column rank its pivots are the
+    first len(columns) columns, and the rows above read off the solutions.
+    Raises ValueError if the columns are dependent or a target is outside
+    their span.
+    """
+    k = len(columns)
+    aug = [[col[i] for col in columns] + [w[i] for w in targets]
+           for i in range(nrows)]
+    R, pivots = rref(ring, aug)
+    if pivots[:k] != list(range(k)):
+        raise ValueError("columns are linearly dependent")
+    if len(pivots) > k:
+        raise ValueError("vector not in the column span")
+    return [[R[i][k + t] for i in range(k)] for t in range(len(targets))]
 
 
-def sum_prod(ring, xs, ys):
-    acc = ring.coerce(0)
-    for a, b in zip(xs, ys):
-        if a and b:
-            acc = acc + a * b
-    return acc
-
-
-def mat_vec(ring, rows, v):
-    return [sum_prod(ring, row, v) for row in rows]
+def inverse(ring, rows):
+    """Inverse of a square matrix, read from the row reduction of [A | I]."""
+    n = len(rows)
+    zero = ring.coerce(0)
+    one = ring.coerce(1)
+    R, pivots = rref(ring, [list(row) + [one if i == j else zero for j in range(n)]
+                            for i, row in enumerate(rows)])
+    if pivots != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in R]
 
 
 class QuotientSpace:
@@ -131,19 +91,11 @@ class QuotientSpace:
         self.ring = ring
         self.kernel = kernel
         self.ambient_dim = ambient_dim
-        if kernel:
-            self.solver = SpanSolver(ring, kernel, ambient_dim)
-            coords = [self.solver.solve(w) for w in image_cols]
-        else:
-            self.solver = None
-            coords = []
+        coords = solve(ring, kernel, image_cols, ambient_dim)
         s = len(kernel)
         # echelonize the image coordinates inside kappa**s
-        if coords:
-            self.echelon, self.im_pivots = rref(ring, coords)
-            self.echelon = [row for row in self.echelon if any(row)]
-        else:
-            self.echelon, self.im_pivots = [], []
+        echelon, self.im_pivots = rref(ring, coords)
+        self.echelon = [row for row in echelon if any(row)]
         pivset = set(self.im_pivots)
         self.quot_indices = [i for i in range(s) if i not in pivset]
 
@@ -160,12 +112,12 @@ class QuotientSpace:
                 v = [x - f * y for x, y in zip(v, row)]
         return [v[i] for i in self.quot_indices]
 
-    def action_matrix(self, op_rows):
-        """Matrix of an ambient linear map preserving ker and im, on ker/im."""
-        cols = []
-        for i in self.quot_indices:
-            w = mat_vec(self.ring, op_rows, self.kernel[i])
-            coords = self.solver.solve(w)
-            cols.append(self.reduce(coords))
-        # cols are columns of the induced map
+    def action_matrix(self, op):
+        """Matrix on ker/im of an ambient linear map preserving ker and im.
+
+        `op` maps an ambient vector to its image.
+        """
+        images = [op(self.kernel[i]) for i in self.quot_indices]
+        cols = [self.reduce(c)
+                for c in solve(self.ring, self.kernel, images, self.ambient_dim)]
         return [[cols[j][i] for j in range(len(cols))] for i in range(self.dim)]

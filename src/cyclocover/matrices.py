@@ -1,8 +1,7 @@
 """Dense matrices: integer matrices and matrices over Laurent rings."""
 
-from fractions import Fraction
-
-from .rings import LaurentPoly, MixedRingError, Poly, ZZ
+from .linfield import inverse
+from .rings import LaurentPoly, MixedRingError, Poly, QQ, ZZ
 
 
 # ---------------------------------------------------------------------------
@@ -13,12 +12,6 @@ def mat_identity(n, one=1, zero=0):
 
 def mat_copy(a):
     return [row[:] for row in a]
-
-def mat_add(a, b):
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-def mat_neg(a):
-    return [[-x for x in row] for row in a]
 
 def mat_mul(a, b):
     if a and b and len(a[0]) != len(b):
@@ -35,14 +28,6 @@ def mat_mul(a, b):
             orow.append(acc)
         out.append(orow)
     return out
-
-def mat_eq(a, b):
-    if len(a) != len(b):
-        return False
-    return all(ra == rb for ra, rb in zip(a, b))
-
-def mat_transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 # ---------------------------------------------------------------------------
@@ -88,24 +73,11 @@ def mat_is_identity(a):
 
 def int_mat_inverse(a):
     """Inverse of a unimodular integer matrix."""
-    n = len(a)
     d = det_int(a)
     if d not in (1, -1):
         raise ValueError("matrix is not unimodular")
-    # Gauss-Jordan over QQ; entries of the inverse are integers since |det|=1
-    work = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if work[i][col])
-        work[col], work[piv] = work[piv], work[col]
-        inv = 1 / work[col][col]
-        work[col] = [x * inv for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [x - f * y for x, y in zip(work[i], work[col])]
-    out = [[int(work[i][n + j]) for j in range(n)] for i in range(n)]
-    return out
+    # the inverse over QQ has integer entries since |det| = 1
+    return [[int(x) for x in row] for row in inverse(QQ, a)]
 
 def int_mat_pow(a, e):
     """a**e for integer e (negative exponents need a unimodular)."""
@@ -197,13 +169,6 @@ class LaurentMatrix:
         o = LaurentPoly.one(ring)
         return cls(ring, n, n,
                    [[o if i == j else z for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def from_int_rows(cls, ring, rows, ncols=None):
-        nrows = len(rows)
-        if ncols is None:
-            ncols = len(rows[0]) if rows else 0
-        return cls(ring, nrows, ncols, rows)
 
     def __getitem__(self, ij):
         i, j = ij

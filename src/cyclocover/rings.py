@@ -333,12 +333,6 @@ class Poly:
             raise ExactDivisionError("division not exact")
         return q
 
-    def divides(self, other):
-        """True if self divides other (field coefficients)."""
-        if self.is_zero:
-            return other.is_zero
-        return divmod(other, self)[1].is_zero
-
     def monic(self):
         if self.is_zero:
             return self
@@ -468,22 +462,22 @@ def _pos(a: Poly) -> Poly:
     return -a
 
 
+_CYCLOTOMIC_CACHE = {}
+
+
 def cyclotomic(n: int) -> Poly:
     """The n-th cyclotomic polynomial over ZZ."""
     if not isinstance(n, int) or n < 1:
         raise ValueError("cyclotomic index must be a positive integer")
-    cache = cyclotomic._cache
-    if n in cache:
-        return cache[n]
+    if n in _CYCLOTOMIC_CACHE:
+        return _CYCLOTOMIC_CACHE[n]
     num = Poly(ZZ, [-1] + [0] * (n - 1) + [1])
     for d in range(1, n):
         if n % d == 0:
             num = num.exact_div(cyclotomic(d))
-    cache[n] = num
+    _CYCLOTOMIC_CACHE[n] = num
     return num
 
-
-cyclotomic._cache = {}
 
 
 class LaurentPoly:

@@ -1,9 +1,10 @@
 """Command-line interface: exit codes, report shape, determinism, corpus."""
 
+import argparse
 import json
 import os
 
-from cyclocover import __version__
+from cyclocover import __version__, cli
 from cyclocover.cli import default_corpus_path, run
 
 
@@ -202,3 +203,18 @@ class TestCorpus:
     def test_missing_dir_exit_2(self, capsys):
         code, rep = invoke(capsys, "corpus", "--path", "/no/such/dir")
         assert code == 2
+
+
+class TestCommandTable:
+    def test_parser_lists_exactly_the_table(self):
+        parser = cli._parser()
+        assert cli._parser() is parser
+        sub = next(a for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        assert list(sub.choices) == list(cli._COMMANDS) + ["corpus"]
+
+    def test_every_command_has_a_corpus_case(self):
+        path = default_corpus_path()
+        covered = {json.load(open(os.path.join(path, n)))["subcommand"]
+                   for n in os.listdir(path) if n.endswith(".json")}
+        assert set(cli._COMMANDS) <= covered

@@ -1,0 +1,110 @@
+"""The exact field kernel: rref and what is read off it.
+
+Oracle notes: every result is checked by multiplying back with
+`matrices.mat_mul`, never with the kernel itself.  Invertible matrices are
+built as L*U with unit lower triangular L and an upper triangular U with a
+nonzero diagonal, so they are invertible by construction.
+"""
+
+import random
+
+import pytest
+
+from cyclocover.linfield import inverse, kernel_basis, rref, solve
+from cyclocover.matrices import mat_mul
+from cyclocover.rings import GF, QQ
+
+FIELDS = [QQ, GF(7)]
+
+
+def identity(ring, n):
+    return [[ring.coerce(int(i == j)) for j in range(n)] for i in range(n)]
+
+
+def random_matrix(ring, rng, rows, cols):
+    return [[ring.coerce(rng.randint(-4, 4)) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def random_invertible(ring, rng, n):
+    lower = identity(ring, n)
+    upper = identity(ring, n)
+    for i in range(n):
+        upper[i][i] = ring.coerce(rng.choice([-3, -2, -1, 1, 2, 3]))
+        for j in range(n):
+            if j < i:
+                lower[i][j] = ring.coerce(rng.randint(-4, 4))
+            elif j > i:
+                upper[i][j] = ring.coerce(rng.randint(-4, 4))
+    return mat_mul(lower, upper)
+
+
+def columns(rows):
+    return [list(col) for col in zip(*rows)]
+
+
+@pytest.mark.parametrize("ring", FIELDS, ids=str)
+class TestInverse:
+    def test_inverse_times_matrix_is_identity(self, ring):
+        rng = random.Random(5)
+        for _ in range(25):
+            n = rng.randint(1, 6)
+            a = random_invertible(ring, rng, n)
+            inv = inverse(ring, a)
+            assert mat_mul(inv, a) == identity(ring, n)
+            assert mat_mul(a, inv) == identity(ring, n)
+
+    def test_singular_raises(self, ring):
+        rng = random.Random(6)
+        a = random_matrix(ring, rng, 2, 4)
+        # third row is the sum of the first two, fourth row is zero
+        a += [[x + y for x, y in zip(*a)], [ring.coerce(0)] * 4]
+        with pytest.raises(ValueError):
+            inverse(ring, a)
+
+
+@pytest.mark.parametrize("ring", FIELDS, ids=str)
+class TestSolve:
+    def test_round_trip(self, ring):
+        rng = random.Random(8)
+        for _ in range(25):
+            n = rng.randint(1, 6)
+            k = rng.randint(1, n)
+            m = rng.randint(1, 4)
+            # the first k columns of an invertible matrix are independent
+            kmat = [row[:k] for row in random_invertible(ring, rng, n)]
+            x = random_matrix(ring, rng, k, m)
+            w = mat_mul(kmat, x)
+            assert solve(ring, columns(kmat), columns(w), n) == columns(x)
+
+    def test_target_outside_span(self, ring):
+        rng = random.Random(9)
+        a = random_invertible(ring, rng, 4)
+        cols = columns(a)
+        with pytest.raises(ValueError, match="span"):
+            solve(ring, cols[:3], [cols[3]], 4)
+
+    def test_dependent_columns(self, ring):
+        rng = random.Random(10)
+        cols = columns(random_invertible(ring, rng, 4))[:2]
+        cols.append([x + y for x, y in zip(*cols)])
+        with pytest.raises(ValueError, match="dependent"):
+            solve(ring, cols, [cols[0]], 4)
+
+
+@pytest.mark.parametrize("ring", FIELDS, ids=str)
+def test_kernel_basis_is_annihilated(ring):
+    rng = random.Random(11)
+    for _ in range(25):
+        rows, cols, r = rng.randint(1, 5), rng.randint(1, 6), rng.randint(1, 4)
+        # a product through r dimensions often has rank below min(rows, cols)
+        a = mat_mul(random_matrix(ring, rng, rows, r),
+                    random_matrix(ring, rng, r, cols))
+        basis = kernel_basis(ring, a, cols)
+        assert len(basis) == cols - len(rref(ring, a)[1])
+        for v in basis:
+            assert mat_mul(a, [[x] for x in v]) == [[ring.coerce(0)]] * rows
+
+
+def test_kernel_of_no_rows_is_everything():
+    assert kernel_basis(QQ, [], 3) == identity(QQ, 3)

@@ -140,6 +140,21 @@ class TestCyclotomic:
         with pytest.raises(ValueError):
             cyclotomic(0)
 
+    def test_still_works_when_wrapped(self, monkeypatch):
+        # a wrapper rebinding the module name (as mocks and tracers do) is
+        # what the recursion then calls; the cache must not live on it
+        from cyclocover import rings
+        original = rings.cyclotomic
+        calls = []
+
+        def wrapper(n):
+            calls.append(n)
+            return original(n)
+
+        monkeypatch.setattr(rings, "cyclotomic", wrapper)
+        assert rings.cyclotomic(12) == P(1, 0, -1, 0, 1)
+        assert calls[0] == 12
+
 
 class TestLaurent:
     def test_valuation_normalization(self):

@@ -9,8 +9,9 @@ algebraic cone of (t - f).
 from dataclasses import dataclass
 from typing import List
 
-from .linfield import QuotientSpace, inverse, kernel_basis, rref
-from .matrices import LaurentMatrix, mat_copy, mat_identity, mat_mul
+from .errors import InternalCheckError
+from .linfield import inverse, rref
+from .matrices import LaurentMatrix, mat_identity, mat_mul, mat_pow
 from .normal_forms import _PolyDomain, laurent_cokernel, smith_normal_form
 from .rings import LaurentPoly, Poly, QQ, ZZ, poly_gcd
 
@@ -153,7 +154,7 @@ def _homology_presentation(X: TwistedChainComplex, field, j):
         row = coords.row(i)
         if i < rank:
             if any(not e.is_zero for e in row):
-                raise AssertionError("boundary columns are not cycles")
+                raise InternalCheckError("boundary columns are not cycles")
         else:
             rows.append(row)
     return LaurentMatrix(field, kernel_dim, dj1.ncols, rows)
@@ -198,75 +199,61 @@ def t_action_matrix(factors, field):
     return m
 
 
-def wang_dimensions(X: TwistedChainComplex, field, q):
-    """dim H_j(X_q; kappa) from the Wang sequence of the q-fold cover.
-
-    Uses dim coker(t^q - 1 | H_j(X_inf)) + dim ker(t^q - 1 | H_{j-1}(X_inf)),
-    both equal to deg gcd(t^q - 1, f) summed over invariant factors.
-    """
+def _cover_blocks(inf, field, q):
+    """Per degree, the polynomials g with H_j(X_q; kappa) = sum of kappa[t]/(g)."""
     if q < 1:
         raise ValueError("q must be >= 1")
+    tq1 = Poly(field, [-1] + [0] * (q - 1) + [1])
+    out = []
+    below = []
+    for factors, free_rank in inf:
+        here = [poly_gcd(f, tq1) for f in factors]
+        out.append([g for g in here + [tq1] * free_rank + below if g.degree > 0])
+        below = here
+    return out
+
+
+def _dims(blocks):
+    return [sum(g.degree for g in degree) for degree in blocks]
+
+
+def cover_homology_field(X: TwistedChainComplex, field, q):
+    """Homology of the q-fold cyclic cover with kappa coefficients.
+
+    Returns per degree (dimension, matrix of the induced t-action), read
+    off the invariant factors of H_*(X_inf; kappa).  Over the PID
+    kappa[t, 1/t] the universal-coefficient theorem splits H_j(X_q) as
+    kappa[t]-modules into H_j(X_inf)/(t^q - 1) plus the (t^q - 1)-torsion
+    of H_{j-1}(X_inf).  The action is the block companion matrix
+    (`t_action_matrix`) of these blocks, in this order:
+
+    - gcd(f, t^q - 1) for each invariant factor f of H_j(X_inf);
+    - t^q - 1 once per unit of free rank of H_j(X_inf);
+    - gcd(f, t^q - 1) for each invariant factor f of H_{j-1}(X_inf);
+
+    with blocks of degree 0 dropped.  The dimension is the sum of the
+    block degrees.
+    """
+    blocks = _cover_blocks(infinite_cover_homology_field(X, field), field, q)
+    return [(dim, t_action_matrix(degree, field))
+            for dim, degree in zip(_dims(blocks), blocks)]
+
+
+def wang_dimensions(X: TwistedChainComplex, field, q):
+    """dim H_j(X_q; kappa) when every H_j(X_inf; kappa) is torsion.
+
+    This is the Wang-sequence case of `cover_homology_field`: each
+    invariant factor f contributes deg gcd(t^q - 1, f) in its own degree
+    and in the next.  A free part would make the dimensions grow with q,
+    so it raises FreeHomologyError.
+    """
     inf = infinite_cover_homology_field(X, field)
+    blocks = _cover_blocks(inf, field, q)
     for j, (_, free_rank) in enumerate(inf):
         if free_rank:
             raise FreeHomologyError(
                 f"H_{j}(X_inf) has free rank {free_rank}; Wang dimensions are infinite")
-    tq1 = Poly(field, [-1] + [0] * (q - 1) + [1])
-    gdeg = [sum(poly_gcd(tq1, f).degree for f in factors)
-            for factors, _ in inf]
-    dims = []
-    for j in range(len(gdeg)):
-        below = gdeg[j - 1] if j >= 1 else 0
-        dims.append(gdeg[j] + below)
-    return dims
-
-
-def _big_matrix(mat: LaurentMatrix, field, q):
-    """Base change along kappa[t,1/t] -> kappa[t]/(t^q - 1), cell-major basis."""
-    zero = field.coerce(0)
-    rows = mat.nrows * q
-    cols = mat.ncols * q
-    big = [[zero] * cols for _ in range(rows)]
-    for i in range(mat.nrows):
-        for j in range(mat.ncols):
-            e = mat[i, j]
-            if e.is_zero:
-                continue
-            for idx, c in enumerate(e.body.coeffs):
-                if not c:
-                    continue
-                shift = (e.val + idx) % q
-                cf = field.coerce(c)
-                for a in range(q):
-                    big[i * q + (a + shift) % q][j * q + a] = \
-                        big[i * q + (a + shift) % q][j * q + a] + cf
-    return big
-
-
-def cover_homology_field(X: TwistedChainComplex, field, q):
-    """Direct homology of the q-fold cyclic cover with kappa coefficients.
-
-    Returns per degree (dimension, matrix of the induced t-action).
-    """
-    if q < 1:
-        raise ValueError("q must be >= 1")
-    out = []
-    for j in range(X.top_degree + 1):
-        n = X.ranks[j] * q
-        dj = _big_matrix(X.boundary(j).to_ring(field), field, q)
-        dj1 = _big_matrix(X.boundary(j + 1).to_ring(field), field, q)
-        ker = kernel_basis(field, dj, n)
-        im_cols = [list(col) for col in zip(*dj1)]
-        quot = QuotientSpace(field, ker, im_cols, n)
-
-        def shift(v):
-            # t acts on each cell's block of q coordinates as the cyclic shift
-            return [v[c * q + (a - 1) % q]
-                    for c in range(X.ranks[j]) for a in range(q)]
-
-        action = quot.action_matrix(shift) if quot.dim else []
-        out.append((quot.dim, action))
-    return out
+    return _dims(blocks)
 
 
 def verify_self_cover_relation(X: TwistedChainComplex, w: SelfCoverWitness):
@@ -292,33 +279,16 @@ def verify_self_cover_relation(X: TwistedChainComplex, w: SelfCoverWitness):
         if len(rref(QQ, hb)[1]) != dim:
             raise ValueError(f"hbar block {j} is not invertible")
         T = t_action_matrix(factors, QQ)
-        Tk = _field_mat_pow(QQ, T, w.sign * w.k)
+        base = T if w.sign > 0 else inverse(QQ, T)
+        Tk = mat_pow(base, w.k, QQ.coerce(1), QQ.coerce(0))
         lhs = mat_mul(hb, T)
         rhs = mat_mul(Tk, hb)
         results.append(lhs == rhs)
     return results
 
 
-def _field_mat_pow(field, m, e):
-    n = len(m)
-    if e < 0:
-        m = inverse(field, m)
-        e = -e
-    result = mat_identity(n, field.coerce(1), field.coerce(0))
-    base = mat_copy(m)
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        e >>= 1
-    return result
-
-
 def dimension_bound_check(X: TwistedChainComplex, field, iterates):
     """True iff dim H_j(X_q; kappa) <= ranks[j] for every listed q and degree."""
-    for q in iterates:
-        dims = [d for d, _ in cover_homology_field(X, field, q)]
-        for j, d in enumerate(dims):
-            if d > X.ranks[j]:
-                return False
-    return True
+    inf = infinite_cover_homology_field(X, field)
+    return all(d <= r for q in iterates
+               for d, r in zip(_dims(_cover_blocks(inf, field, q)), X.ranks))

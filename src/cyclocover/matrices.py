@@ -79,20 +79,23 @@ def int_mat_inverse(a):
     # the inverse over QQ has integer entries since |det| = 1
     return [[int(x) for x in row] for row in inverse(QQ, a)]
 
-def int_mat_pow(a, e):
-    """a**e for integer e (negative exponents need a unimodular)."""
-    n = len(a)
+def mat_pow(a, e, one=1, zero=0):
+    """a**e for e >= 0 by square-and-multiply; `one`/`zero` as in mat_identity."""
     if e < 0:
-        a = int_mat_inverse(a)
-        e = -e
-    result = mat_identity(n)
-    base = mat_copy(a)
+        raise ValueError("mat_pow needs e >= 0; invert first")
+    result = mat_identity(len(a), one, zero)
     while e:
         if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
+            result = mat_mul(result, a)
+        a = mat_mul(a, a)
         e >>= 1
     return result
+
+def int_mat_pow(a, e):
+    """a**e for integer e (negative exponents need a unimodular)."""
+    if e < 0:
+        return mat_pow(int_mat_inverse(a), -e)
+    return mat_pow(a, e)
 
 
 # ---------------------------------------------------------------------------

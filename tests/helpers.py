@@ -2,12 +2,14 @@
 
 The oracles here deliberately avoid the library's own decision paths:
 the lattice oracle uses rational companion matrices plus integer HNF,
-matrix orders are found by brute-force powering.
+matrix orders are found by brute-force powering, and finite-cover homology
+is computed directly as ker/im of the cover's dense boundary matrices.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
+from cyclocover.linfield import rref
 from cyclocover.matrices import LaurentMatrix, mat_identity, mat_mul
 from cyclocover.rings import LaurentPoly, Poly, ZZ
 
@@ -125,6 +127,133 @@ def lattice_fg_oracle(f: Poly, max_n=12) -> bool:
         if _lattice_key(a, den) == _lattice_key(b, den):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# direct finite-cover homology: ker/im of dense matrices over a field
+
+def kernel_basis(ring, rows, ncols):
+    """Basis (list of column vectors) of the right kernel of `rows`."""
+    zero = ring.coerce(0)
+    one = ring.coerce(1)
+    R, pivots = rref(ring, rows)
+    pivset = set(pivots)
+    free = [j for j in range(ncols) if j not in pivset]
+    basis = []
+    for j in free:
+        v = [zero] * ncols
+        v[j] = one
+        for r_i, c in enumerate(pivots):
+            v[c] = -R[r_i][j]
+        basis.append(v)
+    return basis
+
+def solve(ring, columns, targets, nrows):
+    """Coordinates x with K * x = w for each target w; K has the given columns.
+
+    Row-reduces [K | W]: when K has full column rank its pivots are the
+    first len(columns) columns, and the rows above read off the solutions.
+    Raises ValueError if the columns are dependent or a target is outside
+    their span.
+    """
+    k = len(columns)
+    aug = [[col[i] for col in columns] + [w[i] for w in targets]
+           for i in range(nrows)]
+    R, pivots = rref(ring, aug)
+    if pivots[:k] != list(range(k)):
+        raise ValueError("columns are linearly dependent")
+    if len(pivots) > k:
+        raise ValueError("vector not in the column span")
+    return [[R[i][k + t] for i in range(k)] for t in range(len(targets))]
+
+class QuotientSpace:
+    """ker/im presentation of a homology group over a field.
+
+    `kernel` is a list of column vectors spanning ker (linearly
+    independent); `image_cols` are vectors inside ker spanning im.
+    """
+
+    def __init__(self, ring, kernel, image_cols, ambient_dim):
+        self.ring = ring
+        self.kernel = kernel
+        self.ambient_dim = ambient_dim
+        coords = solve(ring, kernel, image_cols, ambient_dim)
+        s = len(kernel)
+        # echelonize the image coordinates inside kappa**s
+        echelon, self.im_pivots = rref(ring, coords)
+        self.echelon = [row for row in echelon if any(row)]
+        pivset = set(self.im_pivots)
+        self.quot_indices = [i for i in range(s) if i not in pivset]
+
+    @property
+    def dim(self):
+        return len(self.quot_indices)
+
+    def reduce(self, coords):
+        """Project kernel coordinates to quotient coordinates."""
+        v = coords[:]
+        for row, p in zip(self.echelon, self.im_pivots):
+            if v[p]:
+                f = v[p]
+                v = [x - f * y for x, y in zip(v, row)]
+        return [v[i] for i in self.quot_indices]
+
+    def action_matrix(self, op):
+        """Matrix on ker/im of an ambient linear map preserving ker and im.
+
+        `op` maps an ambient vector to its image.
+        """
+        images = [op(self.kernel[i]) for i in self.quot_indices]
+        cols = [self.reduce(c)
+                for c in solve(self.ring, self.kernel, images, self.ambient_dim)]
+        return [[cols[j][i] for j in range(len(cols))] for i in range(self.dim)]
+
+def _big_matrix(mat, field, q):
+    """Base change along kappa[t,1/t] -> kappa[t]/(t^q - 1), cell-major basis."""
+    zero = field.coerce(0)
+    rows = mat.nrows * q
+    cols = mat.ncols * q
+    big = [[zero] * cols for _ in range(rows)]
+    for i in range(mat.nrows):
+        for j in range(mat.ncols):
+            e = mat[i, j]
+            if e.is_zero:
+                continue
+            for idx, c in enumerate(e.body.coeffs):
+                if not c:
+                    continue
+                shift = (e.val + idx) % q
+                cf = field.coerce(c)
+                for a in range(q):
+                    big[i * q + (a + shift) % q][j * q + a] = \
+                        big[i * q + (a + shift) % q][j * q + a] + cf
+    return big
+
+def direct_cover_homology(X, field, q):
+    """Homology of the q-fold cyclic cover as ker/im of dense matrices.
+
+    Returns per degree (dimension, matrix of the induced t-action) in the
+    basis-dependent coordinates of the kernel; compare actions up to
+    similarity.
+    """
+    if q < 1:
+        raise ValueError("q must be >= 1")
+    out = []
+    for j in range(X.top_degree + 1):
+        n = X.ranks[j] * q
+        dj = _big_matrix(X.boundary(j).to_ring(field), field, q)
+        dj1 = _big_matrix(X.boundary(j + 1).to_ring(field), field, q)
+        ker = kernel_basis(field, dj, n)
+        im_cols = [list(col) for col in zip(*dj1)]
+        quot = QuotientSpace(field, ker, im_cols, n)
+
+        def shift(v):
+            # t acts on each cell's block of q coordinates as the cyclic shift
+            return [v[c * q + (a - 1) % q]
+                    for c in range(X.ranks[j]) for a in range(q)]
+
+        out.append((quot.dim, quot.action_matrix(shift) if quot.dim else []))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from cyclocover.cli import run
 from cyclocover.covers import (TwistedChainComplex, cover_homology_field,
                                dimension_bound_check,
                                infinite_cover_homology_field,
-                               mapping_torus_complex)
+                               mapping_torus_complex, wang_dimensions)
 from cyclocover.matrices import (LaurentMatrix, int_mat_inverse, int_mat_pow,
                                  mat_is_identity, mat_mul)
 from cyclocover.modules import ModulePresentation, finitely_generated_over_Z
@@ -28,7 +28,8 @@ from cyclocover.rings import GF, LaurentPoly, Poly, QQ, ZZ
 
 from helpers import (brute_order_prime_to, lattice_fg_oracle,
                      rand_unimodular_int, random_chain_endo)
-from test_covers import expected_factors
+from test_covers import (check_against_oracle, expected_factors,
+                         free_part_complexes)
 
 
 def _verdict(capfd, line):
@@ -74,19 +75,21 @@ def test_criterion_1_fingen_vs_lattice_oracle(capfd):
 
 
 def test_criterion_2_wang_direct_agreement(capfd):
-    with criterion(capfd, 2, "Wang vs direct cover homology", limit=60.0):
+    with criterion(capfd, 2, "cover homology vs direct oracle", limit=60.0):
         rng = random.Random(77)
         fields = [QQ, GF(2), GF(3), GF(5)]
         for _ in range(50):
             ranks, bnds, f, _ = random_chain_endo(rng)
             x = mapping_torus_complex(ranks, bnds, f)
             # mapping tori always have torsion infinite-cover homology
-            from cyclocover.covers import wang_dimensions
             for q in range(1, 9):
                 for kappa in fields:
-                    want = wang_dimensions(x, kappa, q)
-                    got = [d for d, _ in cover_homology_field(x, kappa, q)]
-                    assert got == want, (ranks, q, kappa)
+                    dims = check_against_oracle(x, kappa, q)
+                    assert wang_dimensions(x, kappa, q) == dims, (ranks, q, kappa)
+        for x in free_part_complexes():
+            for q in range(1, 9):
+                for kappa in (QQ, GF(2), GF(5)):
+                    check_against_oracle(x, kappa, q)
 
 
 def test_criterion_3_mapping_torus_identity(capfd):
@@ -178,7 +181,8 @@ def test_criterion_6_class_number_engine(capfd):
 
 
 def test_criterion_7_dimension_bound_suite(capfd):
-    with criterion(capfd, 7, "dimension-bound fixtures and counterexample"):
+    with criterion(capfd, 7, "dimension-bound fixtures and counterexample",
+                   limit=10.0):
         circle = mapping_torus_complex([1], [], [[[1]]])            # k = 2
         klein = mapping_torus_complex([1, 1], [[[0]]], [[[1]], [[-1]]])  # k = 3
         trefoil = trefoil_torus()                                    # k = 5

@@ -120,6 +120,31 @@ class TestExitCodes:
         assert rep["error"]["kind"] == "internal-check"
         assert rep["error"]["message"] == "methods disagree"
 
+    def test_failed_cycle_check_exit_3(self, capsys, monkeypatch):
+        # a kernel basis that is not one makes the boundaries from above
+        # fail the "columns are cycles" check inside the homology presentation
+        from dataclasses import replace
+
+        from cyclocover import covers
+        from cyclocover.matrices import mat_identity
+
+        real = covers.smith_normal_form
+
+        def wrong_kernel(rows, dom):
+            res = real(rows, dom)
+            return replace(res, Vinv=mat_identity(len(res.Vinv), dom.one, dom.zero))
+
+        spec = json.dumps({"ranks": [1, 2], "boundaries_F": [[["0", "0"]]],
+                           "f": [[["1"]], [["1", "-1"], ["1", "0"]]]})
+        _, rep = invoke(capsys, "mapping-torus", "--f", spec)
+        cx = json.dumps(rep["result"]["complex"])
+        monkeypatch.setattr(covers, "smith_normal_form", wrong_kernel)
+        code, rep = invoke(capsys, "wang", "--complex", cx, "--kappa", "Q",
+                           "--q", "6")
+        assert code == 3
+        assert rep["error"] == {"kind": "internal-check",
+                                "message": "boundary columns are not cycles"}
+
     def test_unknown_subcommand_argparse(self, capsys):
         import pytest
         with pytest.raises(SystemExit):

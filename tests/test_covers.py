@@ -1,8 +1,10 @@
 """Mapping tori, infinite and finite cyclic cover homology, Wang dimensions.
 
-Primary cross-check: on random mapping tori, the Wang computation (via
-the infinite-cover invariant factors) must agree with the direct finite
-cover homology, and both must match the hand-derivable expected factors
+Primary cross-check: on random mapping tori and on complexes with a free
+part, the finite-cover homology read off the infinite-cover invariant
+factors (and the Wang dimensions, where defined) must agree with the
+direct ker/im oracle in `helpers`: equal dimensions and similar t-actions.
+The infinite-cover factors must match the hand-derivable expected factors
 of t*I - f_* on homology.
 """
 
@@ -16,11 +18,11 @@ from cyclocover.covers import (FreeHomologyError, SelfCoverWitness,
                                infinite_cover_homology_field,
                                mapping_torus_complex, t_action_matrix,
                                verify_self_cover_relation, wang_dimensions)
-from cyclocover.matrices import LaurentMatrix
+from cyclocover.matrices import LaurentMatrix, mat_pow
 from cyclocover.normal_forms import char_poly, smith_normal_form
 from cyclocover.rings import GF, LaurentPoly, Poly, QQ, ZZ
 
-from helpers import random_chain_endo
+from helpers import direct_cover_homology, random_chain_endo
 
 
 def trefoil():
@@ -37,20 +39,43 @@ def klein():
     return mapping_torus_complex([1, 1], [[[0]]], [[[1]], [[-1]]])
 
 
-def expected_factors(m):
-    """Invariant factors over QQ[t,1/t] of t*I - m, via SNF over QQ[t]."""
+def expected_factors(m, field=QQ):
+    """Invariant factors over kappa[t,1/t] of t*I - m, via SNF over kappa[t].
+
+    For an invertible m these decide m up to similarity.
+    """
     n = len(m)
-    t = Poly(QQ, (0, 1))
-    rows = [[(t if i == j else Poly.zero(QQ)) - Poly(QQ, (QQ.coerce(m[i][j]),))
+    if n == 0:
+        return []
+    t = Poly(field, (0, 1))
+    rows = [[(t if i == j else Poly.zero(field)) - Poly(field, (field.coerce(m[i][j]),))
              for j in range(n)] for i in range(n)]
     out = []
     for f in smith_normal_form(rows).invariant_factors:
         k = f.low_order()
         if k:
-            f = Poly(QQ, f.coeffs[k:])
+            f = Poly(field, f.coeffs[k:])
         if f.degree > 0:
             out.append(f.monic())
     return out
+
+
+def check_against_oracle(x, field, q):
+    """cover_homology_field vs the direct oracle; returns the oracle's dims."""
+    got = cover_homology_field(x, field, q)
+    want = direct_cover_homology(x, field, q)
+    dims = [d for d, _ in want]
+    assert [d for d, _ in got] == dims, (x, field, q)
+    for j, ((_, a), (_, b)) in enumerate(zip(got, want)):
+        assert expected_factors(a, field) == expected_factors(b, field), (x, field, q, j)
+    return dims
+
+
+def free_part_complexes():
+    """[t-1, t-1] (free H_1) and its transpose [[t-1], [t-1]] (free H_0)."""
+    tm1 = LaurentPoly.from_poly(Poly(ZZ, (-1, 1)))
+    return [TwistedChainComplex([1, 2], [LaurentMatrix(ZZ, 1, 2, [[tm1, tm1]])]),
+            TwistedChainComplex([2, 1], [LaurentMatrix(ZZ, 2, 1, [[tm1], [tm1]])])]
 
 
 class TestMappingTorus:
@@ -151,14 +176,21 @@ class TestDirectCover:
         assert char_poly(ints) == Poly(ZZ, (-1, 2, -2, 1))
 
     def test_agrees_with_wang_on_random_tori(self):
+        # both routes against the direct oracle, not against each other
         rng = random.Random(202)
         for _ in range(12):
             ranks, bnds, f, _ = random_chain_endo(rng)
             x = mapping_torus_complex(ranks, bnds, f)
             for q in (1, 2, 3):
-                want = wang_dimensions(x, QQ, q)
-                got = [d for d, _ in cover_homology_field(x, QQ, q)]
-                assert got == want, (ranks, q)
+                dims = check_against_oracle(x, QQ, q)
+                assert wang_dimensions(x, QQ, q) == dims, (ranks, q)
+
+    def test_free_part_agrees_with_oracle(self):
+        # only the oracle checks the t^q - 1 blocks of a free part
+        for x in free_part_complexes():
+            for field in (QQ, GF(2), GF(5)):
+                for q in range(1, 9):
+                    check_against_oracle(x, field, q)
 
     def test_euler_characteristic(self):
         # chi(X_q) = q * chi(X), degreewise over any field
@@ -174,12 +206,11 @@ class TestDirectCover:
 
     def test_action_has_order_q_eigenvalues(self):
         # t^q acts as the deck-complete cycle, hence trivially on homology
-        from cyclocover.covers import _field_mat_pow
         out = cover_homology_field(trefoil(), QQ, 6)
         for dim, act in out:
             if dim == 0:
                 continue
-            p6 = _field_mat_pow(QQ, act, 6)
+            p6 = mat_pow(act, 6, QQ.coerce(1), QQ.coerce(0))
             assert p6 == [[QQ.coerce(int(i == j)) for j in range(dim)]
                           for i in range(dim)]
 

@@ -1,4 +1,7 @@
-"""The exact field kernel: rref and what is read off it.
+"""The exact field kernel, rref and inverse, and the oracle's helpers on it.
+
+`solve` and `kernel_basis` belong to the direct cover-homology oracle in
+`tests/helpers.py`; they are tested here next to the kernel they use.
 
 Oracle notes: every result is checked by multiplying back with
 `matrices.mat_mul`, never with the kernel itself.  Invertible matrices are
@@ -10,9 +13,11 @@ import random
 
 import pytest
 
-from cyclocover.linfield import inverse, kernel_basis, rref, solve
+from cyclocover.linfield import inverse, rref
 from cyclocover.matrices import mat_mul
 from cyclocover.rings import GF, QQ
+
+from helpers import kernel_basis, solve
 
 FIELDS = [QQ, GF(7)]
 

@@ -2,16 +2,21 @@
 
 from math import gcd
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as Miller-Rabin bases decide primality below
+# 3317044064679887385961981; the first 12 only below 318665857834031151167461,
+# a strong pseudoprime to all of them (OEIS A014233).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+IS_PRIME_LIMIT = 33 * 10 ** 23
 
 _SMALL_PRIME_LIMIT = 100_000
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin (valid for n < 3.3 * 10**24)."""
+    """Deterministic Miller-Rabin (valid for n < IS_PRIME_LIMIT = 3.3 * 10**24)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d = n - 1

@@ -1,21 +1,36 @@
 """The first factor h_p^- of the cyclotomic class number and the odd-factor gate.
 
-h_p^- is computed twice, by the character-sum product over odd characters
-mod p and by a Maillet-type determinant, and the two values are
-cross-checked.  h_p^+ is not computable here; it is shipped as a fixture
-table of published (heuristic) factorizations.
+h_p^- is computed twice and the two values are cross-checked:
+
+- Character sums.  h_p^- = (-1)^((p-1)/2) * prod_{a odd} f(zeta^a) /
+  (2p)^((p-3)/2), where zeta is a primitive (p-1)-th root of unity and
+  f(zeta^a) is the character sum of the a-th odd character.  The
+  product is a rational integer c with |c| <= B = (p(p-1)/2)^((p-1)/2).
+  It is evaluated modulo primes l = 1 mod (p-1), at an element of exact
+  order p-1 mod l, and put together by CRT until the modulus exceeds
+  2B; one spare prime more must leave |c| <= B.  The sign, positivity
+  and (2p)^((p-3)/2)-divisibility of c are checked.
+- Maillet's determinant.  Subtracting a times the first row from row a
+  of (a * b^-1 mod p)_{1<=a,b<=(p-1)/2} leaves -p * floor(a * b^-1 / p)
+  (Carlitz and Olson, 1955), so h_p^- = |det| of the matrix with first
+  row b^-1 mod p and rows floor(a * (b^-1 mod p) / p) for a >= 2.  A
+  zero determinant fails the check.
+
+h_p^+ is not computable here; it is shipped as a fixture table of
+published (heuristic) factorizations.
 """
 
 import csv
 import os
 from dataclasses import dataclass
 from importlib import resources
+from operator import itemgetter, mul
 from typing import Dict, List, Optional
 
-from .arith import is_prime, primitive_root, smallest_odd_prime_factor
+from .arith import (IS_PRIME_LIMIT, factorize, is_prime, primitive_root,
+                    smallest_odd_prime_factor)
 from .errors import InternalCheckError, PreconditionError
 from .matrices import det_int
-from .rings import Poly, ZZ, cyclotomic
 
 DEFAULT_PRIME_BOUND = 211
 
@@ -42,69 +57,107 @@ def _check_p(p, bound):
         raise PreconditionError(f"p={p} exceeds the configured bound {bound}")
 
 
-def _cyclic_mul(a, b, n):
-    out = [0] * n
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[(i + j) % n] += x * y
-    return out
+# CRT primes a little above 2^80 stay below IS_PRIME_LIMIT (about 2^81.4).
+_MODULUS_BITS = 80
+# No CRT prime is below 2^32: a wrong residue then passes the spare-prime
+# check with probability about 2^-32 at most.
+_MIN_MODULUS_BITS = 32
+
+
+def _moduli(n, low):
+    """Primes l = k*n + 1 with low < l < IS_PRIME_LIMIT, ascending, each
+    with zeta = x^k mod l of exact order n for the least x that gives one.
+
+    Modulo such a prime the n-th cyclotomic polynomial splits and zeta is
+    one of its roots, so an integer polynomial expression in a primitive
+    n-th root of unity reduces to the same expression in zeta.
+    """
+    qs = list(factorize(n))
+    for k in range(low // n + 1, (IS_PRIME_LIMIT - 2) // n + 1):
+        ell = k * n + 1
+        if not is_prime(ell):
+            continue
+        x = 2
+        while True:
+            zeta = pow(x, k, ell)
+            if all(pow(zeta, n // q, ell) != 1 for q in qs):
+                yield ell, zeta
+                break
+            x += 1
+
+
+def _odd_character_pickers(n):
+    """Per odd a < n, a getter taking (zeta^i)_{i<n} to (zeta^(a*j))_{j<n}."""
+    return [itemgetter(*[a * j % n for j in range(n)]) for a in range(1, n, 2)]
+
+
+def _charsum_residue(f, pickers, ell, zeta):
+    """prod_{a odd} sum_j f[j] * zeta^(a*j) modulo ell."""
+    powers = [1] * len(f)
+    for i in range(1, len(f)):
+        powers[i] = powers[i - 1] * zeta % ell
+    v = 1
+    for pick in pickers:
+        v = v * sum(map(mul, f, pick(powers))) % ell
+    return v
 
 
 def _hp_minus_charsum(p):
-    """h_p^- = (-1)^((p-1)/2) * prod_{a odd} f(zeta^a) / (2p)^((p-1)/2 - 1).
+    """h_p^- from the product of the odd character sums, by CRT over primes.
 
-    Here zeta is a primitive (p-1)-th root of unity, f(T) = sum_j g_j T^j
-    with g_j the least positive residue of g^j for a primitive root g, and
-    f(zeta^a) = sum_x x * chi_a(x) is the character sum of the a-th odd
-    character.  The product of the cyclic shifts f(T^a) taken modulo
-    T^(p-1) - 1 is Galois-stable, so it reduces to an integer constant
-    modulo the (p-1)-th cyclotomic polynomial.
+    With f_j = g^j mod p for a primitive root g, the value c =
+    prod_{a odd} f(zeta^a) is a rational integer, and |f(zeta^a)| <=
+    sum_j f_j bounds it by B = (p(p-1)/2)^((p-1)/2).  Residues of c modulo
+    primes l = 1 mod (p-1) (see `_moduli`) are combined until the modulus
+    exceeds 2B; the symmetric residue after one spare prime more must
+    still lie in [-B, B].  The bits of 2B are spread evenly over the fewest
+    primes of at most _MODULUS_BITS bits, so small p use small primes.
     """
     n = p - 1
     g = primitive_root(p)
-    f = [0] * n
-    acc = 1
-    for j in range(n):
-        f[j] = acc
-        acc = (acc * g) % p
-    prod = None
-    for a in range(1, n, 2):
-        shifted = [0] * n
-        for j, x in enumerate(f):
-            shifted[(a * j) % n] += x
-        prod = shifted if prod is None else _cyclic_mul(prod, shifted, n)
-    poly = Poly(ZZ, tuple(prod))
-    q, r = divmod(poly, cyclotomic(n))
-    if r.degree > 0:
-        raise InternalCheckError("character-sum product is not Galois-stable")
-    c = int(r.constant)
-    num = c if (p - 1) // 2 % 2 == 0 else -c
-    den = (2 * p) ** ((p - 1) // 2 - 1)
+    f = [pow(g, j, p) for j in range(n)]
+    pickers = _odd_character_pickers(n)
+    bound = (p * n // 2) ** (n // 2)
+    bits = (2 * bound).bit_length()
+    count = -(-bits // _MODULUS_BITS)
+    low = 1 << max(-(-bits // count), _MIN_MODULUS_BITS)
+    c, m = 0, 1
+    for ell, zeta in _moduli(n, low):
+        spare = m > 2 * bound
+        v = _charsum_residue(f, pickers, ell, zeta)
+        c += m * ((v - c) * pow(m, -1, ell) % ell)
+        m *= ell
+        if spare:
+            break
+    if c > m // 2:
+        c -= m
+    if abs(c) > bound:
+        raise InternalCheckError(
+            "character-sum product changed under a spare CRT prime")
+    num = c if n // 2 % 2 == 0 else -c
+    den = (2 * p) ** (n // 2 - 1)
     if num <= 0 or num % den:
         raise InternalCheckError(
             f"character-sum value {num} is not a positive multiple of (2p)^((p-3)/2)")
     return num // den
 
 
-def _hp_minus_maillet(p):
-    """|det (a * b^-1 mod p)_{1<=a,b<=(p-1)/2}| / p^((p-3)/2).
+def _maillet_reduced(p):
+    """Maillet's matrix with the factor p^((p-3)/2) of its determinant removed.
 
-    Entries are least positive residues; the normalization is calibrated
-    against the character-sum method and frozen.
+    With r_b = b^-1 mod p in [1, p-1] for b = 1..(p-1)/2, the first row is
+    r_b and row a (a >= 2) is floor(a * r_b / p).
     """
-    h = (p - 1) // 2
-    inv = [0] * (h + 1)
-    for b in range(1, h + 1):
-        inv[b] = pow(b, p - 2, p)
-    m = [[(a * inv[b]) % p for b in range(1, h + 1)] for a in range(1, h + 1)]
-    d = abs(det_int(m))
-    den = p ** ((p - 3) // 2)
-    if d == 0 or d % den:
-        raise InternalCheckError(
-            f"Maillet determinant {d} is not a nonzero multiple of p^((p-3)/2)")
-    return d // den
+    r = [pow(b, -1, p) for b in range(1, (p + 1) // 2)]
+    return [r] + [[a * x // p for x in r] for a in range(2, len(r) + 1)]
+
+
+def _hp_minus_maillet(p):
+    """h_p^- as |det| of the p-reduced Maillet matrix (Carlitz-Olson)."""
+    d = abs(det_int(_maillet_reduced(p)))
+    if d == 0:
+        raise InternalCheckError("reduced Maillet determinant is zero")
+    return d
 
 
 def hp_minus(p, bound=None):

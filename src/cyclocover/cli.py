@@ -1,7 +1,7 @@
 """Batch command-line front end: JSON in, deterministic JSON report out.
 
 Exit codes: 0 success, 2 precondition or parse failure, 3 internal
-cross-check failure.
+cross-check failure or another RuntimeError from the library.
 """
 
 import argparse
@@ -14,7 +14,7 @@ from importlib import resources
 from . import __version__
 from .classnumbers import (default_fixture_path, gate_theorem_CD, hp_minus,
                            load_hplus_table, odd_prime_factor, prime_bound)
-from .covers import (SelfCoverWitness, cover_homology_field,
+from .covers import (SelfCoverWitness, cover_dimensions, cover_homology_field,
                      mapping_torus_complex, verify_self_cover_relation,
                      wang_dimensions)
 from .errors import InternalCheckError, PreconditionError
@@ -123,17 +123,14 @@ def _run_dimension_bound(params):
     qs = params["q"]
     if not isinstance(qs, list) or not qs:
         raise PreconditionError("q must be a nonempty list of cover degrees")
+    qs = [parse_int(raw) for raw in qs]
+    if min(qs) < 1:
+        raise PreconditionError("q must be >= 1")
     per_q = []
-    ok = True
-    for raw in qs:
-        q = parse_int(raw)
-        if q < 1:
-            raise PreconditionError("q must be >= 1")
-        dims = [d for d, _ in cover_homology_field(x, kappa, q)]
+    for q, dims in zip(qs, cover_dimensions(x, kappa, qs)):
         holds = all(d <= r for d, r in zip(dims, x.ranks))
-        ok = ok and holds
         per_q.append({"q": q, "dims": dims, "bounds": list(x.ranks), "ok": holds})
-    return {"ok": ok, "per_q": per_q}
+    return {"ok": all(e["ok"] for e in per_q), "per_q": per_q}
 
 
 def _run_prop_matrix(params):
@@ -368,6 +365,12 @@ def run(argv):
         return 0
     except InternalCheckError as exc:
         _emit({"error": {"kind": "internal-check", "message": str(exc)}},
+              out_path)
+        return 3
+    except RuntimeError as exc:
+        # a library routine gave up (e.g. Pollard rho); not the input's fault
+        _emit({"error": {"kind": "internal-check",
+                         "message": f"{type(exc).__name__}: {exc}"}},
               out_path)
         return 3
     except (PreconditionError, ValueError, TypeError, KeyError) as exc:

@@ -287,8 +287,17 @@ def verify_self_cover_relation(X: TwistedChainComplex, w: SelfCoverWitness):
     return results
 
 
+def cover_dimensions(X: TwistedChainComplex, field, iterates):
+    """Per listed q, the dimensions dim H_j(X_q; kappa) for every degree j.
+
+    H_*(X_inf; kappa) is computed once and read for every q as in
+    `cover_homology_field`, without building the t-action matrices.
+    """
+    inf = infinite_cover_homology_field(X, field)
+    return [_dims(_cover_blocks(inf, field, q)) for q in iterates]
+
+
 def dimension_bound_check(X: TwistedChainComplex, field, iterates):
     """True iff dim H_j(X_q; kappa) <= ranks[j] for every listed q and degree."""
-    inf = infinite_cover_homology_field(X, field)
-    return all(d <= r for q in iterates
-               for d, r in zip(_dims(_cover_blocks(inf, field, q)), X.ranks))
+    return all(d <= r for dims in cover_dimensions(X, field, iterates)
+               for d, r in zip(dims, X.ranks))

@@ -2,16 +2,19 @@
 
 The oracles here deliberately avoid the library's own decision paths:
 the lattice oracle uses rational companion matrices plus integer HNF,
-matrix orders are found by brute-force powering, and finite-cover homology
-is computed directly as ker/im of the cover's dense boundary matrices.
+matrix orders are found by brute-force powering, finite-cover homology
+is computed directly as ker/im of the cover's dense boundary matrices, and
+h_p^- comes from the exact product of cyclically shifted polynomials and
+from Maillet's full determinant.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
+from cyclocover.arith import primitive_root
 from cyclocover.linfield import rref
-from cyclocover.matrices import LaurentMatrix, mat_identity, mat_mul
-from cyclocover.rings import LaurentPoly, Poly, ZZ
+from cyclocover.matrices import LaurentMatrix, det_int, mat_identity, mat_mul
+from cyclocover.rings import LaurentPoly, Poly, ZZ, cyclotomic
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +257,58 @@ def direct_cover_homology(X, field, q):
 
         out.append((quot.dim, quot.action_matrix(shift) if quot.dim else []))
     return out
+
+
+# ---------------------------------------------------------------------------
+# h_p^- over the integers: no CRT and no row reduction of Maillet's matrix
+
+def _cyclic_mul(a, b, n):
+    out = [0] * n
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[(i + j) % n] += x * y
+    return out
+
+
+def charsum_hp_minus(p):
+    """h_p^- = (-1)^((p-1)/2) * prod_{a odd} f(zeta^a) / (2p)^((p-3)/2).
+
+    The product of the cyclic shifts f(T^a), f(T) = sum_j (g^j mod p) T^j,
+    is taken exactly modulo T^(p-1) - 1 and reduced modulo the (p-1)-th
+    cyclotomic polynomial, where it must be a constant.
+    """
+    n = p - 1
+    g = primitive_root(p)
+    f = [pow(g, j, p) for j in range(n)]
+    prod = None
+    for a in range(1, n, 2):
+        shifted = [0] * n
+        for j, x in enumerate(f):
+            shifted[(a * j) % n] += x
+        prod = shifted if prod is None else _cyclic_mul(prod, shifted, n)
+    _, r = divmod(Poly(ZZ, tuple(prod)), cyclotomic(n))
+    assert r.degree <= 0, "character-sum product is not Galois-stable"
+    c = int(r.constant)
+    num = c if (p - 1) // 2 % 2 == 0 else -c
+    den = (2 * p) ** ((p - 3) // 2)
+    assert num > 0 and num % den == 0, num
+    return num // den
+
+
+def maillet_matrix(p):
+    """(a * b^-1 mod p)_{1<=a,b<=(p-1)/2}, least positive residues."""
+    h = (p - 1) // 2
+    return [[a * pow(b, -1, p) % p for b in range(1, h + 1)] for a in range(1, h + 1)]
+
+
+def maillet_hp_minus(p):
+    """h_p^- = |det maillet_matrix(p)| / p^((p-3)/2)."""
+    d = abs(det_int(maillet_matrix(p)))
+    den = p ** ((p - 3) // 2)
+    assert d and d % den == 0, d
+    return d // den
 
 
 # ---------------------------------------------------------------------------

@@ -3,19 +3,28 @@
 [DERIVED] h_p^- values are from the standard published table of minus
 class numbers for small p (e.g. Washington, Introduction to Cyclotomic
 Fields, Tables); the implementation additionally cross-checks two
-independent methods internally.
+independent methods internally.  Both are also checked against the exact
+integer routes in `helpers`: the cyclic product of character-sum
+polynomials and Maillet's full determinant.
 """
 
+import json
 import os
 
 import pytest
 
+from cyclocover import classnumbers, cli
+from cyclocover.arith import IS_PRIME_LIMIT, factorize, is_prime
 from cyclocover.classnumbers import (ClassGateReport, DEFAULT_PRIME_BOUND,
                                      HplusRecord, default_fixture_path,
                                      gate_theorem_CD, hp_minus,
                                      load_hplus_table, odd_prime_factor,
                                      prime_bound)
-from cyclocover.errors import PreconditionError
+from cyclocover.errors import InternalCheckError, PreconditionError
+from cyclocover.matrices import det_int
+from helpers import charsum_hp_minus, maillet_hp_minus, maillet_matrix
+
+ODD_PRIMES_TO_101 = [p for p in range(3, 102, 2) if is_prime(p)]
 
 
 KNOWN_H_MINUS = {
@@ -57,6 +66,86 @@ class TestHpMinus:
             prime_bound()
         monkeypatch.delenv("CCK_PRIME_BOUND")
         assert prime_bound() == DEFAULT_PRIME_BOUND
+
+
+class TestAgainstOracles:
+    @pytest.mark.parametrize("p", ODD_PRIMES_TO_101)
+    def test_both_integer_routes(self, p):
+        h = hp_minus(p)
+        assert h == charsum_hp_minus(p)
+        assert h == maillet_hp_minus(p)
+
+    @pytest.mark.parametrize("p", [p for p in ODD_PRIMES_TO_101 if p <= 61])
+    def test_maillet_reduction(self, p):
+        full = abs(det_int(maillet_matrix(p)))
+        reduced = abs(det_int(classnumbers._maillet_reduced(p)))
+        assert full == p ** ((p - 3) // 2) * reduced
+
+
+def _record_residues(monkeypatch, tamper_at=None):
+    """Record every (ell, zeta) the character sum uses; optionally add 1
+    to the residue of the modulus with index `tamper_at`."""
+    real = classnumbers._charsum_residue
+    seen = []
+
+    def recording(f, pickers, ell, zeta):
+        v = real(f, pickers, ell, zeta)
+        if len(seen) == tamper_at:
+            v = (v + 1) % ell
+        seen.append((ell, zeta))
+        return v
+
+    monkeypatch.setattr(classnumbers, "_charsum_residue", recording)
+    return seen
+
+
+def _order(x, ell):
+    e, acc = 1, x
+    while acc != 1:
+        acc = acc * x % ell
+        e += 1
+    return e
+
+
+class TestCharsumModuli:
+    @pytest.mark.parametrize("p", [3, 5, 23, 61, 191])
+    def test_moduli_and_roots(self, p, monkeypatch):
+        seen = _record_residues(monkeypatch)
+        hp_minus(p)
+        n = p - 1
+        assert len({ell for ell, _ in seen}) == len(seen)
+        for ell, zeta in seen:
+            assert is_prime(ell) and ell % n == 1 and 2 ** 32 < ell < IS_PRIME_LIMIT
+            assert _order(zeta, ell) == n
+        # enough moduli before the spare one to pin |c| <= B down
+        bound = (p * n // 2) ** (n // 2)
+        m = 1
+        for ell, _ in seen[:-1]:
+            m *= ell
+        assert m > 2 * bound and m // seen[-2][0] <= 2 * bound
+
+    def test_is_prime_limit_is_honest(self):
+        # a strong pseudoprime to the bases 2..37, below IS_PRIME_LIMIT
+        n = 318665857834031151167461
+        assert n < IS_PRIME_LIMIT and not is_prime(n)
+        assert factorize(n) == {399165290221: 1, 798330580441: 1}
+
+    @pytest.mark.parametrize("p", [23, 59])
+    def test_tampered_residue_is_caught(self, p, monkeypatch):
+        seen = _record_residues(monkeypatch)
+        hp_minus(p)
+        for i in range(len(seen)):
+            monkeypatch.undo()
+            _record_residues(monkeypatch, tamper_at=i)
+            with pytest.raises(InternalCheckError, match="spare CRT prime"):
+                hp_minus(p)
+
+    def test_tampered_residue_exits_3(self, monkeypatch, capsys):
+        _record_residues(monkeypatch, tamper_at=0)
+        code = cli.run(["hp-minus", "--p", "23"])
+        rep = json.loads(capsys.readouterr().out)
+        assert code == 3
+        assert rep["error"]["kind"] == "internal-check"
 
 
 class TestOddPrimeFactor:

@@ -120,6 +120,22 @@ class TestExitCodes:
         assert rep["error"]["kind"] == "internal-check"
         assert rep["error"]["message"] == "methods disagree"
 
+    def test_runtime_error_exit_3(self, capsys, monkeypatch):
+        # 100003 * 100019 has no factor below the trial-division limit, so
+        # odd_prime_factor falls through to Pollard rho; make that give up
+        from cyclocover import arith
+
+        def give_up(n):
+            raise RuntimeError(f"pollard rho failed on {n}")
+
+        monkeypatch.setattr(cli, "hp_minus", lambda p, bound: 100003 * 100019)
+        monkeypatch.setattr(arith, "_pollard_rho", give_up)
+        code, rep = invoke(capsys, "hp-minus", "--p", "23")
+        assert code == 3
+        assert rep["error"]["kind"] == "internal-check"
+        assert rep["error"]["message"] == \
+            "RuntimeError: pollard rho failed on 10002200057"
+
     def test_failed_cycle_check_exit_3(self, capsys, monkeypatch):
         # a kernel basis that is not one makes the boundaries from above
         # fail the "columns are cycles" check inside the homology presentation
@@ -179,6 +195,24 @@ class TestSubcommands:
                            "--kappa", "Q", "--q", "2,3,4")
         assert code == 0 and rep["result"]["ok"] is True
         assert [e["q"] for e in rep["result"]["per_q"]] == [2, 3, 4]
+
+    def test_dimension_bound_one_infinite_cover(self, capsys, monkeypatch):
+        from cyclocover import covers
+        spec = json.dumps({"ranks": [1, 2], "boundaries_F": [[["0", "0"]]],
+                           "f": [[["1"]], [["1", "-1"], ["1", "0"]]]})
+        _, rep = invoke(capsys, "mapping-torus", "--f", spec)
+        cx = json.dumps(rep["result"]["complex"])
+        calls = []
+        real = covers.infinite_cover_homology_field
+        monkeypatch.setattr(covers, "infinite_cover_homology_field",
+                            lambda *a: calls.append(a) or real(*a))
+        code, rep = invoke(capsys, "dimension-bound", "--complex", cx,
+                           "--kappa", "Q", "--q", "5,6")
+        assert code == 0 and len(calls) == 1
+        assert [e["dims"] for e in rep["result"]["per_q"]] == [[1, 1, 0], [1, 3, 2]]
+        code, rep = invoke(capsys, "dimension-bound", "--complex", cx,
+                           "--kappa", "Q", "--q", "5,0")
+        assert code == 2 and len(calls) == 1
 
     def test_gate_default_fixture(self, capsys):
         code, rep = invoke(capsys, "gate", "--p", "191")

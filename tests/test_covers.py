@@ -12,9 +12,10 @@ import random
 
 import pytest
 
+from cyclocover import covers
 from cyclocover.covers import (FreeHomologyError, SelfCoverWitness,
-                               TwistedChainComplex, cover_homology_field,
-                               dimension_bound_check,
+                               TwistedChainComplex, cover_dimensions,
+                               cover_homology_field, dimension_bound_check,
                                infinite_cover_homology_field,
                                mapping_torus_complex, t_action_matrix,
                                verify_self_cover_relation, wang_dimensions)
@@ -259,6 +260,17 @@ class TestDimensionBound:
         # dim H_1(X_q) = q + 1 grows without bound
         dims = [cover_homology_field(x, QQ, q)[1][0] for q in (2, 4, 8)]
         assert dims == [3, 5, 9]
+
+    def test_cover_dimensions_one_infinite_cover(self, monkeypatch):
+        qs = [1, 2, 5, 6, 12]
+        want = [[d for d, _ in cover_homology_field(trefoil(), GF(5), q)] for q in qs]
+        calls = []
+        real = covers.infinite_cover_homology_field
+        monkeypatch.setattr(covers, "infinite_cover_homology_field",
+                            lambda *a: calls.append(a) or real(*a))
+        assert cover_dimensions(trefoil(), GF(5), qs) == want
+        assert dimension_bound_check(trefoil(), GF(5), qs)
+        assert len(calls) == 2
 
     def test_t_action_matrix_block_structure(self):
         f = Poly(QQ, (1, -1, 1))

@@ -69,8 +69,11 @@ def factorize(n: int) -> dict:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 2
-    if n == 1:
-        return out
+    return _rho_factorize(n, out)
+
+
+def _rho_factorize(n: int, out: dict) -> dict:
+    """Add the prime factorization of n >= 1 to out by Pollard rho."""
     stack = [n]
     while stack:
         m = stack.pop()
@@ -100,7 +103,7 @@ def smallest_odd_prime_factor(n: int):
         d += 2
     if d * d > n:
         return n
-    return min(factorize(n))
+    return min(_rho_factorize(n, {}))
 
 
 def primitive_root(p: int) -> int:

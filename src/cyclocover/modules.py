@@ -1,13 +1,16 @@
 """Finitely presented modules over ZZ[t, 1/t] and the finite-generation test.
 
 A module is the cokernel of a Laurent matrix over ZZ (rows = generators,
-columns = relations).  Finite generation over ZZ is decided by checking
-finite dimensionality and eigenvalue integrality of the t-action after
-base change to QQ and to the finitely many relevant prime fields.
+columns = relations).  Finite generation over ZZ is decided by the
+Fitting ideal alone: with g the gcd over ZZ[t] of the maximal minors, the
+module is finitely generated over ZZ iff g != 0, content(g) = 1 and the
+primitive part of g has leading and constant coefficient +-1.  By Gauss's
+lemma these say the QQ-cokernel is finite dimensional with t and 1/t
+integral, and that no residue field F_p sees a free part.  The Smith form
+over QQ[t] only names the offending invariant factor of a "no".
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .arith import factorize
@@ -99,10 +102,7 @@ def order_ideal(M: ModulePresentation) -> Poly:
     the integer content of the minor gcd is deliberately not part of it
     (it is recovered by relevant_primes).
     """
-    g = minor_gcd(M)
-    if g.is_zero:
-        return g
-    return g.primitive()
+    return minor_gcd(M).primitive()
 
 
 def base_change_residue(M: ModulePresentation, P):
@@ -120,12 +120,16 @@ def property1_check(M: ModulePresentation, P) -> Property1Result:
     if P != 0:
         # every element algebraic over F_p is integral over F_p
         return Property1Result(True, True, True, dim)
-    t_ok = all(c.denominator == 1 for f in factors for c in f.coeffs)
-    const = Fraction(1)
-    for f in factors:
-        const *= f.constant
-    tinv_ok = t_ok and const in (1, -1)
+    t_ok = _first_nonintegral(factors) is None
+    tinv_ok = t_ok and _first_nonunit_constant(factors) is None
     return Property1Result(True, t_ok, tinv_ok, dim)
+
+
+def _bad_primes(g: Poly):
+    """Sorted primes dividing content(g) * lc(prim g) * const(prim g), g != 0."""
+    prim = g.primitive()
+    bad = g.content() * abs(prim.leading) * abs(prim.constant)
+    return sorted(factorize(bad)) if bad > 1 else []
 
 
 def relevant_primes(M: ModulePresentation):
@@ -138,13 +142,7 @@ def relevant_primes(M: ModulePresentation):
     g = minor_gcd(M)
     if g.is_zero:
         raise FreeCokernelError("QQ-cokernel has positive free rank")
-    prim = g.primitive()
-    bad = abs(g.content())
-    if not prim.is_zero:
-        bad *= abs(prim.leading) * abs(prim.constant)
-    if bad <= 1:
-        return []
-    return sorted(factorize(bad))
+    return _bad_primes(g)
 
 
 def _first_nonintegral(factors):
@@ -164,35 +162,30 @@ def _first_nonunit_constant(factors):
 def finitely_generated_over_Z(M: ModulePresentation) -> FinGenVerdict:
     """Decide whether coker(relations) is finitely generated over ZZ.
 
-    Checks the finite-dimension/integral-eigenvalue property at the
-    generic point and at every relevant prime.
+    Reads the verdict off the maximal-minor gcd g (the Fitting ideal).  The
+    Smith form over QQ[t] runs only to name the witness factor of a
+    non-integral eigenvalue.
     """
-    factors, free_rank = base_change_residue(M, 0)
-    if free_rank > 0:
+    g = minor_gcd(M)
+    if g.is_zero:
         return FinGenVerdict(False,
                              FinGenWitness(0, INFINITE_DIMENSION, None),
                              None, ())
-    t_ok = all(c.denominator == 1 for f in factors for c in f.coeffs)
-    if not t_ok:
+    prim = g.primitive()
+    if prim.leading != 1 or prim.constant not in (1, -1):
+        factors, _ = base_change_residue(M, 0)
+        bad = _first_nonintegral(factors)
+        if bad is not None:
+            witness = FinGenWitness(0, T_NOT_INTEGRAL, bad)
+        else:
+            witness = FinGenWitness(0, TINV_NOT_INTEGRAL,
+                                    _first_nonunit_constant(factors))
+        return FinGenVerdict(False, witness, None, ())
+    # both ends of prim are units, so these are the primes of the content
+    primes = tuple(_bad_primes(g))
+    if primes:
         return FinGenVerdict(False,
-                             FinGenWitness(0, T_NOT_INTEGRAL,
-                                           _first_nonintegral(factors)),
-                             None, ())
-    bad = _first_nonunit_constant(factors)
-    if bad is not None:
-        return FinGenVerdict(False,
-                             FinGenWitness(0, TINV_NOT_INTEGRAL, bad),
-                             None, ())
-    primes = tuple(relevant_primes(M))
-    for p in primes:
-        pf, p_free = base_change_residue(M, p)
-        if p_free > 0:
-            return FinGenVerdict(False,
-                                 FinGenWitness(p, INFINITE_DIMENSION, None),
-                                 None, primes)
-    rank = None
-    delta = order_ideal(M)
-    if (M.relations.ncols == M.generators and not delta.is_zero
-            and delta.is_monic() and delta.constant in (1, -1)):
-        rank = delta.degree
-    return FinGenVerdict(True, None, rank, primes)
+                             FinGenWitness(primes[0], INFINITE_DIMENSION, None),
+                             None, primes)
+    rank = g.degree if M.relations.ncols == M.generators else None
+    return FinGenVerdict(True, None, rank, ())

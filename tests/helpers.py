@@ -2,6 +2,7 @@
 
 The oracles here deliberately avoid the library's own decision paths:
 the lattice oracle uses rational companion matrices plus integer HNF,
+finite generation is also decided by Smith forms over the residue fields,
 matrix orders are found by brute-force powering, finite-cover homology
 is computed directly as ker/im of the cover's dense boundary matrices, and
 h_p^- comes from the exact product of cyclically shifted polynomials and
@@ -11,10 +12,14 @@ from Maillet's full determinant.
 from fractions import Fraction
 from math import gcd, lcm
 
-from cyclocover.arith import primitive_root
+from cyclocover.arith import factorize, primitive_root
 from cyclocover.linfield import rref
 from cyclocover.matrices import LaurentMatrix, det_int, mat_identity, mat_mul
-from cyclocover.rings import LaurentPoly, Poly, ZZ, cyclotomic
+from cyclocover.modules import (FinGenVerdict, FinGenWitness,
+                                INFINITE_DIMENSION, T_NOT_INTEGRAL,
+                                TINV_NOT_INTEGRAL, minor_gcd)
+from cyclocover.normal_forms import laurent_cokernel
+from cyclocover.rings import GF, LaurentPoly, Poly, QQ, ZZ, cyclotomic
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +135,49 @@ def lattice_fg_oracle(f: Poly, max_n=12) -> bool:
         if _lattice_key(a, den) == _lattice_key(b, den):
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# finite generation read off the residue fields
+
+def residue_fingen(M) -> FinGenVerdict:
+    """finitely_generated_over_Z by Smith forms over the residue fields.
+
+    At the generic point the QQ-cokernel must be finite dimensional with
+    t and 1/t integral (every invariant factor in ZZ[t], the product of
+    their constants +-1); then every prime dividing the content, leading
+    or constant coefficient of the minor gcd must leave no free part over
+    F_p.  The underlying rank of a square presentation is the QQ-dimension.
+    """
+    factors, free_rank = laurent_cokernel(M.relations.to_ring(QQ))
+    if free_rank > 0:
+        return FinGenVerdict(False, FinGenWitness(0, INFINITE_DIMENSION, None),
+                             None, ())
+    for f in factors:
+        if any(c.denominator != 1 for c in f.coeffs):
+            return FinGenVerdict(False, FinGenWitness(0, T_NOT_INTEGRAL, f),
+                                 None, ())
+    const = Fraction(1)
+    for f in factors:
+        const *= f.constant
+    if const not in (1, -1):
+        f = next(f for f in factors if f.constant not in (1, -1))
+        return FinGenVerdict(False, FinGenWitness(0, TINV_NOT_INTEGRAL, f),
+                             None, ())
+    g = minor_gcd(M)
+    prim = g.primitive()
+    bad = g.content() * abs(prim.leading) * abs(prim.constant)
+    primes = tuple(sorted(factorize(bad))) if bad > 1 else ()
+    for p in primes:
+        _, p_free = laurent_cokernel(M.relations.to_ring(GF(p)))
+        if p_free > 0:
+            return FinGenVerdict(False,
+                                 FinGenWitness(p, INFINITE_DIMENSION, None),
+                                 None, primes)
+    rank = None
+    if M.relations.ncols == M.generators:
+        rank = sum(f.degree for f in factors)
+    return FinGenVerdict(True, None, rank, primes)
 
 
 # ---------------------------------------------------------------------------

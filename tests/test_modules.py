@@ -2,22 +2,28 @@
 
 The main oracle is lattice_fg_oracle in helpers.py: a brute-force lattice
 stabilization computation in the rational companion model, fully
-independent of the eigenvalue criterion under test.
+independent of the eigenvalue criterion under test.  residue_fingen in
+helpers.py decides the same question by Smith forms over the residue
+fields, and must return the same verdict, witness included, as the
+Fitting-ideal route.
 """
 
+import collections
 import random
+import time
 
 import pytest
 
-from cyclocover.matrices import LaurentMatrix
+from cyclocover import modules
+from cyclocover.matrices import LaurentMatrix, det_poly
 from cyclocover.modules import (FreeCokernelError, INFINITE_DIMENSION,
                                 ModulePresentation, T_NOT_INTEGRAL,
                                 TINV_NOT_INTEGRAL, base_change_residue,
                                 finitely_generated_over_Z, minor_gcd,
                                 order_ideal, property1_check, relevant_primes)
-from cyclocover.rings import LaurentPoly, Poly, ZZ
+from cyclocover.rings import LaurentPoly, Poly, ZZ, gcd_zz
 
-from helpers import lattice_fg_oracle, rand_unimodular_laurent
+from helpers import lattice_fg_oracle, rand_unimodular_laurent, residue_fingen
 
 
 def P(*cs):
@@ -204,3 +210,100 @@ class TestFiberedCondition:
             seen_true += fibered
             seen_false += not fibered
         assert seen_true > 5 and seen_false > 5
+
+
+def _random_summand(rng):
+    """Laurent polynomial of degree <= 2, often with non-unit ends or content 2."""
+    deg = rng.randint(0, 2)
+    cs = [rng.choice([1, -1, 2, -2, 3])]
+    if deg:
+        cs += [rng.randint(-2, 2) for _ in range(deg - 1)]
+        cs.append(rng.choice([1, -1, 2, 3]))
+    if rng.random() < 0.2:
+        cs = [2 * c for c in cs]
+    return LaurentPoly(ZZ, rng.randint(-1, 1), cs)
+
+
+def _disguised_sum(rng):
+    k = rng.randint(1, 3)
+    z = LaurentPoly.zero(ZZ)
+    base = LaurentMatrix(ZZ, k, k, [[_random_summand(rng) if i == j else z
+                                     for j in range(k)] for i in range(k)])
+    u, _ = rand_unimodular_laurent(k, rng, 3)
+    v, _ = rand_unimodular_laurent(k, rng, 3)
+    return ModulePresentation(k, u * base * v)
+
+
+def _dense(rng):
+    """g x r with g <= 3, r from g - 1 to g + 2, entries of valuation -1..1."""
+    g = rng.randint(0, 3)
+    r = rng.randint(max(0, g - 1), g + 2)
+    deg = 1 if g == 3 else 2
+    rows = [[LaurentPoly(ZZ, rng.randint(-1, 1),
+                         [rng.randint(-3, 3) for _ in range(rng.randint(0, deg) + 1)])
+             for _ in range(r)] for _ in range(g)]
+    return ModulePresentation(g, LaurentMatrix(ZZ, g, r, rows))
+
+
+class TestAgainstResidueFields:
+    def test_random_presentations(self):
+        rng = random.Random(41)
+        seen = collections.Counter()
+        for i in range(300):
+            m = _disguised_sum(rng) if i % 2 == 0 else _dense(rng)
+            got = finitely_generated_over_Z(m)
+            assert got == residue_fingen(m), (i, m.relations.rows)
+            w = got.witness
+            seen[(got.answer, w and w.kind, w and w.prime > 0,
+                  got.underlying_rank is not None)] += 1
+        for kind in [(True, None, None, True), (True, None, None, False),
+                     (False, INFINITE_DIMENSION, False, False),
+                     (False, INFINITE_DIMENSION, True, False),
+                     (False, T_NOT_INTEGRAL, False, False),
+                     (False, TINV_NOT_INTEGRAL, False, False)]:
+            assert seen[kind] >= 10, (kind, seen)
+
+
+class TestFittingRoute:
+    def _count_calls(self, monkeypatch):
+        calls = {"minor_gcd": 0, "laurent_cokernel": 0}
+        for name in calls:
+            def counted(*args, _real=getattr(modules, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(modules, name, counted)
+        return calls
+
+    def test_yes_needs_no_smith_form(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        assert finitely_generated_over_Z(principal(1, -1, 1)).answer
+        assert calls == {"minor_gcd": 1, "laurent_cokernel": 0}
+
+    def test_content_no_needs_no_smith_form(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        v = finitely_generated_over_Z(principal(3))
+        assert v.witness.prime == 3 and v.relevant_primes == (3,)
+        assert calls == {"minor_gcd": 1, "laurent_cokernel": 0}
+
+    def test_witness_factor_needs_one_generic_smith_form(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        v = finitely_generated_over_Z(principal(-1, 2))
+        assert v.witness.kind == T_NOT_INTEGRAL and v.witness.factor.degree == 1
+        assert calls == {"minor_gcd": 1, "laurent_cokernel": 1}
+
+    def test_dense_5x9_is_fast(self):
+        # the Smith form over QQ[t] of this presentation runs for minutes
+        rng = random.Random(3)
+        rows = [[Poly(ZZ, [rng.randint(-3, 3) for _ in range(3)])
+                 for _ in range(9)] for _ in range(5)]
+        m = ModulePresentation(5, LaurentMatrix(
+            ZZ, 5, 9, [[LaurentPoly.from_poly(f) for f in row] for row in rows]))
+        start = time.perf_counter()
+        v = finitely_generated_over_Z(m)
+        elapsed = time.perf_counter() - start
+        assert v.answer and v.underlying_rank is None and elapsed < 2.0
+        # independent check: three maximal minors are already coprime
+        g = Poly.zero(ZZ)
+        for cols in ((0, 1, 2, 3, 4), (4, 5, 6, 7, 8), (0, 2, 4, 6, 8)):
+            g = gcd_zz(g, det_poly([[row[j] for j in cols] for row in rows], ZZ))
+        assert g == Poly(ZZ, (1,))

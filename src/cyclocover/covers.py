@@ -11,8 +11,8 @@ from typing import List
 
 from .errors import InternalCheckError
 from .linfield import inverse, rref
-from .matrices import LaurentMatrix, mat_identity, mat_mul, mat_pow
-from .normal_forms import _PolyDomain, laurent_cokernel, smith_normal_form
+from .matrices import LaurentMatrix, mat_mul, mat_pow
+from .normal_forms import laurent_cokernel
 from .rings import LaurentPoly, Poly, QQ, ZZ, poly_gcd
 
 
@@ -127,45 +127,29 @@ def mapping_torus_complex(ranks_f, boundaries_f, f) -> TwistedChainComplex:
     return TwistedChainComplex(ranks, boundaries)
 
 
-def _homology_presentation(X: TwistedChainComplex, field, j):
-    """Present H_j(X_inf; kappa) as a cokernel over kappa[t, 1/t]."""
-    dj = X.boundary(j).to_ring(field)
-    dj1 = X.boundary(j + 1).to_ring(field)
-    n = X.ranks[j]
-    if n == 0:
-        return LaurentMatrix.zero(field, 0, 0)
-    poly_rows, _ = dj.cleared_rows()
-    if dj.nrows == 0:
-        # everything is a cycle
-        kernel_dim = n
-        vinv = mat_identity(n, Poly.one(field), Poly.zero(field))
-        rank = 0
-    else:
-        snf = smith_normal_form(poly_rows, _PolyDomain(field))
-        rank = snf.rank
-        kernel_dim = n - rank
-        vinv = snf.Vinv
-    # coordinates of the boundaries from above in the kernel basis
-    vinv_l = LaurentMatrix(field, n, n,
-                           [[LaurentPoly.from_poly(p) for p in row] for row in vinv])
-    coords = vinv_l * dj1
-    rows = []
-    for i in range(n):
-        row = coords.row(i)
-        if i < rank:
-            if any(not e.is_zero for e in row):
-                raise InternalCheckError("boundary columns are not cycles")
-        else:
-            rows.append(row)
-    return LaurentMatrix(field, kernel_dim, dj1.ncols, rows)
-
-
 def infinite_cover_homology_field(X: TwistedChainComplex, field):
-    """H_j(X_inf; kappa) as (invariant factors, free rank) per degree."""
+    """H_j(X_inf; kappa) as (invariant factors, free rank) per degree.
+
+    Over the PID kappa[t, 1/t], C_j / ker d_j embeds in the free module
+    C_{j-1}, so it is free and ker d_j is a direct summand of C_j.  Hence
+    coker d_{j+1} is H_j plus a free module of rank rk d_j: H_j has the
+    torsion of coker d_{j+1} and free rank n_j - rk d_j - rk d_{j+1}.  One
+    Smith form per boundary gives both its torsion and its rank.
+    """
+    factors, ranks = [], []
+    for j in range(X.top_degree + 2):
+        d = X.boundary(j).to_ring(field)
+        fs, free = laurent_cokernel(d)
+        factors.append(fs)
+        ranks.append(d.nrows - free)
     out = []
-    for j in range(X.top_degree + 1):
-        pres = _homology_presentation(X, field, j)
-        out.append(laurent_cokernel(pres))
+    for j, n in enumerate(X.ranks):
+        free_rank = n - ranks[j] - ranks[j + 1]
+        if free_rank < 0:
+            raise InternalCheckError(
+                f"rk d_{j} + rk d_{j + 1} = {ranks[j]} + {ranks[j + 1]} "
+                f"exceeds rank {n} of C_{j}")
+        out.append((factors[j + 1], free_rank))
     return out
 
 

@@ -8,8 +8,8 @@ polynomial case by clearing rows with powers of t.
 from dataclasses import dataclass
 
 from .arith import factorize
-from .matrices import (LaurentMatrix, det_int, mat_copy, mat_identity,
-                       int_mat_check, int_mat_pow, mat_is_identity)
+from .matrices import (LaurentMatrix, det_int, mat_copy, int_mat_check,
+                       int_mat_pow, mat_is_identity)
 from .rings import (MixedRingError, Poly, QQ, ZZ, cyclotomic)
 
 from math import lcm
@@ -23,10 +23,6 @@ class DomainError(MixedRingError):
 # Euclidean domain adapters
 
 class _IntDomain:
-    name = "ZZ"
-    zero = 0
-    one = 1
-
     @staticmethod
     def is_zero(x):
         return x == 0
@@ -36,30 +32,12 @@ class _IntDomain:
         return abs(x)
 
     @staticmethod
-    def divmod(a, b):
-        return divmod(a, b)
-
-    @staticmethod
-    def unit_of(x):
-        """Unit u with x == u * canonical(x)."""
-        return -1 if x < 0 else 1
-
-    @staticmethod
-    def unit_inverse(u):
-        return u
-
-    @staticmethod
-    def divides_exactly(a, b):
-        return b % a == 0
+    def normalizer(x):
+        """Unit u making u * x positive, or None if x already is."""
+        return -1 if x < 0 else None
 
 
 class _PolyDomain:
-    def __init__(self, field):
-        self.field = field
-        self.name = f"{field}[t]"
-        self.zero = Poly.zero(field)
-        self.one = Poly.one(field)
-
     @staticmethod
     def is_zero(x):
         return x.is_zero
@@ -69,19 +47,9 @@ class _PolyDomain:
         return x.degree
 
     @staticmethod
-    def divmod(a, b):
-        return divmod(a, b)
-
-    @staticmethod
-    def unit_of(x):
-        return Poly(x.ring, (x.leading,))
-
-    def unit_inverse(self, u):
-        return Poly(self.field, (self.field.inv(u.coeffs[0]),))
-
-    @staticmethod
-    def divides_exactly(a, b):
-        return divmod(b, a)[1].is_zero
+    def normalizer(x):
+        """Unit u making u * x monic, or None if x already is."""
+        return None if x.is_monic() else Poly(x.ring, (x.ring.inv(x.leading),))
 
 
 def _infer_domain(rows):
@@ -108,29 +76,24 @@ def _infer_domain(rows):
             raise DomainError("SNF over ZZ[t] is not supported (not a PID)")
         if not ring.is_field:
             raise DomainError(f"SNF needs field polynomial coefficients, got {ring}")
-        return _PolyDomain(ring)
+        return _PolyDomain()
     raise DomainError("mixed integer and polynomial entries")
 
 
 @dataclass
 class SnfResult:
-    """U * A * V == D with U, V invertible over the domain."""
-    U: list
+    """D is A brought to diagonal form; its first `rank` diagonal entries
+    are the invariant factors, each dividing the next."""
     D: list
-    V: list
-    Vinv: list
     rank: int
 
     @property
     def invariant_factors(self):
-        out = []
-        for i in range(self.rank):
-            out.append(self.D[i][i])
-        return out
+        return [self.D[i][i] for i in range(self.rank)]
 
 
 def smith_normal_form(rows, domain=None) -> SnfResult:
-    """Smith normal form over ZZ or k[t].
+    """Smith normal form over ZZ or k[t], invariants only.
 
     `rows` is a list of rows; entries must be ints or Poly over one field.
     Pivots are chosen by minimal Euclidean size, ties by lowest (row, col).
@@ -141,37 +104,10 @@ def smith_normal_form(rows, domain=None) -> SnfResult:
     if any(len(r) != n for r in rows):
         raise ValueError("ragged matrix")
     D = mat_copy(rows)
-    U = mat_identity(m, dom.one, dom.zero)
-    V = mat_identity(n, dom.one, dom.zero)
-    Vinv = mat_identity(n, dom.one, dom.zero)
-
-    def swap_rows(i, j):
-        D[i], D[j] = D[j], D[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for row in D:
             row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-        Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    def row_op(i, j, c):
-        # row_i -= c * row_j
-        D[i] = [a - c * b for a, b in zip(D[i], D[j])]
-        U[i] = [a - c * b for a, b in zip(U[i], U[j])]
-
-    def col_op(j, i, c):
-        # col_j -= c * col_i ;  Vinv row_i += c * row_j
-        for row in D:
-            row[j] = row[j] - c * row[i]
-        for row in V:
-            row[j] = row[j] - c * row[i]
-        Vinv[i] = [a + c * b for a, b in zip(Vinv[i], Vinv[j])]
-
-    def scale_row(i, u_inv):
-        D[i] = [u_inv * a for a in D[i]]
-        U[i] = [u_inv * a for a in U[i]]
 
     t = 0
     while True:
@@ -190,7 +126,7 @@ def smith_normal_form(rows, domain=None) -> SnfResult:
             break
         pi, pj = pivot
         if pi != t:
-            swap_rows(t, pi)
+            D[t], D[pi] = D[pi], D[t]
         if pj != t:
             swap_cols(t, pj)
         while True:
@@ -199,11 +135,11 @@ def smith_normal_form(rows, domain=None) -> SnfResult:
             for i in range(t + 1, m):
                 if dom.is_zero(D[i][t]):
                     continue
-                q, r = dom.divmod(D[i][t], D[t][t])
+                q = divmod(D[i][t], D[t][t])[0]
                 if not dom.is_zero(q):
-                    row_op(i, t, q)
+                    D[i] = [a - q * b for a, b in zip(D[i], D[t])]
                 if not dom.is_zero(D[i][t]):
-                    swap_rows(t, i)
+                    D[t], D[i] = D[i], D[t]
                     dirty = True
             if dirty:
                 continue
@@ -211,9 +147,10 @@ def smith_normal_form(rows, domain=None) -> SnfResult:
             for j in range(t + 1, n):
                 if dom.is_zero(D[t][j]):
                     continue
-                q, r = dom.divmod(D[t][j], D[t][t])
+                q = divmod(D[t][j], D[t][t])[0]
                 if not dom.is_zero(q):
-                    col_op(j, t, q)
+                    for row in D:
+                        row[j] = row[j] - q * row[t]
                 if not dom.is_zero(D[t][j]):
                     swap_cols(t, j)
                     dirty = True
@@ -225,7 +162,7 @@ def smith_normal_form(rows, domain=None) -> SnfResult:
                 for j in range(t + 1, n):
                     if dom.is_zero(D[i][j]):
                         continue
-                    if not dom.divides_exactly(D[t][t], D[i][j]):
+                    if not dom.is_zero(divmod(D[i][j], D[t][t])[1]):
                         offender = i
                         break
                 if offender is not None:
@@ -234,12 +171,11 @@ def smith_normal_form(rows, domain=None) -> SnfResult:
                 break
             # fold the offending row into row t and re-reduce
             D[t] = [a + b for a, b in zip(D[t], D[offender])]
-            U[t] = [a + b for a, b in zip(U[t], U[offender])]
-        u = dom.unit_of(D[t][t])
-        if u != dom.one:
-            scale_row(t, dom.unit_inverse(u))
+        u = dom.normalizer(D[t][t])
+        if u is not None:
+            D[t] = [u * a for a in D[t]]
         t += 1
-    return SnfResult(U=U, D=D, V=V, Vinv=Vinv, rank=t)
+    return SnfResult(D=D, rank=t)
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +260,7 @@ def laurent_cokernel(mat: LaurentMatrix):
     if mat.ncols == 0:
         return [], mat.nrows
     poly_rows, _ = mat.cleared_rows()
-    snf = smith_normal_form(poly_rows, _PolyDomain(ring))
+    snf = smith_normal_form(poly_rows, _PolyDomain())
     factors = []
     for f in snf.invariant_factors:
         k = f.low_order()

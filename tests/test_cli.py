@@ -136,30 +136,28 @@ class TestExitCodes:
         assert rep["error"]["message"] == \
             "RuntimeError: pollard rho failed on 10002200057"
 
-    def test_failed_cycle_check_exit_3(self, capsys, monkeypatch):
-        # a kernel basis that is not one makes the boundaries from above
-        # fail the "columns are cycles" check inside the homology presentation
-        from dataclasses import replace
-
+    def test_failed_rank_check_exit_3(self, capsys, monkeypatch):
+        # a cokernel that reports too small a free rank makes the boundary
+        # ranks add up to more than the rank of a chain group
         from cyclocover import covers
-        from cyclocover.matrices import mat_identity
 
-        real = covers.smith_normal_form
+        real = covers.laurent_cokernel
 
-        def wrong_kernel(rows, dom):
-            res = real(rows, dom)
-            return replace(res, Vinv=mat_identity(len(res.Vinv), dom.one, dom.zero))
+        def short_free_rank(mat):
+            factors, _ = real(mat)
+            return factors, 0
 
         spec = json.dumps({"ranks": [1, 2], "boundaries_F": [[["0", "0"]]],
                            "f": [[["1"]], [["1", "-1"], ["1", "0"]]]})
         _, rep = invoke(capsys, "mapping-torus", "--f", spec)
         cx = json.dumps(rep["result"]["complex"])
-        monkeypatch.setattr(covers, "smith_normal_form", wrong_kernel)
+        monkeypatch.setattr(covers, "laurent_cokernel", short_free_rank)
         code, rep = invoke(capsys, "wang", "--complex", cx, "--kappa", "Q",
                            "--q", "6")
         assert code == 3
         assert rep["error"] == {"kind": "internal-check",
-                                "message": "boundary columns are not cycles"}
+                                "message": "rk d_1 + rk d_2 = 1 + 3 exceeds "
+                                           "rank 3 of C_1"}
 
     def test_unknown_subcommand_argparse(self, capsys):
         import pytest

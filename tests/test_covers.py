@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from cyclocover import covers
+from cyclocover import covers, normal_forms
 from cyclocover.covers import (FreeHomologyError, SelfCoverWitness,
                                TwistedChainComplex, cover_dimensions,
                                cover_homology_field, dimension_bound_check,
@@ -23,7 +23,8 @@ from cyclocover.matrices import LaurentMatrix, mat_pow
 from cyclocover.normal_forms import char_poly, smith_normal_form
 from cyclocover.rings import GF, LaurentPoly, Poly, QQ, ZZ
 
-from helpers import direct_cover_homology, random_chain_endo
+from helpers import (direct_cover_homology, rand_unimodular_laurent,
+                     random_chain_endo)
 
 
 def trefoil():
@@ -70,6 +71,17 @@ def check_against_oracle(x, field, q):
     for j, ((_, a), (_, b)) in enumerate(zip(got, want)):
         assert expected_factors(a, field) == expected_factors(b, field), (x, field, q, j)
     return dims
+
+
+def disguised(ranks, boundaries, rng):
+    """The complex with each d_j replaced by u_{j-1} d_j u_j^-1, u_j unimodular."""
+    us = [rand_unimodular_laurent(n, rng, steps=6) for n in ranks]
+    return TwistedChainComplex(ranks, [us[j - 1][0] * d * us[j][1]
+                                       for j, d in enumerate(boundaries, start=1)])
+
+
+def lp(*cs):
+    return LaurentPoly.from_poly(Poly(ZZ, cs))
 
 
 def free_part_complexes():
@@ -128,6 +140,62 @@ class TestMappingTorus:
                 assert factors == expected_factors(blk), (j, blk)
             # top degree is the shifted copy; torus of an n-complex has n+1
             assert len(inf) == len(ranks) + 1
+
+
+class TestOneSmithFormPerBoundary:
+    def test_call_counts(self, monkeypatch):
+        calls = {"laurent_cokernel": 0, "smith_normal_form": 0}
+        for mod, name in ((covers, "laurent_cokernel"),
+                          (normal_forms, "smith_normal_form")):
+            def counted(*args, _real=getattr(mod, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(mod, name, counted)
+        x = trefoil()
+        infinite_cover_homology_field(x, QQ)
+        # boundaries 0 and top + 1 have no rows or no columns, so only the
+        # two inner boundaries reach a Smith form
+        assert calls == {"laurent_cokernel": x.top_degree + 2,
+                         "smith_normal_form": 2}
+
+    # Known answers by construction: boundary entries, and per field the
+    # (factors, free rank) of H_0, H_1, ..., as integer coefficient tuples,
+    # lowest degree first.  Over GF(2), t - 2 = t is a unit of
+    # kappa[t, 1/t] and drops out.
+    CASES = {
+        # H_1 = coker(t^2 - t + 1) + free of rank 1; H_0 = coker(t - 1)
+        "torsion_and_free": (
+            [1, 3, 1],
+            [[[(), (), (-1, 1)]], [[(1, -1, 1)], [()], [()]]],
+            {QQ: [([(-1, 1)], 0), ([(1, -1, 1)], 1), ([], 0)],
+             GF(2): [([(1, 1)], 0), ([(1, 1, 1)], 1), ([], 0)],
+             GF(5): [([(4, 1)], 0), ([(1, 4, 1)], 1), ([], 0)]}),
+        # nothing in degree 1: both boundaries are empty matrices
+        "rank_zero_middle": (
+            [1, 0, 1],
+            [[[]], []],
+            {field: [([], 1), ([], 0), ([], 1)] for field in (QQ, GF(2), GF(5))}),
+        # H_0 = coker(t - 2) + free of rank 1
+        "t_minus_2_beside_free": (
+            [2, 1],
+            [[[(-2, 1)], [()]]],
+            {QQ: [([(-2, 1)], 1), ([], 0)],
+             GF(2): [([], 1), ([], 0)],
+             GF(5): [([(3, 1)], 1), ([], 0)]}),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_known_answers_disguised(self, name):
+        ranks, bnds, want = self.CASES[name]
+        bnds = [LaurentMatrix(ZZ, ranks[j - 1], ranks[j],
+                              [[lp(*cs) for cs in row] for row in b])
+                for j, b in enumerate(bnds, start=1)]
+        rng = random.Random(404)
+        for _ in range(5):
+            x = disguised(ranks, bnds, rng)
+            for field, degrees in want.items():
+                expect = [([Poly(field, cs) for cs in fs], free) for fs, free in degrees]
+                assert infinite_cover_homology_field(x, field) == expect, (name, field)
 
 
 class TestWang:

@@ -1,23 +1,52 @@
 """Smith normal form, characteristic polynomials, finite orders, cokernels.
 
 [DERIVED] values come from hand computation or the brute-force oracles in
-helpers.py; random round-trips check the algebraic identities U A V = D.
+helpers.py; on random matrices the invariant factors are checked against
+the determinantal divisors: d_1 ... d_i is the gcd of all i x i minors.
 """
 
+import math
 import random
+from itertools import combinations
 
 import pytest
 
-from cyclocover.matrices import (LaurentMatrix, mat_identity, mat_mul)
+from cyclocover.matrices import LaurentMatrix, det_int, det_poly, mat_mul
 from cyclocover.normal_forms import (DomainError, char_poly, finite_order,
                                      laurent_cokernel, smith_normal_form)
-from cyclocover.rings import GF, LaurentPoly, Poly, QQ, ZZ
+from cyclocover.rings import GF, LaurentPoly, Poly, QQ, ZZ, poly_gcd
 
 from helpers import brute_order
 
 
 def P(*cs):
     return Poly(ZZ, cs)
+
+
+def minors(a, i):
+    """Every i x i minor of the matrix a, as submatrices."""
+    for rs in combinations(range(len(a)), i):
+        for cs in combinations(range(len(a[0])), i):
+            yield [[a[r][c] for c in cs] for r in rs]
+
+
+def check_determinantal_divisors(a, res, det, gcd, zero, one):
+    """d_1 ... d_i equals the gcd of all i x i minors, for every i."""
+    fs = res.invariant_factors
+    prod = one
+    for i in range(1, min(len(a), len(a[0])) + 1):
+        g = zero
+        for sub in minors(a, i):
+            g = gcd(g, det(sub))
+        prod = prod * fs[i - 1] if i <= res.rank else zero
+        assert prod == g, (a, i)
+
+
+def check_diagonal(res, m, n, zero):
+    for i in range(m):
+        for j in range(n):
+            if i != j:
+                assert res.D[i][j] == zero
 
 
 class TestSnfInt:
@@ -38,26 +67,19 @@ class TestSnfInt:
         res = smith_normal_form([[2, 0, 0], [0, 3, 0]])
         assert res.invariant_factors == [1, 6]
 
-    def test_divisibility_chain_and_roundtrip(self):
+    def test_divisibility_chain_and_minor_gcds(self):
         rng = random.Random(7)
         for _ in range(40):
             m = rng.randint(1, 4)
             n = rng.randint(1, 4)
             a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
             res = smith_normal_form(a)
-            # U A V == D
-            assert mat_mul(mat_mul(res.U, a), res.V) == res.D
-            # V Vinv == I
-            assert mat_mul(res.V, res.Vinv) == mat_identity(n)
+            check_determinantal_divisors(a, res, det_int, math.gcd, 0, 1)
             fs = res.invariant_factors
             assert all(f > 0 for f in fs)
             for i in range(1, len(fs)):
                 assert fs[i] % fs[i - 1] == 0
-            # off-diagonal of D is zero
-            for i in range(m):
-                for j in range(n):
-                    if i != j:
-                        assert res.D[i][j] == 0
+            check_diagonal(res, m, n, 0)
 
     def test_pivot_signs_positive(self):
         res = smith_normal_form([[-4]])
@@ -72,18 +94,23 @@ class TestSnfPoly:
         res = smith_normal_form([[t, Poly.zero(QQ)], [Poly.zero(QQ), tp1]])
         assert res.invariant_factors == [Poly.one(QQ), t * tp1]
 
-    def test_roundtrip_random(self):
+    def test_minor_gcds_random(self):
         rng = random.Random(11)
-        for _ in range(25):
-            n = rng.randint(1, 3)
-            a = [[Poly(QQ, [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
-                  for _ in range(n)] for _ in range(n)]
-            res = smith_normal_form(a)
-            assert mat_mul(mat_mul(res.U, a), res.V) == res.D
-            fs = res.invariant_factors
-            assert all(f.is_monic() for f in fs)
-            for i in range(1, len(fs)):
-                assert divmod(fs[i], fs[i - 1])[1].is_zero
+        for field in (QQ, GF(5)):
+            zero = Poly.zero(field)
+            for _ in range(25):
+                m = rng.randint(1, 3)
+                n = rng.randint(1, 3)
+                a = [[Poly(field, [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+                      for _ in range(n)] for _ in range(m)]
+                res = smith_normal_form(a)
+                check_determinantal_divisors(a, res, lambda sub: det_poly(sub, field),
+                                             poly_gcd, zero, Poly.one(field))
+                fs = res.invariant_factors
+                assert all(f.is_monic() for f in fs)
+                for i in range(1, len(fs)):
+                    assert divmod(fs[i], fs[i - 1])[1].is_zero
+                check_diagonal(res, m, n, zero)
 
     def test_zz_t_rejected(self):
         with pytest.raises(DomainError):

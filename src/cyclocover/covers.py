@@ -162,7 +162,7 @@ def companion_matrix(f: Poly):
     for i in range(1, n):
         m[i][i - 1] = ring.coerce(1)
     for i in range(n):
-        m[i][n - 1] = -f.coeffs[i]
+        m[i][n - 1] = ring.coerce(-f.coeffs[i])
     return m
 
 

@@ -8,7 +8,7 @@ inverses are read off its result.
 
 def rref(ring, rows):
     """Reduced row echelon form; returns (R, pivot_columns)."""
-    R = [row[:] for row in rows]
+    R = [[ring.coerce(x) for x in row] for row in rows]
     m = len(R)
     n = len(R[0]) if m else 0
     pivots = []
@@ -19,11 +19,11 @@ def rref(ring, rows):
             continue
         R[r], R[piv] = R[piv], R[r]
         inv = ring.inv(R[r][c])
-        R[r] = [x * inv for x in R[r]]
+        R[r] = [ring.coerce(x * inv) for x in R[r]]
         for i in range(m):
             if i != r and R[i][c]:
                 f = R[i][c]
-                R[i] = [x - f * y for x, y in zip(R[i], R[r])]
+                R[i] = [ring.coerce(x - f * y) for x, y in zip(R[i], R[r])]
         pivots.append(c)
         r += 1
         if r == m:

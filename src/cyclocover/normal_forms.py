@@ -92,13 +92,13 @@ class SnfResult:
         return [self.D[i][i] for i in range(self.rank)]
 
 
-def smith_normal_form(rows, domain=None) -> SnfResult:
+def smith_normal_form(rows) -> SnfResult:
     """Smith normal form over ZZ or k[t], invariants only.
 
     `rows` is a list of rows; entries must be ints or Poly over one field.
     Pivots are chosen by minimal Euclidean size, ties by lowest (row, col).
     """
-    dom = domain if domain is not None else _infer_domain(rows)
+    dom = _infer_domain(rows)
     m = len(rows)
     n = len(rows[0]) if m else 0
     if any(len(r) != n for r in rows):
@@ -260,7 +260,7 @@ def laurent_cokernel(mat: LaurentMatrix):
     if mat.ncols == 0:
         return [], mat.nrows
     poly_rows, _ = mat.cleared_rows()
-    snf = smith_normal_form(poly_rows, _PolyDomain())
+    snf = smith_normal_form(poly_rows)
     factors = []
     for f in snf.invariant_factors:
         k = f.low_order()

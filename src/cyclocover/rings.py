@@ -1,8 +1,12 @@
 """Exact coefficient rings and dense uni-variate (Laurent) polynomials.
 
 Supported coefficient rings: the integers (ZZ), the rationals (QQ) and
-prime fields GF(p) for word-sized p.  Polynomials are dense lists of
-coefficients; Laurent polynomials carry an extra power-of-t valuation.
+prime fields GF(p) for word-sized p.  Coefficients are plain values: int
+over ZZ, Fraction over QQ, and over GF(p) an int in [0, p).  A ring's
+`coerce` is the one place that reduces, so code that adds or multiplies
+GF(p) coefficients itself must coerce the result before it tests it for
+zero or stores it.  Polynomials are dense lists of coefficients; Laurent
+polynomials carry an extra power-of-t valuation.
 """
 
 from fractions import Fraction
@@ -51,9 +55,11 @@ class _RationalField:
     char = 0
 
     def coerce(self, x):
+        if isinstance(x, Fraction):
+            return x
         if isinstance(x, bool):
             raise TypeError("bool is not a rational coefficient")
-        if isinstance(x, (int, Fraction)):
+        if isinstance(x, int):
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into QQ")
 
@@ -69,82 +75,6 @@ class _RationalField:
 
 ZZ = _IntegerRing()
 QQ = _RationalField()
-
-
-class FpElt:
-    """Element of a prime field, reduced to its least nonnegative residue."""
-
-    __slots__ = ("p", "v")
-
-    def __init__(self, p, v):
-        self.p = p
-        self.v = v % p
-
-    def _val(self, other):
-        if isinstance(other, FpElt):
-            if other.p != self.p:
-                raise MixedRingError("elements of different prime fields")
-            return other.v
-        if isinstance(other, int):
-            return other % self.p
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._val(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElt(self.p, self.v + v)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._val(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElt(self.p, self.v - v)
-
-    def __rsub__(self, other):
-        v = self._val(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElt(self.p, v - self.v)
-
-    def __mul__(self, other):
-        v = self._val(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FpElt(self.p, self.v * v)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpElt(self.p, -self.v)
-
-    def inverse(self):
-        if self.v == 0:
-            raise ZeroDivisionError(f"0 has no inverse in GF({self.p})")
-        return FpElt(self.p, pow(self.v, self.p - 2, self.p))
-
-    def __truediv__(self, other):
-        v = self._val(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self * FpElt(self.p, v).inverse()
-
-    def __eq__(self, other):
-        v = self._val(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return self.v == v
-
-    def __hash__(self):
-        return hash((self.p, self.v))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"{self.v}"
 
 
 class PrimeField:
@@ -168,25 +98,21 @@ class PrimeField:
         return self
 
     def coerce(self, x):
-        if isinstance(x, FpElt):
-            if x.p != self.p:
-                raise MixedRingError("element of a different prime field")
-            return x
         if isinstance(x, bool):
             raise TypeError("bool is not a field coefficient")
         if isinstance(x, int):
-            return FpElt(self.p, x)
+            return x % self.p
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")
-            return FpElt(self.p, x.numerator) / FpElt(self.p, x.denominator)
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
         raise TypeError(f"cannot coerce {x!r} into {self.name}")
 
     def is_unit(self, x):
-        return bool(self.coerce(x))
+        return self.coerce(x) != 0
 
     def inv(self, x):
-        return self.coerce(x).inverse()
+        return pow(x, -1, self.p)
 
     def __repr__(self):
         return self.name
@@ -225,10 +151,6 @@ class Poly:
     @classmethod
     def t(cls, ring):
         return cls(ring, (0, 1))
-
-    @classmethod
-    def monomial(cls, ring, k, c=1):
-        return cls(ring, (0,) * k + (c,))
 
     @property
     def degree(self):
@@ -304,27 +226,24 @@ class Poly:
         rem = list(self.coeffs)
         d = other.degree
         lead = other.leading
+        low = other.coeffs[:-1]
         if ring.is_field:
             lead_inv = ring.inv(lead)
-        q = [ring.coerce(0)] * max(len(rem) - d, 0)
-        while len(rem) - 1 >= d and rem:
-            while rem and not rem[-1]:
-                rem.pop()
-            if len(rem) - 1 < d:
-                break
-            top = rem[-1]
+        q = [0] * max(len(rem) - d, 0)
+        for k in range(len(q) - 1, -1, -1):
+            # the top coefficient is cancelled by construction
+            top = rem.pop()
             if ring.is_field:
-                c = top * lead_inv
+                c = ring.coerce(top * lead_inv)
             else:
-                cq, cr = divmod(top, lead)
+                c, cr = divmod(top, lead)
                 if cr:
                     raise ExactDivisionError(
                         f"leading coefficient {top} not divisible by {lead}")
-                c = cq
-            k = len(rem) - 1 - d
-            q[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - c * b
+            if c:
+                q[k] = c
+                for i, b in enumerate(low):
+                    rem[k + i] = rem[k + i] - c * b
         return Poly(ring, q), Poly(ring, rem)
 
     def exact_div(self, other):
@@ -346,12 +265,10 @@ class Poly:
         return not self.is_zero and self.leading == 1
 
     def evaluate(self, x):
-        acc = None
+        acc = 0
         for c in reversed(self.coeffs):
-            acc = c if acc is None else acc * x + c
-        if acc is None:
-            return self.ring.coerce(0)
-        return acc
+            acc = acc * x + c
+        return self.ring.coerce(acc)
 
     def content(self):
         """gcd of integer coefficients (ZZ polynomials only), >= 0."""

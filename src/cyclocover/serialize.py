@@ -14,12 +14,10 @@ from .errors import PreconditionError
 from .matrices import LaurentMatrix
 from .modules import ModulePresentation
 from .covers import TwistedChainComplex
-from .rings import FpElt, LaurentPoly, Poly, ZZ
+from .rings import LaurentPoly, Poly, ZZ
 
 
 def scalar_str(x):
-    if isinstance(x, FpElt):
-        return str(x.v)
     if isinstance(x, Fraction):
         if x.denominator == 1:
             return str(x.numerator)
@@ -80,10 +78,6 @@ def parse_matrix(obj, ring=ZZ) -> LaurentMatrix:
             raise PreconditionError("matrix entries do not match declared cols")
         grid.append([parse_laurent(e, ring) for e in row])
     return LaurentMatrix(ring, rows, cols, grid)
-
-
-def int_matrix_to_json(m):
-    return [[str(x) for x in row] for row in m]
 
 
 def parse_int_matrix(obj):

@@ -195,7 +195,7 @@ def kernel_basis(ring, rows, ncols):
         v = [zero] * ncols
         v[j] = one
         for r_i, c in enumerate(pivots):
-            v[c] = -R[r_i][j]
+            v[c] = ring.coerce(-R[r_i][j])
         basis.append(v)
     return basis
 
@@ -246,7 +246,7 @@ class QuotientSpace:
         for row, p in zip(self.echelon, self.im_pivots):
             if v[p]:
                 f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
+                v = [self.ring.coerce(x - f * y) for x, y in zip(v, row)]
         return [v[i] for i in self.quot_indices]
 
     def action_matrix(self, op):
@@ -276,8 +276,8 @@ def _big_matrix(mat, field, q):
                 shift = (e.val + idx) % q
                 cf = field.coerce(c)
                 for a in range(q):
-                    big[i * q + (a + shift) % q][j * q + a] = \
-                        big[i * q + (a + shift) % q][j * q + a] + cf
+                    big[i * q + (a + shift) % q][j * q + a] = field.coerce(
+                        big[i * q + (a + shift) % q][j * q + a] + cf)
     return big
 
 def direct_cover_homology(X, field, q):

@@ -261,6 +261,14 @@ class TestDirectCover:
                 for q in range(1, 9):
                     check_against_oracle(x, field, q)
 
+    def test_gf5_action_entries_are_residues(self):
+        # the companion column negates t^2 - t + 1's low coefficients
+        out = cover_homology_field(trefoil(), GF(5), 6)
+        assert [d for d, _ in out] == [1, 3, 2]
+        assert out[2][1] == [[0, 4], [1, 1]]
+        for _, act in out:
+            assert all(type(x) is int and 0 <= x < 5 for row in act for x in row)
+
     def test_euler_characteristic(self):
         # chi(X_q) = q * chi(X), degreewise over any field
         rng = random.Random(303)

@@ -44,6 +44,11 @@ def random_invertible(ring, rng, n):
     return mat_mul(lower, upper)
 
 
+def reduced(ring, rows):
+    """`mat_mul` leaves GF(p) entries unreduced; compare their residues."""
+    return [[ring.coerce(x) for x in row] for row in rows]
+
+
 def columns(rows):
     return [list(col) for col in zip(*rows)]
 
@@ -56,8 +61,8 @@ class TestInverse:
             n = rng.randint(1, 6)
             a = random_invertible(ring, rng, n)
             inv = inverse(ring, a)
-            assert mat_mul(inv, a) == identity(ring, n)
-            assert mat_mul(a, inv) == identity(ring, n)
+            assert reduced(ring, mat_mul(inv, a)) == identity(ring, n)
+            assert reduced(ring, mat_mul(a, inv)) == identity(ring, n)
 
     def test_singular_raises(self, ring):
         rng = random.Random(6)
@@ -108,7 +113,19 @@ def test_kernel_basis_is_annihilated(ring):
         basis = kernel_basis(ring, a, cols)
         assert len(basis) == cols - len(rref(ring, a)[1])
         for v in basis:
-            assert mat_mul(a, [[x] for x in v]) == [[ring.coerce(0)]] * rows
+            assert (reduced(ring, mat_mul(a, [[x] for x in v]))
+                    == [[ring.coerce(0)]] * rows)
+
+
+def test_rref_reduces_its_input():
+    # entries that are not residues mod 7: 7 is 0, -1 is 6, 15 is 1; the
+    # third reduced row is the sum of the first two minus 3 e_4
+    F = GF(7)
+    rows = [[7, -1, 15, 3], [2, 14, -8, 1], [-5, 6, 0, 22]]
+    R, pivots = rref(F, rows)
+    assert (R, pivots) == rref(F, reduced(F, rows))
+    assert pivots == [0, 1, 3]
+    assert all(type(x) is int and 0 <= x < 7 for row in R for x in row)
 
 
 def test_kernel_of_no_rows_is_everything():

@@ -216,6 +216,29 @@ class TestNormalize:
         assert canonical_associate(L(3, -2, 0, 2)) == P(-1, 0, 1)
 
 
+COEFF_RINGS = [ZZ, QQ, GF(2), GF(7), GF(2**31 - 1)]
+big_ints = st.integers(-10**12, 10**12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(COEFF_RINGS), st.lists(big_ints, max_size=9),
+       st.lists(big_ints, max_size=5), big_ints)
+def test_divmod_identity(ring, a_cs, b_cs, lead):
+    # over ZZ a leading coefficient of +-1 keeps every quotient exact
+    if ring is ZZ:
+        lead = 1 if lead >= 0 else -1
+    if ring.coerce(lead) == 0:
+        lead += 1
+    a = Poly(ring, a_cs)
+    b = Poly(ring, b_cs + [lead])
+    q, r = divmod(a, b)
+    assert q * b + r == a
+    assert r.is_zero or r.degree < b.degree
+    if ring.is_field and ring.char:
+        assert all(type(c) is int and 0 <= c < ring.char
+                   for c in q.coeffs + r.coeffs)
+
+
 small_laurents = st.builds(
     lambda v, cs: LaurentPoly(ZZ, v, Poly(ZZ, cs)),
     st.integers(-3, 3),

@@ -14,6 +14,8 @@ def mat_copy(a):
     return [row[:] for row in a]
 
 def mat_mul(a, b):
+    """Product of matrices of ints or Fractions.  GF(p) entries come out
+    unreduced: a GF(p) caller must pass them through `ring.coerce`."""
     if a and b and len(a[0]) != len(b):
         raise ValueError("matrix shape mismatch in multiplication")
     n = len(b[0]) if b else 0
@@ -42,30 +44,39 @@ def int_mat_check(a, square=False):
     if square and a and len(a) != len(a[0]):
         raise ValueError("expected a square matrix")
 
-def det_int(a):
-    """Exact determinant of an integer matrix (fraction-free Bareiss)."""
-    int_mat_check(a, square=True)
-    n = len(a)
+def _bareiss(m, one):
+    """Determinant of the square matrix m (overwritten) by fraction-free
+    Bareiss elimination.  Entries are ints or Poly over one integral
+    domain with unit element `one`; `//` must divide exactly."""
+    n = len(m)
     if n == 0:
-        return 1
-    m = mat_copy(a)
+        return one
     sign = 1
-    prev = 1
+    prev = one
     for k in range(n - 1):
-        if m[k][k] == 0:
+        if not m[k][k]:
             for i in range(k + 1, n):
                 if m[i][k]:
                     m[k], m[i] = m[i], m[k]
                     sign = -sign
                     break
             else:
-                return 0
+                return m[k][k]  # column k is zero from row k down: the ring's zero
+        rk = m[k]
+        pk = rk[k]
         for i in range(k + 1, n):
+            ri = m[i]
+            a = ri[k]
             for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+                ri[j] = (ri[j] * pk - a * rk[j]) // prev
+        prev = pk
+    d = m[n - 1][n - 1]
+    return -d if sign < 0 else d
+
+def det_int(a):
+    """Exact determinant of an integer matrix."""
+    int_mat_check(a, square=True)
+    return _bareiss(mat_copy(a), 1)
 
 def mat_is_identity(a):
     return all(x == (1 if i == j else 0)
@@ -80,7 +91,8 @@ def int_mat_inverse(a):
     return [[int(x) for x in row] for row in inverse(QQ, a)]
 
 def mat_pow(a, e, one=1, zero=0):
-    """a**e for e >= 0 by square-and-multiply; `one`/`zero` as in mat_identity."""
+    """a**e for e >= 0 by square-and-multiply; `one`/`zero` as in mat_identity.
+    Entries as in `mat_mul`: a GF(p) caller must `ring.coerce` the result."""
     if e < 0:
         raise ValueError("mat_pow needs e >= 0; invert first")
     result = mat_identity(len(a), one, zero)
@@ -103,29 +115,9 @@ def int_mat_pow(a, e):
 
 def det_poly(rows, ring):
     """Exact determinant of a square matrix of Poly over an integral domain."""
-    n = len(rows)
-    if n == 0:
-        return Poly.one(ring)
     m = [[e if isinstance(e, Poly) else Poly(ring, (e,)) for e in row]
          for row in rows]
-    sign = 1
-    prev = Poly.one(ring)
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            for i in range(k + 1, n):
-                if not m[i][k].is_zero:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return Poly.zero(ring)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]).exact_div(prev)
-            m[i][k] = Poly.zero(ring)
-        prev = m[k][k]
-    d = m[n - 1][n - 1]
-    return -d if sign < 0 else d
+    return _bareiss(m, Poly.one(ring))
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +169,6 @@ class LaurentMatrix:
         i, j = ij
         return self.entries[i][j]
 
-    def row(self, i):
-        return list(self.entries[i])
-
     def __mul__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
@@ -201,17 +190,6 @@ class LaurentMatrix:
                 row.append(acc)
             rows.append(row)
         return LaurentMatrix(self.ring, self.nrows, other.ncols, rows)
-
-    def __add__(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ValueError("matrix shape mismatch in addition")
-        return LaurentMatrix(self.ring, self.nrows, self.ncols,
-                             [[a + b for a, b in zip(ra, rb)]
-                              for ra, rb in zip(self.entries, other.entries)])
-
-    def __neg__(self):
-        return LaurentMatrix(self.ring, self.nrows, self.ncols,
-                             [[-a for a in row] for row in self.entries])
 
     def is_zero(self):
         return all(e.is_zero for row in self.entries for e in row)

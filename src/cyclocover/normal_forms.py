@@ -6,11 +6,12 @@ polynomial case by clearing rows with powers of t.
 """
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .arith import factorize
-from .matrices import (LaurentMatrix, det_int, mat_copy, int_mat_check,
-                       int_mat_pow, mat_is_identity)
-from .rings import (MixedRingError, Poly, QQ, ZZ, cyclotomic)
+from .matrices import (LaurentMatrix, det_int, det_poly, mat_copy,
+                       int_mat_check, int_mat_pow, mat_is_identity)
+from .rings import MixedRingError, Poly, ZZ, cyclotomic
 
 from math import lcm
 
@@ -19,40 +20,9 @@ class DomainError(MixedRingError):
     """Matrix entries do not lie uniformly in a supported domain."""
 
 
-# ---------------------------------------------------------------------------
-# Euclidean domain adapters
-
-class _IntDomain:
-    @staticmethod
-    def is_zero(x):
-        return x == 0
-
-    @staticmethod
-    def size(x):
-        return abs(x)
-
-    @staticmethod
-    def normalizer(x):
-        """Unit u making u * x positive, or None if x already is."""
-        return -1 if x < 0 else None
-
-
-class _PolyDomain:
-    @staticmethod
-    def is_zero(x):
-        return x.is_zero
-
-    @staticmethod
-    def size(x):
-        return x.degree
-
-    @staticmethod
-    def normalizer(x):
-        """Unit u making u * x monic, or None if x already is."""
-        return None if x.is_monic() else Poly(x.ring, (x.ring.inv(x.leading),))
-
-
 def _infer_domain(rows):
+    """(Euclidean size, canonical associate) of the entries' domain:
+    (abs, abs) over ZZ, (degree, monic) over k[t]."""
     kinds = set()
     ring = None
     for row in rows:
@@ -70,13 +40,13 @@ def _infer_domain(rows):
             else:
                 raise DomainError(f"unsupported matrix entry {e!r}")
     if kinds == {"int"} or not kinds:
-        return _IntDomain()
+        return abs, abs
     if kinds == {"poly"}:
         if ring is ZZ:
             raise DomainError("SNF over ZZ[t] is not supported (not a PID)")
         if not ring.is_field:
             raise DomainError(f"SNF needs field polynomial coefficients, got {ring}")
-        return _PolyDomain()
+        return attrgetter("degree"), Poly.monic
     raise DomainError("mixed integer and polynomial entries")
 
 
@@ -98,7 +68,7 @@ def smith_normal_form(rows) -> SnfResult:
     `rows` is a list of rows; entries must be ints or Poly over one field.
     Pivots are chosen by minimal Euclidean size, ties by lowest (row, col).
     """
-    dom = _infer_domain(rows)
+    size, normalize = _infer_domain(rows)
     m = len(rows)
     n = len(rows[0]) if m else 0
     if any(len(r) != n for r in rows):
@@ -116,9 +86,9 @@ def smith_normal_form(rows) -> SnfResult:
         for i in range(t, m):
             for j in range(t, n):
                 e = D[i][j]
-                if dom.is_zero(e):
+                if not e:
                     continue
-                s = dom.size(e)
+                s = size(e)
                 if best is None or s < best:
                     best = s
                     pivot = (i, j)
@@ -133,25 +103,25 @@ def smith_normal_form(rows) -> SnfResult:
             # clear column t
             dirty = False
             for i in range(t + 1, m):
-                if dom.is_zero(D[i][t]):
+                if not D[i][t]:
                     continue
                 q = divmod(D[i][t], D[t][t])[0]
-                if not dom.is_zero(q):
+                if q:
                     D[i] = [a - q * b for a, b in zip(D[i], D[t])]
-                if not dom.is_zero(D[i][t]):
+                if D[i][t]:
                     D[t], D[i] = D[i], D[t]
                     dirty = True
             if dirty:
                 continue
             # clear row t
             for j in range(t + 1, n):
-                if dom.is_zero(D[t][j]):
+                if not D[t][j]:
                     continue
                 q = divmod(D[t][j], D[t][t])[0]
-                if not dom.is_zero(q):
+                if q:
                     for row in D:
                         row[j] = row[j] - q * row[t]
-                if not dom.is_zero(D[t][j]):
+                if D[t][j]:
                     swap_cols(t, j)
                     dirty = True
             if dirty:
@@ -160,9 +130,9 @@ def smith_normal_form(rows) -> SnfResult:
             offender = None
             for i in range(t + 1, m):
                 for j in range(t + 1, n):
-                    if dom.is_zero(D[i][j]):
+                    if not D[i][j]:
                         continue
-                    if not dom.is_zero(divmod(D[i][j], D[t][t])[1]):
+                    if divmod(D[i][j], D[t][t])[1]:
                         offender = i
                         break
                 if offender is not None:
@@ -171,9 +141,8 @@ def smith_normal_form(rows) -> SnfResult:
                 break
             # fold the offending row into row t and re-reduce
             D[t] = [a + b for a, b in zip(D[t], D[offender])]
-        u = dom.normalizer(D[t][t])
-        if u is not None:
-            D[t] = [u * a for a in D[t]]
+        # row t now holds only its pivot
+        D[t][t] = normalize(D[t][t])
         t += 1
     return SnfResult(D=D, rank=t)
 
@@ -196,7 +165,6 @@ def char_poly(a) -> Poly:
                 e = e + t
             row.append(e)
         rows.append(row)
-    from .matrices import det_poly
     return det_poly(rows, ring)
 
 
@@ -211,14 +179,14 @@ def finite_order(a):
         return 1
     if det_int(a) not in (1, -1):
         raise ValueError("matrix must have determinant +-1")
-    cp = char_poly(a)
-    # peel cyclotomic factors; anything left means an eigenvalue off the
-    # unit circle or a non-root-of-unity on it, hence infinite order
-    rem = cp.to_ring(QQ)
+    # peel cyclotomic factors (monic, so division in ZZ[t] is exact);
+    # anything left means an eigenvalue off the unit circle or a
+    # non-root-of-unity on it, hence infinite order
+    rem = char_poly(a)
     indices = set()
     d = 1
     while rem.degree > 0 and d <= 2 * n * n + 2:
-        phi = cyclotomic(d).to_ring(QQ)
+        phi = cyclotomic(d)
         if phi.degree <= rem.degree:
             while True:
                 q, r = divmod(rem, phi)

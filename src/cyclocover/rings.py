@@ -7,6 +7,10 @@ over ZZ, Fraction over QQ, and over GF(p) an int in [0, p).  A ring's
 GF(p) coefficients itself must coerce the result before it tests it for
 zero or stores it.  Polynomials are dense lists of coefficients; Laurent
 polynomials carry an extra power-of-t valuation.
+
+A `Poly` is false exactly when it is zero, and `a // b` is exact
+division: it raises `ExactDivisionError` on a nonzero remainder.  So
+fraction-free elimination runs on ints and polynomials alike.
 """
 
 from fractions import Fraction
@@ -160,6 +164,9 @@ class Poly:
     def is_zero(self):
         return not self.coeffs
 
+    def __bool__(self):
+        return bool(self.coeffs)
+
     @property
     def leading(self):
         if self.is_zero:
@@ -252,13 +259,11 @@ class Poly:
             raise ExactDivisionError("division not exact")
         return q
 
+    __floordiv__ = exact_div
+
     def monic(self):
         if self.is_zero:
             return self
-        if not self.ring.is_field:
-            if self.ring.is_unit(self.leading):
-                return self.scale(self.ring.inv(self.leading))
-            raise ExactDivisionError("cannot make monic over a non-field")
         return self.scale(self.ring.inv(self.leading))
 
     def is_monic(self):

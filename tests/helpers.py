@@ -6,10 +6,12 @@ finite generation is also decided by Smith forms over the residue fields,
 matrix orders are found by brute-force powering, finite-cover homology
 is computed directly as ker/im of the cover's dense boundary matrices, and
 h_p^- comes from the exact product of cyclically shifted polynomials and
-from Maillet's full determinant.
+from Maillet's full determinant, and determinants come from the Leibniz
+permutation sum.
 """
 
 from fractions import Fraction
+from itertools import permutations
 from math import gcd, lcm
 
 from cyclocover.arith import factorize, primitive_root
@@ -357,6 +359,22 @@ def maillet_hp_minus(p):
     den = p ** ((p - 3) // 2)
     assert d and d % den == 0, d
     return d // den
+
+
+# ---------------------------------------------------------------------------
+# determinant by the Leibniz formula
+
+def leibniz_det(a, one, zero):
+    """sum over permutations s of sign(s) * prod_i a[i][s(i)]; no division."""
+    n = len(a)
+    total = zero
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = one
+        for i, j in enumerate(perm):
+            term = term * a[i][j]
+        total = total - term if inversions % 2 else total + term
+    return total
 
 
 # ---------------------------------------------------------------------------

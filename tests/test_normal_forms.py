@@ -3,6 +3,8 @@
 [DERIVED] values come from hand computation or the brute-force oracles in
 helpers.py; on random matrices the invariant factors are checked against
 the determinantal divisors: d_1 ... d_i is the gcd of all i x i minors.
+Those minors come from `det_int` and `det_poly`, so both are first
+checked against the Leibniz permutation sum in helpers.py.
 """
 
 import math
@@ -16,7 +18,7 @@ from cyclocover.normal_forms import (DomainError, char_poly, finite_order,
                                      laurent_cokernel, smith_normal_form)
 from cyclocover.rings import GF, LaurentPoly, Poly, QQ, ZZ, poly_gcd
 
-from helpers import brute_order
+from helpers import brute_order, leibniz_det
 
 
 def P(*cs):
@@ -47,6 +49,68 @@ def check_diagonal(res, m, n, zero):
         for j in range(n):
             if i != j:
                 assert res.D[i][j] == zero
+
+
+def make_singular(a, rng, scalars):
+    """Replace the last row by a combination of the first two (n >= 2)."""
+    c0, c1 = rng.choice(scalars), rng.choice(scalars)
+    a[-1] = [c0 * x + c1 * y for x, y in zip(a[0], a[1])]
+
+
+class TestDeterminant:
+    # [DERIVED] zero leading pivot (row swap at k = 0), a pivot that
+    # vanishes mid-elimination (swap at k = 1), and a column that vanishes
+    # below the diagonal (early exit)
+    SWAPS = ([[0, 1], [1, 0]], [[0, 2, 1], [3, 0, 4], [5, 6, 0]],
+             [[1, 2, 3], [2, 4, 5], [1, 3, 4]], [[1, 2, 3], [2, 4, 7], [3, 6, 1]])
+
+    def test_int_hand_cases(self):
+        assert [det_int(a) for a in self.SWAPS] == [-1, 58, 1, 0]
+        assert det_int([]) == 1
+        assert det_int([[-4]]) == -4
+
+    def test_int_random_against_leibniz(self):
+        rng = random.Random(3)
+        for trial in range(120):
+            n = rng.randint(1, 5)
+            a = [[rng.choice([0, 0, 1, -1, rng.randint(-9, 9)]) for _ in range(n)]
+                 for _ in range(n)]
+            if trial % 3 == 0:
+                a[0][0] = 0
+            if trial % 4 == 1 and n >= 2:
+                make_singular(a, rng, [-2, -1, 0, 1, 3])
+            d = det_int(a)
+            assert d == leibniz_det(a, 1, 0), a
+            assert type(d) is int
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)])
+    def test_poly_hand_cases(self, ring):
+        for a in self.SWAPS:
+            rows = [[Poly(ring, (x,)) for x in row] for row in a]
+            assert det_poly(rows, ring) == Poly(ring, (det_int(a),))
+        assert det_poly([], ring) == Poly.one(ring)
+        # [DERIVED] det [[0, t], [t + 1, 1]] = -t^2 - t
+        t, one = Poly.t(ring), Poly.one(ring)
+        assert det_poly([[Poly.zero(ring), t], [t + one, one]], ring) \
+            == Poly(ring, (0, -1, -1))
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)])
+    def test_poly_random_against_leibniz(self, ring):
+        rng = random.Random(5)
+        one, zero = Poly.one(ring), Poly.zero(ring)
+        scalars = [Poly(ring, cs) for cs in ((), (1,), (-2,), (0, 1), (1, -1))]
+        for trial in range(40):
+            n = rng.randint(1, 5)
+            a = [[Poly(ring, [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
+                  for _ in range(n)] for _ in range(n)]
+            if trial % 3 == 0:
+                a[0][0] = zero
+            if trial % 4 == 1 and n >= 2:
+                make_singular(a, rng, scalars)
+            assert det_poly(a, ring) == leibniz_det(a, one, zero), a
+
+    def test_poly_int_entries_are_constants(self):
+        assert det_poly([[0, 2], [3, 1]], QQ) == Poly(QQ, (-6,))
 
 
 class TestSnfInt:

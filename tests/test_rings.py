@@ -59,6 +59,23 @@ class TestPolyBasics:
         q, r = divmod(f, g)
         assert q == Poly(QQ, (0, Fraction(1, 2))) and r == Poly(QQ, (1,))
 
+    @pytest.mark.parametrize("ring", [ZZ, QQ, GF(7)])
+    def test_bool_is_nonzero(self, ring):
+        # [TRIVIAL] false exactly for the zero polynomial
+        assert not Poly.zero(ring)
+        assert not Poly(ring, (0, 0))
+        assert Poly.t(ring)
+        assert Poly.one(ring)
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, GF(7)])
+    def test_floordiv_is_exact_div(self, ring):
+        # [DERIVED] (t^2 - 1) // (t - 1) = t + 1; t^2 // (t - 1) leaves 1
+        a = Poly(ring, (-1, 0, 1))
+        b = Poly(ring, (-1, 1))
+        assert a // b == a.exact_div(b) == Poly(ring, (1, 1))
+        with pytest.raises(ExactDivisionError):
+            Poly(ring, (0, 0, 1)) // b
+
     def test_content_primitive(self):
         f = P(-6, 0, -9)
         assert f.content() == 3

@@ -6,10 +6,11 @@ h_p^- is computed twice and the two values are cross-checked:
   (2p)^((p-3)/2), where zeta is a primitive (p-1)-th root of unity and
   f(zeta^a) is the character sum of the a-th odd character.  The
   product is a rational integer c with |c| <= B = (p(p-1)/2)^((p-1)/2).
-  It is evaluated modulo primes l = 1 mod (p-1), at an element of exact
-  order p-1 mod l, and put together by CRT until the modulus exceeds
-  2B; one spare prime more must leave |c| <= B.  The sign, positivity
-  and (2p)^((p-3)/2)-divisibility of c are checked.
+  It is evaluated modulo the one integer M = Phi_{p-1}(2^s), with zeta
+  sent to 2^s, and s chosen so that M > 2^33 * B; the symmetric residue
+  must then lie in [-B, B], which leaves 32 bits of headroom over 2B.
+  The sign, positivity and (2p)^((p-3)/2)-divisibility of c are
+  checked.
 - Maillet's determinant.  Subtracting a times the first row from row a
   of (a * b^-1 mod p)_{1<=a,b<=(p-1)/2} leaves -p * floor(a * b^-1 / p)
   (Carlitz and Olson, 1955), so h_p^- = |det| of the matrix with first
@@ -27,10 +28,10 @@ from importlib import resources
 from operator import itemgetter, mul
 from typing import Dict, List, Optional
 
-from .arith import (IS_PRIME_LIMIT, factorize, is_prime, primitive_root,
-                    smallest_odd_prime_factor)
+from .arith import is_prime, primitive_root, smallest_odd_prime_factor
 from .errors import InternalCheckError, PreconditionError
 from .matrices import det_int
+from .rings import cyclotomic
 
 DEFAULT_PRIME_BOUND = 211
 
@@ -57,85 +58,61 @@ def _check_p(p, bound):
         raise PreconditionError(f"p={p} exceeds the configured bound {bound}")
 
 
-# CRT primes a little above 2^80 stay below IS_PRIME_LIMIT (about 2^81.4).
-_MODULUS_BITS = 80
-# No CRT prime is below 2^32: a wrong residue then passes the spare-prime
-# check with probability about 2^-32 at most.
-_MIN_MODULUS_BITS = 32
-
-
-def _moduli(n, low):
-    """Primes l = k*n + 1 with low < l < IS_PRIME_LIMIT, ascending, each
-    with zeta = x^k mod l of exact order n for the least x that gives one.
-
-    Modulo such a prime the n-th cyclotomic polynomial splits and zeta is
-    one of its roots, so an integer polynomial expression in a primitive
-    n-th root of unity reduces to the same expression in zeta.
-    """
-    qs = list(factorize(n))
-    for k in range(low // n + 1, (IS_PRIME_LIMIT - 2) // n + 1):
-        ell = k * n + 1
-        if not is_prime(ell):
-            continue
-        x = 2
-        while True:
-            zeta = pow(x, k, ell)
-            if all(pow(zeta, n // q, ell) != 1 for q in qs):
-                yield ell, zeta
-                break
-            x += 1
-
-
 def _odd_character_pickers(n):
-    """Per odd a < n, a getter taking (zeta^i)_{i<n} to (zeta^(a*j))_{j<n}."""
-    return [itemgetter(*[a * j % n for j in range(n)]) for a in range(1, n, 2)]
+    """Per odd a < n, a getter taking (zeta^i)_{i<n} to (zeta^(a*j))_{j<n/2}.
+
+    A trailing index 0 keeps the result a tuple when n/2 == 1 (p = 3);
+    sum(map(mul, f, ...)) stops at the n/2 entries of f before it.
+    """
+    return [itemgetter(*[a * j % n for j in range(n // 2)], 0)
+            for a in range(1, n, 2)]
 
 
-def _charsum_residue(f, pickers, ell, zeta):
-    """prod_{a odd} sum_j f[j] * zeta^(a*j) modulo ell."""
-    powers = [1] * len(f)
-    for i in range(1, len(f)):
-        powers[i] = powers[i - 1] * zeta % ell
+def _charsum_residue(f, pickers, s, modulus):
+    """prod_{a odd} sum_j f[j] * 2^(s*a*j) modulo modulus."""
+    n = 2 * len(f)
+    powers = [1] * n
+    for i in range(1, n):
+        powers[i] = (powers[i - 1] << s) % modulus
     v = 1
     for pick in pickers:
-        v = v * sum(map(mul, f, pick(powers))) % ell
+        v = v * sum(map(mul, f, pick(powers))) % modulus
     return v
 
 
 def _hp_minus_charsum(p):
-    """h_p^- from the product of the odd character sums, by CRT over primes.
+    """h_p^- from the product of the odd character sums, modulo Phi_{p-1}(2^s).
 
     With f_j = g^j mod p for a primitive root g, the value c =
     prod_{a odd} f(zeta^a) is a rational integer, and |f(zeta^a)| <=
-    sum_j f_j bounds it by B = (p(p-1)/2)^((p-1)/2).  Residues of c modulo
-    primes l = 1 mod (p-1) (see `_moduli`) are combined until the modulus
-    exceeds 2B; the symmetric residue after one spare prime more must
-    still lie in [-B, B].  The bits of 2B are spread evenly over the fewest
-    primes of at most _MODULUS_BITS bits, so small p use small primes.
+    sum_j f_j bounds it by B = (p(p-1)/2)^((p-1)/2).  Since g^m = -1 mod p
+    and zeta^(a*m) = -1 for m = (p-1)/2 and odd a, f(zeta^a) equals
+    sum_{j<m} (2 f_j - p) zeta^(a*j).  The map zeta -> 2^s is a ring
+    homomorphism Z[zeta] -> Z/M for M = Phi_{p-1}(2^s), so c is known
+    modulo M, and s is chosen so that M >= (2^s - 1)^phi(p-1) exceeds
+    2^33 * B.  The symmetric residue must lie in [-B, B]: with 32 bits of
+    headroom over 2B, a wrong residue passes with probability <= 2^-32.
     """
     n = p - 1
+    m = n // 2
     g = primitive_root(p)
-    f = [pow(g, j, p) for j in range(n)]
-    pickers = _odd_character_pickers(n)
-    bound = (p * n // 2) ** (n // 2)
-    bits = (2 * bound).bit_length()
-    count = -(-bits // _MODULUS_BITS)
-    low = 1 << max(-(-bits // count), _MIN_MODULUS_BITS)
-    c, m = 0, 1
-    for ell, zeta in _moduli(n, low):
-        spare = m > 2 * bound
-        v = _charsum_residue(f, pickers, ell, zeta)
-        c += m * ((v - c) * pow(m, -1, ell) % ell)
-        m *= ell
-        if spare:
-            break
-    if c > m // 2:
-        c -= m
+    f = [2 * pow(g, j, p) - p for j in range(m)]
+    bound = (p * m) ** m
+    target = bound << 33
+    phi = cyclotomic(n)
+    s = -(-target.bit_length() // phi.degree) + 1
+    modulus = phi.evaluate(1 << s)
+    if modulus <= target:
+        raise InternalCheckError(
+            f"Phi_{n}(2^{s}) does not exceed 2^33 times the bound")
+    c = _charsum_residue(f, _odd_character_pickers(n), s, modulus)
+    if c > modulus // 2:
+        c -= modulus
     if abs(c) > bound:
         raise InternalCheckError(
-            "character-sum product changed under a spare CRT prime")
-    num = c if n // 2 % 2 == 0 else -c
-    den = (2 * p) ** (n // 2 - 1)
+            "character-sum residue lies outside [-B, B]")
+    num = c if m % 2 == 0 else -c
+    den = (2 * p) ** (m - 1)
     if num <= 0 or num % den:
         raise InternalCheckError(
             f"character-sum value {num} is not a positive multiple of (2p)^((p-3)/2)")

@@ -209,6 +209,16 @@ def _run_gate(params):
             "gate": rep.gate if rep.gate is not None else "unknown"}
 
 
+def _warnings(subcommand, result):
+    """What a report's result rests on beyond exact computation: for
+    `gate`, an h_p^+ fixture entry marked heuristic."""
+    entry = result.get("h_plus_entry") if subcommand == "gate" else None
+    if entry is None or not entry["heuristic"]:
+        return []
+    return [f"h_{result['p']}^+ fixture entry is heuristic "
+            f"(source: {entry['source']})"]
+
+
 def _json_arg(raw):
     """Inline JSON, or @path to read JSON from a file."""
     text = raw
@@ -359,7 +369,8 @@ def run(argv):
         result = compute(args.subcommand, params)
         report = {"subcommand": args.subcommand,
                   "input_digest": input_digest(params),
-                  "result": result, "warnings": [],
+                  "result": result,
+                  "warnings": _warnings(args.subcommand, result),
                   "version": __version__}
         _emit(report, out_path)
         return 0

@@ -1,11 +1,12 @@
-"""Factoring beyond the trial-division range."""
+"""Primality up to IS_PRIME_LIMIT and factoring beyond the trial-division range."""
 
 import random
 
 import pytest
 
 from cyclocover import arith
-from cyclocover.arith import factorize, smallest_odd_prime_factor
+from cyclocover.arith import (IS_PRIME_LIMIT, factorize, is_prime,
+                              smallest_odd_prime_factor)
 
 
 def _brute_smallest_odd(n):
@@ -41,3 +42,11 @@ class TestLargeCofactors:
         rng = random.Random(5)
         for n in [1, 2, 64, 3, 9, 105] + [rng.randint(1, 10 ** 6) for _ in range(200)]:
             assert smallest_odd_prime_factor(n) == _brute_smallest_odd(n), n
+
+
+class TestIsPrime:
+    def test_is_prime_limit_is_honest(self):
+        # a strong pseudoprime to the bases 2..37, below IS_PRIME_LIMIT
+        n = 318665857834031151167461
+        assert n < IS_PRIME_LIMIT and not is_prime(n)
+        assert factorize(n) == {399165290221: 1, 798330580441: 1}

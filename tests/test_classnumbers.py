@@ -13,8 +13,8 @@ import os
 
 import pytest
 
-from cyclocover import classnumbers, cli
-from cyclocover.arith import IS_PRIME_LIMIT, factorize, is_prime
+from cyclocover import arith, classnumbers, cli
+from cyclocover.arith import factorize, is_prime
 from cyclocover.classnumbers import (ClassGateReport, DEFAULT_PRIME_BOUND,
                                      HplusRecord, default_fixture_path,
                                      gate_theorem_CD, hp_minus,
@@ -82,70 +82,94 @@ class TestAgainstOracles:
         assert full == p ** ((p - 3) // 2) * reduced
 
 
-def _record_residues(monkeypatch, tamper_at=None):
-    """Record every (ell, zeta) the character sum uses; optionally add 1
-    to the residue of the modulus with index `tamper_at`."""
+def _record_residues(monkeypatch, tamper=None):
+    """Record every (s, modulus) the character sum uses; optionally replace
+    its residue v by tamper(v, modulus)."""
     real = classnumbers._charsum_residue
     seen = []
 
-    def recording(f, pickers, ell, zeta):
-        v = real(f, pickers, ell, zeta)
-        if len(seen) == tamper_at:
-            v = (v + 1) % ell
-        seen.append((ell, zeta))
+    def recording(f, pickers, s, modulus):
+        v = real(f, pickers, s, modulus)
+        if tamper is not None:
+            v = tamper(v, modulus) % modulus
+        seen.append((s, modulus))
         return v
 
     monkeypatch.setattr(classnumbers, "_charsum_residue", recording)
     return seen
 
 
-def _order(x, ell):
-    e, acc = 1, x
-    while acc != 1:
-        acc = acc * x % ell
-        e += 1
-    return e
+def _cyclotomic_value(n, x):
+    """Phi_n(x) as prod_{d | n} (x^d - 1)^mu(n/d), by integer arithmetic."""
+    num = den = 1
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        e = factorize(n // d)
+        if any(k > 1 for k in e.values()):
+            continue
+        if len(e) % 2:
+            den *= x ** d - 1
+        else:
+            num *= x ** d - 1
+    assert num % den == 0
+    return num // den
+
+
+def _add_one(v, modulus):
+    return v + 1
 
 
 class TestCharsumModuli:
-    @pytest.mark.parametrize("p", [3, 5, 23, 61, 191])
+    @pytest.mark.parametrize("p", [3, 5, 23, 61, 191, 211])
     def test_moduli_and_roots(self, p, monkeypatch):
+        # one modulus M = Phi_{p-1}(2^s), with 32 bits of headroom over 2B;
+        # 2^s, the image of zeta, has exact order p - 1 modulo M
         seen = _record_residues(monkeypatch)
         hp_minus(p)
         n = p - 1
-        assert len({ell for ell, _ in seen}) == len(seen)
-        for ell, zeta in seen:
-            assert is_prime(ell) and ell % n == 1 and 2 ** 32 < ell < IS_PRIME_LIMIT
-            assert _order(zeta, ell) == n
-        # enough moduli before the spare one to pin |c| <= B down
         bound = (p * n // 2) ** (n // 2)
-        m = 1
-        for ell, _ in seen[:-1]:
-            m *= ell
-        assert m > 2 * bound and m // seen[-2][0] <= 2 * bound
-
-    def test_is_prime_limit_is_honest(self):
-        # a strong pseudoprime to the bases 2..37, below IS_PRIME_LIMIT
-        n = 318665857834031151167461
-        assert n < IS_PRIME_LIMIT and not is_prime(n)
-        assert factorize(n) == {399165290221: 1, 798330580441: 1}
+        [(s, modulus)] = seen
+        assert modulus == _cyclotomic_value(n, 2 ** s)
+        assert modulus > 2 ** 33 * bound
+        assert pow(2, s * n, modulus) == 1
+        for q in factorize(n):
+            assert pow(2, s * n // q, modulus) != 1
 
     @pytest.mark.parametrize("p", [23, 59])
     def test_tampered_residue_is_caught(self, p, monkeypatch):
-        seen = _record_residues(monkeypatch)
-        hp_minus(p)
-        for i in range(len(seen)):
-            monkeypatch.undo()
-            _record_residues(monkeypatch, tamper_at=i)
-            with pytest.raises(InternalCheckError, match="spare CRT prime"):
-                hp_minus(p)
+        _record_residues(monkeypatch, tamper=_add_one)
+        with pytest.raises(InternalCheckError):
+            hp_minus(p)
+
+    @pytest.mark.parametrize("p", [23, 59])
+    def test_residue_outside_bound_is_caught(self, p, monkeypatch):
+        _record_residues(monkeypatch, tamper=lambda v, m: v + m // 3)
+        with pytest.raises(InternalCheckError, match=r"outside \[-B, B\]"):
+            hp_minus(p)
 
     def test_tampered_residue_exits_3(self, monkeypatch, capsys):
-        _record_residues(monkeypatch, tamper_at=0)
+        _record_residues(monkeypatch, tamper=_add_one)
         code = cli.run(["hp-minus", "--p", "23"])
         rep = json.loads(capsys.readouterr().out)
         assert code == 3
         assert rep["error"]["kind"] == "internal-check"
+
+    @pytest.mark.parametrize("p", [23, 191])
+    def test_no_modulus_search(self, p, monkeypatch):
+        # the only primality tests left are primitive_root's checks of p
+        # and of the prime factors of p - 1; no candidate modulus is tested
+        allowed = {p} | set(factorize(p - 1))
+        tested = []
+
+        def counting(n):
+            tested.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(arith, "is_prime", counting)
+        monkeypatch.setattr(classnumbers, "is_prime", counting)
+        classnumbers._hp_minus_charsum(p)
+        assert set(tested) <= allowed
 
 
 class TestOddPrimeFactor:

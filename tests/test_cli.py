@@ -218,6 +218,18 @@ class TestSubcommands:
         code, rep = invoke(capsys, "gate", "--p", "199")
         assert code == 0 and rep["result"]["gate"] == "unknown"
 
+    def test_gate_warns_on_heuristic_entry(self, capsys, tmp_path):
+        code, rep = invoke(capsys, "gate", "--p", "191")
+        assert code == 0
+        [warning] = rep["warnings"]
+        assert "191" in warning and "Schoof 2003 table" in warning
+        code, rep = invoke(capsys, "gate", "--p", "199")
+        assert code == 0 and rep["warnings"] == []
+        f = tmp_path / "hplus.csv"
+        f.write_text("p,hplus_factors,source,heuristic\n23,,proved,false\n")
+        code, rep = invoke(capsys, "gate", "--p", "23", "--fixture", str(f))
+        assert code == 0 and rep["warnings"] == []
+
     def test_periodicity(self, capsys):
         mono = json.dumps([{"free": [["1", "-1"], ["1", "0"]],
                             "torsion_orders": [], "torsion": [], "mixing": []}])

@@ -1,7 +1,11 @@
 """Dense matrices: integer matrices and matrices over Laurent rings."""
 
+from fractions import Fraction
+from itertools import combinations
+from math import lcm
+
 from .linfield import inverse
-from .rings import LaurentPoly, MixedRingError, Poly, QQ, ZZ
+from .rings import LaurentPoly, MixedRingError, Poly, QQ, ZZ, _pos, gcd_zz
 
 
 # ---------------------------------------------------------------------------
@@ -44,15 +48,14 @@ def int_mat_check(a, square=False):
     if square and a and len(a) != len(a[0]):
         raise ValueError("expected a square matrix")
 
-def _bareiss(m, one):
-    """Determinant of the square matrix m (overwritten) by fraction-free
-    Bareiss elimination.  Entries are ints or Poly over one integral
-    domain with unit element `one`; `//` must divide exactly."""
+def _bareiss(m):
+    """Determinant of the square integer matrix m (overwritten) by
+    fraction-free Bareiss elimination; every `//` divides exactly."""
     n = len(m)
     if n == 0:
-        return one
+        return 1
     sign = 1
-    prev = one
+    prev = 1
     for k in range(n - 1):
         if not m[k][k]:
             for i in range(k + 1, n):
@@ -61,7 +64,7 @@ def _bareiss(m, one):
                     sign = -sign
                     break
             else:
-                return m[k][k]  # column k is zero from row k down: the ring's zero
+                return 0  # column k is zero from row k down
         rk = m[k]
         pk = rk[k]
         for i in range(k + 1, n):
@@ -76,7 +79,7 @@ def _bareiss(m, one):
 def det_int(a):
     """Exact determinant of an integer matrix."""
     int_mat_check(a, square=True)
-    return _bareiss(mat_copy(a), 1)
+    return _bareiss(mat_copy(a))
 
 def mat_is_identity(a):
     return all(x == (1 if i == j else 0)
@@ -114,10 +117,59 @@ def int_mat_pow(a, e):
 # determinants over polynomial rings
 
 def det_poly(rows, ring):
-    """Exact determinant of a square matrix of Poly over an integral domain."""
-    m = [[e if isinstance(e, Poly) else Poly(ring, (e,)) for e in row]
-         for row in rows]
-    return _bareiss(m, Poly.one(ring))
+    """Exact determinant of a square matrix of Poly (or scalars) over ZZ,
+    QQ or GF(p), by Kronecker substitution.
+
+    Entries become integer coefficient lists: over QQ each row is scaled
+    by the lcm of its denominators, over GF(p) residues are lifted from
+    [0, p).  The Leibniz expansion bounds the 1-norm of the integer
+    determinant by B = prod_i max(1, sum_j |a_ij|_1), so with
+    k = bitlen(B) + 1 every coefficient lies strictly inside
+    (-2^(k-1), 2^(k-1)).  One integer Bareiss run at t = 2^k therefore
+    gives the coefficients back as balanced base-2^k digits.
+    """
+    int_rows = []
+    scale = 1
+    bound = 1
+    for row in rows:
+        cs_row = []
+        for e in row:
+            if isinstance(e, Poly):
+                if e.ring is not ring:
+                    raise MixedRingError("matrix entry over a different ring")
+                cs_row.append(e.coeffs)
+            else:
+                cs_row.append((ring.coerce(e),))
+        if ring is QQ:
+            den = lcm(*(c.denominator for cs in cs_row for c in cs))
+            cs_row = [[c.numerator * (den // c.denominator) for c in cs]
+                      for cs in cs_row]
+            scale *= den
+        bound *= max(1, sum(sum(map(abs, cs)) for cs in cs_row))
+        int_rows.append(cs_row)
+    k = bound.bit_length() + 1
+    m = []
+    for cs_row in int_rows:
+        vals = []
+        for cs in cs_row:
+            v = 0
+            for c in reversed(cs):
+                v = (v << k) + c
+            vals.append(v)
+        m.append(vals)
+    d = _bareiss(m)
+    base = 1 << k
+    half = base >> 1
+    coeffs = []
+    while d:
+        c = d & (base - 1)
+        if c >= half:
+            c -= base
+        coeffs.append(c)
+        d = (d - c) >> k
+    if scale != 1:
+        coeffs = [Fraction(c, scale) for c in coeffs]
+    return Poly(ring, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -245,8 +297,6 @@ def laurent_minor_gcd(mat: LaurentMatrix, size: int) -> Poly:
     if size > mat.nrows or size > mat.ncols:
         return Poly.zero(ZZ)
     poly_rows, _ = mat.cleared_rows()
-    from itertools import combinations
-    from .rings import gcd_zz, _pos
     g = Poly.zero(ZZ)
     for rsel in combinations(range(mat.nrows), size):
         for csel in combinations(range(mat.ncols), size):

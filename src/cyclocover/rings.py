@@ -9,8 +9,9 @@ zero or stores it.  Polynomials are dense lists of coefficients; Laurent
 polynomials carry an extra power-of-t valuation.
 
 A `Poly` is false exactly when it is zero, and `a // b` is exact
-division: it raises `ExactDivisionError` on a nonzero remainder.  So
-fraction-free elimination runs on ints and polynomials alike.
+division: it raises `ExactDivisionError` on a nonzero remainder.  The
+gcd over ZZ[t] runs on plain int coefficient lists (a primitive
+pseudo-remainder sequence), never through QQ[t].
 """
 
 from fractions import Fraction
@@ -361,21 +362,51 @@ def poly_xgcd(a: Poly, b: Poly):
 
 
 def gcd_zz(a: Poly, b: Poly) -> Poly:
-    """gcd over ZZ[t] via Gauss: gcd of contents times primitive gcd."""
+    """gcd over ZZ[t] with a positive leading coefficient: the gcd of the
+    contents times the primitive part of the last nonzero remainder of the
+    primitive pseudo-remainder sequence (Collins 1967; Brown 1971)."""
     if a.ring is not ZZ or b.ring is not ZZ:
         raise TypeError("gcd_zz needs ZZ coefficients")
     if a.is_zero:
         return _pos(b)
     if b.is_zero:
         return _pos(a)
-    c = gcd(a.content(), b.content())
-    g = poly_gcd(a.to_ring(QQ), b.to_ring(QQ))
-    # clear denominators to a primitive integer polynomial
-    den = 1
-    for q in g.coeffs:
-        den = den * q.denominator // gcd(den, q.denominator)
-    gz = Poly(ZZ, [int(q * den) for q in g.coeffs]).primitive()
-    return gz.scale(c)
+    ca, cb = a.content(), b.content()
+    f = [c // ca for c in a.coeffs]
+    g = [c // cb for c in b.coeffs]
+    if len(f) < len(g):
+        f, g = g, f
+    while g:
+        f, g = g, _primitive_prem(f, g)
+    if f[-1] < 0:
+        f = [-c for c in f]
+    c = gcd(ca, cb)
+    return Poly(ZZ, [c * x for x in f])
+
+
+def _primitive_prem(f, g):
+    """Primitive part of a pseudo-remainder of f by g (int coefficient
+    lists, len(f) >= len(g) > 0, no trailing zeros); [] when g divides f.
+    Each step scales the remainder by lc(g)/gcd, which over QQ is a unit."""
+    r = list(f)
+    n = len(g)
+    lc = g[-1]
+    while len(r) >= n:
+        top = r.pop()
+        h = gcd(top, lc)
+        u, v = lc // h, top // h
+        s = len(r) - n + 1
+        if u != 1:
+            r = [u * x for x in r]
+        for i in range(n - 1):
+            r[s + i] -= v * g[i]
+        while r and not r[-1]:
+            r.pop()
+    if r:
+        h = gcd(*r)
+        if h != 1:
+            r = [x // h for x in r]
+    return r
 
 
 def _pos(a: Poly) -> Poly:

@@ -6,7 +6,6 @@ coefficients as decimal strings ("a/b" for rationals).  Matrix:
 matrices are plain nested lists of decimal strings.
 """
 
-import hashlib
 import json
 from fractions import Fraction
 
@@ -178,4 +177,6 @@ def canonical_dumps(obj) -> str:
 
 
 def input_digest(obj) -> str:
+    # hashlib loads OpenSSL (several MB of RSS); only digests need it
+    import hashlib
     return hashlib.sha256(canonical_dumps(obj).encode("ascii")).hexdigest()

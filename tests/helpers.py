@@ -6,8 +6,8 @@ finite generation is also decided by Smith forms over the residue fields,
 matrix orders are found by brute-force powering, finite-cover homology
 is computed directly as ker/im of the cover's dense boundary matrices, and
 h_p^- comes from the exact product of cyclically shifted polynomials and
-from Maillet's full determinant, and determinants come from the Leibniz
-permutation sum.
+from Maillet's full determinant, determinants come from the Leibniz
+permutation sum, and gcds over ZZ[t] from Euclid over QQ[t].
 """
 
 from fractions import Fraction
@@ -21,7 +21,8 @@ from cyclocover.modules import (FinGenVerdict, FinGenWitness,
                                 INFINITE_DIMENSION, T_NOT_INTEGRAL,
                                 TINV_NOT_INTEGRAL, minor_gcd)
 from cyclocover.normal_forms import laurent_cokernel
-from cyclocover.rings import GF, LaurentPoly, Poly, QQ, ZZ, cyclotomic
+from cyclocover.rings import (GF, LaurentPoly, Poly, QQ, ZZ, cyclotomic,
+                              poly_gcd)
 
 
 # ---------------------------------------------------------------------------
@@ -375,6 +376,22 @@ def leibniz_det(a, one, zero):
             term = term * a[i][j]
         total = total - term if inversions % 2 else total + term
     return total
+
+
+# ---------------------------------------------------------------------------
+# gcd over ZZ[t] through Euclid over QQ[t]
+
+def gcd_zz_over_qq(a, b):
+    """gcd over ZZ[t] via Gauss: gcd of contents times the primitive,
+    positive-leading associate of the monic gcd over QQ[t]."""
+    if a.is_zero:
+        return b if b.is_zero or b.leading > 0 else -b
+    if b.is_zero:
+        return a if a.leading > 0 else -a
+    c = gcd(a.content(), b.content())
+    g = poly_gcd(a.to_ring(QQ), b.to_ring(QQ))
+    den = lcm(*(q.denominator for q in g.coeffs))
+    return Poly(ZZ, [int(q * den) for q in g.coeffs]).primitive().scale(c)
 
 
 # ---------------------------------------------------------------------------

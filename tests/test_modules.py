@@ -307,3 +307,20 @@ class TestFittingRoute:
         for cols in ((0, 1, 2, 3, 4), (4, 5, 6, 7, 8), (0, 2, 4, 6, 8)):
             g = gcd_zz(g, det_poly([[row[j] for j in cols] for row in rows], ZZ))
         assert g == Poly(ZZ, (1,))
+
+    def test_dense_7x13_content_no_is_fast(self):
+        # a dense 6x12 degree-2 block plus coker(2): every maximal minor is
+        # even, so the minor gcd has no early exit and visits all
+        # C(7, 7) * C(13, 7) = 1716 minors
+        rng = random.Random(7)
+        z = LaurentPoly.zero(ZZ)
+        rows = [[LaurentPoly.from_poly(Poly(ZZ, [rng.randint(-3, 3) for _ in range(3)]))
+                 for _ in range(12)] + [z] for _ in range(6)]
+        rows.append([z] * 12 + [LaurentPoly.const(ZZ, 2)])
+        m = ModulePresentation(7, LaurentMatrix(ZZ, 7, 13, rows))
+        start = time.perf_counter()
+        v = finitely_generated_over_Z(m)
+        elapsed = time.perf_counter() - start
+        assert not v.answer and v.witness.prime == 2
+        assert v.relevant_primes == (2,)
+        assert elapsed < 2.0

@@ -9,6 +9,7 @@ checked against the Leibniz permutation sum in helpers.py.
 
 import math
 import random
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -16,7 +17,7 @@ import pytest
 from cyclocover.matrices import LaurentMatrix, det_int, det_poly, mat_mul
 from cyclocover.normal_forms import (DomainError, char_poly, finite_order,
                                      laurent_cokernel, smith_normal_form)
-from cyclocover.rings import GF, LaurentPoly, Poly, QQ, ZZ, poly_gcd
+from cyclocover.rings import GF, LaurentPoly, MixedRingError, Poly, QQ, ZZ, poly_gcd
 
 from helpers import brute_order, leibniz_det
 
@@ -111,6 +112,80 @@ class TestDeterminant:
 
     def test_poly_int_entries_are_constants(self):
         assert det_poly([[0, 2], [3, 1]], QQ) == Poly(QQ, (-6,))
+
+    def test_poly_mixed_ring_rejected(self):
+        with pytest.raises(MixedRingError):
+            det_poly([[Poly.t(ZZ)]], QQ)
+
+    # det_poly evaluates at t = 2^k and reads balanced base-2^k digits back,
+    # so the cases below aim at the digit bound and at the ring mappings
+
+    @staticmethod
+    def random_matrix(rng, ring, n, coeff, max_len):
+        return [[Poly(ring, [coeff() for _ in range(rng.randint(0, max_len))])
+                 for _ in range(n)] for _ in range(n)]
+
+    def check_against_leibniz(self, a, ring):
+        assert det_poly(a, ring) == leibniz_det(a, Poly.one(ring), Poly.zero(ring)), a
+
+    def test_poly_huge_mixed_sign_coefficients(self):
+        rng = random.Random(11)
+        big = 10 ** 20
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            a = self.random_matrix(
+                rng, ZZ, n, lambda: rng.choice([-1, 1]) * (big + rng.randint(-9, 9)), 3)
+            self.check_against_leibniz(a, ZZ)
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, GF(7)])
+    def test_poly_zero_row_and_1x1(self, ring):
+        t = Poly.t(ring)
+        a = [[t, Poly(ring, (2,))], [Poly.zero(ring), Poly.zero(ring)]]
+        assert det_poly(a, ring) == Poly.zero(ring)
+        f = Poly(ring, (-3, 0, 5))
+        assert det_poly([[f]], ring) == f
+        assert det_poly([[Poly.zero(ring)]], ring) == Poly.zero(ring)
+
+    @pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)])
+    def test_poly_degrees_up_to_6(self, ring):
+        rng = random.Random(13)
+        for _ in range(25):
+            n = rng.randint(1, 4)
+            self.check_against_leibniz(
+                self.random_matrix(rng, ring, n, lambda: rng.randint(-9, 9), 7), ring)
+
+    def test_poly_rational_denominators(self):
+        rng = random.Random(17)
+        pool = [Fraction(1, 3), Fraction(-5, 7), Fraction(2), Fraction(0),
+                Fraction(-1, 6), Fraction(9, 14)]
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            self.check_against_leibniz(
+                self.random_matrix(rng, QQ, n, lambda: rng.choice(pool), 3), QQ)
+        third, m57 = Poly(QQ, (Fraction(1, 3),)), Poly(QQ, (Fraction(-5, 7),))
+        # [DERIVED] det diag(1/3, -5/7) = -5/21
+        assert det_poly([[third, Poly.zero(QQ)], [Poly.zero(QQ), m57]], QQ) \
+            == Poly(QQ, (Fraction(-5, 21),))
+
+    def test_poly_large_prime_field(self):
+        ring = GF(2 ** 31 - 1)
+        rng = random.Random(19)
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            self.check_against_leibniz(
+                self.random_matrix(rng, ring, n, lambda: rng.randrange(ring.p), 3), ring)
+
+    # [DERIVED] one nonzero entry per row makes the determinant a single
+    # product, so its one coefficient reaches B = prod of the row 1-norms
+    @pytest.mark.parametrize("a, expected", [
+        ([[(3,), ()], [(), (-5,)]], (-15,)),
+        ([[(), (0, 3)], [(0, 0, 5), ()]], (0, 0, 0, -15)),
+        ([[(0, 0, -4), ()], [(), (0, 0, 4)]], (0, 0, 0, 0, -16)),
+        ([[(1,), (), ()], [(), (), (7,)], [(), (-1,), ()]], (7,)),
+    ])
+    def test_poly_coefficient_at_the_bound(self, a, expected):
+        rows = [[Poly(ZZ, cs) for cs in row] for row in a]
+        assert det_poly(rows, ZZ) == Poly(ZZ, expected)
 
 
 class TestSnfInt:

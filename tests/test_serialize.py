@@ -1,6 +1,11 @@
 """JSON wire format round-trips and validation."""
 
+import hashlib
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -123,3 +128,22 @@ class TestCanonical:
         d2 = input_digest({"y": "z", "x": [1, 2]})
         assert d1 == d2 and len(d1) == 64
         assert input_digest({"x": [1, 2]}) != d1
+
+    def test_digest_value(self):
+        # [DERIVED] SHA-256 of the canonical text '{"x":[1,2]}'
+        expected = "036b898f9248c0e83d645e262473d1d93b3085400b881ff658928b81ca06de91"
+        assert hashlib.sha256(b'{"x":[1,2]}').hexdigest() == expected
+        assert input_digest({"x": [1, 2]}) == expected
+
+    def test_cli_import_leaves_hashlib_unloaded(self):
+        # hashlib loads OpenSSL, several MB of resident memory, so only
+        # input_digest may import it
+        src = pathlib.Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys, cyclocover.cli\n"
+                "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n"
+                "from cyclocover.serialize import input_digest\n"
+                "print(input_digest({'x': [1, 2]}))\n")
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True, timeout=60).stdout.split()
+        assert out == ["[]", input_digest({"x": [1, 2]})]

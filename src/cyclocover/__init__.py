@@ -9,11 +9,10 @@ cyclotomic class-number gate.
 __version__ = "0.1.0"
 
 from .errors import InternalCheckError, PreconditionError
-from .rings import (GF, LaurentPoly, Poly, QQ, ZZ, canonical_associate,
-                    cyclotomic, laurent_normalize, poly_gcd)
+from .rings import GF, LaurentPoly, Poly, QQ, ZZ, cyclotomic, poly_gcd
 from .matrices import LaurentMatrix
-from .normal_forms import (SnfResult, char_poly, finite_order,
-                           laurent_cokernel, smith_normal_form)
+from .normal_forms import (char_poly, finite_order, laurent_cokernel,
+                           smith_normal_form)
 from .modules import (FinGenVerdict, FinGenWitness, ModulePresentation,
                       base_change_residue, finitely_generated_over_Z,
                       order_ideal, property1_check, relevant_primes)

@@ -184,15 +184,22 @@ def t_action_matrix(factors, field):
 
 
 def _cover_blocks(inf, field, q):
-    """Per degree, the polynomials g with H_j(X_q; kappa) = sum of kappa[t]/(g)."""
+    """Per degree, the polynomials g with H_j(X_q; kappa) = sum of kappa[t]/(g).
+
+    gcd(f, t^q - 1) is taken as gcd(f, (t^q mod f) - 1), so only a free
+    part builds t^q - 1 itself.
+    """
     if q < 1:
         raise ValueError("q must be >= 1")
-    tq1 = Poly(field, [-1] + [0] * (q - 1) + [1])
+    t, one = Poly.t(field), Poly.one(field)
     out = []
     below = []
     for factors, free_rank in inf:
-        here = [poly_gcd(f, tq1) for f in factors]
-        out.append([g for g in here + [tq1] * free_rank + below if g.degree > 0])
+        here = [poly_gcd(f, pow(t, q, f) - one) for f in factors]
+        free = []
+        if free_rank:
+            free = [Poly(field, [-1] + [0] * (q - 1) + [1])] * free_rank
+        out.append([g for g in here + free + below if g.degree > 0])
         below = here
     return out
 
@@ -232,12 +239,11 @@ def wang_dimensions(X: TwistedChainComplex, field, q):
     so it raises FreeHomologyError.
     """
     inf = infinite_cover_homology_field(X, field)
-    blocks = _cover_blocks(inf, field, q)
     for j, (_, free_rank) in enumerate(inf):
         if free_rank:
             raise FreeHomologyError(
                 f"H_{j}(X_inf) has free rank {free_rank}; Wang dimensions are infinite")
-    return _dims(blocks)
+    return _dims(_cover_blocks(inf, field, q))
 
 
 def verify_self_cover_relation(X: TwistedChainComplex, w: SelfCoverWitness):

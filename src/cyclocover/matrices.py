@@ -254,14 +254,11 @@ class LaurentMatrix:
                               for row in self.entries])
 
     def cleared_rows(self):
-        """Multiply each row by the power of t clearing it into Poly entries.
-
-        Returns (poly_rows, shifts) where row i was multiplied by
-        t**(-shifts[i]).  Unit row scalings do not change kernels or
+        """The rows as Poly entries, each multiplied by the power of t
+        that clears it.  Unit row scalings do not change kernels or
         cokernel isomorphism type.
         """
         poly_rows = []
-        shifts = []
         for row in self.entries:
             vals = [e.min_exp for e in row if not e.is_zero]
             v = min(vals) if vals else 0
@@ -272,8 +269,7 @@ class LaurentMatrix:
                 else:
                     prow.append(e.body.shift(e.min_exp - v))
             poly_rows.append(prow)
-            shifts.append(v)
-        return poly_rows, shifts
+        return poly_rows
 
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):
@@ -296,7 +292,7 @@ def laurent_minor_gcd(mat: LaurentMatrix, size: int) -> Poly:
         raise TypeError("minor gcd is computed over ZZ")
     if size > mat.nrows or size > mat.ncols:
         return Poly.zero(ZZ)
-    poly_rows, _ = mat.cleared_rows()
+    poly_rows = mat.cleared_rows()
     g = Poly.zero(ZZ)
     for rsel in combinations(range(mat.nrows), size):
         for csel in combinations(range(mat.ncols), size):

@@ -1,150 +1,91 @@
-"""Matrix normal forms over Euclidean domains, plus derived invariants.
+"""Smith normal form over k[t], plus derived invariants.
 
-Smith normal form is supported over ZZ and over k[t] for k a field
-(QQ or a prime field).  Laurent matrices over a field reduce to the
-polynomial case by clearing rows with powers of t.
+The Smith form is taken over k[t] for k a field (QQ or a prime field).
+Laurent matrices over a field reduce to it by clearing rows with powers
+of t.
 """
 
-from dataclasses import dataclass
-from operator import attrgetter
-
 from .arith import factorize
-from .matrices import (LaurentMatrix, det_int, det_poly, mat_copy,
-                       int_mat_check, int_mat_pow, mat_is_identity)
-from .rings import MixedRingError, Poly, ZZ, cyclotomic
+from .matrices import (LaurentMatrix, det_int, det_poly, int_mat_check,
+                       int_mat_pow, mat_copy, mat_is_identity)
+from .rings import MixedRingError, Poly, ZZ, cyclotomic, poly_gcd
 
 from math import lcm
 
 
 class DomainError(MixedRingError):
-    """Matrix entries do not lie uniformly in a supported domain."""
+    """Matrix entries are not polynomials over one field."""
 
 
-def _infer_domain(rows):
-    """(Euclidean size, canonical associate) of the entries' domain:
-    (abs, abs) over ZZ, (degree, monic) over k[t]."""
-    kinds = set()
+def smith_normal_form(rows):
+    """Invariant factors over kappa[t], kappa = QQ or GF(p), invariants only.
+
+    `rows` is a list of rows of Poly over one field.  Returns
+    (factors, rank): the monic invariant factors s_1 | ... | s_rank.
+    Pivots are chosen by least degree, ties by lowest (row, col), until
+    the matrix is diagonal; the diagonal is then put in divisibility order
+    by diag(a, b) ~ diag(gcd, lcm).
+    """
     ring = None
     for row in rows:
         for e in row:
-            if isinstance(e, bool):
-                raise DomainError("bool entry in matrix")
-            if isinstance(e, int):
-                kinds.add("int")
-            elif isinstance(e, Poly):
-                kinds.add("poly")
-                if ring is None:
-                    ring = e.ring
-                elif ring is not e.ring:
-                    raise DomainError("mixed polynomial coefficient rings")
-            else:
+            if not isinstance(e, Poly):
                 raise DomainError(f"unsupported matrix entry {e!r}")
-    if kinds == {"int"} or not kinds:
-        return abs, abs
-    if kinds == {"poly"}:
-        if ring is ZZ:
-            raise DomainError("SNF over ZZ[t] is not supported (not a PID)")
-        if not ring.is_field:
-            raise DomainError(f"SNF needs field polynomial coefficients, got {ring}")
-        return attrgetter("degree"), Poly.monic
-    raise DomainError("mixed integer and polynomial entries")
-
-
-@dataclass
-class SnfResult:
-    """D is A brought to diagonal form; its first `rank` diagonal entries
-    are the invariant factors, each dividing the next."""
-    D: list
-    rank: int
-
-    @property
-    def invariant_factors(self):
-        return [self.D[i][i] for i in range(self.rank)]
-
-
-def smith_normal_form(rows) -> SnfResult:
-    """Smith normal form over ZZ or k[t], invariants only.
-
-    `rows` is a list of rows; entries must be ints or Poly over one field.
-    Pivots are chosen by minimal Euclidean size, ties by lowest (row, col).
-    """
-    size, normalize = _infer_domain(rows)
-    m = len(rows)
-    n = len(rows[0]) if m else 0
+            if ring is None:
+                ring = e.ring
+            elif ring is not e.ring:
+                raise DomainError("mixed polynomial coefficient rings")
+    if ring is not None and not ring.is_field:
+        raise DomainError(f"Smith form needs field polynomial coefficients, got {ring}")
+    n = len(rows[0]) if rows else 0
     if any(len(r) != n for r in rows):
         raise ValueError("ragged matrix")
     D = mat_copy(rows)
-
-    def swap_cols(i, j):
-        for row in D:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
+    diag = []
     while True:
-        pivot = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                e = D[i][j]
-                if not e:
-                    continue
-                s = size(e)
-                if best is None or s < best:
-                    best = s
-                    pivot = (i, j)
-        if pivot is None:
+        nonzero = [(e.degree, i, j) for i, row in enumerate(D)
+                   for j, e in enumerate(row) if e]
+        if not nonzero:
             break
-        pi, pj = pivot
-        if pi != t:
-            D[t], D[pi] = D[pi], D[t]
-        if pj != t:
-            swap_cols(t, pj)
-        while True:
-            # clear column t
+        _, pi, pj = min(nonzero)
+        D[0], D[pi] = D[pi], D[0]
+        for row in D:
+            row[0], row[pj] = row[pj], row[0]
+        dirty = True
+        while dirty:
+            # clear column 0; a nonzero remainder becomes the pivot
             dirty = False
-            for i in range(t + 1, m):
-                if not D[i][t]:
+            for i in range(1, len(D)):
+                if not D[i][0]:
                     continue
-                q = divmod(D[i][t], D[t][t])[0]
+                q = divmod(D[i][0], D[0][0])[0]
                 if q:
-                    D[i] = [a - q * b for a, b in zip(D[i], D[t])]
-                if D[i][t]:
-                    D[t], D[i] = D[i], D[t]
+                    D[i] = [a - q * b for a, b in zip(D[i], D[0])]
+                if D[i][0]:
+                    D[0], D[i] = D[i], D[0]
                     dirty = True
             if dirty:
                 continue
-            # clear row t
-            for j in range(t + 1, n):
-                if not D[t][j]:
+            # clear row 0; while column 0 is clear a column operation
+            # changes row 0 only, so stop at the first column swap
+            for j in range(1, len(D[0])):
+                if not D[0][j]:
                     continue
-                q = divmod(D[t][j], D[t][t])[0]
-                if q:
+                D[0][j] = divmod(D[0][j], D[0][0])[1]
+                if D[0][j]:
                     for row in D:
-                        row[j] = row[j] - q * row[t]
-                if D[t][j]:
-                    swap_cols(t, j)
+                        row[0], row[j] = row[j], row[0]
                     dirty = True
-            if dirty:
-                continue
-            # enforce divisibility of the remaining block by the pivot
-            offender = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if not D[i][j]:
-                        continue
-                    if divmod(D[i][j], D[t][t])[1]:
-                        offender = i
-                        break
-                if offender is not None:
                     break
-            if offender is None:
-                break
-            # fold the offending row into row t and re-reduce
-            D[t] = [a + b for a, b in zip(D[t], D[offender])]
-        # row t now holds only its pivot
-        D[t][t] = normalize(D[t][t])
-        t += 1
-    return SnfResult(D=D, rank=t)
+        diag.append(D[0][0])
+        D = [row[1:] for row in D[1:]]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            if divmod(diag[j], diag[i])[1]:
+                g = poly_gcd(diag[i], diag[j])
+                diag[i], diag[j] = g, diag[i] * diag[j] // g
+        diag[i] = diag[i].monic()
+    return diag, len(diag)
 
 
 # ---------------------------------------------------------------------------
@@ -227,13 +168,12 @@ def laurent_cokernel(mat: LaurentMatrix):
         return [], 0
     if mat.ncols == 0:
         return [], mat.nrows
-    poly_rows, _ = mat.cleared_rows()
-    snf = smith_normal_form(poly_rows)
+    invariants, rank = smith_normal_form(mat.cleared_rows())
     factors = []
-    for f in snf.invariant_factors:
+    for f in invariants:
         k = f.low_order()
         if k:
             f = Poly(ring, f.coeffs[k:])
         if f.degree > 0:
-            factors.append(f.monic())
-    return factors, mat.nrows - snf.rank
+            factors.append(f)
+    return factors, mat.nrows - rank

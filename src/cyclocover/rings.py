@@ -42,11 +42,8 @@ class _IntegerRing:
             return int(x)
         raise TypeError(f"cannot coerce {x!r} into ZZ")
 
-    def is_unit(self, x):
-        return x == 1 or x == -1
-
     def inv(self, x):
-        if not self.is_unit(x):
+        if x not in (1, -1):
             raise ExactDivisionError(f"{x} is not a unit of ZZ")
         return x
 
@@ -67,9 +64,6 @@ class _RationalField:
         if isinstance(x, int):
             return Fraction(x)
         raise TypeError(f"cannot coerce {x!r} into QQ")
-
-    def is_unit(self, x):
-        return x != 0
 
     def inv(self, x):
         return 1 / Fraction(x)
@@ -112,9 +106,6 @@ class PrimeField:
                 raise ZeroDivisionError(f"denominator divisible by {self.p}")
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
         raise TypeError(f"cannot coerce {x!r} into {self.name}")
-
-    def is_unit(self, x):
-        return self.coerce(x) != 0
 
     def inv(self, x):
         return pow(x, -1, self.p)
@@ -216,14 +207,21 @@ class Poly:
             return self
         return Poly(self.ring, (0,) * k + self.coeffs)
 
-    def __pow__(self, n):
-        result = Poly.one(self.ring)
-        base = self
+    def __pow__(self, n, mod=None):
+        """self**n by squaring; pow(f, n, mod) reduces modulo `mod` after
+        each multiply, so its degrees stay below deg mod."""
+        def reduce(f):
+            if mod is None or f.degree < mod.degree:
+                return f
+            return divmod(f, mod)[1]
+        result = reduce(Poly.one(self.ring))
+        base = reduce(self)
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = reduce(result * base)
             n >>= 1
+            if n:
+                base = reduce(base * base)
         return result
 
     def __divmod__(self, other):
@@ -341,24 +339,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero:
         a, b = b, divmod(a, b)[1]
     return a.monic()
-
-
-def poly_xgcd(a: Poly, b: Poly):
-    """Extended gcd over a field: returns (g, x, y) with x*a + y*b = g monic."""
-    ring = _same_ring(a, b)
-    if not ring.is_field:
-        raise TypeError("poly_xgcd needs field coefficients")
-    x0, x1 = Poly.one(ring), Poly.zero(ring)
-    y0, y1 = Poly.zero(ring), Poly.one(ring)
-    while not b.is_zero:
-        q, r = divmod(a, b)
-        a, b = b, r
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a.is_zero:
-        return a, x0, y0
-    u = ring.inv(a.leading)
-    return a.scale(u), x0.scale(u), y0.scale(u)
 
 
 def gcd_zz(a: Poly, b: Poly) -> Poly:
@@ -482,16 +462,6 @@ class LaurentPoly:
     def min_exp(self):
         return self.val
 
-    @property
-    def max_exp(self):
-        return self.val + self.body.degree
-
-    def coefficient(self, k):
-        i = k - self.val
-        if 0 <= i <= self.body.degree:
-            return self.body.coeffs[i]
-        return self.ring.coerce(0)
-
     def __add__(self, other):
         ring = _same_ring(self, other)
         if self.is_zero:
@@ -519,9 +489,6 @@ class LaurentPoly:
             return self
         return LaurentPoly(self.ring, self.val + k, self.body)
 
-    def is_unit(self):
-        return self.body.degree == 0 and self.ring.is_unit(self.body.coeffs[0])
-
     def to_ring(self, ring):
         if ring is self.ring:
             return self
@@ -542,30 +509,3 @@ class LaurentPoly:
         if self.val == 0:
             return repr(self.body)
         return f"t^{self.val}*({self.body!r})"
-
-
-def laurent_normalize(f: LaurentPoly):
-    """Split f as cofactor * primitive.
-
-    The primitive part is a Poly with nonzero constant term and positive
-    leading coefficient; over ZZ it has content 1, over a field it is monic.
-    The cofactor (sign/content/leading data times a power of t) is returned
-    as a LaurentPoly, so cofactor * primitive == f exactly.
-    """
-    ring = f.ring
-    if f.is_zero:
-        return LaurentPoly.one(ring), Poly.zero(ring)
-    body = f.body
-    if ring is ZZ:
-        prim = body.primitive()
-        c = body.coeffs[-1] // prim.coeffs[-1]  # signed content
-        return LaurentPoly.t_power(ring, f.val, c), prim
-    if ring.is_field:
-        prim = body.monic()
-        return LaurentPoly.t_power(ring, f.val, body.leading), prim
-    raise TypeError(f"unsupported coefficient ring {ring}")
-
-
-def canonical_associate(f: LaurentPoly) -> Poly:
-    """The canonical polynomial associate of f under the units of the ring."""
-    return laurent_normalize(f)[1]

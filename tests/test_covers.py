@@ -9,6 +9,7 @@ of t*I - f_* on homology.
 """
 
 import random
+import time
 
 import pytest
 
@@ -21,7 +22,7 @@ from cyclocover.covers import (FreeHomologyError, SelfCoverWitness,
                                verify_self_cover_relation, wang_dimensions)
 from cyclocover.matrices import LaurentMatrix, mat_pow
 from cyclocover.normal_forms import char_poly, smith_normal_form
-from cyclocover.rings import GF, LaurentPoly, Poly, QQ, ZZ
+from cyclocover.rings import GF, LaurentPoly, Poly, QQ, ZZ, poly_gcd
 
 from helpers import (direct_cover_homology, rand_unimodular_laurent,
                      random_chain_endo)
@@ -53,7 +54,7 @@ def expected_factors(m, field=QQ):
     rows = [[(t if i == j else Poly.zero(field)) - Poly(field, (field.coerce(m[i][j]),))
              for j in range(n)] for i in range(n)]
     out = []
-    for f in smith_normal_form(rows).invariant_factors:
+    for f in smith_normal_form(rows)[0]:
         k = f.low_order()
         if k:
             f = Poly(field, f.coeffs[k:])
@@ -226,6 +227,48 @@ class TestWang:
     def test_bad_q(self):
         with pytest.raises(ValueError):
             wang_dimensions(circle(), QQ, 0)
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)])
+    def test_trefoil_huge_q_is_fast(self, field):
+        # [DERIVED] t^2 - t + 1 divides t^q - 1 iff 6 | q, over QQ and
+        # over GF(5) (where it is irreducible); 10^18 = 4 mod 6
+        start = time.perf_counter()
+        assert wang_dimensions(trefoil(), field, 10**18) == [1, 1, 0]
+        assert wang_dimensions(trefoil(), field, 6 * 10**17) == [1, 3, 2]
+        assert time.perf_counter() - start < 0.1
+
+    def test_free_part_at_huge_q_raises(self):
+        # the free rank is checked before any t^q - 1 is built
+        with pytest.raises(FreeHomologyError):
+            wang_dimensions(free_part_complexes()[0], QQ, 10**18)
+
+
+class TestTqModF:
+    """gcd(f, t^q - 1) is taken as gcd(f, (t^q mod f) - 1)."""
+
+    @staticmethod
+    def via_tq1(x, field, q):
+        """cover_homology_field by gcds with t^q - 1 itself."""
+        tq1 = Poly(field, [-1] + [0] * (q - 1) + [1])
+        out, below = [], []
+        for factors, free_rank in infinite_cover_homology_field(x, field):
+            here = [poly_gcd(f, tq1) for f in factors]
+            blocks = [g for g in here + [tq1] * free_rank + below if g.degree > 0]
+            out.append((sum(g.degree for g in blocks), t_action_matrix(blocks, field)))
+            below = here
+        return out
+
+    def test_agrees_with_tq1_route(self):
+        rng = random.Random(404)
+        # rotation by 90 degrees: t^2 + 1 splits over GF(5), not over QQ
+        rotation = mapping_torus_complex([1, 2], [[[0, 0]]], [[[1]], [[0, -1], [1, 0]]])
+        tori = [trefoil(), klein(), rotation] + free_part_complexes()
+        tori += [mapping_torus_complex(*random_chain_endo(rng)[:3]) for _ in range(4)]
+        for x in tori:
+            for field in (QQ, GF(5)):
+                for q in (1, 2, 3, 4, 6, 7, 12, 60, 97, 200):
+                    assert cover_homology_field(x, field, q) == self.via_tq1(x, field, q), \
+                        (x.ranks, field, q)
 
 
 class TestDirectCover:

@@ -3,11 +3,10 @@
 [DERIVED] values come from hand computation or the brute-force oracles in
 helpers.py; on random matrices the invariant factors are checked against
 the determinantal divisors: d_1 ... d_i is the gcd of all i x i minors.
-Those minors come from `det_int` and `det_poly`, so both are first
-checked against the Leibniz permutation sum in helpers.py.
+Those minors come from `det_poly`, so it is first checked, with
+`det_int`, against the Leibniz permutation sum in helpers.py.
 """
 
-import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -33,23 +32,22 @@ def minors(a, i):
             yield [[a[r][c] for c in cs] for r in rs]
 
 
-def check_determinantal_divisors(a, res, det, gcd, zero, one):
-    """d_1 ... d_i equals the gcd of all i x i minors, for every i."""
-    fs = res.invariant_factors
-    prod = one
+def check_smith_form(a, field):
+    """The factors are monic, each divides the next, and d_1 ... d_i is
+    the gcd of all i x i minors, for every i."""
+    fs, rank = smith_normal_form(a)
+    assert len(fs) == rank
+    assert all(f.is_monic() for f in fs)
+    for i in range(1, rank):
+        assert divmod(fs[i], fs[i - 1])[1].is_zero
+    prod = Poly.one(field)
     for i in range(1, min(len(a), len(a[0])) + 1):
-        g = zero
+        g = Poly.zero(field)
         for sub in minors(a, i):
-            g = gcd(g, det(sub))
-        prod = prod * fs[i - 1] if i <= res.rank else zero
+            g = poly_gcd(g, det_poly(sub, field))
+        prod = prod * fs[i - 1] if i <= rank else Poly.zero(field)
         assert prod == g, (a, i)
-
-
-def check_diagonal(res, m, n, zero):
-    for i in range(m):
-        for j in range(n):
-            if i != j:
-                assert res.D[i][j] == zero
+    return fs, rank
 
 
 def make_singular(a, rng, scalars):
@@ -188,68 +186,65 @@ class TestDeterminant:
         assert det_poly(rows, ZZ) == Poly(ZZ, expected)
 
 
-class TestSnfInt:
-    def test_textbook_2x2(self):
-        # [DERIVED] classic example: diag(2, 4), not diag(2, 8)
-        res = smith_normal_form([[2, 4], [6, 8]])
-        assert res.invariant_factors == [2, 4]
-
-    def test_identity(self):
-        res = smith_normal_form([[1, 0], [0, 1]])
-        assert res.invariant_factors == [1, 1]
-
-    def test_zero_matrix(self):
-        res = smith_normal_form([[0, 0], [0, 0]])
-        assert res.rank == 0
-
-    def test_rectangular(self):
-        res = smith_normal_form([[2, 0, 0], [0, 3, 0]])
-        assert res.invariant_factors == [1, 6]
-
-    def test_divisibility_chain_and_minor_gcds(self):
-        rng = random.Random(7)
-        for _ in range(40):
-            m = rng.randint(1, 4)
-            n = rng.randint(1, 4)
-            a = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
-            res = smith_normal_form(a)
-            check_determinantal_divisors(a, res, det_int, math.gcd, 0, 1)
-            fs = res.invariant_factors
-            assert all(f > 0 for f in fs)
-            for i in range(1, len(fs)):
-                assert fs[i] % fs[i - 1] == 0
-            check_diagonal(res, m, n, 0)
-
-    def test_pivot_signs_positive(self):
-        res = smith_normal_form([[-4]])
-        assert res.invariant_factors == [4]
-
-
 class TestSnfPoly:
     def test_diagonal_swap_to_divisibility(self):
         # [DERIVED] diag(t, t+1) ~ diag(1, t^2+t)
         t = Poly(QQ, (0, 1))
         tp1 = Poly(QQ, (1, 1))
-        res = smith_normal_form([[t, Poly.zero(QQ)], [Poly.zero(QQ), tp1]])
-        assert res.invariant_factors == [Poly.one(QQ), t * tp1]
+        fs, rank = smith_normal_form([[t, Poly.zero(QQ)], [Poly.zero(QQ), tp1]])
+        assert (fs, rank) == ([Poly.one(QQ), t * tp1], 2)
+
+    def test_zero_and_identity(self):
+        one, z = Poly.one(GF(5)), Poly.zero(GF(5))
+        assert smith_normal_form([[z, z], [z, z]]) == ([], 0)
+        assert smith_normal_form([[one, z], [z, one]]) == ([one, one], 2)
+        assert smith_normal_form([]) == ([], 0)
+
+    def test_gcd_lcm_chain(self):
+        # [DERIVED] diag(t+1, t, t(t+1)) ~ diag(1, t(t+1), t(t+1)): the
+        # diagonal pass carries the lcm of the first pair into the third
+        t, tp1, z = Poly(QQ, (0, 1)), Poly(QQ, (1, 1)), Poly.zero(QQ)
+        fs, rank = smith_normal_form([[tp1, z, z], [z, t, z], [z, z, t * tp1]])
+        assert (fs, rank) == ([Poly.one(QQ), t * tp1, t * tp1], 3)
+        # [DERIVED] diag(t, t, t+1) ~ diag(1, t, t(t+1)): s_1 must meet
+        # s_3 as well as s_2
+        fs, rank = smith_normal_form([[t, z, z], [z, t, z], [z, z, tp1]])
+        assert (fs, rank) == ([Poly.one(QQ), t, t * tp1], 3)
 
     def test_minor_gcds_random(self):
         rng = random.Random(11)
         for field in (QQ, GF(5)):
-            zero = Poly.zero(field)
             for _ in range(25):
                 m = rng.randint(1, 3)
                 n = rng.randint(1, 3)
                 a = [[Poly(field, [rng.randint(-3, 3) for _ in range(rng.randint(0, 3))])
                       for _ in range(n)] for _ in range(m)]
-                res = smith_normal_form(a)
-                check_determinantal_divisors(a, res, lambda sub: det_poly(sub, field),
-                                             poly_gcd, zero, Poly.one(field))
-                fs = res.invariant_factors
-                assert all(f.is_monic() for f in fs)
-                for i in range(1, len(fs)):
-                    assert divmod(fs[i], fs[i - 1])[1].is_zero
-                check_diagonal(res, m, n, zero)
+                check_smith_form(a, field)
+
+    def test_pivot_moves_during_row_clear(self):
+        # [DERIVED] the 2 x 2 minors are -2t(1-t), -2t(t-2) and 0, with gcd
+        # t.  Clearing row 0 swaps 1 - 2t^2 mod (1 - t) = -1 into the pivot
+        # column, which then also holds 2t: the next column operation must
+        # reach row 1 as well.
+        t = Poly.t(QQ)
+        one, two = Poly.one(QQ), Poly(QQ, (2,))
+        a = [[one - two * t * t, one - t, t - two], [two * t, Poly.zero(QQ), Poly.zero(QQ)]]
+        fs, rank = check_smith_form(a, QQ)
+        assert (fs, rank) == ([one, t], 2)
+
+    @pytest.mark.parametrize("field", [QQ, GF(2**31 - 1)])
+    def test_rank_deficient_4x6(self, field):
+        # a = B C with B 4 x r and C r x 6 has rank at most r < 4
+        rng = random.Random(13)
+        for r in (1, 2, 3, 3):
+            def rand(rows, cols):
+                return [[Poly(field, [rng.randint(-3, 3) for _ in range(rng.randint(0, 2))])
+                         for _ in range(cols)] for _ in range(rows)]
+            b, c = rand(4, r), rand(r, 6)
+            a = [[sum((b[i][k] * c[k][j] for k in range(r)), Poly.zero(field))
+                  for j in range(6)] for i in range(4)]
+            _, rank = check_smith_form(a, field)
+            assert rank <= r
 
     def test_zz_t_rejected(self):
         with pytest.raises(DomainError):
@@ -258,6 +253,14 @@ class TestSnfPoly:
     def test_mixed_entries_rejected(self):
         with pytest.raises(DomainError):
             smith_normal_form([[1, Poly(QQ, (1,))]])
+
+    def test_int_entries_rejected(self):
+        with pytest.raises(DomainError):
+            smith_normal_form([[2, 4], [6, 8]])
+
+    def test_ragged_rejected(self):
+        with pytest.raises(ValueError):
+            smith_normal_form([[Poly.one(QQ)], [Poly.one(QQ), Poly.t(QQ)]])
 
 
 class TestCharPoly:

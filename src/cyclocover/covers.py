@@ -9,8 +9,8 @@ algebraic cone of (t - f).
 from dataclasses import dataclass
 from typing import List
 
-from .errors import InternalCheckError
-from .linfield import inverse, rref
+from .errors import InternalCheckError, PreconditionError
+from .linfield import rref
 from .matrices import LaurentMatrix, mat_mul, mat_pow
 from .normal_forms import laurent_cokernel
 from .rings import LaurentPoly, Poly, QQ, ZZ, poly_gcd
@@ -18,6 +18,11 @@ from .rings import LaurentPoly, Poly, QQ, ZZ, poly_gcd
 
 class FreeHomologyError(ValueError):
     """Infinite-cover homology has a free part where torsion is required."""
+
+
+# the largest t-action cover_homology_field builds; a free part makes its
+# dimension grow with q, so such a q is refused before anything is allocated
+_T_ACTION_LIMIT = 2048
 
 
 class TwistedChainComplex:
@@ -184,10 +189,11 @@ def t_action_matrix(factors, field):
 
 
 def _cover_blocks(inf, field, q):
-    """Per degree, the polynomials g with H_j(X_q; kappa) = sum of kappa[t]/(g).
+    """Per degree, (here, free_rank, below): H_j(X_q; kappa) is the sum of
+    kappa[t]/(g) over g in here + [t^q - 1] * free_rank + below.
 
-    gcd(f, t^q - 1) is taken as gcd(f, (t^q mod f) - 1), so only a free
-    part builds t^q - 1 itself.
+    gcd(f, t^q - 1) is taken as gcd(f, (t^q mod f) - 1), and the free
+    part is kept as a count, so nothing here grows with q.
     """
     if q < 1:
         raise ValueError("q must be >= 1")
@@ -195,17 +201,16 @@ def _cover_blocks(inf, field, q):
     out = []
     below = []
     for factors, free_rank in inf:
-        here = [poly_gcd(f, pow(t, q, f) - one) for f in factors]
-        free = []
-        if free_rank:
-            free = [Poly(field, [-1] + [0] * (q - 1) + [1])] * free_rank
-        out.append([g for g in here + free + below if g.degree > 0])
+        here = [g for g in (poly_gcd(f, pow(t, q, f) - one) for f in factors)
+                if g.degree > 0]
+        out.append((here, free_rank, below))
         below = here
     return out
 
 
-def _dims(blocks):
-    return [sum(g.degree for g in degree) for degree in blocks]
+def _dims(blocks, q):
+    return [sum(g.degree for g in here + below) + q * free_rank
+            for here, free_rank, below in blocks]
 
 
 def cover_homology_field(X: TwistedChainComplex, field, q):
@@ -223,11 +228,19 @@ def cover_homology_field(X: TwistedChainComplex, field, q):
     - gcd(f, t^q - 1) for each invariant factor f of H_{j-1}(X_inf);
 
     with blocks of degree 0 dropped.  The dimension is the sum of the
-    block degrees.
+    block degrees.  A dimension above _T_ACTION_LIMIT raises
+    PreconditionError before any block is built.
     """
     blocks = _cover_blocks(infinite_cover_homology_field(X, field), field, q)
-    return [(dim, t_action_matrix(degree, field))
-            for dim, degree in zip(_dims(blocks), blocks)]
+    dims = _dims(blocks, q)
+    if max(dims, default=0) > _T_ACTION_LIMIT:
+        raise PreconditionError(
+            f"t-action of dimension {max(dims)} exceeds the limit "
+            f"{_T_ACTION_LIMIT}")
+    free = any(free_rank for _, free_rank, _ in blocks)
+    tq = Poly(field, [-1] + [0] * (q - 1) + [1]) if free else None
+    return [(dim, t_action_matrix(here + [tq] * free_rank + below, field))
+            for dim, (here, free_rank, below) in zip(dims, blocks)]
 
 
 def wang_dimensions(X: TwistedChainComplex, field, q):
@@ -243,7 +256,7 @@ def wang_dimensions(X: TwistedChainComplex, field, q):
         if free_rank:
             raise FreeHomologyError(
                 f"H_{j}(X_inf) has free rank {free_rank}; Wang dimensions are infinite")
-    return _dims(_cover_blocks(inf, field, q))
+    return _dims(_cover_blocks(inf, field, q), q)
 
 
 def verify_self_cover_relation(X: TwistedChainComplex, w: SelfCoverWitness):
@@ -269,11 +282,13 @@ def verify_self_cover_relation(X: TwistedChainComplex, w: SelfCoverWitness):
         if len(rref(QQ, hb)[1]) != dim:
             raise ValueError(f"hbar block {j} is not invertible")
         T = t_action_matrix(factors, QQ)
-        base = T if w.sign > 0 else inverse(QQ, T)
-        Tk = mat_pow(base, w.k, QQ.coerce(1), QQ.coerce(0))
-        lhs = mat_mul(hb, T)
-        rhs = mat_mul(Tk, hb)
-        results.append(lhs == rhs)
+        Tk = mat_pow(T, w.k, QQ.coerce(1), QQ.coerce(0))
+        if w.sign > 0:
+            holds = mat_mul(hb, T) == mat_mul(Tk, hb)
+        else:
+            # T is invertible, so hbar T = T^-k hbar reads T^k hbar T = hbar
+            holds = mat_mul(Tk, mat_mul(hb, T)) == hb
+        results.append(holds)
     return results
 
 
@@ -281,10 +296,11 @@ def cover_dimensions(X: TwistedChainComplex, field, iterates):
     """Per listed q, the dimensions dim H_j(X_q; kappa) for every degree j.
 
     H_*(X_inf; kappa) is computed once and read for every q as in
-    `cover_homology_field`, without building the t-action matrices.
+    `cover_homology_field`, from block degrees alone: a unit of free rank
+    adds q without building t^q - 1.
     """
     inf = infinite_cover_homology_field(X, field)
-    return [_dims(_cover_blocks(inf, field, q)) for q in iterates]
+    return [_dims(_cover_blocks(inf, field, q), q) for q in iterates]
 
 
 def dimension_bound_check(X: TwistedChainComplex, field, iterates):

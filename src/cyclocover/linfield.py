@@ -1,8 +1,8 @@
 """Plain linear algebra over exact fields (QQ or a prime field).
 
 Matrices are lists of rows whose entries are field elements coerced by the
-given ring object.  `rref` is the one elimination routine; ranks and exact
-inverses are read off its result.
+given ring object.  `rref` is the one elimination routine; ranks, kernels
+and solutions are read off its result.
 """
 
 
@@ -30,14 +30,3 @@ def rref(ring, rows):
             break
     return R, pivots
 
-
-def inverse(ring, rows):
-    """Inverse of a square matrix, read from the row reduction of [A | I]."""
-    n = len(rows)
-    zero = ring.coerce(0)
-    one = ring.coerce(1)
-    R, pivots = rref(ring, [list(row) + [one if i == j else zero for j in range(n)]
-                            for i, row in enumerate(rows)])
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in R]

@@ -4,7 +4,6 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .linfield import inverse
 from .rings import LaurentPoly, MixedRingError, Poly, QQ, ZZ, _pos, gcd_zz
 
 
@@ -85,19 +84,11 @@ def mat_is_identity(a):
     return all(x == (1 if i == j else 0)
                for i, row in enumerate(a) for j, x in enumerate(row))
 
-def int_mat_inverse(a):
-    """Inverse of a unimodular integer matrix."""
-    d = det_int(a)
-    if d not in (1, -1):
-        raise ValueError("matrix is not unimodular")
-    # the inverse over QQ has integer entries since |det| = 1
-    return [[int(x) for x in row] for row in inverse(QQ, a)]
-
 def mat_pow(a, e, one=1, zero=0):
     """a**e for e >= 0 by square-and-multiply; `one`/`zero` as in mat_identity.
     Entries as in `mat_mul`: a GF(p) caller must `ring.coerce` the result."""
     if e < 0:
-        raise ValueError("mat_pow needs e >= 0; invert first")
+        raise ValueError("mat_pow needs e >= 0")
     result = mat_identity(len(a), one, zero)
     while e:
         if e & 1:
@@ -105,12 +96,6 @@ def mat_pow(a, e, one=1, zero=0):
         a = mat_mul(a, a)
         e >>= 1
     return result
-
-def int_mat_pow(a, e):
-    """a**e for integer e (negative exponents need a unimodular)."""
-    if e < 0:
-        return mat_pow(int_mat_inverse(a), -e)
-    return mat_pow(a, e)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ of t.
 
 from .arith import factorize
 from .matrices import (LaurentMatrix, det_int, det_poly, int_mat_check,
-                       int_mat_pow, mat_copy, mat_is_identity)
+                       mat_copy, mat_is_identity, mat_pow)
 from .rings import MixedRingError, Poly, ZZ, cyclotomic, poly_gcd
 
 from math import lcm
@@ -142,10 +142,10 @@ def finite_order(a):
     order = 1
     for d in indices:
         order = lcm(order, d)
-    if not mat_is_identity(int_mat_pow(a, order)):
+    if not mat_is_identity(mat_pow(a, order)):
         return None  # eigenvalues are roots of unity but A is not semisimple
     for p in factorize(order):
-        while order % p == 0 and mat_is_identity(int_mat_pow(a, order // p)):
+        while order % p == 0 and mat_is_identity(mat_pow(a, order // p)):
             order //= p
     return order
 

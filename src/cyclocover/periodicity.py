@@ -1,6 +1,7 @@
 """Periodicity of monodromy: the conjugation equation and torsion lifting.
 
-Solves B * A^k * B^{-1} = A^{+-1} for the exact order of A, lifts the
+Solves B * A^k * B^{-1} = A^{+-1} for the exact order of A (the relation
+is checked as a product identity, since A and B are unimodular), lifts the
 free-quotient period through the torsion subgroup, and aggregates the
 per-degree data of a monodromy action.
 """
@@ -10,9 +11,9 @@ from math import gcd, lcm
 from typing import List, Tuple
 
 from .arith import factorize
-from .errors import InternalCheckError
-from .matrices import (det_int, int_mat_check, int_mat_inverse, int_mat_pow,
-                       mat_identity, mat_is_identity, mat_mul)
+from .errors import InternalCheckError, PreconditionError
+from .matrices import (det_int, int_mat_check, mat_identity, mat_is_identity,
+                       mat_mul, mat_pow)
 from .normal_forms import finite_order
 
 
@@ -139,7 +140,8 @@ class FgAbelianAutomorphism:
             if acc.is_identity():
                 return n
             acc = acc.compose(probe)
-        raise InternalCheckError("torsion order exceeds search ceiling")
+        raise PreconditionError(
+            f"torsion order exceeds the search bound {_TORSION_ORDER_CEILING}")
 
 
 def solve_prop_matrix(a, b, k, sign):
@@ -159,16 +161,21 @@ def solve_prop_matrix(a, b, k, sign):
         raise RelationError("A must be invertible over ZZ")
     if det_int(b) not in (1, -1):
         raise RelationError("B must be invertible over ZZ")
-    lhs = mat_mul(mat_mul(b, int_mat_pow(a, k)), int_mat_inverse(b))
-    rhs = a if sign == 1 else int_mat_inverse(a)
-    if lhs != rhs:
+    # B is invertible, so the relation reads B A^k = A B for sign +1 and
+    # A B A^k = B for sign -1
+    bak = mat_mul(b, mat_pow(a, k))
+    if sign == 1:
+        holds = bak == mat_mul(a, b)
+    else:
+        holds = mat_mul(a, bak) == b
+    if not holds:
         raise RelationError("B A^k B^-1 = A^sign does not hold")
     m = finite_order(a)
     if m is None:
         raise InternalCheckError("A has infinite order despite the relation")
     if gcd(m, k) != 1:
         raise InternalCheckError(f"order {m} of A is not prime to k={k}")
-    if not mat_is_identity(int_mat_pow(a, m)):
+    if not mat_is_identity(mat_pow(a, m)):
         raise InternalCheckError("powering verification failed")
     return m
 
@@ -181,7 +188,7 @@ def full_order(phi: FgAbelianAutomorphism, m_free: int) -> int:
     """
     if m_free < 1:
         raise ValueError("m_free must be positive")
-    if phi.free_rank and not mat_is_identity(int_mat_pow(phi.free_block, m_free)):
+    if phi.free_rank and not mat_is_identity(mat_pow(phi.free_block, m_free)):
         raise RelationError("phi^m_free is not the identity on the free quotient")
     s = phi.torsion_order()
     base = lcm(m_free, s)

@@ -420,9 +420,10 @@ def brute_order_prime_to(a, k, cap=2000):
 # random generators
 
 def rand_unimodular_int(n, rng, steps=6):
-    m = mat_identity(n)
+    """Random unimodular integer matrix P together with its inverse."""
+    m, minv = mat_identity(n), mat_identity(n)
     if n < 2:
-        return m
+        return m, minv
     for _ in range(steps):
         i = rng.randrange(n)
         j = rng.randrange(n)
@@ -430,7 +431,11 @@ def rand_unimodular_int(n, rng, steps=6):
             continue
         c = rng.choice([-2, -1, 1, 2])
         m[i] = [a + c * b for a, b in zip(m[i], m[j])]
-    return m
+        # (row_i += c row_j) on the left is undone by
+        # (col_j -= c col_i) on the right
+        for row in minv:
+            row[j] -= c * row[i]
+    return m, minv
 
 def rand_unimodular_laurent(n, rng, steps=4):
     """Random unimodular Laurent matrix over ZZ with its exact inverse."""
@@ -515,9 +520,7 @@ def random_chain_endo(rng, max_degrees=3, max_h=2, max_acyclic=1):
                     m[hj + upper_j + x][hj + upper_j + y] = blk[x][y]
         f.append(m)
     # disguise with a degreewise unimodular change of basis
-    from cyclocover.matrices import int_mat_inverse
-    ps = [rand_unimodular_int(ranks[j], rng) for j in range(ndeg)]
-    pinvs = [int_mat_inverse(p) for p in ps]
+    ps, pinvs = zip(*(rand_unimodular_int(ranks[j], rng) for j in range(ndeg)))
     boundaries = [mat_mul(mat_mul(ps[j - 1], b), pinvs[j])
                   for j, b in enumerate(boundaries, start=1)]
     f = [mat_mul(mat_mul(ps[j], fj), pinvs[j]) for j, fj in enumerate(f)]

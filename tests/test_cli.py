@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import time
 
 from cyclocover import __version__, cli
 from cyclocover.cli import default_corpus_path, run
@@ -13,6 +14,14 @@ def invoke(capsys, *argv):
     out = capsys.readouterr().out
     return code, json.loads(out)
 
+
+def corpus_params(name):
+    with open(os.path.join(default_corpus_path(), name)) as fh:
+        return json.load(fh)["params"]
+
+
+# [t-1, t-1]: H_0 = coker(t-1), H_1 free of rank 1
+GROWING = json.dumps(corpus_params("dimension_bound_growing.json")["complex"])
 
 PRINCIPAL_TREFOIL = json.dumps({
     "generators": 1,
@@ -104,6 +113,25 @@ class TestExitCodes:
         code, rep = invoke(capsys, "prop-matrix", "--a", a, "--b", i2,
                            "--k", "3", "--sign", "1")
         assert code == 2 and "does not hold" in rep["error"]["message"]
+
+    def test_t_action_limit_exit_2(self, capsys):
+        # the free H_1 of the growing complex makes the t-action (q+1)x(q+1)
+        code, rep = invoke(capsys, "cover-homology", "--complex", GROWING,
+                           "--kappa", "Q", "--q", str(10**18))
+        assert code == 2 and rep["error"]["kind"] == "precondition"
+        assert "2048" in rep["error"]["message"]
+
+    def test_torsion_search_bound_exit_2(self, capsys, monkeypatch):
+        # 2 has order 12 mod 13, over a search bound lowered to 10
+        from cyclocover import periodicity
+        monkeypatch.setattr(periodicity, "_TORSION_ORDER_CEILING", 10)
+        mono = json.dumps([{"free": [], "torsion_orders": ["13"],
+                            "torsion": [["2"]], "mixing": [[]]}])
+        wit = json.dumps([{"b": [], "sign": 1}])
+        code, rep = invoke(capsys, "periodicity", "--monodromy", mono,
+                           "--k", "5", "--witness", wit)
+        assert code == 2 and rep["error"]["kind"] == "precondition"
+        assert "search bound 10" in rep["error"]["message"]
 
     def test_internal_check_exit_3(self, capsys, monkeypatch):
         # a failing cross-check cannot be produced by valid inputs (that is
@@ -211,6 +239,15 @@ class TestSubcommands:
         code, rep = invoke(capsys, "dimension-bound", "--complex", cx,
                            "--kappa", "Q", "--q", "5,0")
         assert code == 2 and len(calls) == 1
+
+    def test_dimension_bound_free_part_at_huge_q(self, capsys):
+        # the free H_1 adds q to the dimension without building t^q - 1
+        start = time.perf_counter()
+        code, rep = invoke(capsys, "dimension-bound", "--complex", GROWING,
+                           "--kappa", "Q", "--q", str(10**18))
+        assert time.perf_counter() - start < 0.1
+        assert code == 0 and rep["result"]["ok"] is False
+        assert rep["result"]["per_q"][0]["dims"] == [1, 10**18 + 1]
 
     def test_gate_default_fixture(self, capsys):
         code, rep = invoke(capsys, "gate", "--p", "191")

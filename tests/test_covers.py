@@ -20,6 +20,7 @@ from cyclocover.covers import (FreeHomologyError, SelfCoverWitness,
                                infinite_cover_homology_field,
                                mapping_torus_complex, t_action_matrix,
                                verify_self_cover_relation, wang_dimensions)
+from cyclocover.errors import PreconditionError
 from cyclocover.matrices import LaurentMatrix, mat_pow
 from cyclocover.normal_forms import char_poly, smith_normal_form
 from cyclocover.rings import GF, LaurentPoly, Poly, QQ, ZZ, poly_gcd
@@ -364,6 +365,18 @@ class TestSelfCover:
         w = SelfCoverWitness(3, -1, [[[1]], [[1]], []])
         assert verify_self_cover_relation(klein(), w) == [True, True, True]
 
+    @pytest.mark.parametrize("k, hbar1, want", [
+        # t^7 = t on the order-6 part, so sign -1 needs hbar conjugating
+        # t to t^-1, and the identity fails; t^5 = t^-1, so there the
+        # identity works
+        (7, [[1, 1], [0, -1]], [True, True, True]),
+        (7, [[1, 0], [0, 1]], [True, False, True]),
+        (5, [[1, 0], [0, 1]], [True, True, True]),
+    ])
+    def test_trefoil_sign_minus_one(self, k, hbar1, want):
+        w = SelfCoverWitness(k, -1, [[[1]], hbar1, []])
+        assert verify_self_cover_relation(trefoil(), w) == want
+
 
 class TestDimensionBound:
     def test_mapping_tori_satisfy_bound(self):
@@ -379,6 +392,19 @@ class TestDimensionBound:
         # dim H_1(X_q) = q + 1 grows without bound
         dims = [cover_homology_field(x, QQ, q)[1][0] for q in (2, 4, 8)]
         assert dims == [3, 5, 9]
+
+    @pytest.mark.parametrize("q", [covers._T_ACTION_LIMIT, 10**18])
+    def test_t_action_limit_refuses_before_building(self, q):
+        # dim H_1(X_q) = q + 1 is over the limit, so nothing is allocated
+        with pytest.raises(PreconditionError, match=str(covers._T_ACTION_LIMIT)):
+            cover_homology_field(free_part_complexes()[0], QQ, q)
+
+    def test_t_action_limit_is_on_the_dimension(self, monkeypatch):
+        monkeypatch.setattr(covers, "_T_ACTION_LIMIT", 10)
+        x = free_part_complexes()[0]
+        assert [d for d, _ in cover_homology_field(x, QQ, 9)] == [1, 10]
+        with pytest.raises(PreconditionError, match="dimension 11"):
+            cover_homology_field(x, QQ, 10)
 
     def test_cover_dimensions_one_infinite_cover(self, monkeypatch):
         qs = [1, 2, 5, 6, 12]

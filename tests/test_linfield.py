@@ -1,4 +1,4 @@
-"""The exact field kernel, rref and inverse, and the oracle's helpers on it.
+"""The exact field kernel, rref, and the oracle's helpers on it.
 
 `solve` and `kernel_basis` belong to the direct cover-homology oracle in
 `tests/helpers.py`; they are tested here next to the kernel they use.
@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from cyclocover.linfield import inverse, rref
+from cyclocover.linfield import rref
 from cyclocover.matrices import mat_mul
 from cyclocover.rings import GF, QQ
 
@@ -51,26 +51,6 @@ def reduced(ring, rows):
 
 def columns(rows):
     return [list(col) for col in zip(*rows)]
-
-
-@pytest.mark.parametrize("ring", FIELDS, ids=str)
-class TestInverse:
-    def test_inverse_times_matrix_is_identity(self, ring):
-        rng = random.Random(5)
-        for _ in range(25):
-            n = rng.randint(1, 6)
-            a = random_invertible(ring, rng, n)
-            inv = inverse(ring, a)
-            assert reduced(ring, mat_mul(inv, a)) == identity(ring, n)
-            assert reduced(ring, mat_mul(a, inv)) == identity(ring, n)
-
-    def test_singular_raises(self, ring):
-        rng = random.Random(6)
-        a = random_matrix(ring, rng, 2, 4)
-        # third row is the sum of the first two, fourth row is zero
-        a += [[x + y for x, y in zip(*a)], [ring.coerce(0)] * 4]
-        with pytest.raises(ValueError):
-            inverse(ring, a)
 
 
 @pytest.mark.parametrize("ring", FIELDS, ids=str)

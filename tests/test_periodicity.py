@@ -8,8 +8,9 @@ import random
 
 import pytest
 
-from cyclocover.errors import InternalCheckError
-from cyclocover.matrices import int_mat_inverse, int_mat_pow, mat_mul
+from cyclocover import periodicity
+from cyclocover.errors import InternalCheckError, PreconditionError
+from cyclocover.matrices import mat_mul, mat_pow
 from cyclocover.periodicity import (FgAbelianAutomorphism, RelationError,
                                     cor_period_driver, full_order,
                                     solve_prop_matrix)
@@ -19,6 +20,7 @@ from helpers import brute_order_prime_to, rand_unimodular_int
 
 ROT4 = [[0, -1], [1, 0]]
 TREFOIL = [[1, -1], [1, 0]]           # order 6
+TREFOIL_B = [[1, 0], [1, -1]]         # B TREFOIL B^-1 = TREFOIL^-1
 I2 = [[1, 0], [0, 1]]
 
 
@@ -40,10 +42,10 @@ class TestSolvePropMatrix:
         rng = random.Random(47)
         for base, k, sign in [(ROT4, 3, -1), (TREFOIL, 5, 1),
                               ([[0, -1], [1, -1]], 4, 1)]:
-            p = rand_unimodular_int(2, rng)
-            a = mat_mul(mat_mul(p, base), int_mat_inverse(p))
+            p, pinv = rand_unimodular_int(2, rng)
+            a = mat_mul(mat_mul(p, base), pinv)
             bk = mat_mul(mat_mul(p, {3: I2, 5: [[1, 0], [1, -1]],
-                                     4: I2}[k]), int_mat_inverse(p))
+                                     4: I2}[k]), pinv)
             if sign == 1 and k == 4:
                 # A^4 = A for order 3
                 bk = I2
@@ -51,8 +53,12 @@ class TestSolvePropMatrix:
             assert m == brute_order_prime_to(a, k)
 
     def test_relation_failure(self):
-        with pytest.raises(RelationError, match="does not hold"):
-            solve_prop_matrix(ROT4, I2, 3, 1)
+        # B = [[1,0],[1,-1]] inverts the trefoil monodromy, so
+        # B A^7 B^-1 = A^-1 != A and B A^5 B^-1 = A != A^-1
+        for a, b, k, sign in [(ROT4, I2, 3, 1), (TREFOIL, TREFOIL_B, 7, 1),
+                              (TREFOIL, TREFOIL_B, 5, -1)]:
+            with pytest.raises(RelationError, match="does not hold"):
+                solve_prop_matrix(a, b, k, sign)
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(RelationError):
@@ -71,14 +77,18 @@ class TestSolvePropMatrix:
         # B A^2 B^-1 = A^-1 with B = diag(1, -1) inverting the shear
         a = [[1, 1], [0, 1]]
         b = [[1, 0], [0, -1]]
-        lhs = mat_mul(mat_mul(b, int_mat_pow(a, 2)), int_mat_inverse(b))
-        if lhs == int_mat_inverse(a):
+        # B invertible: the relation is A B A^2 = B
+        if mat_mul(a, mat_mul(b, mat_pow(a, 2))) == b:
             with pytest.raises(InternalCheckError, match="infinite order"):
                 solve_prop_matrix(a, b, 2, -1)
         else:
             # no valid relation exists, which is itself the point
             with pytest.raises(RelationError):
                 solve_prop_matrix(a, b, 2, -1)
+
+    def test_trefoil_k7_sign_minus(self):
+        # [DERIVED] A^7 = A, and B inverts A, so B A^7 B^-1 = A^-1
+        assert solve_prop_matrix(TREFOIL, TREFOIL_B, 7, -1) == 6
 
     def test_order_not_prime_to_k(self):
         # A of order 4, k = 2: A^2 = A^-1 fails, so build A of order 3, k=3:
@@ -122,6 +132,15 @@ class TestAutomorphismGroup:
         assert phi.torsion_order() == 4   # ord of 2 mod 5
         phi = FgAbelianAutomorphism([], [4], [[3]], [[]])
         assert phi.torsion_order() == 2
+
+    def test_torsion_search_bound_is_a_precondition(self, monkeypatch):
+        # 2 has order 12 mod 13, over a search bound lowered to 10
+        monkeypatch.setattr(periodicity, "_TORSION_ORDER_CEILING", 10)
+        phi = FgAbelianAutomorphism([], [13], [[2]], [[]])
+        with pytest.raises(PreconditionError, match="search bound 10"):
+            phi.torsion_order()
+        with pytest.raises(PreconditionError, match="search bound 10"):
+            full_order(phi, 1)
 
     def test_identity_helper(self):
         e = FgAbelianAutomorphism.identity(2, [2, 4])

@@ -22,6 +22,7 @@ published (heuristic) factorizations.
 """
 
 import csv
+import io
 import os
 from dataclasses import dataclass
 from importlib import resources
@@ -174,51 +175,51 @@ def default_fixture_path():
 def load_hplus_table(path) -> Dict[int, HplusRecord]:
     """Parse the h_p^+ fixture CSV: p,hplus_factors,source,heuristic."""
     try:
-        fh = open(path, newline="")
-    except OSError as exc:
+        with open(path, newline="") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise PreconditionError(f"cannot read fixture {path}: {exc}")
-    with fh:
-        reader = csv.reader(fh)
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        return {}
+    if [h.strip() for h in header] != ["p", "hplus_factors", "source", "heuristic"]:
+        raise PreconditionError(f"{path}:1: bad header {header!r}")
+    table = {}
+    for lineno, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != 4:
+            raise PreconditionError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
+        p_raw, factors_raw, source, heur_raw = (f.strip() for f in row)
         try:
-            header = next(reader)
-        except StopIteration:
-            return {}
-        if [h.strip() for h in header] != ["p", "hplus_factors", "source", "heuristic"]:
-            raise PreconditionError(f"{path}:1: bad header {header!r}")
-        table = {}
-        for lineno, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
+            p = int(p_raw)
+        except ValueError:
+            raise PreconditionError(f"{path}:{lineno}: bad prime {p_raw!r}")
+        if not is_prime(p):
+            raise PreconditionError(f"{path}:{lineno}: {p} is not prime")
+        if p in table:
+            raise PreconditionError(f"{path}:{lineno}: duplicate entry for p={p}")
+        factors = []
+        for tok in factors_raw.split(";"):
+            tok = tok.strip()
+            if not tok:
                 continue
-            if len(row) != 4:
-                raise PreconditionError(f"{path}:{lineno}: expected 4 fields, got {len(row)}")
-            p_raw, factors_raw, source, heur_raw = (f.strip() for f in row)
             try:
-                p = int(p_raw)
+                q = int(tok)
             except ValueError:
-                raise PreconditionError(f"{path}:{lineno}: bad prime {p_raw!r}")
-            if not is_prime(p):
-                raise PreconditionError(f"{path}:{lineno}: {p} is not prime")
-            if p in table:
-                raise PreconditionError(f"{path}:{lineno}: duplicate entry for p={p}")
-            factors = []
-            for tok in factors_raw.split(";"):
-                tok = tok.strip()
-                if not tok:
-                    continue
-                try:
-                    q = int(tok)
-                except ValueError:
-                    raise PreconditionError(f"{path}:{lineno}: bad factor {tok!r}")
-                if q < 2 or not is_prime(q):
-                    raise PreconditionError(f"{path}:{lineno}: factor {q} is not prime")
-                factors.append(q)
-            if heur_raw.lower() in ("true", "1", "yes"):
-                heuristic = True
-            elif heur_raw.lower() in ("false", "0", "no"):
-                heuristic = False
-            else:
-                raise PreconditionError(f"{path}:{lineno}: bad heuristic flag {heur_raw!r}")
-            table[p] = HplusRecord(p, factors, source, heuristic)
+                raise PreconditionError(f"{path}:{lineno}: bad factor {tok!r}")
+            if q < 2 or not is_prime(q):
+                raise PreconditionError(f"{path}:{lineno}: factor {q} is not prime")
+            factors.append(q)
+        if heur_raw.lower() in ("true", "1", "yes"):
+            heuristic = True
+        elif heur_raw.lower() in ("false", "0", "no"):
+            heuristic = False
+        else:
+            raise PreconditionError(f"{path}:{lineno}: bad heuristic flag {heur_raw!r}")
+        table[p] = HplusRecord(p, factors, source, heuristic)
     return table
 
 

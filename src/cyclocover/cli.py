@@ -1,7 +1,7 @@
 """Batch command-line front end: JSON in, deterministic JSON report out.
 
-Exit codes: 0 success, 2 precondition or parse failure, 3 internal
-cross-check failure or another RuntimeError from the library.
+Exit codes: 0 success, 1 corpus mismatch, 2 PreconditionError (bad
+input), 3 any other exception: a failed internal cross-check or a bug.
 """
 
 import argparse
@@ -23,7 +23,7 @@ from .periodicity import FgAbelianAutomorphism, cor_period_driver, solve_prop_ma
 from .rings import GF, QQ
 from .serialize import (canonical_dumps, complex_to_json, input_digest,
                         laurent_to_json, parse_complex, parse_int,
-                        parse_int_matrix, parse_presentation,
+                        parse_int_matrix, parse_presentation, parse_ranks,
                         parse_rational_matrix, scalar_str)
 
 def _parse_kappa(raw):
@@ -69,17 +69,11 @@ def _run_mapping_torus(params):
     for key in ("ranks", "boundaries_F", "f"):
         if key not in spec:
             raise PreconditionError(f"mapping-torus input is missing {key!r}")
-    ranks = spec["ranks"]
-    if (not isinstance(ranks, list)
-            or any(not isinstance(r, int) or isinstance(r, bool) or r < 0
-                   for r in ranks)):
-        raise PreconditionError(f"bad rank list {ranks!r}")
+        if not isinstance(spec[key], list):
+            raise PreconditionError(f"mapping-torus {key!r} must be a list")
     bnds = [parse_int_matrix(b) for b in spec["boundaries_F"]]
     f = [parse_int_matrix(b) for b in spec["f"]]
-    try:
-        x = mapping_torus_complex(ranks, bnds, f)
-    except (TypeError, ValueError) as exc:
-        raise PreconditionError(str(exc))
+    x = mapping_torus_complex(parse_ranks(spec["ranks"]), bnds, f)
     return {"complex": complex_to_json(x)}
 
 
@@ -87,8 +81,6 @@ def _run_cover_homology(params):
     x = parse_complex(params["complex"])
     kappa = _parse_kappa(params["kappa"])
     q = parse_int(params["q"])
-    if q < 1:
-        raise PreconditionError("q must be >= 1")
     out = []
     for dim, action in cover_homology_field(x, kappa, q):
         out.append({"dim": dim,
@@ -100,8 +92,6 @@ def _run_wang(params):
     x = parse_complex(params["complex"])
     kappa = _parse_kappa(params["kappa"])
     q = parse_int(params["q"])
-    if q < 1:
-        raise PreconditionError("q must be >= 1")
     return {"dims": wang_dimensions(x, kappa, q)}
 
 
@@ -124,8 +114,6 @@ def _run_dimension_bound(params):
     if not isinstance(qs, list) or not qs:
         raise PreconditionError("q must be a nonempty list of cover degrees")
     qs = [parse_int(raw) for raw in qs]
-    if min(qs) < 1:
-        raise PreconditionError("q must be >= 1")
     per_q = []
     for q, dims in zip(qs, cover_dimensions(x, kappa, qs)):
         holds = all(d <= r for d, r in zip(dims, x.ranks))
@@ -138,26 +126,19 @@ def _run_prop_matrix(params):
     b = parse_int_matrix(params["b"])
     k = parse_int(params["k"])
     sign = parse_int(params["sign"])
-    try:
-        m = solve_prop_matrix(a, b, k, sign)
-    except (TypeError, ValueError) as exc:
-        raise PreconditionError(str(exc))
-    return {"m": str(m)}
+    return {"m": str(solve_prop_matrix(a, b, k, sign))}
 
 
 def _parse_automorphism(obj):
-    if not isinstance(obj, dict):
+    if not isinstance(obj, dict) or "free" not in obj:
         raise PreconditionError(f"bad automorphism {obj!r}")
-    try:
-        free = parse_int_matrix(obj["free"])
-        orders = [parse_int(d) for d in obj.get("torsion_orders", [])]
-        torsion = parse_int_matrix(obj.get("torsion", []))
-        mixing = parse_int_matrix(obj.get("mixing", []))
-        return FgAbelianAutomorphism(free, orders, torsion, mixing)
-    except KeyError as exc:
-        raise PreconditionError(f"automorphism is missing field {exc}")
-    except (TypeError, ValueError) as exc:
-        raise PreconditionError(str(exc))
+    orders = obj.get("torsion_orders", [])
+    if not isinstance(orders, list):
+        raise PreconditionError(f"torsion_orders must be a list, got {orders!r}")
+    return FgAbelianAutomorphism(parse_int_matrix(obj["free"]),
+                                 [parse_int(d) for d in orders],
+                                 parse_int_matrix(obj.get("torsion", [])),
+                                 parse_int_matrix(obj.get("mixing", [])))
 
 
 def _run_periodicity(params):
@@ -172,10 +153,7 @@ def _run_periodicity(params):
         if not isinstance(o, dict) or "b" not in o or "sign" not in o:
             raise PreconditionError(f"bad conjugation witness {o!r}")
         witness.append((parse_int_matrix(o["b"]), parse_int(o["sign"])))
-    try:
-        m, l = cor_period_driver(monodromy, k, witness)
-    except (TypeError, ValueError) as exc:
-        raise PreconditionError(str(exc))
+    m, l = cor_period_driver(monodromy, k, witness)
     return {"m": str(m), "l": str(l)}
 
 
@@ -190,7 +168,9 @@ def _run_hp_minus(params):
 def _run_gate(params):
     p = parse_int(params["p"])
     fixture_path = params["fixture"]
-    if fixture_path in (None, "default"):
+    if not isinstance(fixture_path, str):
+        raise PreconditionError(f"fixture must be a path, got {fixture_path!r}")
+    if fixture_path == "default":
         fixture_path = default_fixture_path()
     fixture = load_hplus_table(fixture_path)
     rep = gate_theorem_CD(p, fixture, prime_bound())
@@ -226,28 +206,17 @@ def _json_arg(raw):
         try:
             with open(raw[1:]) as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise PreconditionError(f"cannot read {raw[1:]!r}: {exc}")
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise PreconditionError(f"bad JSON argument: {exc}")
-
-
-def _parse_cli_int(raw):
-    try:
-        return int(raw)
-    except (TypeError, ValueError):
-        raise PreconditionError(f"bad integer argument {raw!r}")
 
 
 def _int_list_arg(raw):
     """Comma-separated integers."""
-    return [_parse_cli_int(tok) for tok in raw.split(",")]
-
-
-def _fixture_arg(raw):
-    return default_fixture_path() if raw is None else raw
+    return [parse_int(tok) for tok in raw.split(",")]
 
 
 # One row per subcommand: name -> (runner, {flag: converter}).  Each
@@ -258,33 +227,37 @@ _COMMANDS = {
     "order-ideal": (_run_order_ideal, {"module": _json_arg}),
     "mapping-torus": (_run_mapping_torus, {"f": _json_arg}),
     "cover-homology": (_run_cover_homology,
-                       {"complex": _json_arg, "kappa": str, "q": _parse_cli_int}),
+                       {"complex": _json_arg, "kappa": str, "q": parse_int}),
     "wang": (_run_wang,
-             {"complex": _json_arg, "kappa": str, "q": _parse_cli_int}),
+             {"complex": _json_arg, "kappa": str, "q": parse_int}),
     "verify-selfcover": (_run_verify_selfcover,
-                         {"complex": _json_arg, "k": _parse_cli_int,
-                          "sign": _parse_cli_int, "hbar": _json_arg}),
+                         {"complex": _json_arg, "k": parse_int,
+                          "sign": parse_int, "hbar": _json_arg}),
     "dimension-bound": (_run_dimension_bound,
                         {"complex": _json_arg, "kappa": str, "q": _int_list_arg}),
     "prop-matrix": (_run_prop_matrix,
-                    {"a": _json_arg, "b": _json_arg, "k": _parse_cli_int,
-                     "sign": _parse_cli_int}),
+                    {"a": _json_arg, "b": _json_arg, "k": parse_int,
+                     "sign": parse_int}),
     "periodicity": (_run_periodicity,
-                    {"monodromy": _json_arg, "k": _parse_cli_int,
+                    {"monodromy": _json_arg, "k": parse_int,
                      "witness": _json_arg}),
-    "hp-minus": (_run_hp_minus, {"p": _parse_cli_int}),
-    "gate": (_run_gate, {"p": _parse_cli_int, "fixture": _fixture_arg}),
+    "hp-minus": (_run_hp_minus, {"p": parse_int}),
+    "gate": (_run_gate, {"p": parse_int, "fixture": str}),
 }
 
-# flags that may be left out; their converter supplies the default
-_OPTIONAL_FLAGS = {"fixture"}
+# flags that may be left out, with the parameter recorded when they are
+_OPTIONAL_FLAGS = {"fixture": "default"}
 
 
 def compute(subcommand, params):
     """Run one subcommand on already-parsed JSON parameters."""
-    if subcommand not in _COMMANDS:
+    if not isinstance(subcommand, str) or subcommand not in _COMMANDS:
         raise PreconditionError(f"unknown subcommand {subcommand!r}")
-    runner, _ = _COMMANDS[subcommand]
+    runner, flags = _COMMANDS[subcommand]
+    missing = [flag for flag in flags
+               if not isinstance(params, dict) or flag not in params]
+    if missing:
+        raise PreconditionError(f"{subcommand} is missing parameters {missing}")
     return runner(params)
 
 
@@ -303,7 +276,7 @@ def run_corpus(path):
         try:
             with open(full) as fh:
                 case = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, ValueError) as exc:
             raise PreconditionError(f"corrupted corpus case {full}: {exc}")
         if (not isinstance(case, dict)
                 or not {"subcommand", "params", "expected"} <= set(case)):
@@ -330,7 +303,8 @@ def _parser():
     for name, (_, flags) in _COMMANDS.items():
         sp = sub.add_parser(name)
         for flag in flags:
-            sp.add_argument("--" + flag, required=flag not in _OPTIONAL_FLAGS)
+            sp.add_argument("--" + flag, required=flag not in _OPTIONAL_FLAGS,
+                            default=_OPTIONAL_FLAGS.get(flag))
         sp.add_argument("--out")
     corpus = sub.add_parser("corpus")
     corpus.add_argument("--path")
@@ -374,20 +348,18 @@ def run(argv):
                   "version": __version__}
         _emit(report, out_path)
         return 0
-    except InternalCheckError as exc:
-        _emit({"error": {"kind": "internal-check", "message": str(exc)}},
-              out_path)
-        return 3
-    except RuntimeError as exc:
-        # a library routine gave up (e.g. Pollard rho); not the input's fault
-        _emit({"error": {"kind": "internal-check",
-                         "message": f"{type(exc).__name__}: {exc}"}},
-              out_path)
-        return 3
-    except (PreconditionError, ValueError, TypeError, KeyError) as exc:
+    except PreconditionError as exc:
         _emit({"error": {"kind": "precondition", "message": str(exc)}},
               out_path)
         return 2
+    except Exception as exc:
+        # not the input's fault: a failed cross-check, a library routine
+        # that gave up (e.g. Pollard rho) or a bug
+        message = (str(exc) if isinstance(exc, InternalCheckError)
+                   else f"{type(exc).__name__}: {exc}")
+        _emit({"error": {"kind": "internal-check", "message": message}},
+              out_path)
+        return 3
 
 
 def main():

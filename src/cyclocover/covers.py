@@ -12,11 +12,11 @@ from typing import List
 from .errors import InternalCheckError, PreconditionError
 from .linfield import rref
 from .matrices import LaurentMatrix, mat_mul, mat_pow
-from .normal_forms import laurent_cokernel
+from .normal_forms import cyclotomic_indices, laurent_cokernel
 from .rings import LaurentPoly, Poly, QQ, ZZ, poly_gcd
 
 
-class FreeHomologyError(ValueError):
+class FreeHomologyError(PreconditionError):
     """Infinite-cover homology has a free part where torsion is required."""
 
 
@@ -33,9 +33,10 @@ class TwistedChainComplex:
     def __init__(self, ranks, boundaries):
         ranks = list(ranks)
         if any(r < 0 for r in ranks):
-            raise ValueError("negative rank")
+            raise PreconditionError("negative rank")
         if len(boundaries) != max(len(ranks) - 1, 0):
-            raise ValueError("need exactly one boundary per adjacent pair of degrees")
+            raise PreconditionError(
+                "need exactly one boundary per adjacent pair of degrees")
         mats = []
         for j, b in enumerate(boundaries, start=1):
             if not isinstance(b, LaurentMatrix):
@@ -43,12 +44,13 @@ class TwistedChainComplex:
             if b.ring is not ZZ:
                 raise TypeError("boundaries must be over ZZ")
             if b.nrows != ranks[j - 1] or b.ncols != ranks[j]:
-                raise ValueError(f"boundary {j} has shape {b.nrows}x{b.ncols}, "
-                                 f"expected {ranks[j - 1]}x{ranks[j]}")
+                raise PreconditionError(f"boundary {j} has shape {b.nrows}x{b.ncols}, "
+                                        f"expected {ranks[j - 1]}x{ranks[j]}")
             mats.append(b)
         for j in range(1, len(mats)):
             if not (mats[j - 1] * mats[j]).is_zero():
-                raise ValueError(f"boundary composition in degree {j + 1} is nonzero")
+                raise PreconditionError(
+                    f"boundary composition in degree {j + 1} is nonzero")
         self.ranks = tuple(ranks)
         self.boundaries = tuple(mats)
 
@@ -80,22 +82,24 @@ class SelfCoverWitness:
 def mapping_torus_complex(ranks_f, boundaries_f, f) -> TwistedChainComplex:
     """Algebraic mapping torus: cone of (t - f) on C(F) tensor ZZ[t,1/t].
 
-    `boundaries_f[j-1]` and `f[j]` are integer matrices; f must commute
-    with the boundaries degreewise.
+    `boundaries_f[j-1]` (ranks_f[j-1] x ranks_f[j]) and `f[j]` are integer
+    matrices; f must commute with the boundaries degreewise.
     """
     ranks_f = list(ranks_f)
     top = len(ranks_f) - 1
     if len(f) != len(ranks_f):
-        raise ValueError("need one endomorphism block per degree")
+        raise PreconditionError("need one endomorphism block per degree")
+    if len(boundaries_f) != max(top, 0):
+        raise PreconditionError("need exactly one boundary per adjacent pair of degrees")
     dF = [None] + list(boundaries_f)
     for j, fj in enumerate(f):
         if len(fj) != ranks_f[j] or any(len(r) != ranks_f[j] for r in fj):
-            raise ValueError(f"f[{j}] is not square of size {ranks_f[j]}")
+            raise PreconditionError(f"f[{j}] is not square of size {ranks_f[j]}")
     for j in range(1, top + 1):
-        lhs = mat_mul(f[j - 1], dF[j])
-        rhs = mat_mul(dF[j], f[j])
-        if lhs != rhs:
-            raise ValueError(f"endomorphism does not commute with boundary {j}")
+        if len(dF[j]) != ranks_f[j - 1] or any(len(r) != ranks_f[j] for r in dF[j]):
+            raise PreconditionError(f"boundary {j} is not {ranks_f[j - 1]}x{ranks_f[j]}")
+        if mat_mul(f[j - 1], dF[j]) != mat_mul(dF[j], f[j]):
+            raise PreconditionError(f"endomorphism does not commute with boundary {j}")
 
     def rank_of(j):
         return ranks_f[j] if 0 <= j <= top else 0
@@ -195,8 +199,6 @@ def _cover_blocks(inf, field, q):
     gcd(f, t^q - 1) is taken as gcd(f, (t^q mod f) - 1), and the free
     part is kept as a count, so nothing here grows with q.
     """
-    if q < 1:
-        raise ValueError("q must be >= 1")
     t, one = Poly.t(field), Poly.one(field)
     out = []
     below = []
@@ -231,6 +233,8 @@ def cover_homology_field(X: TwistedChainComplex, field, q):
     block degrees.  A dimension above _T_ACTION_LIMIT raises
     PreconditionError before any block is built.
     """
+    if q < 1:
+        raise PreconditionError("q must be >= 1")
     blocks = _cover_blocks(infinite_cover_homology_field(X, field), field, q)
     dims = _dims(blocks, q)
     if max(dims, default=0) > _T_ACTION_LIMIT:
@@ -251,6 +255,8 @@ def wang_dimensions(X: TwistedChainComplex, field, q):
     and in the next.  A free part would make the dimensions grow with q,
     so it raises FreeHomologyError.
     """
+    if q < 1:
+        raise PreconditionError("q must be >= 1")
     inf = infinite_cover_homology_field(X, field)
     for j, (_, free_rank) in enumerate(inf):
         if free_rank:
@@ -260,27 +266,39 @@ def wang_dimensions(X: TwistedChainComplex, field, q):
 
 
 def verify_self_cover_relation(X: TwistedChainComplex, w: SelfCoverWitness):
-    """Check hbar_j * T_j == T_j^{sign*k} * hbar_j on H_j(X_inf; QQ)."""
+    """Check hbar_j * T_j == T_j^{sign*k} * hbar_j on H_j(X_inf; QQ).
+
+    With hbar_j invertible the relation makes T_j similar to T_j^{sign*k},
+    so lambda -> lambda^{sign*k} permutes the eigenvalues of T_j and each
+    is a root of unity.  A degree where one is not fails without powering,
+    so no entry of T_j^k grows exponentially in k.  The eigenvalues are
+    the roots of the last invariant factor, which all others divide.
+    """
     if w.k <= 1:
-        raise ValueError("k must be > 1")
+        raise PreconditionError("k must be > 1")
     if w.sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+        raise PreconditionError("sign must be +1 or -1")
     inf = infinite_cover_homology_field(X, QQ)
     results = []
     if len(w.hbar) != len(inf):
-        raise ValueError("need one hbar block per degree")
+        raise PreconditionError("need one hbar block per degree")
     for j, (factors, free_rank) in enumerate(inf):
         if free_rank:
             raise FreeHomologyError(f"H_{j}(X_inf; QQ) has a free part")
         dim = sum(f.degree for f in factors)
         hb = [[QQ.coerce(x) for x in row] for row in w.hbar[j]]
         if len(hb) != dim or any(len(r) != dim for r in hb):
-            raise ValueError(f"hbar block {j} is not {dim}x{dim}")
+            raise PreconditionError(f"hbar block {j} is not {dim}x{dim}")
         if dim == 0:
             results.append(True)
             continue
         if len(rref(QQ, hb)[1]) != dim:
-            raise ValueError(f"hbar block {j} is not invertible")
+            raise PreconditionError(f"hbar block {j} is not invertible")
+        f = factors[-1]
+        if (any(c.denominator != 1 for c in f.coeffs)
+                or cyclotomic_indices(Poly(ZZ, f.coeffs)) is None):
+            results.append(False)
+            continue
         T = t_action_matrix(factors, QQ)
         Tk = mat_pow(T, w.k, QQ.coerce(1), QQ.coerce(0))
         if w.sign > 0:
@@ -299,6 +317,8 @@ def cover_dimensions(X: TwistedChainComplex, field, iterates):
     `cover_homology_field`, from block degrees alone: a unit of free rank
     adds q without building t^q - 1.
     """
+    if any(q < 1 for q in iterates):
+        raise PreconditionError("q must be >= 1")
     inf = infinite_cover_homology_field(X, field)
     return [_dims(_cover_blocks(inf, field, q), q) for q in iterates]
 

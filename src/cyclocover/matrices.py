@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
+from .errors import PreconditionError
 from .rings import LaurentPoly, MixedRingError, Poly, QQ, ZZ, _pos, gcd_zz
 
 
@@ -43,9 +44,9 @@ def int_mat_check(a, square=False):
         raise TypeError("expected an integer matrix")
     widths = {len(row) for row in a}
     if len(widths) > 1:
-        raise ValueError("ragged matrix")
+        raise PreconditionError("ragged matrix")
     if square and a and len(a) != len(a[0]):
-        raise ValueError("expected a square matrix")
+        raise PreconditionError("expected a square matrix")
 
 def _bareiss(m):
     """Determinant of the square integer matrix m (overwritten) by

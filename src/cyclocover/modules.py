@@ -14,12 +14,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .arith import factorize
+from .errors import PreconditionError
 from .matrices import LaurentMatrix, laurent_minor_gcd
 from .normal_forms import laurent_cokernel
 from .rings import GF, LaurentPoly, Poly, QQ, ZZ
 
 
-class FreeCokernelError(ValueError):
+class FreeCokernelError(PreconditionError):
     """The QQ-cokernel has positive free rank, so no finite prime set applies."""
 
 
@@ -37,7 +38,7 @@ class ModulePresentation:
         if relations.ring is not ZZ:
             raise TypeError("relation matrix must be over ZZ")
         if relations.nrows != generators:
-            raise ValueError("relation matrix must have one row per generator")
+            raise PreconditionError("relation matrix must have one row per generator")
         self.generators = generators
         self.relations = relations
 

@@ -109,21 +109,16 @@ def char_poly(a) -> Poly:
     return det_poly(rows, ring)
 
 
-def finite_order(a):
-    """Exact multiplicative order of an invertible integer matrix.
+def cyclotomic_indices(f):
+    """The set of d with Phi_d dividing f, a monic polynomial over ZZ, or
+    None when f is not a product of cyclotomic polynomials, that is when
+    some root of f is not a root of unity.
 
-    Returns None when the order is infinite.  Requires |det A| = 1.
+    Cyclotomic factors are peeled off (monic, so division in ZZ[t] is
+    exact); deg Phi_d = phi(d) >= sqrt(d / 2) bounds d by 2 deg(f)^2.
     """
-    int_mat_check(a, square=True)
-    n = len(a)
-    if n == 0:
-        return 1
-    if det_int(a) not in (1, -1):
-        raise ValueError("matrix must have determinant +-1")
-    # peel cyclotomic factors (monic, so division in ZZ[t] is exact);
-    # anything left means an eigenvalue off the unit circle or a
-    # non-root-of-unity on it, hence infinite order
-    rem = char_poly(a)
+    n = f.degree
+    rem = f
     indices = set()
     d = 1
     while rem.degree > 0 and d <= 2 * n * n + 2:
@@ -137,7 +132,22 @@ def finite_order(a):
                 else:
                     break
         d += 1
-    if rem.degree > 0:
+    return None if rem.degree > 0 else indices
+
+
+def finite_order(a):
+    """Exact multiplicative order of an invertible integer matrix.
+
+    Returns None when the order is infinite.  Requires |det A| = 1.
+    """
+    int_mat_check(a, square=True)
+    n = len(a)
+    if n == 0:
+        return 1
+    if det_int(a) not in (1, -1):
+        raise ValueError("matrix must have determinant +-1")
+    indices = cyclotomic_indices(char_poly(a))
+    if indices is None:
         return None
     order = 1
     for d in indices:

@@ -17,7 +17,7 @@ from .matrices import (det_int, int_mat_check, mat_identity, mat_is_identity,
 from .normal_forms import finite_order
 
 
-class RelationError(ValueError):
+class RelationError(PreconditionError):
     """The claimed conjugation relation does not hold."""
 
 
@@ -42,21 +42,21 @@ class FgAbelianAutomorphism:
         s = len(self.torsion_orders)
         d = self.torsion_orders
         if sorted(d) != d or any(x < 2 for x in d):
-            raise ValueError("torsion orders must be >= 2 and sorted")
+            raise PreconditionError("torsion orders must be >= 2 and sorted")
         for i in range(1, s):
             if d[i] % d[i - 1]:
-                raise ValueError("torsion orders must form a divisibility chain")
+                raise PreconditionError("torsion orders must form a divisibility chain")
         if len(self.torsion_block) != s or any(len(row) != s for row in self.torsion_block):
-            raise ValueError("torsion block shape mismatch")
+            raise PreconditionError("torsion block shape mismatch")
         if len(self.mixing_block) != s or any(len(row) != r for row in self.mixing_block):
-            raise ValueError("mixing block shape mismatch")
+            raise PreconditionError("mixing block shape mismatch")
         if r and det_int(self.free_block) not in (1, -1):
-            raise ValueError("free block is not invertible over ZZ")
+            raise PreconditionError("free block is not invertible over ZZ")
         # well-definedness: column j has order d_j, so T[i][j]*d_j = 0 mod d_i
         for i in range(s):
             for j in range(s):
                 if (self.torsion_block[i][j] * d[j]) % d[i]:
-                    raise ValueError("torsion block does not preserve orders")
+                    raise PreconditionError("torsion block does not preserve orders")
         # invertibility on torsion: the mod-p reduction on T/pT is invertible
         # for each prime p dividing the exponent
         if s:
@@ -64,7 +64,7 @@ class FgAbelianAutomorphism:
                 idx = [i for i in range(s) if d[i] % p == 0]
                 sub = [[self.torsion_block[i][j] % p for j in idx] for i in idx]
                 if det_int(sub) % p == 0:
-                    raise ValueError(f"torsion block is not invertible (mod {p})")
+                    raise PreconditionError(f"torsion block is not invertible (mod {p})")
         self.torsion_block = self._reduce_rows(self.torsion_block)
         self.mixing_block = self._reduce_rows(self.mixing_block)
 
@@ -124,9 +124,6 @@ class FgAbelianAutomorphism:
                 return False
         return True
 
-    def torsion_exponent(self):
-        return self.torsion_orders[-1] if self.torsion_orders else 1
-
     def torsion_order(self):
         """Multiplicative order of the action on the torsion subgroup."""
         if not self.torsion_orders:
@@ -153,10 +150,12 @@ def solve_prop_matrix(a, b, k, sign):
     """
     int_mat_check(a, square=True)
     int_mat_check(b, square=True)
+    if len(a) != len(b):
+        raise PreconditionError("A and B must have the same size")
     if not isinstance(k, int) or k <= 1:
-        raise ValueError("k must be an integer > 1")
+        raise PreconditionError("k must be an integer > 1")
     if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+        raise PreconditionError("sign must be +1 or -1")
     if det_int(a) not in (1, -1):
         raise RelationError("A must be invertible over ZZ")
     if det_int(b) not in (1, -1):
@@ -181,25 +180,22 @@ def solve_prop_matrix(a, b, k, sign):
 
 
 def full_order(phi: FgAbelianAutomorphism, m_free: int) -> int:
-    """Smallest verified l = lcm(m_free, s) * j with phi^l = id.
+    """Smallest l = lcm(m_free, s) * j with phi^l = id.
 
     Requires phi^m_free to be the identity on the free quotient; s is the
-    order on the torsion part and j is searched up to the torsion exponent.
+    order on the torsion part.  phi^lcm(m_free, s) is then the identity on
+    the free quotient and on the torsion, so it is I + N with N its mixing
+    block and N^2 = 0; its j-th power has mixing block j * N.  Row i of
+    j * N vanishes modulo d_i iff d_i / gcd(d_i, row i of N) divides j.
     """
     if m_free < 1:
-        raise ValueError("m_free must be positive")
+        raise PreconditionError("m_free must be positive")
     if phi.free_rank and not mat_is_identity(mat_pow(phi.free_block, m_free)):
         raise RelationError("phi^m_free is not the identity on the free quotient")
-    s = phi.torsion_order()
-    base = lcm(m_free, s)
-    r = phi.torsion_exponent()
-    step = phi.power(base)
-    acc = step
-    for j in range(1, r + 1):
-        if acc.is_identity():
-            return base * j
-        acc = acc.compose(step)
-    raise InternalCheckError("no period found within the torsion-exponent bound")
+    base = lcm(m_free, phi.torsion_order())
+    mixing = phi.power(base).mixing_block
+    j = lcm(*(d // gcd(d, *row) for d, row in zip(phi.torsion_orders, mixing)))
+    return base * j
 
 
 def cor_period_driver(monodromy, k, conj_witness) -> Tuple[int, int]:
@@ -211,15 +207,15 @@ def cor_period_driver(monodromy, k, conj_witness) -> Tuple[int, int]:
     to k) and l with the full action trivial, both verified by powering.
     """
     if len(monodromy) != len(conj_witness):
-        raise ValueError("need one conjugation witness per degree")
+        raise PreconditionError("need one conjugation witness per degree")
     m = 1
     for j, (phi, (bmat, sign)) in enumerate(zip(monodromy, conj_witness)):
         if phi.free_rank == 0:
             continue
         try:
             mj = solve_prop_matrix(phi.free_block, bmat, k, sign)
-        except (RelationError, ValueError) as exc:
-            raise RelationError(f"degree {j}: {exc}") from exc
+        except PreconditionError as exc:
+            raise type(exc)(f"degree {j}: {exc}") from exc
         m = lcm(m, mj)
     if gcd(m, k) != 1:
         raise InternalCheckError(f"aggregated m={m} is not prime to k={k}")

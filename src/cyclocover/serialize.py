@@ -13,7 +13,11 @@ from .errors import PreconditionError
 from .matrices import LaurentMatrix
 from .modules import ModulePresentation
 from .covers import TwistedChainComplex
-from .rings import LaurentPoly, Poly, ZZ
+from .rings import LaurentPoly, Poly, QQ, ZZ
+
+
+def _is_count(x):
+    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def scalar_str(x):
@@ -69,6 +73,8 @@ def parse_matrix(obj, ring=ZZ) -> LaurentMatrix:
         entries = obj["entries"]
     except KeyError as exc:
         raise PreconditionError(f"matrix is missing field {exc}")
+    if not (_is_count(rows) and _is_count(cols)):
+        raise PreconditionError(f"bad matrix shape {rows!r}x{cols!r}")
     if not isinstance(entries, list) or len(entries) != rows:
         raise PreconditionError("matrix entries do not match declared rows")
     grid = []
@@ -107,23 +113,13 @@ def parse_int(raw):
 def parse_rational_matrix(obj):
     if not isinstance(obj, list) or any(not isinstance(r, list) for r in obj):
         raise PreconditionError(f"bad rational matrix {obj!r}")
-    out = []
-    for row in obj:
-        orow = []
-        for x in row:
-            if isinstance(x, bool):
-                raise PreconditionError(f"bad rational {x!r}")
-            if isinstance(x, int):
-                orow.append(Fraction(x))
-            elif isinstance(x, str):
-                try:
-                    orow.append(Fraction(x))
-                except (ValueError, ZeroDivisionError):
-                    raise PreconditionError(f"bad rational {x!r}")
-            else:
-                raise PreconditionError(f"bad rational {x!r}")
-        out.append(orow)
-    return out
+    return [[parse_scalar(QQ, x) for x in row] for row in obj]
+
+
+def parse_ranks(ranks):
+    if not isinstance(ranks, list) or not all(map(_is_count, ranks)):
+        raise PreconditionError(f"bad rank list {ranks!r}")
+    return ranks
 
 
 def presentation_to_json(m: ModulePresentation):
@@ -138,12 +134,9 @@ def parse_presentation(obj) -> ModulePresentation:
         rel = obj["relations"]
     except KeyError as exc:
         raise PreconditionError(f"presentation is missing field {exc}")
-    if not isinstance(g, int) or isinstance(g, bool) or g < 0:
+    if not _is_count(g):
         raise PreconditionError(f"bad generator count {g!r}")
-    try:
-        return ModulePresentation(g, parse_matrix(rel, ZZ))
-    except (TypeError, ValueError) as exc:
-        raise PreconditionError(str(exc))
+    return ModulePresentation(g, parse_matrix(rel, ZZ))
 
 
 def complex_to_json(x: TwistedChainComplex):
@@ -159,16 +152,10 @@ def parse_complex(obj) -> TwistedChainComplex:
         bnds = obj["boundaries"]
     except KeyError as exc:
         raise PreconditionError(f"chain complex is missing field {exc}")
-    if (not isinstance(ranks, list)
-            or any(not isinstance(r, int) or isinstance(r, bool) or r < 0
-                   for r in ranks)):
-        raise PreconditionError(f"bad rank list {ranks!r}")
     if not isinstance(bnds, list):
         raise PreconditionError("boundaries must be a list")
-    try:
-        return TwistedChainComplex(ranks, [parse_matrix(b, ZZ) for b in bnds])
-    except (TypeError, ValueError) as exc:
-        raise PreconditionError(str(exc))
+    return TwistedChainComplex(parse_ranks(ranks),
+                               [parse_matrix(b, ZZ) for b in bnds])
 
 
 def canonical_dumps(obj) -> str:

@@ -415,6 +415,25 @@ def brute_order_prime_to(a, k, cap=2000):
             return m
     return None
 
+def brute_automorphism_order(free, orders, torsion, mixing, cap=5000):
+    """Least l >= 1 with phi^l = id for phi = [[free, 0], [mixing, torsion]]
+    on Z^r + sum Z/d_i (rows of the torsion part read mod d_i), by powering
+    the block matrix one factor at a time."""
+    r = len(free)
+    phi = ([row + [0] * len(orders) for row in free]
+           + [m + t for m, t in zip(mixing, torsion)])
+
+    def reduce(a):
+        return a[:r] + [[x % d for x in row] for d, row in zip(orders, a[r:])]
+
+    ident = reduce(mat_identity(len(phi)))
+    acc = ident
+    for l in range(1, cap + 1):
+        acc = reduce(mat_mul(acc, phi))
+        if acc == ident:
+            return l
+    return None
+
 
 # ---------------------------------------------------------------------------
 # random generators

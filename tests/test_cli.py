@@ -1,9 +1,12 @@
 """Command-line interface: exit codes, report shape, determinism, corpus."""
 
 import argparse
+import hashlib
 import json
 import os
 import time
+
+import pytest
 
 from cyclocover import __version__, cli
 from cyclocover.cli import default_corpus_path, run
@@ -22,6 +25,12 @@ def corpus_params(name):
 
 # [t-1, t-1]: H_0 = coker(t-1), H_1 free of rank 1
 GROWING = json.dumps(corpus_params("dimension_bound_growing.json")["complex"])
+
+TREFOIL = json.dumps(corpus_params("wang_trefoil_q6.json")["complex"])
+HBAR = json.dumps([[["1"]], [["1", "1"], ["0", "-1"]], []])
+I2 = json.dumps([["1", "0"], ["0", "1"]])
+ROT4 = json.dumps([["0", "-1"], ["1", "0"]])
+ONE = {"rows": 1, "cols": 1, "entries": [[{"val": 0, "coeffs": ["1"]}]]}
 
 PRINCIPAL_TREFOIL = json.dumps({
     "generators": 1,
@@ -188,9 +197,89 @@ class TestExitCodes:
                                            "rank 3 of C_1"}
 
     def test_unknown_subcommand_argparse(self, capsys):
-        import pytest
         with pytest.raises(SystemExit):
             run(["frobnicate"])
+
+
+# one bad input per validated field: (argv, fragment of the message)
+BAD_INPUTS = {
+    "prop-matrix ragged": (
+        ["prop-matrix", "--a", '[["1", "0"], ["1"]]', "--b", I2,
+         "--k", "3", "--sign", "1"], "ragged"),
+    "prop-matrix sizes differ": (
+        ["prop-matrix", "--a", ROT4, "--b", '[["1"]]', "--k", "3",
+         "--sign", "-1"], "same size"),
+    "prop-matrix relation fails": (
+        ["prop-matrix", "--a", ROT4, "--b", I2, "--k", "3", "--sign", "1"],
+        "does not hold"),
+    "mapping-torus boundary count": (
+        ["mapping-torus", "--f", json.dumps(
+            {"ranks": [1, 1], "boundaries_F": [], "f": [[["1"]], [["1"]]]})],
+        "one boundary per"),
+    "mapping-torus boundary shape": (
+        ["mapping-torus", "--f", json.dumps(
+            {"ranks": [1, 1], "boundaries_F": [[["0", "0"]]],
+             "f": [[["1"]], [["1"]]]})], "boundary 1 is not 1x1"),
+    "periodicity torsion_orders": (
+        ["periodicity", "--monodromy", '[{"free": [], "torsion_orders": 5}]',
+         "--k", "5", "--witness", '[{"b": [], "sign": 1}]'], "torsion_orders"),
+    "cover-homology q": (
+        ["cover-homology", "--complex", TREFOIL, "--kappa", "Q", "--q", "0"],
+        "q must be"),
+    "wang q": (
+        ["wang", "--complex", TREFOIL, "--kappa", "Q", "--q", "0"], "q must be"),
+    "dimension-bound q": (
+        ["dimension-bound", "--complex", TREFOIL, "--kappa", "Q", "--q", "2,0"],
+        "q must be"),
+    "verify-selfcover k": (
+        ["verify-selfcover", "--complex", TREFOIL, "--k", "1", "--sign", "1",
+         "--hbar", HBAR], "k must be"),
+    "verify-selfcover sign": (
+        ["verify-selfcover", "--complex", TREFOIL, "--k", "5", "--sign", "2",
+         "--hbar", HBAR], "sign must be"),
+    "verify-selfcover hbar shape": (
+        ["verify-selfcover", "--complex", TREFOIL, "--k", "5", "--sign", "1",
+         "--hbar", '[[["1"]], [["1", "0"]], []]'], "not 2x2"),
+    "fingen generators": (
+        ["fingen", "--module", json.dumps({"generators": 2, "relations": ONE})],
+        "one row per generator"),
+    "wang d d != 0": (
+        ["wang", "--complex", json.dumps({"ranks": [1, 1, 1],
+                                          "boundaries": [ONE, ONE]}),
+         "--kappa", "Q", "--q", "2"], "composition"),
+    "wang free homology": (
+        ["wang", "--complex", GROWING, "--kappa", "Q", "--q", "2"], "free rank"),
+}
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize("case", list(BAD_INPUTS))
+    def test_bad_input_exit_2(self, capsys, case):
+        argv, fragment = BAD_INPUTS[case]
+        code, rep = invoke(capsys, *argv)
+        assert code == 2 and rep["error"]["kind"] == "precondition"
+        assert fragment in rep["error"]["message"]
+
+    def test_corpus_case_missing_parameter_exit_2(self, capsys, tmp_path):
+        case = {"subcommand": "wang", "params": {"complex": json.loads(TREFOIL),
+                                                 "kappa": "Q"},
+                "expected": {}}
+        (tmp_path / "no_q.json").write_text(json.dumps(case))
+        code, rep = invoke(capsys, "corpus", "--path", str(tmp_path))
+        assert code == 2 and rep["error"]["kind"] == "precondition"
+        assert "missing parameters ['q']" in rep["error"]["message"]
+
+    @pytest.mark.parametrize("exc", [ValueError, KeyError, TypeError,
+                                     ZeroDivisionError, IndexError])
+    def test_other_exceptions_exit_3(self, capsys, monkeypatch, exc):
+        # a bug in a library routine is not bad input, whatever its type
+        def boom(*args):
+            raise exc("injected")
+
+        monkeypatch.setattr(cli, "finitely_generated_over_Z", boom)
+        code, rep = invoke(capsys, "fingen", "--module", PRINCIPAL_TREFOIL)
+        assert code == 3 and rep["error"]["kind"] == "internal-check"
+        assert rep["error"]["message"].startswith(exc.__name__ + ": ")
 
 
 class TestSubcommands:
@@ -255,6 +344,13 @@ class TestSubcommands:
         code, rep = invoke(capsys, "gate", "--p", "199")
         assert code == 0 and rep["result"]["gate"] == "unknown"
 
+    def test_gate_digest_names_the_default_fixture(self, capsys):
+        # the digest must not depend on where the package is installed
+        want = hashlib.sha256(b'{"fixture":"default","p":23}').hexdigest()
+        _, implicit = invoke(capsys, "gate", "--p", "23")
+        _, explicit = invoke(capsys, "gate", "--p", "23", "--fixture", "default")
+        assert implicit["input_digest"] == explicit["input_digest"] == want
+
     def test_gate_warns_on_heuristic_entry(self, capsys, tmp_path):
         code, rep = invoke(capsys, "gate", "--p", "191")
         assert code == 0
@@ -309,6 +405,13 @@ class TestCorpus:
     def test_missing_dir_exit_2(self, capsys):
         code, rep = invoke(capsys, "corpus", "--path", "/no/such/dir")
         assert code == 2
+
+    def test_corpus_files_match_the_generator(self):
+        # tests/gen_corpus.py never deletes a case it no longer builds
+        from gen_corpus import build_cases
+        names = {n[:-len(".json")] for n in os.listdir(default_corpus_path())
+                 if n.endswith(".json")}
+        assert names == set(build_cases())
 
 
 class TestCommandTable:

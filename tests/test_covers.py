@@ -372,10 +372,26 @@ class TestSelfCover:
         (7, [[1, 1], [0, -1]], [True, True, True]),
         (7, [[1, 0], [0, 1]], [True, False, True]),
         (5, [[1, 0], [0, 1]], [True, True, True]),
+        # 10^18 + 1 = 5 mod 6
+        (10**18 + 1, [[1, 1], [0, -1]], [True, False, True]),
+        (10**18 + 1, [[1, 0], [0, 1]], [True, True, True]),
     ])
     def test_trefoil_sign_minus_one(self, k, hbar1, want):
         w = SelfCoverWitness(k, -1, [[[1]], hbar1, []])
         assert verify_self_cover_relation(trefoil(), w) == want
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("coeffs", [(-2, 1), (-1, 2)])
+    def test_non_root_of_unity_fails_without_powering(self, coeffs, sign):
+        # H_0 = coker(t - 2), or coker(2t - 1) with the non-integral root
+        # 1/2: T = (2) or (1/2) is not similar to T^(sign k), so the
+        # relation fails at k = 10^10 without computing 2^k
+        f = LaurentPoly.from_poly(Poly(ZZ, coeffs))
+        x = TwistedChainComplex([1, 1], [LaurentMatrix(ZZ, 1, 1, [[f]])])
+        w = SelfCoverWitness(10**10, sign, [[[1]], []])
+        start = time.perf_counter()
+        assert verify_self_cover_relation(x, w) == [False, True]
+        assert time.perf_counter() - start < 0.1
 
 
 class TestDimensionBound:

@@ -5,6 +5,7 @@ helpers.py wherever the search space is small enough.
 """
 
 import random
+from math import lcm
 
 import pytest
 
@@ -15,7 +16,8 @@ from cyclocover.periodicity import (FgAbelianAutomorphism, RelationError,
                                     cor_period_driver, full_order,
                                     solve_prop_matrix)
 
-from helpers import brute_order_prime_to, rand_unimodular_int
+from helpers import (brute_automorphism_order, brute_order,
+                     brute_order_prime_to, rand_unimodular_int)
 
 
 ROT4 = [[0, -1], [1, 0]]
@@ -170,6 +172,33 @@ class TestFullOrder:
         phi = FgAbelianAutomorphism(ROT4, [3], [[2]], [[0, 0]])
         # free order 4, torsion order 2 -> lcm 4
         assert full_order(phi, 4) == 4
+
+    def test_against_brute_force(self):
+        # Z^r + Z/a + Z/ac with off-diagonal torsion entries (the (1, 0)
+        # entry a multiple of c, so that orders are preserved), random
+        # mixing and a free block of finite order; m_free may be any
+        # multiple of the free order, and l is then lcm(m_free, order)
+        rng = random.Random(61)
+        frees = [[], [[1]], [[-1]], ROT4, TREFOIL, [[0, -1], [1, -1]]]
+        checked = 0
+        while checked < 300:
+            a, c = rng.choice((2, 3, 4, 6)), rng.choice((1, 2, 3))
+            orders = [a, a * c]
+            free = rng.choice(frees)
+            if len(free) == 2:
+                p, pinv = rand_unimodular_int(2, rng)
+                free = mat_mul(mat_mul(p, free), pinv)
+            torsion = [[rng.randrange(a), rng.randrange(a * c)],
+                       [c * rng.randrange(a), rng.randrange(a * c)]]
+            mixing = [[rng.randrange(d) for _ in free] for d in orders]
+            try:
+                phi = FgAbelianAutomorphism(free, orders, torsion, mixing)
+            except PreconditionError:
+                continue  # torsion block not invertible
+            m_free = brute_order(free) * rng.choice((1, 2, 5))
+            want = brute_automorphism_order(free, orders, torsion, mixing)
+            assert full_order(phi, m_free) == lcm(m_free, want)
+            checked += 1
 
     def test_wrong_m_free(self):
         phi = FgAbelianAutomorphism(ROT4, [], [], [])

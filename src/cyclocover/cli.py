@@ -317,18 +317,24 @@ def _collect_params(args):
     return {flag: convert(getattr(args, flag)) for flag, convert in flags.items()}
 
 
-def _emit(payload, out_path):
+def _emit(payload, out):
     text = canonical_dumps(payload) + "\n"
     sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+    if out is not None:
+        out.write(text)
 
 
 def run(argv):
     args = _parser().parse_args(argv)
-    out_path = args.out
+    out = None
     try:
+        if args.out:
+            # opened before any work and never reopened: when it cannot
+            # be, stdout carries the one error object
+            try:
+                out = open(args.out, "w")
+            except OSError as exc:
+                raise PreconditionError(f"cannot write {args.out!r}: {exc}")
         if args.subcommand == "corpus":
             path = args.path or default_corpus_path()
             params = {"path": path}
@@ -337,7 +343,7 @@ def run(argv):
                       "input_digest": input_digest(params),
                       "result": result, "warnings": [],
                       "version": __version__}
-            _emit(report, out_path)
+            _emit(report, out)
             return 0 if result["failed"] == 0 else 1
         params = _collect_params(args)
         result = compute(args.subcommand, params)
@@ -346,20 +352,21 @@ def run(argv):
                   "result": result,
                   "warnings": _warnings(args.subcommand, result),
                   "version": __version__}
-        _emit(report, out_path)
+        _emit(report, out)
         return 0
     except PreconditionError as exc:
-        _emit({"error": {"kind": "precondition", "message": str(exc)}},
-              out_path)
+        _emit({"error": {"kind": "precondition", "message": str(exc)}}, out)
         return 2
     except Exception as exc:
         # not the input's fault: a failed cross-check, a library routine
         # that gave up (e.g. Pollard rho) or a bug
         message = (str(exc) if isinstance(exc, InternalCheckError)
                    else f"{type(exc).__name__}: {exc}")
-        _emit({"error": {"kind": "internal-check", "message": message}},
-              out_path)
+        _emit({"error": {"kind": "internal-check", "message": message}}, out)
         return 3
+    finally:
+        if out is not None:
+            out.close()
 
 
 def main():

@@ -2,10 +2,10 @@
 
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 
 from .errors import PreconditionError
-from .rings import LaurentPoly, MixedRingError, Poly, QQ, ZZ, _pos, gcd_zz
+from .rings import (LaurentPoly, MixedRingError, Poly, QQ, ZZ, _pos,
+                    clear_denominators, gcd_zz)
 
 
 # ---------------------------------------------------------------------------
@@ -127,9 +127,7 @@ def det_poly(rows, ring):
             else:
                 cs_row.append((ring.coerce(e),))
         if ring is QQ:
-            den = lcm(*(c.denominator for cs in cs_row for c in cs))
-            cs_row = [[c.numerator * (den // c.denominator) for c in cs]
-                      for cs in cs_row]
+            den, cs_row = clear_denominators(cs_row)
             scale *= den
         bound *= max(1, sum(sum(map(abs, cs)) for cs in cs_row))
         int_rows.append(cs_row)

@@ -7,10 +7,11 @@ of t.
 
 from .arith import factorize
 from .matrices import (LaurentMatrix, det_int, det_poly, int_mat_check,
-                       mat_copy, mat_is_identity, mat_pow)
-from .rings import MixedRingError, Poly, ZZ, cyclotomic, poly_gcd
+                       mat_is_identity, mat_pow)
+from .rings import (MixedRingError, Poly, ZZ, clear_denominators, cyclotomic,
+                    poly_gcd, pseudo_divmod)
 
-from math import lcm
+from math import gcd, lcm
 
 
 class DomainError(MixedRingError):
@@ -25,6 +26,16 @@ def smith_normal_form(rows):
     Pivots are chosen by least degree, ties by lowest (row, col), until
     the matrix is diagonal; the diagonal is then put in divisibility order
     by diag(a, b) ~ diag(gcd, lcm).
+
+    The loop runs fraction-free on coefficient lists.  Over GF(p) they
+    hold residues and each step takes the field quotient.  Over QQ each
+    row is scaled once into ZZ[t], and each Euclidean step is a
+    pseudo-division s*a = q*b + r (`pseudo_divmod`): a row step sets
+    D[i] to s*D[i] - q*D[0] and divides out the row's content, a column
+    step sets D[0][j] to r and multiplies the rest of column j by s.
+    Every entry stays a nonzero rational multiple of the entry Euclid over
+    QQ[t] would hold, so degrees, zero patterns, pivots and the monic
+    factors are the same.
     """
     ring = None
     for row in rows:
@@ -40,10 +51,15 @@ def smith_normal_form(rows):
     n = len(rows[0]) if rows else 0
     if any(len(r) != n for r in rows):
         raise ValueError("ragged matrix")
-    D = mat_copy(rows)
+    p = ring.char if ring is not None else 0
+    if p:
+        D = [[list(e.coeffs) for e in row] for row in rows]
+    else:
+        D = [_primitive_row(clear_denominators([e.coeffs for e in row])[1])
+             for row in rows]
     diag = []
     while True:
-        nonzero = [(e.degree, i, j) for i, row in enumerate(D)
+        nonzero = [(len(e), i, j) for i, row in enumerate(D)
                    for j, e in enumerate(row) if e]
         if not nonzero:
             break
@@ -56,28 +72,38 @@ def smith_normal_form(rows):
             # clear column 0; a nonzero remainder becomes the pivot
             dirty = False
             for i in range(1, len(D)):
-                if not D[i][0]:
+                a = D[i][0]
+                if not a:
                     continue
-                q = divmod(D[i][0], D[0][0])[0]
-                if q:
-                    D[i] = [a - q * b for a, b in zip(D[i], D[0])]
+                if len(a) >= len(D[0][0]):
+                    s, q, r = pseudo_divmod(a, D[0][0], p)
+                    D[i] = [r] + [_sub_mul(s, x, q, y, p)
+                                  for x, y in zip(D[i][1:], D[0][1:])]
+                    if not p:
+                        D[i] = _primitive_row(D[i])
                 if D[i][0]:
                     D[0], D[i] = D[i], D[0]
                     dirty = True
             if dirty:
                 continue
             # clear row 0; while column 0 is clear a column operation
-            # changes row 0 only, so stop at the first column swap
+            # changes row 0 only, up to the scaling s of column j, so stop
+            # at the first column swap
             for j in range(1, len(D[0])):
-                if not D[0][j]:
+                a = D[0][j]
+                if not a:
                     continue
-                D[0][j] = divmod(D[0][j], D[0][0])[1]
+                if len(a) >= len(D[0][0]):
+                    s, _, D[0][j] = pseudo_divmod(a, D[0][0], p)
+                    if s != 1:
+                        for row in D[1:]:
+                            row[j] = [s * c for c in row[j]]
                 if D[0][j]:
                     for row in D:
                         row[0], row[j] = row[j], row[0]
                     dirty = True
                     break
-        diag.append(D[0][0])
+        diag.append(Poly(ring, D[0][0]))
         D = [row[1:] for row in D[1:]]
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
@@ -86,6 +112,37 @@ def smith_normal_form(rows):
                 diag[i], diag[j] = g, diag[i] * diag[j] // g
         diag[i] = diag[i].monic()
     return diag, len(diag)
+
+
+def _sub_mul(s, a, q, b, p):
+    """s*a - q*b on coefficient lists, reduced modulo p when p > 0."""
+    out = [s * c for c in a] if s != 1 else list(a)
+    if b:
+        n = len(q) + len(b) - 1
+        if len(out) < n:
+            out += [0] * (n - len(out))
+        m = len(b)
+        for i, c in enumerate(q):
+            if c:
+                out[i:i + m] = [x - c * d for x, d in zip(out[i:i + m], b)]
+        if p:
+            out = [c % p for c in out]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _primitive_row(row):
+    """The row of int coefficient lists divided by its content."""
+    h = 0
+    for e in row:
+        for c in e:
+            h = gcd(h, c)
+            if h == 1:
+                return row
+    if h > 1:
+        return [[c // h for c in e] for e in row]
+    return row
 
 
 # ---------------------------------------------------------------------------

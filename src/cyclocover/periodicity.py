@@ -14,7 +14,7 @@ from .arith import factorize
 from .errors import InternalCheckError, PreconditionError
 from .matrices import (det_int, int_mat_check, mat_identity, mat_is_identity,
                        mat_mul, mat_pow)
-from .normal_forms import finite_order
+from .normal_forms import char_poly, cyclotomic_indices, finite_order
 
 
 class RelationError(PreconditionError):
@@ -144,9 +144,10 @@ class FgAbelianAutomorphism:
 def solve_prop_matrix(a, b, k, sign):
     """Minimal m with A^m = I and gcd(m, k) = 1, given B A^k B^{-1} = A^sign.
 
-    The relation is verified exactly first; a failure is a precondition
-    error.  An A of infinite order despite a valid relation would
-    contradict the theory and raises an internal error.
+    The relation is verified exactly before m is returned; a failure is a
+    precondition error, reached without powering when some eigenvalue of
+    A is not a root of unity.  An A of infinite order despite a valid
+    relation would contradict the theory and raises an internal error.
     """
     int_mat_check(a, square=True)
     int_mat_check(b, square=True)
@@ -160,6 +161,12 @@ def solve_prop_matrix(a, b, k, sign):
         raise RelationError("A must be invertible over ZZ")
     if det_int(b) not in (1, -1):
         raise RelationError("B must be invertible over ZZ")
+    m = finite_order(a)
+    # the relation makes A^(k^2) similar to A, so lambda -> lambda^(k^2)
+    # permutes the eigenvalues of A and each is a root of unity.  Check
+    # that before powering: otherwise the entries of A^k grow linearly in k.
+    if m is None and cyclotomic_indices(char_poly(a)) is None:
+        raise RelationError("B A^k B^-1 = A^sign does not hold")
     # B is invertible, so the relation reads B A^k = A B for sign +1 and
     # A B A^k = B for sign -1
     bak = mat_mul(b, mat_pow(a, k))
@@ -169,7 +176,6 @@ def solve_prop_matrix(a, b, k, sign):
         holds = mat_mul(a, bak) == b
     if not holds:
         raise RelationError("B A^k B^-1 = A^sign does not hold")
-    m = finite_order(a)
     if m is None:
         raise InternalCheckError("A has infinite order despite the relation")
     if gcd(m, k) != 1:

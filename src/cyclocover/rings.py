@@ -2,20 +2,22 @@
 
 Supported coefficient rings: the integers (ZZ), the rationals (QQ) and
 prime fields GF(p) for word-sized p.  Coefficients are plain values: int
-over ZZ, Fraction over QQ, and over GF(p) an int in [0, p).  A ring's
-`coerce` is the one place that reduces, so code that adds or multiplies
-GF(p) coefficients itself must coerce the result before it tests it for
-zero or stores it.  Polynomials are dense lists of coefficients; Laurent
+over ZZ; over QQ an int when the value is integral and a Fraction only
+otherwise; and over GF(p) an int in [0, p).  A ring's `coerce` is the one
+place that normalizes, so code that adds or multiplies GF(p)
+coefficients itself must coerce the result before it tests it for zero
+or stores it.  Polynomials are dense lists of coefficients; Laurent
 polynomials carry an extra power-of-t valuation.
 
 A `Poly` is false exactly when it is zero, and `a // b` is exact
-division: it raises `ExactDivisionError` on a nonzero remainder.  The
-gcd over ZZ[t] runs on plain int coefficient lists (a primitive
-pseudo-remainder sequence), never through QQ[t].
+division: it raises `ExactDivisionError` on a nonzero remainder.
+`pseudo_divmod` divides plain int coefficient lists without fractions;
+the gcd over ZZ[t] (a primitive pseudo-remainder sequence) and the Smith
+loop over kappa[t] both run on it, never through Fraction coefficients.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .arith import is_prime
 
@@ -57,16 +59,17 @@ class _RationalField:
     char = 0
 
     def coerce(self, x):
+        """An int for an integral value, a Fraction otherwise."""
         if isinstance(x, Fraction):
-            return x
+            return x.numerator if x.denominator == 1 else x
         if isinstance(x, bool):
             raise TypeError("bool is not a rational coefficient")
         if isinstance(x, int):
-            return Fraction(x)
+            return x
         raise TypeError(f"cannot coerce {x!r} into QQ")
 
     def inv(self, x):
-        return 1 / Fraction(x)
+        return self.coerce(1 / Fraction(x))
 
     def __repr__(self):
         return "QQ"
@@ -356,32 +359,75 @@ def gcd_zz(a: Poly, b: Poly) -> Poly:
     g = [c // cb for c in b.coeffs]
     if len(f) < len(g):
         f, g = g, f
-    while g:
+    while len(g) > 1:
         f, g = g, _primitive_prem(f, g)
+    if g:
+        # a nonzero constant divides f, so the primitive parts are coprime
+        f = [1]
     if f[-1] < 0:
         f = [-c for c in f]
     c = gcd(ca, cb)
     return Poly(ZZ, [c * x for x in f])
 
 
-def _primitive_prem(f, g):
-    """Primitive part of a pseudo-remainder of f by g (int coefficient
-    lists, len(f) >= len(g) > 0, no trailing zeros); [] when g divides f.
-    Each step scales the remainder by lc(g)/gcd, which over QQ is a unit."""
+def pseudo_divmod(f, g, p=0):
+    """(s, q, r) with s*f = q*g + r and len(r) < len(g), for coefficient
+    lists f and g (no trailing zeros, g nonzero).
+
+    With p = 0 the lists hold ints and nothing leaves ZZ: each step scales
+    by lc(g) / gcd(top, lc(g)), so s divides lc(g)^(deg f - deg g + 1) and
+    is a unit of QQ.  With p prime they hold residues in [0, p), each step
+    uses the field quotient and s = 1.  Each quotient coefficient is stored
+    in the slot of the top coefficient it cancels, so a later scaling of
+    the working list scales it too.
+    """
     r = list(f)
     n = len(g)
     lc = g[-1]
-    while len(r) >= n:
-        top = r.pop()
-        h = gcd(top, lc)
-        u, v = lc // h, top // h
-        s = len(r) - n + 1
-        if u != 1:
-            r = [u * x for x in r]
-        for i in range(n - 1):
-            r[s + i] -= v * g[i]
-        while r and not r[-1]:
-            r.pop()
+    s = 1
+    if p:
+        lc_inv = pow(lc, -1, p)
+    for top_i in range(len(r) - 1, n - 2, -1):
+        top = r[top_i]
+        if not top:
+            continue
+        k = top_i - n + 1
+        if p:
+            v = top * lc_inv % p
+            for i in range(n - 1):
+                r[k + i] = (r[k + i] - v * g[i]) % p
+        else:
+            h = gcd(top, lc)
+            u, v = lc // h, top // h
+            if u != 1:
+                r = [u * x for x in r]
+                s *= u
+            for i in range(n - 1):
+                r[k + i] -= v * g[i]
+        r[top_i] = v
+    q = r[n - 1:]
+    del r[n - 1:]
+    while r and not r[-1]:
+        r.pop()
+    return s, q, r
+
+
+def clear_denominators(coeff_lists):
+    """(den, int_lists): den is the lcm of the denominators of the QQ
+    coefficients (ints or Fractions) in `coeff_lists`, and int_lists holds
+    den times each coefficient, as lists of ints."""
+    den = 1
+    for cs in coeff_lists:
+        for c in cs:
+            den = lcm(den, c.denominator)
+    return den, [[c.numerator * (den // c.denominator) for c in cs]
+                 for cs in coeff_lists]
+
+
+def _primitive_prem(f, g):
+    """Primitive part of the pseudo-remainder of f by g (int coefficient
+    lists, len(f) >= len(g) > 0, no trailing zeros); [] when g divides f."""
+    r = pseudo_divmod(f, g)[2]
     if r:
         h = gcd(*r)
         if h != 1:

@@ -7,7 +7,8 @@ matrix orders are found by brute-force powering, finite-cover homology
 is computed directly as ker/im of the cover's dense boundary matrices, and
 h_p^- comes from the exact product of cyclically shifted polynomials and
 from Maillet's full determinant, determinants come from the Leibniz
-permutation sum, and gcds over ZZ[t] from Euclid over QQ[t].
+permutation sum, gcds over ZZ[t] from Euclid over QQ[t], and Smith forms
+from Euclid over kappa[t] on Poly entries.
 """
 
 from fractions import Fraction
@@ -392,6 +393,59 @@ def gcd_zz_over_qq(a, b):
     g = poly_gcd(a.to_ring(QQ), b.to_ring(QQ))
     den = lcm(*(q.denominator for q in g.coeffs))
     return Poly(ZZ, [int(q * den) for q in g.coeffs]).primitive().scale(c)
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form by Euclid over kappa[t] on Poly entries
+
+def smith_oracle(rows):
+    """(monic invariant factors, rank) of a matrix of Poly over a field,
+    with every step a Poly division over the field: the same pivot rule
+    (least degree, then lowest (row, col)) and diagonal read-off as
+    `smith_normal_form`, without its fraction-free coefficient lists."""
+    D = [list(row) for row in rows]
+    diag = []
+    while True:
+        nonzero = [(e.degree, i, j) for i, row in enumerate(D)
+                   for j, e in enumerate(row) if e]
+        if not nonzero:
+            break
+        _, pi, pj = min(nonzero)
+        D[0], D[pi] = D[pi], D[0]
+        for row in D:
+            row[0], row[pj] = row[pj], row[0]
+        dirty = True
+        while dirty:
+            dirty = False
+            for i in range(1, len(D)):
+                if not D[i][0]:
+                    continue
+                q = divmod(D[i][0], D[0][0])[0]
+                if q:
+                    D[i] = [a - q * b for a, b in zip(D[i], D[0])]
+                if D[i][0]:
+                    D[0], D[i] = D[i], D[0]
+                    dirty = True
+            if dirty:
+                continue
+            for j in range(1, len(D[0])):
+                if not D[0][j]:
+                    continue
+                D[0][j] = divmod(D[0][j], D[0][0])[1]
+                if D[0][j]:
+                    for row in D:
+                        row[0], row[j] = row[j], row[0]
+                    dirty = True
+                    break
+        diag.append(D[0][0])
+        D = [row[1:] for row in D[1:]]
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            if divmod(diag[j], diag[i])[1]:
+                g = poly_gcd(diag[i], diag[j])
+                diag[i], diag[j] = g, diag[i] * diag[j] // g
+        diag[i] = diag[i].monic()
+    return diag, len(diag)
 
 
 # ---------------------------------------------------------------------------

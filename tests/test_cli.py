@@ -18,9 +18,13 @@ def invoke(capsys, *argv):
     return code, json.loads(out)
 
 
-def corpus_params(name):
+def corpus_case(name):
     with open(os.path.join(default_corpus_path(), name)) as fh:
-        return json.load(fh)["params"]
+        return json.load(fh)
+
+
+def corpus_params(name):
+    return corpus_case(name)["params"]
 
 
 # [t-1, t-1]: H_0 = coker(t-1), H_1 free of rank 1
@@ -269,6 +273,28 @@ class TestInputBoundary:
         assert code == 2 and rep["error"]["kind"] == "precondition"
         assert "missing parameters ['q']" in rep["error"]["message"]
 
+    @pytest.mark.parametrize("k", [3 * 10**6, 10**18 + 1])
+    def test_prop_matrix_hyperbolic_refused_before_powering(self, capsys, k):
+        # an eigenvalue that is not a root of unity rules the relation out
+        # before A^k, whose entries grow linearly in k, is formed
+        start = time.perf_counter()
+        code, rep = invoke(capsys, "prop-matrix", "--a", '[["2", "1"], ["1", "1"]]',
+                           "--b", I2, "--k", str(k), "--sign", "1")
+        assert time.perf_counter() - start < 0.1
+        assert code == 2 and rep["error"]["kind"] == "precondition"
+        assert rep["error"]["message"] == "B A^k B^-1 = A^sign does not hold"
+
+    def test_unwritable_out_exit_2(self, capsys, tmp_path):
+        bad = str(tmp_path / "no" / "such" / "x.json")
+        code = run(["hp-minus", "--p", "23", "--out", bad])
+        out = capsys.readouterr().out
+        # exactly one JSON object, the error, and nothing else
+        assert code == 2 and out.count("\n") == 1
+        rep = json.loads(out)
+        assert rep["error"]["kind"] == "precondition"
+        assert "cannot write" in rep["error"]["message"] and bad in rep["error"]["message"]
+        assert not os.path.exists(bad)
+
     @pytest.mark.parametrize("exc", [ValueError, KeyError, TypeError,
                                      ZeroDivisionError, IndexError])
     def test_other_exceptions_exit_3(self, capsys, monkeypatch, exc):
@@ -387,8 +413,7 @@ class TestCorpus:
         assert capsys.readouterr().out == first
 
     def test_corpus_mismatch_exit_1(self, capsys, tmp_path):
-        src = os.path.join(default_corpus_path(), "hp_minus_23.json")
-        case = json.load(open(src))
+        case = corpus_case("hp_minus_23.json")
         case["expected"]["h_minus"] = "999"
         (tmp_path / "bad.json").write_text(json.dumps(case))
         code, rep = invoke(capsys, "corpus", "--path", str(tmp_path))
@@ -423,7 +448,6 @@ class TestCommandTable:
         assert list(sub.choices) == list(cli._COMMANDS) + ["corpus"]
 
     def test_every_command_has_a_corpus_case(self):
-        path = default_corpus_path()
-        covered = {json.load(open(os.path.join(path, n)))["subcommand"]
-                   for n in os.listdir(path) if n.endswith(".json")}
+        covered = {corpus_case(n)["subcommand"]
+                   for n in os.listdir(default_corpus_path()) if n.endswith(".json")}
         assert set(cli._COMMANDS) <= covered

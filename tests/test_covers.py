@@ -143,6 +143,22 @@ class TestMappingTorus:
             # top degree is the shifted copy; torus of an n-complex has n+1
             assert len(inf) == len(ranks) + 1
 
+    def test_random_8x8_monodromy_over_qq_is_fast(self):
+        # the fraction-free Smith loop keeps coefficient growth in check;
+        # H_0 of the torus is coker(tI - A), whose factors multiply to
+        # char_poly(A)
+        rng = random.Random(8001)
+        a = [[rng.randint(-3, 3) for _ in range(8)] for _ in range(8)]
+        x = mapping_torus_complex([8], [], [a])
+        start = time.perf_counter()
+        inf = infinite_cover_homology_field(x, QQ)
+        assert time.perf_counter() - start < 2
+        factors, free = inf[0]
+        prod = Poly.one(QQ)
+        for f in factors:
+            prod = prod * f
+        assert free == 0 and prod == char_poly(a).to_ring(QQ)
+
 
 class TestOneSmithFormPerBoundary:
     def test_call_counts(self, monkeypatch):

@@ -18,7 +18,7 @@ from cyclocover.normal_forms import (DomainError, char_poly, finite_order,
                                      laurent_cokernel, smith_normal_form)
 from cyclocover.rings import GF, LaurentPoly, MixedRingError, Poly, QQ, ZZ, poly_gcd
 
-from helpers import brute_order, leibniz_det
+from helpers import brute_order, leibniz_det, smith_oracle
 
 
 def P(*cs):
@@ -261,6 +261,78 @@ class TestSnfPoly:
     def test_ragged_rejected(self):
         with pytest.raises(ValueError):
             smith_normal_form([[Poly.one(QQ)], [Poly.one(QQ), Poly.t(QQ)]])
+
+
+class TestSnfAgainstOracle:
+    """The fraction-free loop against helpers.smith_oracle, Euclid over
+    kappa[t] on Poly entries: both must give the same monic factors."""
+
+    FIELDS = [QQ, GF(2), GF(5), GF(2**31 - 1)]
+
+    @staticmethod
+    def rand_coeff(rng, field):
+        if field is QQ:
+            # non-integral values and non-monic pivots
+            return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3, 6]))
+        if field.p > 5:
+            return rng.choice([rng.randint(-3, 3), rng.randrange(field.p)])
+        return rng.randint(0, field.p - 1)
+
+    def rand_matrix(self, rng, field, m, n, max_len=3):
+        return [[Poly(field, [self.rand_coeff(rng, field)
+                              for _ in range(rng.randint(0, max_len))])
+                 for _ in range(n)] for _ in range(m)]
+
+    def check(self, a):
+        assert smith_normal_form(a) == smith_oracle(a), a
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_random_shapes(self, field):
+        rng = random.Random(1701 + field.char % 1000)
+        for _ in range(100):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            self.check(self.rand_matrix(rng, field, m, n, 3 if m * n <= 9 else 2))
+
+    def test_row_clear_scales_the_rest_of_the_column(self):
+        # column 0 is clear below a non-monic pivot c*t of least degree, so
+        # the first steps are column steps with s != 1, and rows 1.. of
+        # each such column must be scaled with it
+        rng = random.Random(1721)
+        for _ in range(200):
+            def lin():
+                return Poly(QQ, (rng.randint(-1, 2), rng.randint(1, 3)))
+            m, n = rng.randint(2, 3), rng.randint(2, 3)
+            a = [[lin() for _ in range(n)] for _ in range(m)]
+            a[0][0] = Poly(QQ, (0, rng.choice([2, 3, -2])))
+            for row in a[1:]:
+                row[0] = Poly.zero(QQ)
+            self.check(a)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_rank_deficient(self, field):
+        rng = random.Random(1709 + field.char % 1000)
+        for r in (1, 2, 2, 3):
+            b = self.rand_matrix(rng, field, 4, r, 2)
+            c = self.rand_matrix(rng, field, r, 4, 2)
+            a = [[sum((b[i][k] * c[k][j] for k in range(r)), Poly.zero(field))
+                  for j in range(4)] for i in range(4)]
+            self.check(a)
+            assert smith_normal_form(a)[1] <= r
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_empty_and_zero(self, field):
+        z = Poly.zero(field)
+        for a in ([], [[], [], []], [[z] * 3], [[z, z], [z, z]]):
+            self.check(a)
+            assert smith_normal_form(a) == ([], 0)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_free_part_complexes(self, field):
+        # the boundaries of [t-1, t-1] and of its transpose [[t-1], [t-1]]
+        tm1 = Poly(field, (-1, 1))
+        for a in ([[tm1, tm1]], [[tm1], [tm1]]):
+            self.check(a)
+            assert smith_normal_form(a) == ([tm1], 1)
 
 
 class TestCharPoly:

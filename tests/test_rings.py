@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from cyclocover import rings
 from cyclocover.rings import (ExactDivisionError, GF, LaurentPoly,
                               MixedRingError, Poly, QQ, ZZ, cyclotomic, gcd_zz,
-                              poly_gcd)
+                              poly_gcd, pseudo_divmod)
 
 from helpers import gcd_zz_over_qq
 
@@ -201,6 +201,70 @@ class TestGcdZZ:
             h = self.rand_poly(rng, 3)
             gcd_zz(self.rand_poly(rng, 5) * h, self.rand_poly(rng, 5) * h)
         assert gcd_zz(P(-2, 2), P(-4, 0, 4)) == P(-2, 2)
+
+
+class TestRationalValues:
+    """QQ keeps an integral value as an int and a Fraction only otherwise."""
+
+    def test_coerce_and_inv(self):
+        assert type(QQ.coerce(Fraction(4, 2))) is int
+        assert type(QQ.coerce(7)) is int
+        assert QQ.coerce(Fraction(1, 2)) == Fraction(1, 2)
+        assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
+        assert type(QQ.inv(Fraction(1, 3))) is int and QQ.inv(Fraction(1, 3)) == 3
+        assert QQ.inv(2) == Fraction(1, 2)
+
+    def test_no_poly_holds_an_integral_fraction(self):
+        def ok(f):
+            return all(type(c) is int or c.denominator != 1 for c in f.coeffs)
+        rng = random.Random(37)
+        for _ in range(200):
+            a = Poly(QQ, [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
+                          for _ in range(rng.randint(0, 4))])
+            b = Poly(QQ, [Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3]))
+                          for _ in range(rng.randint(1, 3))])
+            results = [a, b, a + b, a - b, a * b, a.monic(), a.scale(Fraction(3, 2))]
+            if b:
+                results += list(divmod(a, b)) + [poly_gcd(a, b)]
+            assert all(ok(f) for f in results), (a, b)
+        # equality and hashing do not see the representation
+        assert Poly(QQ, [Fraction(4, 2)]) == Poly(QQ, [2])
+        assert hash(Poly(QQ, [Fraction(4, 2)])) == hash(Poly(QQ, [2]))
+
+
+class TestPseudoDivmod:
+    """s*f = q*g + r with deg r < deg g, on int lists and modulo p."""
+
+    @staticmethod
+    def rand_list(rng, length, lo, hi):
+        cs = [rng.randint(lo, hi) for _ in range(length)]
+        while cs and not cs[-1]:
+            cs.pop()
+        return cs
+
+    def test_identity_over_zz(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            f = self.rand_list(rng, rng.randint(0, 8), -9, 9)
+            g = self.rand_list(rng, rng.randint(1, 5), -9, 9) or [rng.choice([-2, 3])]
+            s, q, r = pseudo_divmod(f, g)
+            assert s != 0 and len(r) < len(g)
+            lhs = Poly(ZZ, f).scale(s)
+            assert lhs == Poly(ZZ, q) * Poly(ZZ, g) + Poly(ZZ, r)
+            # s divides lc(g)^(deg f - deg g + 1)
+            assert g[-1] ** max(len(f) - len(g) + 1, 0) % s == 0
+
+    @pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
+    def test_field_quotient_modulo_p(self, p):
+        rng = random.Random(43)
+        field = GF(p)
+        for _ in range(200):
+            f = self.rand_list(rng, rng.randint(0, 8), 0, p - 1)
+            g = self.rand_list(rng, rng.randint(1, 5), 0, p - 1) or [1]
+            s, q, r = pseudo_divmod(f, g, p)
+            assert s == 1
+            assert all(0 <= c < p for c in q + r)
+            assert (Poly(field, q), Poly(field, r)) == divmod(Poly(field, f), Poly(field, g))
 
 
 class TestCyclotomic:

@@ -2,10 +2,11 @@
 
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from .errors import PreconditionError
-from .rings import (LaurentPoly, MixedRingError, Poly, QQ, ZZ, _pos,
-                    clear_denominators, gcd_zz)
+from .rings import (LaurentPoly, MixedRingError, Poly, QQ, ZZ,
+                    clear_denominators, gcd_zz_coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -102,6 +103,32 @@ def mat_pow(a, e, one=1, zero=0):
 # ---------------------------------------------------------------------------
 # determinants over polynomial rings
 
+def _row_norm(cs_row):
+    """max(1, 1-norm of a row of int coefficient lists): the row's factor
+    in the Leibniz bound on a determinant's 1-norm."""
+    return max(1, sum(sum(map(abs, cs)) for cs in cs_row))
+
+def _kronecker_eval(cs, k):
+    """The int coefficient list cs evaluated at t = 2^k."""
+    v = 0
+    for c in reversed(cs):
+        v = (v << k) + c
+    return v
+
+def _kronecker_digits(d, k):
+    """The balanced base-2^k digits of d, lowest first: the coefficients
+    of the polynomial whose value at t = 2^k is d."""
+    base = 1 << k
+    half = base >> 1
+    coeffs = []
+    while d:
+        c = d & (base - 1)
+        if c >= half:
+            c -= base
+        coeffs.append(c)
+        d = (d - c) >> k
+    return coeffs
+
 def det_poly(rows, ring):
     """Exact determinant of a square matrix of Poly (or scalars) over ZZ,
     QQ or GF(p), by Kronecker substitution.
@@ -129,28 +156,12 @@ def det_poly(rows, ring):
         if ring is QQ:
             den, cs_row = clear_denominators(cs_row)
             scale *= den
-        bound *= max(1, sum(sum(map(abs, cs)) for cs in cs_row))
+        bound *= _row_norm(cs_row)
         int_rows.append(cs_row)
     k = bound.bit_length() + 1
-    m = []
-    for cs_row in int_rows:
-        vals = []
-        for cs in cs_row:
-            v = 0
-            for c in reversed(cs):
-                v = (v << k) + c
-            vals.append(v)
-        m.append(vals)
-    d = _bareiss(m)
-    base = 1 << k
-    half = base >> 1
-    coeffs = []
-    while d:
-        c = d & (base - 1)
-        if c >= half:
-            c -= base
-        coeffs.append(c)
-        d = (d - c) >> k
+    d = _bareiss([[_kronecker_eval(cs, k) for cs in cs_row]
+                  for cs_row in int_rows])
+    coeffs = _kronecker_digits(d, k)
     if scale != 1:
         coeffs = [Fraction(c, scale) for c in coeffs]
     return Poly(ring, coeffs)
@@ -158,6 +169,15 @@ def det_poly(rows, ring):
 
 # ---------------------------------------------------------------------------
 # Laurent matrices
+
+def _cleared_coeffs(row):
+    """A row of Laurent entries as coefficient tuples, each multiplied by
+    the power of t that clears the row (its least nonzero valuation
+    becomes 0)."""
+    v = min((e.val for e in row if not e.is_zero), default=0)
+    return [(0,) * (e.val - v) + e.body.coeffs if e.body.coeffs else ()
+            for e in row]
+
 
 class LaurentMatrix:
     """Rectangular matrix with LaurentPoly entries over one coefficient ring."""
@@ -242,18 +262,10 @@ class LaurentMatrix:
         that clears it.  Unit row scalings do not change kernels or
         cokernel isomorphism type.
         """
-        poly_rows = []
-        for row in self.entries:
-            vals = [e.min_exp for e in row if not e.is_zero]
-            v = min(vals) if vals else 0
-            prow = []
-            for e in row:
-                if e.is_zero:
-                    prow.append(Poly.zero(self.ring))
-                else:
-                    prow.append(e.body.shift(e.min_exp - v))
-            poly_rows.append(prow)
-        return poly_rows
+        # an entry that is not shifted keeps its Poly
+        return [[e.body if len(cs) == len(e.body.coeffs) else Poly(self.ring, cs)
+                 for e, cs in zip(row, _cleared_coeffs(row))]
+                for row in self.entries]
 
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):
@@ -271,24 +283,32 @@ def laurent_minor_gcd(mat: LaurentMatrix, size: int) -> Poly:
 
     Rows are first cleared by powers of t, which only changes minors by
     units.  Returns the zero polynomial when all minors vanish.
+
+    Each entry is evaluated once, at t = 2^k with k from `det_poly`'s
+    bound B: a minor's Leibniz bound is a product of `size` row factors
+    `_row_norm`, so the product of the `size` largest ones bounds every
+    minor.  Each minor is then one integer Bareiss run, its t-power
+    stripped and its coefficients read back as base-2^k digits.
     """
     if mat.ring is not ZZ:
         raise TypeError("minor gcd is computed over ZZ")
     if size > mat.nrows or size > mat.ncols:
         return Poly.zero(ZZ)
-    poly_rows = mat.cleared_rows()
-    g = Poly.zero(ZZ)
-    for rsel in combinations(range(mat.nrows), size):
+    cs_rows = [_cleared_coeffs(row) for row in mat.entries]
+    bound = prod(sorted(map(_row_norm, cs_rows), reverse=True)[:size])
+    k = bound.bit_length() + 1
+    mask = (1 << k) - 1
+    vals = [[_kronecker_eval(cs, k) for cs in cs_row] for cs_row in cs_rows]
+    g = []
+    for rsel in combinations(vals, size):
         for csel in combinations(range(mat.ncols), size):
-            sub = [[poly_rows[i][j] for j in csel] for i in rsel]
-            d = det_poly(sub, ZZ)
-            if d.is_zero:
+            d = _bareiss([[r[j] for j in csel] for r in rsel])
+            if not d:
                 continue
             # strip the t-power unit so contents combine correctly
-            k = d.low_order()
-            if k:
-                d = Poly(ZZ, d.coeffs[k:])
-            g = gcd_zz(g, d)
-            if g.degree == 0 and abs(g.coeffs[0]) == 1:
-                return _pos(g)
-    return _pos(g)
+            while not d & mask:
+                d >>= k
+            g = gcd_zz_coeffs(g, _kronecker_digits(d, k))
+            if g == [1]:
+                return Poly.one(ZZ)
+    return Poly(ZZ, g)

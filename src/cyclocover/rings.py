@@ -345,18 +345,24 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
 
 
 def gcd_zz(a: Poly, b: Poly) -> Poly:
-    """gcd over ZZ[t] with a positive leading coefficient: the gcd of the
-    contents times the primitive part of the last nonzero remainder of the
-    primitive pseudo-remainder sequence (Collins 1967; Brown 1971)."""
+    """gcd over ZZ[t] with a positive leading coefficient (`gcd_zz_coeffs`
+    on the coefficient tuples)."""
     if a.ring is not ZZ or b.ring is not ZZ:
         raise TypeError("gcd_zz needs ZZ coefficients")
-    if a.is_zero:
-        return _pos(b)
-    if b.is_zero:
-        return _pos(a)
-    ca, cb = a.content(), b.content()
-    f = [c // ca for c in a.coeffs]
-    g = [c // cb for c in b.coeffs]
+    return Poly(ZZ, gcd_zz_coeffs(a.coeffs, b.coeffs))
+
+
+def gcd_zz_coeffs(a, b):
+    """gcd of two int coefficient lists (no trailing zeros; [] is zero)
+    with a positive leading coefficient: the gcd of the contents times the
+    primitive part of the last nonzero remainder of the primitive
+    pseudo-remainder sequence (Collins 1967; Brown 1971)."""
+    if not a or not b:
+        f = a or b
+        return [-c for c in f] if f and f[-1] < 0 else list(f)
+    ca, cb = gcd(*a), gcd(*b)
+    f = [c // ca for c in a]
+    g = [c // cb for c in b]
     if len(f) < len(g):
         f, g = g, f
     while len(g) > 1:
@@ -364,10 +370,10 @@ def gcd_zz(a: Poly, b: Poly) -> Poly:
     if g:
         # a nonzero constant divides f, so the primitive parts are coprime
         f = [1]
-    if f[-1] < 0:
-        f = [-c for c in f]
     c = gcd(ca, cb)
-    return Poly(ZZ, [c * x for x in f])
+    if f[-1] < 0:
+        c = -c
+    return [c * x for x in f]
 
 
 def pseudo_divmod(f, g, p=0):
@@ -435,12 +441,6 @@ def _primitive_prem(f, g):
     return r
 
 
-def _pos(a: Poly) -> Poly:
-    if a.is_zero or a.leading > 0:
-        return a
-    return -a
-
-
 _CYCLOTOMIC_CACHE = {}
 
 
@@ -503,10 +503,6 @@ class LaurentPoly:
     @property
     def is_zero(self):
         return self.body.is_zero
-
-    @property
-    def min_exp(self):
-        return self.val
 
     def __add__(self, other):
         ring = _same_ring(self, other)

@@ -15,6 +15,14 @@ from .modules import ModulePresentation
 from .covers import TwistedChainComplex
 from .rings import LaurentPoly, Poly, QQ, ZZ
 
+# the largest chain-complex rank or matrix dimension, and the largest
+# degree the entries of a matrix may span (which bounds every row and
+# column once cleared by a power of t), that a wire input may ask for; the memory and time they cost grow with them
+# (a 0 x n matrix costs n without n entries), so a larger one is refused
+# before anything is built
+_RANK_LIMIT = 2048
+_CLEARED_DEGREE_LIMIT = 2048
+
 
 def _is_count(x):
     return isinstance(x, int) and not isinstance(x, bool) and x >= 0
@@ -75,6 +83,9 @@ def parse_matrix(obj, ring=ZZ) -> LaurentMatrix:
         raise PreconditionError(f"matrix is missing field {exc}")
     if not (_is_count(rows) and _is_count(cols)):
         raise PreconditionError(f"bad matrix shape {rows!r}x{cols!r}")
+    if max(rows, cols) > _RANK_LIMIT:
+        raise PreconditionError(
+            f"matrix shape {rows}x{cols} is above the limit {_RANK_LIMIT}")
     if not isinstance(entries, list) or len(entries) != rows:
         raise PreconditionError("matrix entries do not match declared rows")
     grid = []
@@ -82,7 +93,22 @@ def parse_matrix(obj, ring=ZZ) -> LaurentMatrix:
         if not isinstance(row, list) or len(row) != cols:
             raise PreconditionError("matrix entries do not match declared cols")
         grid.append([parse_laurent(e, ring) for e in row])
+    # the span of the whole matrix bounds that of every row and column
+    span = _span([e for line in grid for e in line])
+    if span > _CLEARED_DEGREE_LIMIT:
+        raise PreconditionError(f"matrix entries span degree {span}, above "
+                                f"the limit {_CLEARED_DEGREE_LIMIT}")
     return LaurentMatrix(ring, rows, cols, grid)
+
+
+def _span(entries):
+    """max(val + deg) - min(val) over the nonzero Laurent entries (0 if
+    none): the degree they span once cleared by a power of t."""
+    nonzero = [e for e in entries if e.body.coeffs]
+    if not nonzero:
+        return 0
+    return (max(e.val + len(e.body.coeffs) for e in nonzero) - 1
+            - min(e.val for e in nonzero))
 
 
 def parse_int_matrix(obj):
@@ -119,6 +145,9 @@ def parse_rational_matrix(obj):
 def parse_ranks(ranks):
     if not isinstance(ranks, list) or not all(map(_is_count, ranks)):
         raise PreconditionError(f"bad rank list {ranks!r}")
+    if max(ranks, default=0) > _RANK_LIMIT:
+        raise PreconditionError(
+            f"rank {max(ranks)} is above the limit {_RANK_LIMIT}")
     return ranks
 
 

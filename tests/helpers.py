@@ -7,23 +7,25 @@ matrix orders are found by brute-force powering, finite-cover homology
 is computed directly as ker/im of the cover's dense boundary matrices, and
 h_p^- comes from the exact product of cyclically shifted polynomials and
 from Maillet's full determinant, determinants come from the Leibniz
-permutation sum, gcds over ZZ[t] from Euclid over QQ[t], and Smith forms
-from Euclid over kappa[t] on Poly entries.
+permutation sum, gcds over ZZ[t] from Euclid over QQ[t], minor gcds from
+one determinant per minor, and Smith forms from Euclid over kappa[t] on
+Poly entries.
 """
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from math import gcd, lcm
 
 from cyclocover.arith import factorize, primitive_root
 from cyclocover.linfield import rref
-from cyclocover.matrices import LaurentMatrix, det_int, mat_identity, mat_mul
+from cyclocover.matrices import (LaurentMatrix, det_int, det_poly, mat_identity,
+                                 mat_mul)
 from cyclocover.modules import (FinGenVerdict, FinGenWitness,
                                 INFINITE_DIMENSION, T_NOT_INTEGRAL,
                                 TINV_NOT_INTEGRAL, minor_gcd)
 from cyclocover.normal_forms import laurent_cokernel
 from cyclocover.rings import (GF, LaurentPoly, Poly, QQ, ZZ, cyclotomic,
-                              poly_gcd)
+                              gcd_zz, poly_gcd)
 
 
 # ---------------------------------------------------------------------------
@@ -393,6 +395,26 @@ def gcd_zz_over_qq(a, b):
     g = poly_gcd(a.to_ring(QQ), b.to_ring(QQ))
     den = lcm(*(q.denominator for q in g.coeffs))
     return Poly(ZZ, [int(q * den) for q in g.coeffs]).primitive().scale(c)
+
+
+# ---------------------------------------------------------------------------
+# maximal-minor gcd, one det_poly per minor
+
+def minor_gcd_oracle(mat, size):
+    """gcd over ZZ[t] (content included, positive leading coefficient) of
+    every size x size minor of a LaurentMatrix over ZZ: each minor is
+    rebuilt from the cleared Poly rows and gets its own `det_poly`, with
+    its own Kronecker bound, and its t-power is stripped before `gcd_zz`."""
+    if size > mat.nrows or size > mat.ncols:
+        return Poly.zero(ZZ)
+    poly_rows = mat.cleared_rows()
+    g = Poly.zero(ZZ)
+    for rsel in combinations(range(mat.nrows), size):
+        for csel in combinations(range(mat.ncols), size):
+            d = det_poly([[poly_rows[i][j] for j in csel] for i in rsel], ZZ)
+            if d:
+                g = gcd_zz(g, Poly(ZZ, d.coeffs[d.low_order():]))
+    return g
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,16 @@ import argparse
 import hashlib
 import json
 import os
+import random
 import time
+import tracemalloc
 
 import pytest
 
 from cyclocover import __version__, cli
 from cyclocover.cli import default_corpus_path, run
+from cyclocover.modules import finitely_generated_over_Z
+from cyclocover.serialize import parse_presentation
 
 
 def invoke(capsys, *argv):
@@ -256,6 +260,51 @@ BAD_INPUTS = {
 }
 
 
+def laurent_row_module(vals):
+    """fingen --module: one generator, one relation per valuation, each
+    the monomial t^val."""
+    return json.dumps({"generators": 1, "relations": {
+        "rows": 1, "cols": len(vals),
+        "entries": [[{"val": v, "coeffs": ["1"]} for v in vals]]}})
+
+
+def column_complex(vals):
+    """A complex with one boundary, a column of monomials t^val."""
+    return json.dumps({"ranks": [len(vals), 1], "boundaries": [{
+        "rows": len(vals), "cols": 1,
+        "entries": [[{"val": v, "coeffs": ["1"]}] for v in vals]}]})
+
+
+# refused in serialize before any matrix is cleared or any complex built
+OVERSIZED_INPUTS = {
+    "fingen valuation 10^30": (
+        ["fingen", "--module", laurent_row_module([0, 10**30])],
+        "matrix entries span degree 10" + "0" * 29),
+    "fingen valuation spread 10^6": (
+        ["fingen", "--module", laurent_row_module([-10**6, 0])],
+        "matrix entries span degree 1000000, above the limit 2048"),
+    "order-ideal valuation spread 2049": (
+        ["order-ideal", "--module", laurent_row_module([0, 2049])],
+        "span degree 2049"),
+    "cover-homology column spread": (
+        ["cover-homology", "--complex", column_complex([0, 10**6]),
+         "--kappa", "Q", "--q", "2"],
+        "matrix entries span degree 1000000"),
+    "fingen 0 x 10^6 relations": (
+        ["fingen", "--module", json.dumps({"generators": 0, "relations": {
+            "rows": 0, "cols": 10**6, "entries": []}})],
+        "matrix shape 0x1000000 is above the limit 2048"),
+    "wang rank 2000000": (
+        ["wang", "--complex", '{"ranks": [2000000], "boundaries": []}',
+         "--kappa", "Q", "--q", "2"],
+        "rank 2000000 is above the limit 2048"),
+    "mapping-torus rank 2049": (
+        ["mapping-torus", "--f", json.dumps(
+            {"ranks": [2049], "boundaries_F": [], "f": [[]]})],
+        "rank 2049 is above the limit 2048"),
+}
+
+
 class TestInputBoundary:
     @pytest.mark.parametrize("case", list(BAD_INPUTS))
     def test_bad_input_exit_2(self, capsys, case):
@@ -263,6 +312,42 @@ class TestInputBoundary:
         code, rep = invoke(capsys, *argv)
         assert code == 2 and rep["error"]["kind"] == "precondition"
         assert fragment in rep["error"]["message"]
+
+    @pytest.mark.parametrize("case", list(OVERSIZED_INPUTS))
+    def test_oversized_input_refused_up_front(self, capsys, case):
+        argv, fragment = OVERSIZED_INPUTS[case]
+        start = time.perf_counter()
+        code, rep = invoke(capsys, *argv)
+        assert time.perf_counter() - start < 0.1
+        assert code == 2 and rep["error"]["kind"] == "precondition"
+        assert fragment in rep["error"]["message"]
+
+    def test_cleared_degree_at_the_limit_is_accepted(self, capsys):
+        code, rep = invoke(capsys, "fingen", "--module",
+                           laurent_row_module([-2048, 0]))
+        assert code == 0 and rep["result"]["answer"] == "yes"
+
+    def test_widest_accepted_presentation_stops_at_first_unit_minor(self):
+        # 2 generators x 2048 relations, the widest shape the limits accept;
+        # the first maximal minor is 1, so the gcd is 1 before the other
+        # C(2048, 2) column pairs are ever formed
+        rng = random.Random(1)
+        entries = [[{"val": 0, "coeffs": ["1" if i == j else "0"]} if j < 2
+                    else {"val": rng.randint(0, 1),
+                          "coeffs": [str(rng.randint(-3, 3)) for _ in range(3)]}
+                    for j in range(2048)] for i in range(2)]
+        M = parse_presentation({"generators": 2, "relations": {
+            "rows": 2, "cols": 2048, "entries": entries}})
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            verdict = finitely_generated_over_Z(M)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict.answer and verdict.relevant_primes == ()
+        assert elapsed < 0.5 and peak < 4_000_000
 
     def test_corpus_case_missing_parameter_exit_2(self, capsys, tmp_path):
         case = {"subcommand": "wang", "params": {"complex": json.loads(TREFOIL),

@@ -13,12 +13,13 @@ from itertools import combinations
 
 import pytest
 
-from cyclocover.matrices import LaurentMatrix, det_int, det_poly, mat_mul
+from cyclocover.matrices import (LaurentMatrix, det_int, det_poly,
+                                 laurent_minor_gcd, mat_mul)
 from cyclocover.normal_forms import (DomainError, char_poly, finite_order,
                                      laurent_cokernel, smith_normal_form)
 from cyclocover.rings import GF, LaurentPoly, MixedRingError, Poly, QQ, ZZ, poly_gcd
 
-from helpers import brute_order, leibniz_det, smith_oracle
+from helpers import brute_order, leibniz_det, minor_gcd_oracle, smith_oracle
 
 
 def P(*cs):
@@ -184,6 +185,75 @@ class TestDeterminant:
     def test_poly_coefficient_at_the_bound(self, a, expected):
         rows = [[Poly(ZZ, cs) for cs in row] for row in a]
         assert det_poly(rows, ZZ) == Poly(ZZ, expected)
+
+
+class TestMinorGcdAgainstOracle:
+    """laurent_minor_gcd, one Kronecker evaluation per matrix, against
+    helpers.minor_gcd_oracle, one det_poly (and bound) per minor."""
+
+    @staticmethod
+    def rand_entry(rng):
+        if rng.random() < 0.2:
+            return LaurentPoly.zero(ZZ)
+        return LaurentPoly(ZZ, rng.randint(-3, 3),
+                           [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+
+    def rand_rows(self, rng, g, r):
+        rows = [[self.rand_entry(rng) for _ in range(r)] for _ in range(g)]
+        if g and r and rng.random() < 0.3:
+            rows[rng.randrange(g)] = [LaurentPoly.zero(ZZ)] * r
+        if g and r and rng.random() < 0.3:
+            j = rng.randrange(r)
+            for row in rows:
+                row[j] = LaurentPoly.zero(ZZ)
+        return rows
+
+    def check(self, rows, g, r):
+        mat = LaurentMatrix(ZZ, g, r, rows)
+        results = []
+        for size in range(min(g, r) + 2):
+            got = laurent_minor_gcd(mat, size)
+            assert got == minor_gcd_oracle(mat, size), (rows, size)
+            results.append(got)
+        return results
+
+    def test_every_shape_and_size(self):
+        rng = random.Random(2417)
+        for g in range(5):
+            for r in range(8):
+                for _ in range(2):
+                    self.check(self.rand_rows(rng, g, r), g, r)
+
+    def test_rank_deficient_is_zero(self):
+        rng = random.Random(2423)
+        for g, r in [(2, 2), (3, 5), (4, 4), (4, 7)]:
+            rows = self.rand_rows(rng, g - 1, r)
+            a, b = self.rand_entry(rng), LaurentPoly.t_power(ZZ, rng.randint(-3, 3), -2)
+            rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+            assert self.check(rows, g, r)[g].is_zero
+
+    def test_content_above_one(self):
+        # row 0 times 6 (1 - t + t^2) t^-1: every maximal minor is a
+        # multiple of 6 (1 - t + t^2), so the early exit at 1 never fires
+        rng = random.Random(2437)
+        h = LaurentPoly(ZZ, -1, [6, -6, 6])
+        for g, r in [(1, 3), (2, 4), (3, 3), (4, 6)]:
+            rows = [[self.rand_entry(rng) for _ in range(r)] for _ in range(g)]
+            rows[0] = [x * h for x in rows[0]]
+            got = self.check(rows, g, r)[g]
+            assert not got.is_zero and got.content() % 6 == 0
+            assert divmod(got, P(1, -1, 1))[1].is_zero
+
+    def test_one_row_scaled_by_a_million(self):
+        # the scaled row is the last one, so a bound taken from the first
+        # `size` rows would miss it on every minor that contains it
+        rng = random.Random(2441)
+        big = LaurentPoly.t_power(ZZ, 2, 10**6)
+        for g, r in [(2, 3), (3, 4), (4, 5), (4, 7)]:
+            for _ in range(3):
+                rows = self.rand_rows(rng, g, r)
+                rows[-1] = [x * big for x in rows[-1]]
+                self.check(rows, g, r)
 
 
 class TestSnfPoly:

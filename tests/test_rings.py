@@ -331,7 +331,7 @@ class TestLaurent:
 
     def test_min_max_exp(self):
         f = L(-2, 1, 0, 0, 7)
-        assert f.min_exp == -2
+        assert f.val == -2
 
 
 COEFF_RINGS = [ZZ, QQ, GF(2), GF(7), GF(2**31 - 1)]

@@ -147,8 +147,8 @@ def infinite_cover_homology_field(X: TwistedChainComplex, field):
     """
     factors, ranks = [], []
     for j in range(X.top_degree + 2):
-        d = X.boundary(j).to_ring(field)
-        fs, free = laurent_cokernel(d)
+        d = X.boundary(j)
+        fs, free = laurent_cokernel(d, field)
         factors.append(fs)
         ranks.append(d.nrows - free)
     out = []

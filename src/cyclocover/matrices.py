@@ -173,7 +173,9 @@ def det_poly(rows, ring):
 def _cleared_coeffs(row):
     """A row of Laurent entries as coefficient tuples, each multiplied by
     the power of t that clears the row (its least nonzero valuation
-    becomes 0)."""
+    becomes 0).  This is how rows are cleared for minor gcds and for
+    cokernels: a unit row scaling changes minors by units and keeps the
+    cokernel's isomorphism type."""
     v = min((e.val for e in row if not e.is_zero), default=0)
     return [(0,) * (e.val - v) + e.body.coeffs if e.body.coeffs else ()
             for e in row]
@@ -250,23 +252,6 @@ class LaurentMatrix:
     def is_zero(self):
         return all(e.is_zero for row in self.entries for e in row)
 
-    def to_ring(self, ring):
-        if ring is self.ring:
-            return self
-        return LaurentMatrix(ring, self.nrows, self.ncols,
-                             [[e.to_ring(ring) for e in row]
-                              for row in self.entries])
-
-    def cleared_rows(self):
-        """The rows as Poly entries, each multiplied by the power of t
-        that clears it.  Unit row scalings do not change kernels or
-        cokernel isomorphism type.
-        """
-        # an entry that is not shifted keeps its Poly
-        return [[e.body if len(cs) == len(e.body.coeffs) else Poly(self.ring, cs)
-                 for e, cs in zip(row, _cleared_coeffs(row))]
-                for row in self.entries]
-
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
@@ -294,6 +279,9 @@ def laurent_minor_gcd(mat: LaurentMatrix, size: int) -> Poly:
         raise TypeError("minor gcd is computed over ZZ")
     if size > mat.nrows or size > mat.ncols:
         return Poly.zero(ZZ)
+    if size == 0:
+        # the empty minor; `combinations` would first copy every column index
+        return Poly.one(ZZ)
     cs_rows = [_cleared_coeffs(row) for row in mat.entries]
     bound = prod(sorted(map(_row_norm, cs_rows), reverse=True)[:size])
     k = bound.bit_length() + 1

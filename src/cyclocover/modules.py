@@ -108,8 +108,7 @@ def order_ideal(M: ModulePresentation) -> Poly:
 
 def base_change_residue(M: ModulePresentation, P):
     """Invariant factors and free rank of kappa(P) tensor M over kappa[t,1/t]."""
-    field = _residue_field(P)
-    return laurent_cokernel(M.relations.to_ring(field))
+    return laurent_cokernel(M.relations, _residue_field(P))
 
 
 def property1_check(M: ModulePresentation, P) -> Property1Result:

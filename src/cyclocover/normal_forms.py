@@ -1,13 +1,13 @@
 """Smith normal form over k[t], plus derived invariants.
 
 The Smith form is taken over k[t] for k a field (QQ or a prime field).
-Laurent matrices over a field reduce to it by clearing rows with powers
-of t.
+Laurent matrices over ZZ reduce to it by clearing rows with powers of t
+and reading the coefficients into k.
 """
 
 from .arith import factorize
-from .matrices import (LaurentMatrix, det_int, det_poly, int_mat_check,
-                       mat_is_identity, mat_pow)
+from .matrices import (LaurentMatrix, _cleared_coeffs, det_int, det_poly,
+                       int_mat_check, mat_is_identity, mat_pow)
 from .rings import (MixedRingError, Poly, ZZ, clear_denominators, cyclotomic,
                     poly_gcd, pseudo_divmod)
 
@@ -220,27 +220,32 @@ def finite_order(a):
 # ---------------------------------------------------------------------------
 # cokernels over Laurent PIDs
 
-def laurent_cokernel(mat: LaurentMatrix):
-    """Invariant factors and free rank of coker over kappa[t, 1/t].
+def laurent_cokernel(mat: LaurentMatrix, field):
+    """Invariant factors and free rank of coker over field[t, 1/t] of the
+    LaurentMatrix `mat` over ZZ.
 
-    Rows are cleared into kappa[t] by unit row scalings, Smith normal form
-    is taken there, and unit (power-of-t or constant) factors are dropped.
-    Returned factors are monic with nonzero constant term, in divisibility
-    order.
+    Each row of `mat` is cleared into ZZ[t] by a power of t (a unit row
+    scaling, `_cleared_coeffs`) and read into field[t] once; Smith normal
+    form is taken there, and unit (power-of-t or constant) factors are
+    dropped.  Returned factors are monic with nonzero constant term, in
+    divisibility order.
     """
-    ring = mat.ring
-    if not ring.is_field:
-        raise DomainError("laurent_cokernel needs field coefficients")
+    if mat.ring is not ZZ:
+        raise TypeError("laurent_cokernel reads a matrix over ZZ")
+    if not field.is_field:
+        raise DomainError(f"laurent_cokernel needs a field, got {field}")
     if mat.nrows == 0:
         return [], 0
     if mat.ncols == 0:
         return [], mat.nrows
-    invariants, rank = smith_normal_form(mat.cleared_rows())
+    invariants, rank = smith_normal_form(
+        [[Poly(field, cs) for cs in _cleared_coeffs(row)]
+         for row in mat.entries])
     factors = []
     for f in invariants:
         k = f.low_order()
         if k:
-            f = Poly(ring, f.coeffs[k:])
+            f = Poly(field, f.coeffs[k:])
         if f.degree > 0:
             factors.append(f)
     return factors, mat.nrows - rank

@@ -11,9 +11,10 @@ polynomials carry an extra power-of-t valuation.
 
 A `Poly` is false exactly when it is zero, and `a // b` is exact
 division: it raises `ExactDivisionError` on a nonzero remainder.
-`pseudo_divmod` divides plain int coefficient lists without fractions;
-the gcd over ZZ[t] (a primitive pseudo-remainder sequence) and the Smith
-loop over kappa[t] both run on it, never through Fraction coefficients.
+`pseudo_divmod` divides plain int coefficient lists without fractions,
+and it is the one division loop: `divmod` on `Poly`, the gcd over ZZ[t]
+(a primitive pseudo-remainder sequence) and the Smith loop over kappa[t]
+all run on it, never through Fraction coefficients.
 """
 
 from fractions import Fraction
@@ -228,32 +229,24 @@ class Poly:
         return result
 
     def __divmod__(self, other):
-        """Long division; requires every coefficient quotient to be exact."""
+        """(q, r) with self = q*other + r and deg r < deg other, by
+        `pseudo_divmod`.  Over QQ both operands are first scaled into ZZ;
+        over ZZ every coefficient quotient must be exact, that is s = +-1."""
         ring = _same_ring(self, other)
         if other.is_zero:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        d = other.degree
-        lead = other.leading
-        low = other.coeffs[:-1]
-        if ring.is_field:
-            lead_inv = ring.inv(lead)
-        q = [0] * max(len(rem) - d, 0)
-        for k in range(len(q) - 1, -1, -1):
-            # the top coefficient is cancelled by construction
-            top = rem.pop()
-            if ring.is_field:
-                c = ring.coerce(top * lead_inv)
-            else:
-                c, cr = divmod(top, lead)
-                if cr:
-                    raise ExactDivisionError(
-                        f"leading coefficient {top} not divisible by {lead}")
-            if c:
-                q[k] = c
-                for i, b in enumerate(low):
-                    rem[k + i] = rem[k + i] - c * b
-        return Poly(ring, q), Poly(ring, rem)
+        den = 1
+        f, g = self.coeffs, other.coeffs
+        if ring is QQ:
+            den, (f, g) = clear_denominators((f, g))
+        s, q, r = pseudo_divmod(f, g, ring.char)
+        if ring is ZZ and s not in (1, -1):
+            raise ExactDivisionError(
+                f"quotient by leading coefficient {other.leading} is not integral")
+        if s != 1 or den != 1:
+            q = [Fraction(c, s) for c in q]
+            r = [Fraction(c, s * den) for c in r]
+        return Poly(ring, q), Poly(ring, r)
 
     def exact_div(self, other):
         q, r = divmod(self, other)
@@ -530,11 +523,6 @@ class LaurentPoly:
         if self.is_zero:
             return self
         return LaurentPoly(self.ring, self.val + k, self.body)
-
-    def to_ring(self, ring):
-        if ring is self.ring:
-            return self
-        return LaurentPoly(ring, self.val, self.body.to_ring(ring))
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):

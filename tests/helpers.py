@@ -18,8 +18,8 @@ from math import gcd, lcm
 
 from cyclocover.arith import factorize, primitive_root
 from cyclocover.linfield import rref
-from cyclocover.matrices import (LaurentMatrix, det_int, det_poly, mat_identity,
-                                 mat_mul)
+from cyclocover.matrices import (LaurentMatrix, _cleared_coeffs, det_int,
+                                 det_poly, mat_identity, mat_mul)
 from cyclocover.modules import (FinGenVerdict, FinGenWitness,
                                 INFINITE_DIMENSION, T_NOT_INTEGRAL,
                                 TINV_NOT_INTEGRAL, minor_gcd)
@@ -155,7 +155,7 @@ def residue_fingen(M) -> FinGenVerdict:
     or constant coefficient of the minor gcd must leave no free part over
     F_p.  The underlying rank of a square presentation is the QQ-dimension.
     """
-    factors, free_rank = laurent_cokernel(M.relations.to_ring(QQ))
+    factors, free_rank = laurent_cokernel(M.relations, QQ)
     if free_rank > 0:
         return FinGenVerdict(False, FinGenWitness(0, INFINITE_DIMENSION, None),
                              None, ())
@@ -175,7 +175,7 @@ def residue_fingen(M) -> FinGenVerdict:
     bad = g.content() * abs(prim.leading) * abs(prim.constant)
     primes = tuple(sorted(factorize(bad))) if bad > 1 else ()
     for p in primes:
-        _, p_free = laurent_cokernel(M.relations.to_ring(GF(p)))
+        _, p_free = laurent_cokernel(M.relations, GF(p))
         if p_free > 0:
             return FinGenVerdict(False,
                                  FinGenWitness(p, INFINITE_DIMENSION, None),
@@ -266,7 +266,8 @@ class QuotientSpace:
         return [[cols[j][i] for j in range(len(cols))] for i in range(self.dim)]
 
 def _big_matrix(mat, field, q):
-    """Base change along kappa[t,1/t] -> kappa[t]/(t^q - 1), cell-major basis."""
+    """Base change of a LaurentMatrix over ZZ along ZZ[t,1/t] ->
+    kappa[t]/(t^q - 1), cell-major basis."""
     zero = field.coerce(0)
     rows = mat.nrows * q
     cols = mat.ncols * q
@@ -298,8 +299,8 @@ def direct_cover_homology(X, field, q):
     out = []
     for j in range(X.top_degree + 1):
         n = X.ranks[j] * q
-        dj = _big_matrix(X.boundary(j).to_ring(field), field, q)
-        dj1 = _big_matrix(X.boundary(j + 1).to_ring(field), field, q)
+        dj = _big_matrix(X.boundary(j), field, q)
+        dj1 = _big_matrix(X.boundary(j + 1), field, q)
         ker = kernel_basis(field, dj, n)
         im_cols = [list(col) for col in zip(*dj1)]
         quot = QuotientSpace(field, ker, im_cols, n)
@@ -407,7 +408,8 @@ def minor_gcd_oracle(mat, size):
     its own Kronecker bound, and its t-power is stripped before `gcd_zz`."""
     if size > mat.nrows or size > mat.ncols:
         return Poly.zero(ZZ)
-    poly_rows = mat.cleared_rows()
+    poly_rows = [[Poly(ZZ, cs) for cs in _cleared_coeffs(row)]
+                 for row in mat.entries]
     g = Poly.zero(ZZ)
     for rsel in combinations(range(mat.nrows), size):
         for csel in combinations(range(mat.ncols), size):

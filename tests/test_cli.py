@@ -188,8 +188,8 @@ class TestExitCodes:
 
         real = covers.laurent_cokernel
 
-        def short_free_rank(mat):
-            factors, _ = real(mat)
+        def short_free_rank(mat, field):
+            factors, _ = real(mat, field)
             return factors, 0
 
         spec = json.dumps({"ranks": [1, 2], "boundaries_F": [[["0", "0"]]],

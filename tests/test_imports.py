@@ -1,10 +1,13 @@
-"""Every name a library module imports is used in that module.
+"""Every name a library module imports is used in that module, and every
+private name the library defines is used somewhere in the library.
 
-`__init__.py` is left out: its imports are the package's public surface.
+`__init__.py` is left out of the import check: its imports are the
+package's public surface.
 """
 
 import ast
 import pathlib
+from collections import Counter
 
 import pytest
 
@@ -34,3 +37,64 @@ def test_guard_sees_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+def _references(node):
+    """How often each name is read or written below `node`, as an
+    ast.Name or as the attribute of an ast.Attribute."""
+    return Counter(n.id if isinstance(n, ast.Name) else n.attr
+                   for n in ast.walk(node)
+                   if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def _private_definitions(tree):
+    """(name, node) for each module-level function, class or constant and
+    each method of a module-level class whose name starts with `_` and
+    is not a dunder."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            found.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [(t.id, node) for t in targets if isinstance(t, ast.Name)]
+        if isinstance(node, ast.ClassDef):
+            found += [(item.name, item) for item in node.body
+                      if isinstance(item, ast.FunctionDef)]
+    return [(name, node) for name, node in found
+            if name.startswith("_")
+            and not (name.startswith("__") and name.endswith("__"))]
+
+
+def dead_private_names(sources):
+    """Sorted private names (see `_private_definitions`) of the modules in
+    `sources` that no module references outside the name's own
+    definition."""
+    trees = [ast.parse(src) for src in sources]
+    total = sum((_references(tree) for tree in trees), Counter())
+    return sorted(name for tree in trees
+                  for name, node in _private_definitions(tree)
+                  if total[name] == _references(node)[name])
+
+
+def test_guard_sees_dead_private_names():
+    lib = (
+        "_LIMIT = 3\n"
+        "_UNUSED: int = 4\n"
+        "def _helper(n):\n    return n\n"
+        "def _recursive(n):\n    return _recursive(n - 1)\n"
+        "class _Gone:\n    pass\n"
+        "class Pub:\n"
+        "    def _used(self):\n        return self._other()\n"
+        "    def _other(self):\n        return _LIMIT\n"
+        "    def _dead(self):\n        return 0\n"
+        "    def __repr__(self):\n        return ''\n"
+    )
+    user = "from lib import _helper\nPub()._used(_helper(1))\n"
+    assert dead_private_names([lib, user]) == [
+        "_Gone", "_UNUSED", "_dead", "_recursive"]
+
+
+def test_no_dead_private_names():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert dead_private_names(sources) == []

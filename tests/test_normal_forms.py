@@ -8,6 +8,7 @@ Those minors come from `det_poly`, so it is first checked, with
 """
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -244,6 +245,19 @@ class TestMinorGcdAgainstOracle:
             assert not got.is_zero and got.content() % 6 == 0
             assert divmod(got, P(1, -1, 1))[1].is_zero
 
+    def test_empty_minor_is_one_without_the_column_range(self):
+        # listing the column subsets of size 0 would first copy
+        # range(ncols) into a tuple: about 40 MB at 10^6 columns
+        mat = LaurentMatrix(ZZ, 0, 10**6, [])
+        tracemalloc.start()
+        try:
+            got = laurent_minor_gcd(mat, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == Poly.one(ZZ)
+        assert peak < 1 << 20, peak
+
     def test_one_row_scaled_by_a_million(self):
         # the scaled row is the last one, so a bound taken from the first
         # `size` rows would miss it on every minor that contains it
@@ -472,45 +486,106 @@ class TestFiniteOrder:
 class TestLaurentCokernel:
     def test_principal_torsion(self):
         # [DERIVED] coker(t^2 - t + 1) over QQ[t,1/t]
-        f = LaurentPoly.from_poly(Poly(QQ, (1, -1, 1)))
-        m = LaurentMatrix(QQ, 1, 1, [[f]])
-        factors, free = laurent_cokernel(m)
+        f = LaurentPoly.from_poly(P(1, -1, 1))
+        m = LaurentMatrix(ZZ, 1, 1, [[f]])
+        factors, free = laurent_cokernel(m, QQ)
         assert free == 0
         assert factors == [Poly(QQ, (1, -1, 1))]
 
     def test_unit_relation(self):
-        m = LaurentMatrix(QQ, 1, 1, [[LaurentPoly.t_power(QQ, -3, 5)]])
-        factors, free = laurent_cokernel(m)
+        m = LaurentMatrix(ZZ, 1, 1, [[LaurentPoly.t_power(ZZ, -3, 5)]])
+        factors, free = laurent_cokernel(m, QQ)
         assert factors == [] and free == 0
 
     def test_zero_relation_gives_free(self):
-        m = LaurentMatrix(QQ, 1, 1, [[LaurentPoly.zero(QQ)]])
-        factors, free = laurent_cokernel(m)
+        m = LaurentMatrix(ZZ, 1, 1, [[LaurentPoly.zero(ZZ)]])
+        factors, free = laurent_cokernel(m, QQ)
         assert factors == [] and free == 1
 
     def test_no_relations(self):
-        m = LaurentMatrix.zero(QQ, 2, 0)
-        assert laurent_cokernel(m) == ([], 2)
+        m = LaurentMatrix.zero(ZZ, 2, 0)
+        assert laurent_cokernel(m, QQ) == ([], 2)
 
     def test_t_factor_stripped_f2(self):
         # [DERIVED] over F_2, diag(t, t+1): t is a unit, so only t+1 remains
         F = GF(2)
-        t = LaurentPoly.from_poly(Poly(F, (0, 1)))
-        tp1 = LaurentPoly.from_poly(Poly(F, (1, 1)))
-        z = LaurentPoly.zero(F)
-        m = LaurentMatrix(F, 2, 2, [[t, z], [z, tp1]])
-        factors, free = laurent_cokernel(m)
+        t = LaurentPoly.from_poly(P(0, 1))
+        tp1 = LaurentPoly.from_poly(P(1, 1))
+        z = LaurentPoly.zero(ZZ)
+        m = LaurentMatrix(ZZ, 2, 2, [[t, z], [z, tp1]])
+        factors, free = laurent_cokernel(m, F)
         assert free == 0
         assert factors == [Poly(F, (1, 1))]
 
     def test_needs_field(self):
         m = LaurentMatrix(ZZ, 1, 1, [[LaurentPoly.one(ZZ)]])
         with pytest.raises(DomainError):
-            laurent_cokernel(m)
+            laurent_cokernel(m, ZZ)
+
+    def test_needs_integer_matrix(self):
+        for ring in (QQ, GF(5)):
+            m = LaurentMatrix(ring, 1, 1, [[LaurentPoly.one(ring)]])
+            with pytest.raises(TypeError):
+                laurent_cokernel(m, ring)
 
     def test_negative_valuations_handled(self):
         # t^-1 (t - 1) presents the same module as (t - 1)
-        f = LaurentPoly(QQ, -1, Poly(QQ, (-1, 1)))
-        m = LaurentMatrix(QQ, 1, 1, [[f]])
-        factors, free = laurent_cokernel(m)
+        f = LaurentPoly(ZZ, -1, P(-1, 1))
+        m = LaurentMatrix(ZZ, 1, 1, [[f]])
+        factors, free = laurent_cokernel(m, QQ)
         assert free == 0 and factors == [Poly(QQ, (-1, 1))]
+
+
+class TestLaurentCokernelAgainstOracle:
+    """laurent_cokernel, which clears each row over ZZ and then reads it
+    into kappa[t], against smith_oracle on rows reduced into
+    kappa[t, 1/t] first and cleared there, so a coefficient that vanishes
+    modulo p moves the clearing power of t."""
+
+    FIELDS = [QQ, GF(2), GF(5), GF(2**31 - 1)]
+
+    @staticmethod
+    def rand_matrix(rng, g, r):
+        def entry():
+            if rng.random() < 0.2:
+                return LaurentPoly.zero(ZZ)
+            return LaurentPoly(ZZ, rng.randint(-3, 3),
+                               [rng.randint(-6, 6) for _ in range(rng.randint(1, 3))])
+        rows = [[entry() for _ in range(r)] for _ in range(g)]
+        if g and r and rng.random() < 0.3:
+            rows[rng.randrange(g)] = [LaurentPoly.zero(ZZ)] * r
+        if g and r and rng.random() < 0.3:
+            j = rng.randrange(r)
+            for row in rows:
+                row[j] = LaurentPoly.zero(ZZ)
+        return LaurentMatrix(ZZ, g, r, rows)
+
+    @staticmethod
+    def oracle(mat, field):
+        rows = []
+        for row in mat.entries:
+            row = [LaurentPoly(field, e.val, e.body.coeffs) for e in row]
+            v = min((e.val for e in row if not e.is_zero), default=0)
+            rows.append([e.body.shift(e.val - v) for e in row])
+        invariants, rank = smith_oracle(rows)
+        factors = [Poly(field, f.coeffs[f.low_order():]) for f in invariants]
+        return [f for f in factors if f.degree > 0], mat.nrows - rank
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_random_shapes(self, field):
+        rng = random.Random(2459 + field.char % 1000)
+        for g in range(5):
+            for r in range(5):
+                for _ in range(3):
+                    m = self.rand_matrix(rng, g, r)
+                    assert laurent_cokernel(m, field) == self.oracle(m, field), m
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_clearing_power_moves_modulo_p(self, field):
+        # [DERIVED] the row (10 + t, 5 t^2) needs no clearing over ZZ, but
+        # modulo 2 or 5 its first entry is t, so over kappa[t, 1/t] it is
+        # cleared by t^-1; the row is unimodular over every kappa
+        # (gcd(10 + t, t^2) = 1), so the cokernel is 0
+        m = LaurentMatrix(ZZ, 1, 2, [[LaurentPoly(ZZ, 0, [10, 1]),
+                                      LaurentPoly(ZZ, 2, [5])]])
+        assert laurent_cokernel(m, field) == self.oracle(m, field) == ([], 0)

@@ -9,7 +9,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cyclocover import rings
 from cyclocover.rings import (ExactDivisionError, GF, LaurentPoly,
@@ -338,18 +338,35 @@ COEFF_RINGS = [ZZ, QQ, GF(2), GF(7), GF(2**31 - 1)]
 big_ints = st.integers(-10**12, 10**12)
 
 
+rationals = st.one_of(big_ints, st.fractions(-10**12, 10**12, max_denominator=10**6))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.sampled_from(COEFF_RINGS), st.lists(big_ints, max_size=9),
-       st.lists(big_ints, max_size=5), big_ints)
+@given(st.sampled_from(COEFF_RINGS), st.lists(rationals, max_size=9),
+       st.lists(rationals, max_size=5), rationals)
+@example(ZZ, [1], [], -1)
+@example(ZZ, [5, 0, -3, 7], [2], -1)
 def test_divmod_identity(ring, a_cs, b_cs, lead):
-    # over ZZ a leading coefficient of +-1 keeps every quotient exact
-    if ring is ZZ:
-        lead = 1 if lead >= 0 else -1
+    # Fraction coefficients over QQ only; the other rings see numerators
+    if ring is not QQ:
+        a_cs = [c.numerator for c in a_cs]
+        b_cs = [c.numerator for c in b_cs]
+        lead = lead.numerator
     if ring.coerce(lead) == 0:
         lead += 1
     a = Poly(ring, a_cs)
     b = Poly(ring, b_cs + [lead])
-    q, r = divmod(a, b)
+    if ring is ZZ:
+        # exact over ZZ exactly when the quotient over QQ is integral
+        q_qq, r_qq = divmod(a.to_ring(QQ), b.to_ring(QQ))
+        try:
+            q, r = divmod(a, b)
+        except ExactDivisionError:
+            assert any(type(c) is Fraction for c in q_qq.coeffs)
+            return
+        assert (q.to_ring(QQ), r.to_ring(QQ)) == (q_qq, r_qq)
+    else:
+        q, r = divmod(a, b)
     assert q * b + r == a
     assert r.is_zero or r.degree < b.degree
     if ring.is_field and ring.char:

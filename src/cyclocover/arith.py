@@ -1,4 +1,4 @@
-"""Elementary integer arithmetic: primality, factoring, primitive roots."""
+"""Elementary integer arithmetic: primality, factoring, primitive roots, orders."""
 
 from math import gcd
 
@@ -115,3 +115,26 @@ def primitive_root(p: int) -> int:
         if all(pow(g, (p - 1) // q, p) != 1 for q in qs):
             return g
     raise RuntimeError("no primitive root found")  # unreachable for prime p
+
+
+def power(base, e, mul, one):
+    """base**e for an int e >= 0 by square-and-multiply; `one` is mul's unit."""
+    if e < 0:
+        raise ValueError(f"power needs an exponent >= 0, got {e}")
+    result = one
+    while e:
+        if e & 1:
+            result = mul(result, base)
+        e >>= 1
+        if e:
+            base = mul(base, base)
+    return result
+
+
+def order_from_multiple(n, primes, is_one):
+    """The order dividing n at which is_one holds exactly on its multiples,
+    by stripping off one at a time the `primes`, which hold all of n's."""
+    for p in primes:
+        while n % p == 0 and is_one(n // p):
+            n //= p
+    return n

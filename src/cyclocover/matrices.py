@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import prod
 
+from .arith import power
 from .errors import PreconditionError
 from .rings import (LaurentPoly, MixedRingError, Poly, QQ, ZZ,
                     clear_denominators, gcd_zz_coeffs)
@@ -89,15 +90,7 @@ def mat_is_identity(a):
 def mat_pow(a, e, one=1, zero=0):
     """a**e for e >= 0 by square-and-multiply; `one`/`zero` as in mat_identity.
     Entries as in `mat_mul`: a GF(p) caller must `ring.coerce` the result."""
-    if e < 0:
-        raise ValueError("mat_pow needs e >= 0")
-    result = mat_identity(len(a), one, zero)
-    while e:
-        if e & 1:
-            result = mat_mul(result, a)
-        a = mat_mul(a, a)
-        e >>= 1
-    return result
+    return power(a, e, mat_mul, mat_identity(len(a), one, zero))
 
 
 # ---------------------------------------------------------------------------

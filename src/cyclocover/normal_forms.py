@@ -5,7 +5,7 @@ Laurent matrices over ZZ reduce to it by clearing rows with powers of t
 and reading the coefficients into k.
 """
 
-from .arith import factorize
+from .arith import factorize, order_from_multiple
 from .matrices import (LaurentMatrix, _cleared_coeffs, det_int, det_poly,
                        int_mat_check, mat_is_identity, mat_pow)
 from .rings import (MixedRingError, Poly, ZZ, clear_denominators, cyclotomic,
@@ -206,15 +206,11 @@ def finite_order(a):
     indices = cyclotomic_indices(char_poly(a))
     if indices is None:
         return None
-    order = 1
-    for d in indices:
-        order = lcm(order, d)
+    order = lcm(*indices)
     if not mat_is_identity(mat_pow(a, order)):
         return None  # eigenvalues are roots of unity but A is not semisimple
-    for p in factorize(order):
-        while order % p == 0 and mat_is_identity(mat_pow(a, order // p)):
-            order //= p
-    return order
+    return order_from_multiple(order, factorize(order),
+                               lambda e: mat_is_identity(mat_pow(a, e)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,11 +6,14 @@ free-quotient period through the torsion subgroup, and aggregates the
 per-degree data of a monodromy action.
 """
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from copy import copy
 from dataclasses import dataclass, field
 from math import gcd, lcm
 from typing import List, Tuple
 
-from .arith import factorize
+from .arith import factorize, order_from_multiple, power
 from .errors import InternalCheckError, PreconditionError
 from .matrices import (det_int, int_mat_check, mat_identity, mat_is_identity,
                        mat_mul, mat_pow)
@@ -21,7 +24,23 @@ class RelationError(PreconditionError):
     """The claimed conjugation relation does not hold."""
 
 
-_TORSION_ORDER_CEILING = 10 ** 6
+def _aut_order(orders, factors):
+    """|Aut T|, T = sum Z/d_i, and a set holding its primes; `factors` is d_s's.
+
+    On the ell-part sum Z/q_k (q_k ascending, k = 1..n) it is the product of
+    (ell^d_k - ell^(k-1)) q_k^(n-d_k) (q_k/ell)^(n-c_k+1), c_k and d_k the
+    first and last index of q_k (Hillar-Rhea, Amer. Math. Monthly 114 (2007),
+    Thm 4.1); d_k - k + 1 is at most the longest run of equal q_k."""
+    size, primes = 1, set(factors)
+    for ell, a in factors.items():
+        qs = [q for q in (gcd(x, ell ** a) for x in orders) if q > 1]
+        n = len(qs)
+        for k, q in enumerate(qs):
+            c, d = bisect_left(qs, q), bisect_right(qs, q)
+            size *= (ell ** d - ell ** k) * q ** (n - d) * (q // ell) ** (n - c)
+        for j in range(1, max(Counter(qs).values()) + 1):
+            primes.update(factorize(ell ** j - 1))
+    return size, primes
 
 
 @dataclass
@@ -30,22 +49,22 @@ class FgAbelianAutomorphism:
 
     free_block acts on Z^r, torsion_block on the torsion part (entries of
     row i read modulo d_i), mixing_block records the component Z^r -> T.
-    """
+    The constructor checks the blocks and reduces row i modulo d_i >= 2;
+    `compose` and `power` build on checked blocks without checking again."""
     free_block: List[List[int]]
     torsion_orders: List[int] = field(default_factory=list)
     torsion_block: List[List[int]] = field(default_factory=list)
     mixing_block: List[List[int]] = field(default_factory=list)
+    _factors: dict = field(init=False, repr=False, compare=False)  # of d_s
 
     def __post_init__(self):
         int_mat_check(self.free_block, square=True)
-        r = len(self.free_block)
-        s = len(self.torsion_orders)
         d = self.torsion_orders
+        r, s = len(self.free_block), len(d)
         if sorted(d) != d or any(x < 2 for x in d):
             raise PreconditionError("torsion orders must be >= 2 and sorted")
-        for i in range(1, s):
-            if d[i] % d[i - 1]:
-                raise PreconditionError("torsion orders must form a divisibility chain")
+        if any(b % a for a, b in zip(d, d[1:])):
+            raise PreconditionError("torsion orders must form a divisibility chain")
         if len(self.torsion_block) != s or any(len(row) != s for row in self.torsion_block):
             raise PreconditionError("torsion block shape mismatch")
         if len(self.mixing_block) != s or any(len(row) != r for row in self.mixing_block):
@@ -53,18 +72,17 @@ class FgAbelianAutomorphism:
         if r and det_int(self.free_block) not in (1, -1):
             raise PreconditionError("free block is not invertible over ZZ")
         # well-definedness: column j has order d_j, so T[i][j]*d_j = 0 mod d_i
-        for i in range(s):
-            for j in range(s):
-                if (self.torsion_block[i][j] * d[j]) % d[i]:
-                    raise PreconditionError("torsion block does not preserve orders")
+        if any(x * dj % di for di, row in zip(d, self.torsion_block)
+               for x, dj in zip(row, d)):
+            raise PreconditionError("torsion block does not preserve orders")
         # invertibility on torsion: the mod-p reduction on T/pT is invertible
         # for each prime p dividing the exponent
-        if s:
-            for p in factorize(d[-1]):
-                idx = [i for i in range(s) if d[i] % p == 0]
-                sub = [[self.torsion_block[i][j] % p for j in idx] for i in idx]
-                if det_int(sub) % p == 0:
-                    raise PreconditionError(f"torsion block is not invertible (mod {p})")
+        self._factors = factorize(d[-1]) if s else {}
+        for p in self._factors:
+            idx = [i for i in range(s) if d[i] % p == 0]
+            sub = [[self.torsion_block[i][j] % p for j in idx] for i in idx]
+            if det_int(sub) % p == 0:
+                raise PreconditionError(f"torsion block is not invertible (mod {p})")
         self.torsion_block = self._reduce_rows(self.torsion_block)
         self.mixing_block = self._reduce_rows(self.mixing_block)
 
@@ -72,12 +90,17 @@ class FgAbelianAutomorphism:
         return [[x % self.torsion_orders[i] for x in row]
                 for i, row in enumerate(mat)]
 
+    def _checked(self, free, torsion, mixing):
+        """Same group, blocks made from checked ones: reduced, not rechecked."""
+        phi = copy(self)
+        phi.free_block = free
+        phi.torsion_block, phi.mixing_block = map(self._reduce_rows, (torsion, mixing))
+        return phi
+
     @classmethod
     def identity(cls, r, torsion_orders=()):
-        d = list(torsion_orders)
-        s = len(d)
-        return cls(mat_identity(r), d, mat_identity(s),
-                   [[0] * r for _ in range(s)])
+        s = len(torsion_orders)
+        return cls(mat_identity(r), list(torsion_orders), mat_identity(s), [[0] * r] * s)
 
     @property
     def free_rank(self):
@@ -88,57 +111,39 @@ class FgAbelianAutomorphism:
         if (self.free_rank != other.free_rank
                 or self.torsion_orders != other.torsion_orders):
             raise ValueError("automorphisms of different groups")
-        free = mat_mul(self.free_block, other.free_block)
-        s = len(self.torsion_orders)
-        tor = mat_mul(self.torsion_block, other.torsion_block) if s else []
-        if s:
-            mix1 = mat_mul(self.mixing_block, other.free_block)
-            mix2 = mat_mul(self.torsion_block, other.mixing_block)
-            mix = [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(mix1, mix2)]
-        else:
-            mix = []
-        return FgAbelianAutomorphism(free, list(self.torsion_orders), tor, mix)
+        mix = [[a + b for a, b in zip(r1, r2)] for r1, r2 in
+               zip(mat_mul(self.mixing_block, other.free_block),
+                   mat_mul(self.torsion_block, other.mixing_block))]
+        return self._checked(mat_mul(self.free_block, other.free_block),
+                             mat_mul(self.torsion_block, other.torsion_block), mix)
 
     def power(self, e):
-        if e < 0:
-            raise ValueError("negative powers are not needed here")
-        result = FgAbelianAutomorphism.identity(self.free_rank, self.torsion_orders)
-        base = self
-        while e:
-            if e & 1:
-                result = result.compose(base)
-            base = base.compose(base)
-            e >>= 1
-        return result
+        r, s = self.free_rank, len(self.torsion_orders)
+        one = self._checked(mat_identity(r), mat_identity(s), [[0] * r] * s)
+        return power(self, e, FgAbelianAutomorphism.compose, one)
 
     def is_identity(self):
-        if not mat_is_identity(self.free_block):
-            return False
-        d = self.torsion_orders
-        for i, row in enumerate(self.torsion_block):
-            for j, x in enumerate(row):
-                if (x - (1 if i == j else 0)) % d[i]:
-                    return False
-        for i, row in enumerate(self.mixing_block):
-            if any(x % d[i] for x in row):
-                return False
-        return True
+        # rows are reduced modulo d_i >= 2, so the identity's blocks are I, I, 0
+        return (mat_is_identity(self.free_block) and mat_is_identity(self.torsion_block)
+                and not any(map(any, self.mixing_block)))
 
     def torsion_order(self):
-        """Multiplicative order of the action on the torsion subgroup."""
-        if not self.torsion_orders:
-            return 1
-        probe = FgAbelianAutomorphism(
-            mat_identity(0), list(self.torsion_orders),
-            [row[:] for row in self.torsion_block],
-            [[] for _ in self.torsion_orders])
-        acc = probe
-        for n in range(1, _TORSION_ORDER_CEILING + 1):
-            if acc.is_identity():
-                return n
-            acc = acc.compose(probe)
-        raise PreconditionError(
-            f"torsion order exceeds the search bound {_TORSION_ORDER_CEILING}")
+        """Multiplicative order of the action on the torsion subgroup T: the
+        least divisor of |Aut T| at which the torsion block's power is I."""
+        probe = self._checked([], self.torsion_block, [[]] * len(self.torsion_block))
+        return order_from_multiple(*_aut_order(self.torsion_orders, self._factors),
+                                   lambda e: probe.power(e).is_identity())
+
+
+def _check_relation_input(r, b, k, sign):
+    """B square of size r, an integer k > 1 and sign +-1, or PreconditionError."""
+    int_mat_check(b, square=True)
+    if len(b) != r:
+        raise PreconditionError("A and B must have the same size")
+    if not isinstance(k, int) or k <= 1:
+        raise PreconditionError("k must be an integer > 1")
+    if sign not in (1, -1):
+        raise PreconditionError("sign must be +1 or -1")
 
 
 def solve_prop_matrix(a, b, k, sign):
@@ -150,13 +155,7 @@ def solve_prop_matrix(a, b, k, sign):
     relation would contradict the theory and raises an internal error.
     """
     int_mat_check(a, square=True)
-    int_mat_check(b, square=True)
-    if len(a) != len(b):
-        raise PreconditionError("A and B must have the same size")
-    if not isinstance(k, int) or k <= 1:
-        raise PreconditionError("k must be an integer > 1")
-    if sign not in (1, -1):
-        raise PreconditionError("sign must be +1 or -1")
+    _check_relation_input(len(a), b, k, sign)
     if det_int(a) not in (1, -1):
         raise RelationError("A must be invertible over ZZ")
     if det_int(b) not in (1, -1):
@@ -211,9 +210,15 @@ def cor_period_driver(monodromy, k, conj_witness) -> Tuple[int, int]:
     `conj_witness` a parallel list of (B, sign) acting on the free quotients.
     Returns m = lcm of the per-degree orders on the free quotients (prime
     to k) and l with the full action trivial, both verified by powering.
+    k and every witness are checked, in every degree, before any work.
     """
     if len(monodromy) != len(conj_witness):
         raise PreconditionError("need one conjugation witness per degree")
+    for j, (phi, (bmat, sign)) in enumerate(zip(monodromy, conj_witness)):
+        try:
+            _check_relation_input(phi.free_rank, bmat, k, sign)
+        except PreconditionError as exc:
+            raise PreconditionError(f"degree {j}: {exc}") from exc
     m = 1
     for j, (phi, (bmat, sign)) in enumerate(zip(monodromy, conj_witness)):
         if phi.free_rank == 0:

@@ -20,7 +20,7 @@ all run on it, never through Fraction coefficients.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import is_prime
+from .arith import is_prime, power
 
 
 class ExactDivisionError(ArithmeticError):
@@ -215,18 +215,9 @@ class Poly:
         """self**n by squaring; pow(f, n, mod) reduces modulo `mod` after
         each multiply, so its degrees stay below deg mod."""
         def reduce(f):
-            if mod is None or f.degree < mod.degree:
-                return f
-            return divmod(f, mod)[1]
-        result = reduce(Poly.one(self.ring))
-        base = reduce(self)
-        while n:
-            if n & 1:
-                result = reduce(result * base)
-            n >>= 1
-            if n:
-                base = reduce(base * base)
-        return result
+            return f if mod is None or f.degree < mod.degree else divmod(f, mod)[1]
+        return power(reduce(self), n, lambda f, g: reduce(f * g),
+                     reduce(Poly.one(self.ring)))
 
     def __divmod__(self, other):
         """(q, r) with self = q*other + r and deg r < deg other, by
@@ -375,17 +366,18 @@ def pseudo_divmod(f, g, p=0):
 
     With p = 0 the lists hold ints and nothing leaves ZZ: each step scales
     by lc(g) / gcd(top, lc(g)), so s divides lc(g)^(deg f - deg g + 1) and
-    is a unit of QQ.  With p prime they hold residues in [0, p), each step
-    uses the field quotient and s = 1.  Each quotient coefficient is stored
-    in the slot of the top coefficient it cancels, so a later scaling of
-    the working list scales it too.
+    is a unit of QQ (s = 1 for lc(g) = +-1, which never scales).  With p
+    prime they hold residues in [0, p), each step uses the field quotient
+    and s = 1.  Each quotient coefficient is stored in the slot of the top
+    coefficient it cancels, so a later scaling of the working list scales
+    it too.
     """
     r = list(f)
     n = len(g)
     lc = g[-1]
     s = 1
-    if p:
-        lc_inv = pow(lc, -1, p)
+    # 1/lc where it is integral: over GF(p), and over ZZ for lc = +-1
+    lc_inv = pow(lc, -1, p) if p else lc if lc in (1, -1) else 0
     for top_i in range(len(r) - 1, n - 2, -1):
         top = r[top_i]
         if not top:
@@ -396,11 +388,14 @@ def pseudo_divmod(f, g, p=0):
             for i in range(n - 1):
                 r[k + i] = (r[k + i] - v * g[i]) % p
         else:
-            h = gcd(top, lc)
-            u, v = lc // h, top // h
-            if u != 1:
-                r = [u * x for x in r]
-                s *= u
+            if lc_inv:
+                v = top * lc_inv
+            else:
+                h = gcd(top, lc)
+                u, v = lc // h, top // h
+                if u != 1:
+                    r = [u * x for x in r]
+                    s *= u
             for i in range(n - 1):
                 r[k + i] -= v * g[i]
         r[top_i] = v

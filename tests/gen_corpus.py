@@ -84,6 +84,21 @@ def build_cases():
             "k": 5,
             "witness": [{"b": [["1"]], "sign": 1},
                         {"b": [["1", "0"], ["1", "-1"]], "sign": 1}]}),
+        # free part -1 and torsion part of order 2 on Z/2 + Z/4; the nonzero
+        # mixing row doubles the period to 4
+        "periodicity_z2_z4_mixing": ("periodicity", {
+            "monodromy": [
+                {"free": [["-1"]], "torsion_orders": ["2", "4"],
+                 "torsion": [["1", "0"], ["2", "3"]], "mixing": [["0"], ["1"]]}],
+            "k": 3,
+            "witness": [{"b": [["1"]], "sign": 1}]}),
+        # 2 is a primitive root modulo the prime 1000003
+        "periodicity_z1000003": ("periodicity", {
+            "monodromy": [
+                {"free": [], "torsion_orders": ["1000003"], "torsion": [["2"]],
+                 "mixing": [[]]}],
+            "k": 5,
+            "witness": [{"b": [], "sign": 1}]}),
         "hp_minus_23": ("hp-minus", {"p": 23}),
         "hp_minus_37": ("hp-minus", {"p": 37}),
         "gate_p3_false": ("gate", {"p": 3, "fixture": "default"}),

@@ -1,4 +1,5 @@
-"""Primality up to IS_PRIME_LIMIT and factoring beyond the trial-division range."""
+"""Primality up to IS_PRIME_LIMIT, factoring beyond the trial-division range,
+and the shared square-and-multiply and order-stripping helpers."""
 
 import random
 
@@ -6,7 +7,10 @@ import pytest
 
 from cyclocover import arith
 from cyclocover.arith import (IS_PRIME_LIMIT, factorize, is_prime,
+                              order_from_multiple, power,
                               smallest_odd_prime_factor)
+from cyclocover.matrices import mat_pow
+from cyclocover.rings import Poly, ZZ
 
 
 def _brute_smallest_odd(n):
@@ -50,3 +54,55 @@ class TestIsPrime:
         n = 318665857834031151167461
         assert n < IS_PRIME_LIMIT and not is_prime(n)
         assert factorize(n) == {399165290221: 1, 798330580441: 1}
+
+
+class TestPower:
+    def test_known_answers(self):
+        def mul(a, b):
+            return a * b
+        assert power(3, 13, mul, 1) == 3 ** 13
+        assert power(7, 0, mul, 1) == 1
+        assert power(-2, 1, mul, 1) == -2
+        # a product that is not commutative keeps its order
+        assert power("ab", 5, str.__add__, "") == "ab" * 5
+
+    def test_negative_exponent_is_refused(self):
+        # the shared loop would otherwise shift -1 right forever
+        with pytest.raises(ValueError, match="exponent >= 0"):
+            power(1, -1, int.__mul__, 1)
+        with pytest.raises(ValueError, match="exponent >= 0"):
+            Poly.one(ZZ) ** -1
+        with pytest.raises(ValueError, match="exponent >= 0"):
+            mat_pow([[1]], -2)
+
+    def test_multiplies_once_per_bit_and_squares_below_the_top_bit(self):
+        calls = []
+
+        def mul(a, b):
+            calls.append((a, b))
+            return a * b
+        assert power(2, 0b1011, mul, 1) == 2 ** 11
+        # 3 multiplies into the result and 3 squarings, none past the top bit
+        assert len(calls) == 6
+
+
+class TestOrderFromMultiple:
+    @pytest.mark.parametrize("n,primes,modulus,base,order", [
+        (6, [2, 3], 7, 2, 3),            # 2 has order 3 mod 7
+        (6, [2, 3], 7, 3, 6),            # 3 is a primitive root mod 7
+        (12, [2, 3, 5], 13, 1, 1),       # a prime that does not divide n
+        (1000002, [2, 3, 166667], 1000003, 2, 1000002),
+        (2 ** 10, [2], 2 ** 12, 5, 2 ** 10),  # 5 has order 2^(k-2) mod 2^k
+    ])
+    def test_multiplicative_orders(self, n, primes, modulus, base, order):
+        assert order_from_multiple(
+            n, primes, lambda e: pow(base, e, modulus) == 1) == order
+
+    def test_against_brute_force(self):
+        rng = random.Random(7)
+        for _ in range(200):
+            m = rng.choice([p for p in range(3, 200) if is_prime(p)])
+            a = rng.randrange(1, m)
+            want = next(e for e in range(1, m) if pow(a, e, m) == 1)
+            assert order_from_multiple(m - 1, factorize(m - 1),
+                                       lambda e: pow(a, e, m) == 1) == want

@@ -11,9 +11,12 @@ import tracemalloc
 import pytest
 
 from cyclocover import __version__, cli
+from cyclocover.arith import primitive_root
 from cyclocover.cli import default_corpus_path, run
 from cyclocover.modules import finitely_generated_over_Z
 from cyclocover.serialize import parse_presentation
+
+from helpers import brute_automorphism_order, brute_order
 
 
 def invoke(capsys, *argv):
@@ -138,18 +141,6 @@ class TestExitCodes:
         assert code == 2 and rep["error"]["kind"] == "precondition"
         assert "2048" in rep["error"]["message"]
 
-    def test_torsion_search_bound_exit_2(self, capsys, monkeypatch):
-        # 2 has order 12 mod 13, over a search bound lowered to 10
-        from cyclocover import periodicity
-        monkeypatch.setattr(periodicity, "_TORSION_ORDER_CEILING", 10)
-        mono = json.dumps([{"free": [], "torsion_orders": ["13"],
-                            "torsion": [["2"]], "mixing": [[]]}])
-        wit = json.dumps([{"b": [], "sign": 1}])
-        code, rep = invoke(capsys, "periodicity", "--monodromy", mono,
-                           "--k", "5", "--witness", wit)
-        assert code == 2 and rep["error"]["kind"] == "precondition"
-        assert "search bound 10" in rep["error"]["message"]
-
     def test_internal_check_exit_3(self, capsys, monkeypatch):
         # a failing cross-check cannot be produced by valid inputs (that is
         # the point of the check), so inject one to exercise the exit path
@@ -209,6 +200,10 @@ class TestExitCodes:
             run(["frobnicate"])
 
 
+# Z/3 under 2, with no free part
+TORSION_ONLY = json.dumps([{"free": [], "torsion_orders": ["3"],
+                            "torsion": [["2"]], "mixing": [[]]}])
+
 # one bad input per validated field: (argv, fragment of the message)
 BAD_INPUTS = {
     "prop-matrix ragged": (
@@ -231,6 +226,16 @@ BAD_INPUTS = {
     "periodicity torsion_orders": (
         ["periodicity", "--monodromy", '[{"free": [], "torsion_orders": 5}]',
          "--k", "5", "--witness", '[{"b": [], "sign": 1}]'], "torsion_orders"),
+    # a degree of free rank 0 checks k and its witness like any other
+    "periodicity torsion-only k": (
+        ["periodicity", "--monodromy", TORSION_ONLY, "--k", "-7",
+         "--witness", '[{"b": [], "sign": 1}]'], "degree 0: k must be"),
+    "periodicity torsion-only witness": (
+        ["periodicity", "--monodromy", TORSION_ONLY, "--k", "5", "--witness",
+         '[{"b": [["7", "1"], ["2", "9"]], "sign": 7}]'], "degree 0: A and B"),
+    "periodicity torsion-only sign": (
+        ["periodicity", "--monodromy", TORSION_ONLY, "--k", "5",
+         "--witness", '[{"b": [], "sign": 7}]'], "degree 0: sign must be"),
     "cover-homology q": (
         ["cover-homology", "--complex", TREFOIL, "--kappa", "Q", "--q", "0"],
         "q must be"),
@@ -490,6 +495,25 @@ class TestCorpus:
         assert code == 0
         assert rep["result"]["failed"] == 0
         assert rep["result"]["total"] >= 25
+
+    def test_periodicity_cases_match_the_oracles(self):
+        case = corpus_case("periodicity_z2_z4_mixing.json")
+        phi, = case["params"]["monodromy"]
+        free, orders, torsion, mixing = (
+            [[int(x) for x in row] for row in phi["free"]],
+            [int(d) for d in phi["torsion_orders"]],
+            [[int(x) for x in row] for row in phi["torsion"]],
+            [[int(x) for x in row] for row in phi["mixing"]])
+        assert case["expected"] == {
+            "m": str(brute_order(free)),
+            "l": str(brute_automorphism_order(free, orders, torsion, mixing))}
+        assert case["expected"] == {"m": "2", "l": "4"}
+        # 2 generates the units modulo the prime p, so its order is p - 1
+        case = corpus_case("periodicity_z1000003.json")
+        phi, = case["params"]["monodromy"]
+        p = int(phi["torsion_orders"][0])
+        assert phi["torsion"] == [[str(primitive_root(p))]]
+        assert case["expected"] == {"m": "1", "l": str(p - 1)}
 
     def test_corpus_deterministic(self, capsys):
         run(["corpus"])

@@ -5,15 +5,18 @@ helpers.py wherever the search space is small enough.
 """
 
 import random
-from math import lcm
+import time
+from itertools import product
+from math import gcd, lcm
 
 import pytest
 
 from cyclocover import periodicity
+from cyclocover.arith import factorize
 from cyclocover.errors import InternalCheckError, PreconditionError
 from cyclocover.matrices import mat_mul, mat_pow
 from cyclocover.periodicity import (FgAbelianAutomorphism, RelationError,
-                                    cor_period_driver, full_order,
+                                    _aut_order, cor_period_driver, full_order,
                                     solve_prop_matrix)
 
 from helpers import (brute_automorphism_order, brute_order,
@@ -135,19 +138,84 @@ class TestAutomorphismGroup:
         phi = FgAbelianAutomorphism([], [4], [[3]], [[]])
         assert phi.torsion_order() == 2
 
-    def test_torsion_search_bound_is_a_precondition(self, monkeypatch):
-        # 2 has order 12 mod 13, over a search bound lowered to 10
-        monkeypatch.setattr(periodicity, "_TORSION_ORDER_CEILING", 10)
-        phi = FgAbelianAutomorphism([], [13], [[2]], [[]])
-        with pytest.raises(PreconditionError, match="search bound 10"):
-            phi.torsion_order()
-        with pytest.raises(PreconditionError, match="search bound 10"):
-            full_order(phi, 1)
-
     def test_identity_helper(self):
         e = FgAbelianAutomorphism.identity(2, [2, 4])
         assert e.is_identity()
         assert e.torsion_order() == 1
+        with pytest.raises(PreconditionError, match="divisibility"):
+            FgAbelianAutomorphism.identity(1, [2, 3])
+
+
+class TestTorsionOrder:
+    """Orders on T = sum Z/d_i from the multiple |Aut T|, stripped prime by
+    prime, against the one-factor-at-a-time powering oracle."""
+
+    @pytest.mark.parametrize("orders,size", [
+        ([7], 6), ([2, 2], 6), ([2, 4], 8), ([2, 2, 2], 168),
+        ([4, 4], 96),                 # |GL_2(Z/4)| = 16 * 6
+        ([6, 12], 8 * 48),            # Aut(Z/2 + Z/4) x GL_2(F_3)
+    ])
+    def test_aut_order_known_values(self, orders, size):
+        got, primes = _aut_order(orders, factorize(orders[-1]))
+        assert got == size
+        assert set(factorize(size)) <= primes
+
+    @pytest.mark.parametrize("orders", [[2, 2], [2, 4], [4, 4], [3, 9], [2, 2, 4]])
+    def test_aut_order_counts_the_accepted_torsion_blocks(self, orders):
+        # every reduced block that the constructor accepts is one automorphism
+        ranges = [range(d) for d in orders for _ in orders]
+        s = len(orders)
+        count = 0
+        for flat in product(*ranges):
+            block = [list(flat[i * s:(i + 1) * s]) for i in range(s)]
+            try:
+                FgAbelianAutomorphism([], orders, block, [[]] * s)
+            except PreconditionError:
+                continue
+            count += 1
+        assert count == _aut_order(orders, factorize(orders[-1]))[0]
+
+    def test_against_brute_force_non_cyclic(self):
+        rng = random.Random(19)
+        for orders in ([2, 4, 8], [3, 9], [5, 5], [2, 2, 4], [6, 12]):
+            checked = 0
+            while checked < 200:
+                # T[i][j] d_j = 0 mod d_i: T[i][j] is a multiple of d_i / gcd
+                torsion = [[di // gcd(di, dj) * rng.randrange(gcd(di, dj))
+                            for dj in orders] for di in orders]
+                try:
+                    phi = FgAbelianAutomorphism([], orders, torsion,
+                                                [[] for _ in orders])
+                except PreconditionError:
+                    continue  # not invertible
+                want = brute_automorphism_order([], orders, torsion,
+                                                [[] for _ in orders])
+                assert phi.torsion_order() == want, (orders, torsion)
+                checked += 1
+
+    def test_large_prime_under_a_primitive_root(self):
+        for p in (100003, 1000003):
+            phi = FgAbelianAutomorphism([], [p], [[2]], [[]])
+            start = time.perf_counter()
+            assert phi.torsion_order() == p - 1
+            assert time.perf_counter() - start < 0.05
+
+    def test_checks_once(self, monkeypatch):
+        calls = []
+        real = periodicity.det_int
+
+        def counting(a):
+            calls.append(a)
+            return real(a)
+        monkeypatch.setattr(periodicity, "det_int", counting)
+        phi = FgAbelianAutomorphism([[1]], [5], [[2]], [[0]])
+        assert calls
+        calls.clear()
+        assert phi.power(1000).is_identity()
+        assert phi.compose(phi).torsion_block == [[4]]
+        assert phi.torsion_order() == 4
+        assert full_order(phi, 1) == 4
+        assert calls == []
 
 
 class TestFullOrder:

@@ -254,6 +254,20 @@ class TestPseudoDivmod:
             # s divides lc(g)^(deg f - deg g + 1)
             assert g[-1] ** max(len(f) - len(g) + 1, 0) % s == 0
 
+    def test_unit_leading_coefficient_needs_no_scaling(self):
+        # [DERIVED] 2t + 1 = -2 (1 - t) + 3, and
+        # 3t^2 + 2t + 1 = (-3t - 5)(1 - t) + 6
+        assert pseudo_divmod([1, 2], [1, -1]) == (1, [-2], [3])
+        assert pseudo_divmod([1, 2, 3], [1, -1]) == (1, [-5, -3], [6])
+        rng = random.Random(47)
+        for _ in range(200):
+            f = self.rand_list(rng, rng.randint(0, 8), -9, 9)
+            g = self.rand_list(rng, rng.randint(0, 4), -9, 9) + [rng.choice([1, -1])]
+            s, q, r = pseudo_divmod(f, g)
+            assert s == 1 and len(r) < len(g)
+            assert (Poly(ZZ, q), Poly(ZZ, r)) == divmod(Poly(ZZ, f), Poly(ZZ, g))
+            assert Poly(ZZ, f) == Poly(ZZ, q) * Poly(ZZ, g) + Poly(ZZ, r)
+
     @pytest.mark.parametrize("p", [2, 5, 2**31 - 1])
     def test_field_quotient_modulo_p(self, p):
         rng = random.Random(43)

@@ -132,9 +132,14 @@ def power(base, e, mul, one):
 
 
 def order_from_multiple(n, primes, is_one):
-    """The order dividing n at which is_one holds exactly on its multiples,
-    by stripping off one at a time the `primes`, which hold all of n's."""
+    """The order dividing n at which is_one holds exactly on its multiples.
+    For each of the `primes`, which hold all of n's, its whole power is
+    taken off n and put back one factor at a time until is_one holds, so
+    an order far below n costs few checks, and each at a small exponent."""
     for p in primes:
-        while n % p == 0 and is_one(n // p):
-            n //= p
+        e = 0
+        while n % p == 0:
+            n, e = n // p, e + 1
+        while e and not is_one(n):
+            n, e = n * p, e - 1
     return n

@@ -6,8 +6,6 @@ free-quotient period through the torsion subgroup, and aggregates the
 per-degree data of a monodromy action.
 """
 
-from bisect import bisect_left, bisect_right
-from collections import Counter
 from copy import copy
 from dataclasses import dataclass, field
 from math import gcd, lcm
@@ -17,30 +15,99 @@ from .arith import factorize, order_from_multiple, power
 from .errors import InternalCheckError, PreconditionError
 from .matrices import (det_int, int_mat_check, mat_identity, mat_is_identity,
                        mat_mul, mat_pow)
-from .normal_forms import char_poly, cyclotomic_indices, finite_order
+from .normal_forms import _sub_mul, char_poly, cyclotomic_indices, finite_order
+from .rings import pseudo_divmod
 
 
 class RelationError(PreconditionError):
     """The claimed conjugation relation does not hold."""
 
 
-def _aut_order(orders, factors):
-    """|Aut T|, T = sum Z/d_i, and a set holding its primes; `factors` is d_s's.
+def _charpoly_mod(a, p):
+    """det(xI - a) over GF(p) as a coefficient list, low degree first.  a is
+    brought to upper Hessenberg form h by similarity; the polynomial c_m of
+    its leading m x m block then follows c_{m+1} = (x - h_mm) c_m -
+    sum_{i<m} h_im h_{i+1,i} ... h_{m,m-1} c_i."""
+    h = [[x % p for x in row] for row in a]
+    n = len(h)
+    for j in range(n - 2):
+        k = j + 1
+        piv = next((i for i in range(k, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        h[k], h[piv] = h[piv], h[k]
+        for row in h:
+            row[k], row[piv] = row[piv], row[k]
+        inv = pow(h[k][j], -1, p)
+        for i in range(k + 1, n):
+            c = h[i][j] * inv % p
+            if c:  # row i -= c row k, then column k += c column i
+                h[i] = [(x - c * y) % p for x, y in zip(h[i], h[k])]
+                for row in h:
+                    row[k] = (row[k] + c * row[i]) % p
+    polys = [[1]]
+    for m in range(n):
+        nxt = _sub_mul(1, [0] + polys[m], [h[m][m]], polys[m], p)
+        sub = 1
+        for i in range(m - 1, -1, -1):
+            sub = sub * h[i + 1][i] % p
+            if not sub:
+                break
+            nxt = _sub_mul(1, nxt, [h[i][m] * sub], polys[i], p)
+        polys.append(nxt)
+    return polys[n]
 
-    On the ell-part sum Z/q_k (q_k ascending, k = 1..n) it is the product of
-    (ell^d_k - ell^(k-1)) q_k^(n-d_k) (q_k/ell)^(n-c_k+1), c_k and d_k the
-    first and last index of q_k (Hillar-Rhea, Amer. Math. Monthly 114 (2007),
-    Thm 4.1); d_k - k + 1 is at most the longest run of equal q_k."""
-    size, primes = 1, set(factors)
+
+def _gcd_mod(f, g, p):
+    while g:
+        f, g = g, pseudo_divmod(f, g, p)[2]
+    return f
+
+
+def _factor_degrees(f, p):
+    """The degrees of the irreducible factors other than x - 1 of f over
+    GF(p), a coefficient list with f(0) != 0, by distinct-degree
+    factorization: those of degree j divide x^(p^j) - x."""
+    while len(f) > 1 and sum(f) % p == 0:  # f(1) = 0
+        f = pseudo_divmod(f, [p - 1, 1], p)[1]
+    degrees, h, j = [], [0, 1], 0
+    while len(f) > 1:
+        j += 1
+        # h = x^(p^j) mod f; u v is 0 u - (-u) v
+        h = power(h, p, lambda u, v: pseudo_divmod(
+            _sub_mul(0, [], [-c for c in u], v, p), f, p)[2], [1])
+        g = _gcd_mod(f, _sub_mul(1, h, [1], [0, 1], p), p)
+        if len(g) > 1:
+            degrees.append(j)
+            while len(g) > 1:  # take every factor of degree j out of f
+                f = pseudo_divmod(f, g, p)[1]
+                g = _gcd_mod(f, g, p)
+            h = pseudo_divmod(h, f, p)[2]
+    return degrees
+
+
+def _order_multiple(orders, block, factors):
+    """A multiple of the order of the torsion block, T = sum Z/d_i, and a
+    set holding its primes; `factors` is d_s's.
+
+    On the ell-part of T, of exponent ell^a, the block acts on T/ell T by M:
+    its rows and columns at the n orders d_i divisible by ell, mod ell.
+    M = s u with s semisimple and u unipotent, commuting.  u^(ell^t) = I
+    for ell^t >= n, t the bit length of n - 1; the order of s is the lcm of
+    those of its eigenvalues, which divide ell^j - 1 for an eigenvalue of
+    degree j over GF(ell) and are 1 for the eigenvalue 1.  A power of the
+    action that is I on T/ell T is 1 + psi with psi(T) in ell T; its ell-th
+    power is 1 + psi' with psi'(T) in ell^2 T, so ell^(a-1) more is the
+    identity.  Only the ell^j - 1 for the degrees j that M has are factored."""
+    mult, primes = 1, set(factors)
     for ell, a in factors.items():
-        qs = [q for q in (gcd(x, ell ** a) for x in orders) if q > 1]
-        n = len(qs)
-        for k, q in enumerate(qs):
-            c, d = bisect_left(qs, q), bisect_right(qs, q)
-            size *= (ell ** d - ell ** k) * q ** (n - d) * (q // ell) ** (n - c)
-        for j in range(1, max(Counter(qs).values()) + 1):
+        idx = [i for i, d in enumerate(orders) if d % ell == 0]
+        mult = lcm(mult, ell ** ((len(idx) - 1).bit_length() + a - 1))
+        sub = [[block[i][j] for j in idx] for i in idx]
+        for j in _factor_degrees(_charpoly_mod(sub, ell), ell):
+            mult = lcm(mult, ell ** j - 1)
             primes.update(factorize(ell ** j - 1))
-    return size, primes
+    return mult, primes
 
 
 @dataclass
@@ -59,12 +126,14 @@ class FgAbelianAutomorphism:
 
     def __post_init__(self):
         int_mat_check(self.free_block, square=True)
+        r = len(self.free_block)
+        s = len(self.torsion_orders)
         d = self.torsion_orders
-        r, s = len(self.free_block), len(d)
         if sorted(d) != d or any(x < 2 for x in d):
             raise PreconditionError("torsion orders must be >= 2 and sorted")
-        if any(b % a for a, b in zip(d, d[1:])):
-            raise PreconditionError("torsion orders must form a divisibility chain")
+        for i in range(1, s):
+            if d[i] % d[i - 1]:
+                raise PreconditionError("torsion orders must form a divisibility chain")
         if len(self.torsion_block) != s or any(len(row) != s for row in self.torsion_block):
             raise PreconditionError("torsion block shape mismatch")
         if len(self.mixing_block) != s or any(len(row) != r for row in self.mixing_block):
@@ -72,9 +141,10 @@ class FgAbelianAutomorphism:
         if r and det_int(self.free_block) not in (1, -1):
             raise PreconditionError("free block is not invertible over ZZ")
         # well-definedness: column j has order d_j, so T[i][j]*d_j = 0 mod d_i
-        if any(x * dj % di for di, row in zip(d, self.torsion_block)
-               for x, dj in zip(row, d)):
-            raise PreconditionError("torsion block does not preserve orders")
+        for i in range(s):
+            for j in range(s):
+                if (self.torsion_block[i][j] * d[j]) % d[i]:
+                    raise PreconditionError("torsion block does not preserve orders")
         # invertibility on torsion: the mod-p reduction on T/pT is invertible
         # for each prime p dividing the exponent
         self._factors = factorize(d[-1]) if s else {}
@@ -99,8 +169,10 @@ class FgAbelianAutomorphism:
 
     @classmethod
     def identity(cls, r, torsion_orders=()):
-        s = len(torsion_orders)
-        return cls(mat_identity(r), list(torsion_orders), mat_identity(s), [[0] * r] * s)
+        d = list(torsion_orders)
+        s = len(d)
+        return cls(mat_identity(r), d, mat_identity(s),
+                   [[0] * r for _ in range(s)])
 
     @property
     def free_rank(self):
@@ -119,7 +191,8 @@ class FgAbelianAutomorphism:
 
     def power(self, e):
         r, s = self.free_rank, len(self.torsion_orders)
-        one = self._checked(mat_identity(r), mat_identity(s), [[0] * r] * s)
+        one = self._checked(mat_identity(r), mat_identity(s),
+                            [[0] * r for _ in range(s)])
         return power(self, e, FgAbelianAutomorphism.compose, one)
 
     def is_identity(self):
@@ -129,9 +202,12 @@ class FgAbelianAutomorphism:
 
     def torsion_order(self):
         """Multiplicative order of the action on the torsion subgroup T: the
-        least divisor of |Aut T| at which the torsion block's power is I."""
-        probe = self._checked([], self.torsion_block, [[]] * len(self.torsion_block))
-        return order_from_multiple(*_aut_order(self.torsion_orders, self._factors),
+        least divisor of `_order_multiple` at which the torsion block's power
+        is I."""
+        probe = self._checked([], self.torsion_block, [[] for _ in self.torsion_block])
+        multiple, primes = _order_multiple(self.torsion_orders, self.torsion_block,
+                                           self._factors)
+        return order_from_multiple(multiple, primes,
                                    lambda e: probe.power(e).is_identity())
 
 
@@ -156,6 +232,12 @@ def solve_prop_matrix(a, b, k, sign):
     """
     int_mat_check(a, square=True)
     _check_relation_input(len(a), b, k, sign)
+    return _solve_relation(a, b, k, sign)
+
+
+def _solve_relation(a, b, k, sign):
+    """`solve_prop_matrix` on A, B, k and sign whose shapes and values are
+    already checked."""
     if det_int(a) not in (1, -1):
         raise RelationError("A must be invertible over ZZ")
     if det_int(b) not in (1, -1):
@@ -224,7 +306,7 @@ def cor_period_driver(monodromy, k, conj_witness) -> Tuple[int, int]:
         if phi.free_rank == 0:
             continue
         try:
-            mj = solve_prop_matrix(phi.free_block, bmat, k, sign)
+            mj = _solve_relation(phi.free_block, bmat, k, sign)
         except PreconditionError as exc:
             raise type(exc)(f"degree {j}: {exc}") from exc
         m = lcm(m, mj)

@@ -215,7 +215,9 @@ class Poly:
         """self**n by squaring; pow(f, n, mod) reduces modulo `mod` after
         each multiply, so its degrees stay below deg mod."""
         def reduce(f):
-            return f if mod is None or f.degree < mod.degree else divmod(f, mod)[1]
+            if mod is None or f.degree < mod.degree:
+                return f
+            return divmod(f, mod)[1]
         return power(reduce(self), n, lambda f, g: reduce(f * g),
                      reduce(Poly.one(self.ring)))
 

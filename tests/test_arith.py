@@ -98,6 +98,12 @@ class TestOrderFromMultiple:
         assert order_from_multiple(
             n, primes, lambda e: pow(base, e, modulus) == 1) == order
 
+    def test_one_check_per_prime_when_the_order_is_small(self):
+        calls = []
+        assert order_from_multiple(
+            2 ** 20 * 3 ** 5, [2, 3], lambda e: calls.append(e) or True) == 1
+        assert calls == [3 ** 5, 1]
+
     def test_against_brute_force(self):
         rng = random.Random(7)
         for _ in range(200):

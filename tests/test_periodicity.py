@@ -15,8 +15,9 @@ from cyclocover import periodicity
 from cyclocover.arith import factorize
 from cyclocover.errors import InternalCheckError, PreconditionError
 from cyclocover.matrices import mat_mul, mat_pow
+from cyclocover.normal_forms import char_poly
 from cyclocover.periodicity import (FgAbelianAutomorphism, RelationError,
-                                    _aut_order, cor_period_driver, full_order,
+                                    cor_period_driver, full_order,
                                     solve_prop_matrix)
 
 from helpers import (brute_automorphism_order, brute_order,
@@ -147,33 +148,77 @@ class TestAutomorphismGroup:
 
 
 class TestTorsionOrder:
-    """Orders on T = sum Z/d_i from the multiple |Aut T|, stripped prime by
+    """Orders on T = sum Z/d_i from a known multiple, stripped prime by
     prime, against the one-factor-at-a-time powering oracle."""
 
-    @pytest.mark.parametrize("orders,size", [
-        ([7], 6), ([2, 2], 6), ([2, 4], 8), ([2, 2, 2], 168),
-        ([4, 4], 96),                 # |GL_2(Z/4)| = 16 * 6
-        ([6, 12], 8 * 48),            # Aut(Z/2 + Z/4) x GL_2(F_3)
+    @pytest.mark.parametrize("a,p", [
+        ([[0, 1], [1, 1]], 2),        # x^2 + x + 1
+        ([[2, 5, 1], [0, 3, 4], [6, 1, 1]], 7),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 5),
     ])
-    def test_aut_order_known_values(self, orders, size):
-        got, primes = _aut_order(orders, factorize(orders[-1]))
-        assert got == size
-        assert set(factorize(size)) <= primes
+    def test_charpoly_mod_known_answers(self, a, p):
+        want = [c % p for c in char_poly(a).coeffs]
+        assert periodicity._charpoly_mod(a, p) == want
 
-    @pytest.mark.parametrize("orders", [[2, 2], [2, 4], [4, 4], [3, 9], [2, 2, 4]])
-    def test_aut_order_counts_the_accepted_torsion_blocks(self, orders):
-        # every reduced block that the constructor accepts is one automorphism
+    def test_charpoly_mod_against_char_poly(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n, p = rng.randrange(1, 7), rng.choice([2, 3, 5, 7, 101])
+            # sparse entries reach the zero-pivot and row-swap branches
+            a = [[rng.choice([0, 0, rng.randrange(-9, 10)]) for _ in range(n)]
+                 for _ in range(n)]
+            want = [c % p for c in char_poly(a).coeffs]
+            assert periodicity._charpoly_mod(a, p) == want, (a, p)
+
+    @pytest.mark.parametrize("f,p,degrees", [
+        ([1, 1, 1], 2, [2]),                  # irreducible over GF(2)
+        ([1, 1, 0, 1], 2, [3]),               # x^3 + x + 1
+        ([1, 1, 1, 1], 2, []),                # (x + 1)^3
+        ([1, 0, 1], 7, [2]),                  # x^2 + 1, 7 = 3 mod 4
+        ([6, 1], 7, []),                      # x - 1 is left out
+        ([1, 1], 7, [1]),                     # x + 1 is kept
+        ([1, 2, 1], 7, [1]),                  # (x + 1)^2: once, as degree 1
+        # (x^2 + 1)(x - 3)(x - 1)^2 over GF(7)
+        ([4, 0, 6, 1, 2, 1], 7, [1, 2]),
+    ])
+    def test_factor_degrees_known_answers(self, f, p, degrees):
+        assert periodicity._factor_degrees(f, p) == degrees
+
+    @pytest.mark.parametrize("orders", [[2, 2], [2, 4], [4, 4], [3, 9], [3, 3],
+                                        [2, 2, 4]])
+    def test_multiple_on_every_accepted_block(self, orders):
+        # every reduced block that the constructor accepts: the multiple is
+        # one of the order, its primes are listed, and the order is exact
         ranges = [range(d) for d in orders for _ in orders]
         s = len(orders)
-        count = 0
         for flat in product(*ranges):
             block = [list(flat[i * s:(i + 1) * s]) for i in range(s)]
             try:
-                FgAbelianAutomorphism([], orders, block, [[]] * s)
+                phi = FgAbelianAutomorphism([], orders, block, [[]] * s)
             except PreconditionError:
                 continue
-            count += 1
-        assert count == _aut_order(orders, factorize(orders[-1]))[0]
+            multiple, primes = periodicity._order_multiple(
+                orders, phi.torsion_block, factorize(orders[-1]))
+            want = brute_automorphism_order([], orders, block, [[]] * s)
+            assert multiple % want == 0 and set(factorize(multiple)) <= primes
+            assert phi.torsion_order() == want, block
+
+    def test_multiple_factors_only_the_degrees_the_block_has(self):
+        # the identity has only the eigenvalue 1: nothing is factored
+        assert periodicity._order_multiple([2] * 137, [[int(i == j) for j in range(137)]
+                                                       for i in range(137)],
+                                           {2: 1}) == (2 ** 8, {2})
+        assert periodicity._order_multiple([1000003], [[2]], {1000003: 1}) == (
+            1000002, {2, 3, 166667, 1000003})
+
+    @pytest.mark.parametrize("orders", [[2] * 137, [10 ** 24 + 7] * 3])
+    def test_identity_on_large_groups_is_quick(self, orders):
+        # 2^137 - 1 and p^2 + p + 1 are never factored for the identity
+        start = time.perf_counter()
+        phi = FgAbelianAutomorphism.identity(0, orders)
+        assert phi.torsion_order() == 1
+        assert cor_period_driver([phi], 2, [([], 1)]) == (1, 1)
+        assert time.perf_counter() - start < 5
 
     def test_against_brute_force_non_cyclic(self):
         rng = random.Random(19)

@@ -1,4 +1,5 @@
-"""Elementary integer arithmetic: primality, factoring, primitive roots, orders."""
+"""Elementary integer arithmetic: primality, factoring, totients, primitive
+roots, orders."""
 
 from math import gcd
 
@@ -85,6 +86,14 @@ def _rho_factorize(n: int, out: dict) -> dict:
         f = _pollard_rho(m)
         stack.append(f)
         stack.append(m // f)
+    return out
+
+
+def totient(n: int) -> int:
+    """Euler's phi(n) for n >= 1."""
+    out = n
+    for p in factorize(n):
+        out = out // p * (p - 1)
     return out
 
 

@@ -9,11 +9,14 @@ algebraic cone of (t - f).
 from dataclasses import dataclass
 from typing import List
 
+from .arith import power
 from .errors import InternalCheckError, PreconditionError
 from .linfield import rref
 from .matrices import LaurentMatrix, mat_mul, mat_pow
-from .normal_forms import cyclotomic_indices, laurent_cokernel
-from .rings import LaurentPoly, Poly, QQ, ZZ, poly_gcd
+from .normal_forms import (_sub_mul, cyclotomic_indices, laurent_cokernel,
+                           peel_cyclotomics)
+from .rings import (LaurentPoly, Poly, QQ, ZZ, clear_denominators, cyclotomic,
+                    gcd_gf_coeffs, mul_coeffs, mulmod_coeffs)
 
 
 class FreeHomologyError(PreconditionError):
@@ -192,19 +195,47 @@ def t_action_matrix(factors, field):
     return m
 
 
+def _gcd_tq1(f, q, p):
+    """The monic gcd(f, t^q - 1) over QQ (p = 0) or GF(p), for a monic
+    coefficient list f of degree >= 1.
+
+    Over QQ, t^q - 1 is the product of the Phi_d with d | q and has no
+    repeated factor, so the gcd is the product of those Phi_d that divide
+    f, tested on f's cleared ZZ[t] multiple.  Phi_d divides f only if
+    phi(d) <= deg f, and phi(d) >= sqrt(d / 2), so d <= 2 deg(f)^2 + 2
+    bounds the search whatever the size of q.  Over GF(p) it is
+    gcd(f, (t^q mod f) - 1), with t^q mod f by square-and-multiply.
+    """
+    if p:
+        tq = power([0, 1], q, lambda u, v: mulmod_coeffs(u, v, f, p), [1])
+        return gcd_gf_coeffs(f, _sub_mul(1, tq, [1], [1], p), p)
+    n = len(f) - 1
+    found, _ = peel_cyclotomics(clear_denominators([f])[1][0],
+                                (d for d in range(1, 2 * n * n + 3) if q % d == 0))
+    g = [1]
+    for d in sorted(found):
+        g = mul_coeffs(g, cyclotomic(d).coeffs)
+    return g
+
+
 def _cover_blocks(inf, field, q):
     """Per degree, (here, free_rank, below): H_j(X_q; kappa) is the sum of
     kappa[t]/(g) over g in here + [t^q - 1] * free_rank + below.
 
-    gcd(f, t^q - 1) is taken as gcd(f, (t^q mod f) - 1), and the free
-    part is kept as a count, so nothing here grows with q.
+    Each g in here is gcd(f, t^q - 1) for an invariant factor f
+    (`_gcd_tq1`), and the free part is kept as a count, so nothing here
+    grows with q, and over QQ nothing is powered.
     """
-    t, one = Poly.t(field), Poly.one(field)
     out = []
     below = []
     for factors, free_rank in inf:
-        here = [g for g in (poly_gcd(f, pow(t, q, f) - one) for f in factors)
-                if g.degree > 0]
+        here = []
+        for f in factors:
+            g = _gcd_tq1(f.coeffs, q, field.char)
+            if len(g) == len(f.coeffs):
+                here.append(f)
+            elif len(g) > 1:
+                here.append(Poly(field, g))
         out.append((here, free_rank, below))
         below = here
     return out
@@ -229,9 +260,11 @@ def cover_homology_field(X: TwistedChainComplex, field, q):
     - t^q - 1 once per unit of free rank of H_j(X_inf);
     - gcd(f, t^q - 1) for each invariant factor f of H_{j-1}(X_inf);
 
-    with blocks of degree 0 dropped.  The dimension is the sum of the
-    block degrees.  A dimension above _T_ACTION_LIMIT raises
-    PreconditionError before any block is built.
+    with blocks of degree 0 dropped.  Each gcd is read from the
+    cyclotomic divisors of f over QQ and from t^q mod f over GF(p)
+    (`_gcd_tq1`), so only the t^q - 1 blocks of a free part grow with q.
+    The dimension is the sum of the block degrees.  A dimension above
+    _T_ACTION_LIMIT raises PreconditionError before any block is built.
     """
     if q < 1:
         raise PreconditionError("q must be >= 1")

@@ -5,11 +5,12 @@ Laurent matrices over ZZ reduce to it by clearing rows with powers of t
 and reading the coefficients into k.
 """
 
-from .arith import factorize, order_from_multiple
+from .arith import factorize, order_from_multiple, totient
 from .matrices import (LaurentMatrix, _cleared_coeffs, det_int, det_poly,
                        int_mat_check, mat_is_identity, mat_pow)
 from .rings import (MixedRingError, Poly, ZZ, clear_denominators, cyclotomic,
-                    poly_gcd, pseudo_divmod)
+                    gcd_gf_coeffs, gcd_zz_coeffs, monic_coeffs, mul_coeffs,
+                    pseudo_divmod)
 
 from math import gcd, lcm
 
@@ -25,7 +26,7 @@ def smith_normal_form(rows):
     (factors, rank): the monic invariant factors s_1 | ... | s_rank.
     Pivots are chosen by least degree, ties by lowest (row, col), until
     the matrix is diagonal; the diagonal is then put in divisibility order
-    by diag(a, b) ~ diag(gcd, lcm).
+    by diag(a, b) ~ diag(gcd, lcm) and made monic.
 
     The loop runs fraction-free on coefficient lists.  Over GF(p) they
     hold residues and each step takes the field quotient.  Over QQ each
@@ -35,7 +36,9 @@ def smith_normal_form(rows):
     step sets D[0][j] to r and multiplies the rest of column j by s.
     Every entry stays a nonzero rational multiple of the entry Euclid over
     QQ[t] would hold, so degrees, zero patterns, pivots and the monic
-    factors are the same.
+    factors are the same.  The closing pass runs on the same lists, with
+    `gcd_zz_coeffs` over QQ and Euclid over GF(p) (`gcd_gf_coeffs`); one
+    Poly is built per factor, once it is monic.
     """
     ring = None
     for row in rows:
@@ -103,15 +106,16 @@ def smith_normal_form(rows):
                         row[0], row[j] = row[j], row[0]
                     dirty = True
                     break
-        diag.append(Poly(ring, D[0][0]))
+        diag.append(D[0][0])
         D = [row[1:] for row in D[1:]]
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
-            if divmod(diag[j], diag[i])[1]:
-                g = poly_gcd(diag[i], diag[j])
-                diag[i], diag[j] = g, diag[i] * diag[j] // g
-        diag[i] = diag[i].monic()
-    return diag, len(diag)
+            a, b = diag[i], diag[j]
+            if pseudo_divmod(b, a, p)[2]:
+                # over QQ both are known up to a unit, and so are these
+                g = gcd_gf_coeffs(a, b, p) if p else gcd_zz_coeffs(a, b)
+                diag[i], diag[j] = g, mul_coeffs(a, pseudo_divmod(b, g, p)[1], p)
+    return [Poly(ring, monic_coeffs(f, p)) for f in diag], len(diag)
 
 
 def _sub_mul(s, a, q, b, p):
@@ -166,30 +170,43 @@ def char_poly(a) -> Poly:
     return det_poly(rows, ring)
 
 
+def peel_cyclotomics(f, indices):
+    """(found, rest) for a nonzero int coefficient list f: found is the set
+    of the d in `indices` with Phi_d dividing f, and rest is f with each
+    such Phi_d divided out as often as it divides.
+
+    Phi_d is monic, so each test is an exact division in ZZ[t].  phi(d) =
+    deg Phi_d is compared with deg rest first, and Phi_d is built only
+    when it fits.
+    """
+    rest = list(f)
+    found = set()
+    for d in indices:
+        if len(rest) <= 1:
+            break
+        if totient(d) >= len(rest):
+            continue
+        phi = cyclotomic(d).coeffs
+        while True:
+            _, q, r = pseudo_divmod(rest, phi)
+            if r:
+                break
+            rest = q
+            found.add(d)
+    return found, rest
+
+
 def cyclotomic_indices(f):
     """The set of d with Phi_d dividing f, a monic polynomial over ZZ, or
     None when f is not a product of cyclotomic polynomials, that is when
     some root of f is not a root of unity.
 
-    Cyclotomic factors are peeled off (monic, so division in ZZ[t] is
-    exact); deg Phi_d = phi(d) >= sqrt(d / 2) bounds d by 2 deg(f)^2.
+    Cyclotomic factors are peeled off (`peel_cyclotomics`); deg Phi_d =
+    phi(d) >= sqrt(d / 2) bounds d by 2 deg(f)^2.
     """
     n = f.degree
-    rem = f
-    indices = set()
-    d = 1
-    while rem.degree > 0 and d <= 2 * n * n + 2:
-        phi = cyclotomic(d)
-        if phi.degree <= rem.degree:
-            while True:
-                q, r = divmod(rem, phi)
-                if r.is_zero:
-                    rem = q
-                    indices.add(d)
-                else:
-                    break
-        d += 1
-    return None if rem.degree > 0 else indices
+    indices, rest = peel_cyclotomics(f.coeffs, range(1, 2 * n * n + 3))
+    return None if len(rest) > 1 else indices
 
 
 def finite_order(a):
@@ -197,12 +214,17 @@ def finite_order(a):
 
     Returns None when the order is infinite.  Requires |det A| = 1.
     """
-    int_mat_check(a, square=True)
-    n = len(a)
-    if n == 0:
-        return 1
+    # det_int checks that A is a square integer matrix
     if det_int(a) not in (1, -1):
         raise ValueError("matrix must have determinant +-1")
+    return unimodular_order(a)
+
+
+def unimodular_order(a):
+    """`finite_order` of a square integer matrix A already known to have
+    det A = +-1, without checking it again."""
+    if not a:
+        return 1
     indices = cyclotomic_indices(char_poly(a))
     if indices is None:
         return None

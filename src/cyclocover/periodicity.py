@@ -15,8 +15,8 @@ from .arith import factorize, order_from_multiple, power
 from .errors import InternalCheckError, PreconditionError
 from .matrices import (det_int, int_mat_check, mat_identity, mat_is_identity,
                        mat_mul, mat_pow)
-from .normal_forms import _sub_mul, char_poly, cyclotomic_indices, finite_order
-from .rings import pseudo_divmod
+from .normal_forms import _sub_mul, char_poly, cyclotomic_indices, unimodular_order
+from .rings import gcd_gf_coeffs, mulmod_coeffs, pseudo_divmod
 
 
 class RelationError(PreconditionError):
@@ -58,12 +58,6 @@ def _charpoly_mod(a, p):
     return polys[n]
 
 
-def _gcd_mod(f, g, p):
-    while g:
-        f, g = g, pseudo_divmod(f, g, p)[2]
-    return f
-
-
 def _factor_degrees(f, p):
     """The degrees of the irreducible factors other than x - 1 of f over
     GF(p), a coefficient list with f(0) != 0, by distinct-degree
@@ -73,15 +67,14 @@ def _factor_degrees(f, p):
     degrees, h, j = [], [0, 1], 0
     while len(f) > 1:
         j += 1
-        # h = x^(p^j) mod f; u v is 0 u - (-u) v
-        h = power(h, p, lambda u, v: pseudo_divmod(
-            _sub_mul(0, [], [-c for c in u], v, p), f, p)[2], [1])
-        g = _gcd_mod(f, _sub_mul(1, h, [1], [0, 1], p), p)
+        # h = x^(p^j) mod f
+        h = power(h, p, lambda u, v: mulmod_coeffs(u, v, f, p), [1])
+        g = gcd_gf_coeffs(f, _sub_mul(1, h, [1], [0, 1], p), p)
         if len(g) > 1:
             degrees.append(j)
             while len(g) > 1:  # take every factor of degree j out of f
                 f = pseudo_divmod(f, g, p)[1]
-                g = _gcd_mod(f, g, p)
+                g = gcd_gf_coeffs(f, g, p)
             h = pseudo_divmod(h, f, p)[2]
     return degrees
 
@@ -242,7 +235,7 @@ def _solve_relation(a, b, k, sign):
         raise RelationError("A must be invertible over ZZ")
     if det_int(b) not in (1, -1):
         raise RelationError("B must be invertible over ZZ")
-    m = finite_order(a)
+    m = unimodular_order(a)
     # the relation makes A^(k^2) similar to A, so lambda -> lambda^(k^2)
     # permutes the eigenvalues of A and each is a root of unity.  Check
     # that before powering: otherwise the entries of A^k grow linearly in k.

@@ -12,9 +12,11 @@ polynomials carry an extra power-of-t valuation.
 A `Poly` is false exactly when it is zero, and `a // b` is exact
 division: it raises `ExactDivisionError` on a nonzero remainder.
 `pseudo_divmod` divides plain int coefficient lists without fractions,
-and it is the one division loop: `divmod` on `Poly`, the gcd over ZZ[t]
-(a primitive pseudo-remainder sequence) and the Smith loop over kappa[t]
-all run on it, never through Fraction coefficients.
+and it is the one division loop: `divmod` on `Poly`, the gcds over ZZ[t]
+(a primitive pseudo-remainder sequence) and over GF(p), and the Smith
+loop over kappa[t] all run on it, never through Fraction coefficients.
+`mul_coeffs` is the one product loop, under `Poly` multiplication and
+`mulmod_coeffs`.
 """
 
 from fractions import Fraction
@@ -190,16 +192,7 @@ class Poly:
         return Poly(self.ring, [-c for c in self.coeffs])
 
     def __mul__(self, other):
-        ring = _same_ring(self, other)
-        if self.is_zero or other.is_zero:
-            return Poly.zero(ring)
-        out = [ring.coerce(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Poly(ring, out)
+        return Poly(_same_ring(self, other), mul_coeffs(self.coeffs, other.coeffs))
 
     def scale(self, c):
         c = self.ring.coerce(c)
@@ -211,15 +204,9 @@ class Poly:
             return self
         return Poly(self.ring, (0,) * k + self.coeffs)
 
-    def __pow__(self, n, mod=None):
-        """self**n by squaring; pow(f, n, mod) reduces modulo `mod` after
-        each multiply, so its degrees stay below deg mod."""
-        def reduce(f):
-            if mod is None or f.degree < mod.degree:
-                return f
-            return divmod(f, mod)[1]
-        return power(reduce(self), n, lambda f, g: reduce(f * g),
-                     reduce(Poly.one(self.ring)))
+    def __pow__(self, n):
+        """self**n by squaring."""
+        return power(self, n, Poly.__mul__, Poly.one(self.ring))
 
     def __divmod__(self, other):
         """(q, r) with self = q*other + r and deg r < deg other, by
@@ -321,13 +308,15 @@ class Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over a field."""
+    """Monic gcd over a field: `gcd_gf_coeffs` over GF(p), and over QQ
+    `gcd_zz_coeffs` on the coefficients scaled into ZZ."""
     ring = _same_ring(a, b)
     if not ring.is_field:
         raise TypeError("poly_gcd needs field coefficients")
-    while not b.is_zero:
-        a, b = b, divmod(a, b)[1]
-    return a.monic()
+    if ring.char:
+        return Poly(ring, gcd_gf_coeffs(a.coeffs, b.coeffs, ring.char))
+    g = gcd_zz_coeffs(*clear_denominators((a.coeffs, b.coeffs))[1])
+    return Poly(ring, monic_coeffs(g, 0))
 
 
 def gcd_zz(a: Poly, b: Poly) -> Poly:
@@ -406,6 +395,44 @@ def pseudo_divmod(f, g, p=0):
     while r and not r[-1]:
         r.pop()
     return s, q, r
+
+
+def mul_coeffs(a, b, p=0):
+    """The product of two coefficient lists (no trailing zeros; [] is
+    zero), reduced modulo p when p > 0."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return [c % p for c in out] if p else out
+
+
+def mulmod_coeffs(a, b, f, p):
+    """a*b mod f over GF(p), on residue lists (f nonzero)."""
+    return pseudo_divmod(mul_coeffs(a, b, p), f, p)[2]
+
+
+def gcd_gf_coeffs(a, b, p):
+    """Monic gcd of two residue lists over GF(p) by Euclid ([] when both
+    are zero)."""
+    while b:
+        a, b = b, pseudo_divmod(a, b, p)[2]
+    return monic_coeffs(a, p)
+
+
+def monic_coeffs(f, p):
+    """f divided by its leading coefficient: residues over GF(p), or for
+    p = 0 an int list read over QQ (an int where the quotient is one)."""
+    if not f or f[-1] == 1:
+        return f
+    lc = f[-1]
+    if p:
+        inv = pow(lc, -1, p)
+        return [c * inv % p for c in f]
+    return [c // lc if c % lc == 0 else Fraction(c, lc) for c in f]
 
 
 def clear_denominators(coeff_lists):

@@ -42,7 +42,12 @@ def parse_scalar(ring, raw):
     if isinstance(raw, int):
         return ring.coerce(raw)
     if isinstance(raw, str):
+        # an optional sign and ASCII digits read the same by int() as by
+        # Fraction() on every Python; anything else goes through Fraction()
+        digits = raw[1:] if raw[:1] in ("+", "-") else raw
         try:
+            if digits.isascii() and digits.isdigit():
+                return ring.coerce(int(raw))
             return ring.coerce(Fraction(raw))
         except (ValueError, ZeroDivisionError, TypeError) as exc:
             raise PreconditionError(f"bad coefficient {raw!r}: {exc}")

@@ -35,6 +35,8 @@ def build_cases():
     tm1 = LaurentPoly.from_poly(Poly(ZZ, (-1, 1)))
     grow = complex_to_json(
         TwistedChainComplex([1, 2], [LaurentMatrix(ZZ, 1, 2, [[tm1, tm1]])]))
+    anosov = complex_to_json(
+        mapping_torus_complex([1, 2], [[[0, 0]]], [[[1]], [[2, 1], [1, 1]]]))
     uni = complex_to_json(
         mapping_torus_complex([1, 2], [[[0, 0]]], [[[1]], [[1, 1], [0, 1]]]))
     diag = {"generators": 2, "relations": {"rows": 2, "cols": 2, "entries":
@@ -63,6 +65,9 @@ def build_cases():
         "wang_trefoil_q6": ("wang", {"complex": trefoil, "kappa": "Q", "q": 6}),
         "wang_trefoil_q5": ("wang", {"complex": trefoil, "kappa": "Q", "q": 5}),
         "wang_trefoil_f5_q6": ("wang", {"complex": trefoil, "kappa": "Fp:5", "q": 6}),
+        # t^2 - 3t + 1 has no root of unity; over QQ its gcd with t^q - 1
+        # is read from cyclotomic divisors, so q = 10^18 costs no powering
+        "wang_anosov_q1e18": ("wang", {"complex": anosov, "kappa": "Q", "q": 10**18}),
         "selfcover_trefoil_k5": ("verify-selfcover",
                                  {"complex": trefoil, "k": 5, "sign": 1,
                                   "hbar": [[["1"]], [["1", "1"], ["0", "-1"]], []]}),

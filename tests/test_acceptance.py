@@ -214,4 +214,4 @@ def test_criterion_8_determinism(capfd, tmp_path):
         assert outs[0] == outs[1]
         rep = json.loads(outs[0])
         assert rep["result"]["failed"] == 0
-        assert rep["result"]["total"] == 29
+        assert rep["result"]["total"] == 30

@@ -86,6 +86,16 @@ def lp(*cs):
     return LaurentPoly.from_poly(Poly(ZZ, cs))
 
 
+def anosov():
+    # monodromy [[2, 1], [1, 1]] on H_1: t^2 - 3t + 1 has no root of unity
+    return mapping_torus_complex([1, 2], [[[0, 0]]], [[[1]], [[2, 1], [1, 1]]])
+
+
+def coker_2t_minus_1():
+    # H_0(X_inf; QQ) = QQ[t]/(t - 1/2): an invariant factor outside ZZ[t]
+    return TwistedChainComplex([1, 1], [LaurentMatrix(ZZ, 1, 1, [[lp(-1, 2)]])])
+
+
 def free_part_complexes():
     """[t-1, t-1] (free H_1) and its transpose [[t-1], [t-1]] (free H_0)."""
     tm1 = LaurentPoly.from_poly(Poly(ZZ, (-1, 1)))
@@ -258,6 +268,17 @@ class TestWang:
         assert wang_dimensions(trefoil(), field, 6 * 10**17) == [1, 3, 2]
         assert time.perf_counter() - start < 0.1
 
+    @pytest.mark.parametrize("q", [10**6, 10**18])
+    def test_anosov_huge_q_is_fast(self, q):
+        # [DERIVED] t^2 - 3t + 1 has no root of unity, so gcd(f, t^q - 1) = 1
+        # for it at every q; over QQ no t^q mod f is formed, whose
+        # coefficients would have about q bits
+        x = anosov()
+        start = time.perf_counter()
+        assert wang_dimensions(x, QQ, q) == [1, 1, 0]
+        assert [d for d, _ in cover_homology_field(x, QQ, q)] == [1, 1, 0]
+        assert time.perf_counter() - start < 0.1
+
     def test_free_part_at_huge_q_raises(self):
         # the free rank is checked before any t^q - 1 is built
         with pytest.raises(FreeHomologyError):
@@ -265,7 +286,8 @@ class TestWang:
 
 
 class TestTqModF:
-    """gcd(f, t^q - 1) is taken as gcd(f, (t^q mod f) - 1)."""
+    """gcd(f, t^q - 1) is taken from the cyclotomic divisors of f over QQ
+    and as gcd(f, (t^q mod f) - 1) over GF(p)."""
 
     @staticmethod
     def via_tq1(x, field, q):
@@ -283,11 +305,13 @@ class TestTqModF:
         rng = random.Random(404)
         # rotation by 90 degrees: t^2 + 1 splits over GF(5), not over QQ
         rotation = mapping_torus_complex([1, 2], [[[0, 0]]], [[[1]], [[0, -1], [1, 0]]])
-        tori = [trefoil(), klein(), rotation] + free_part_complexes()
+        tori = [trefoil(), klein(), rotation, anosov(), coker_2t_minus_1()]
+        tori += free_part_complexes()
         tori += [mapping_torus_complex(*random_chain_endo(rng)[:3]) for _ in range(4)]
         for x in tori:
             for field in (QQ, GF(5)):
-                for q in (1, 2, 3, 4, 6, 7, 12, 60, 97, 200):
+                # 5, 10 and 25 are multiples of the characteristic of GF(5)
+                for q in (1, 2, 3, 4, 5, 6, 7, 10, 12, 25, 60, 97, 200):
                     assert cover_homology_field(x, field, q) == self.via_tq1(x, field, q), \
                         (x.ranks, field, q)
 

@@ -44,6 +44,21 @@ class TestSolvePropMatrix:
     def test_identity_any_k(self):
         assert solve_prop_matrix(I2, I2, 7, 1) == 1
 
+    def test_one_determinant_per_matrix(self, monkeypatch):
+        # det A is taken once: the order of A comes from the unchecked core
+        # of finite_order, not from finite_order itself
+        from cyclocover import normal_forms
+        calls = []
+        real = periodicity.det_int
+
+        def counting(a):
+            calls.append(a)
+            return real(a)
+        monkeypatch.setattr(periodicity, "det_int", counting)
+        monkeypatch.setattr(normal_forms, "det_int", counting)
+        assert solve_prop_matrix(TREFOIL, TREFOIL_B, 5, 1) == 6
+        assert sorted(calls) == sorted([TREFOIL, TREFOIL_B])
+
     def test_order_matches_brute_force(self):
         rng = random.Random(47)
         for base, k, sign in [(ROT4, 3, -1), (TREFOIL, 5, 1),

@@ -48,20 +48,6 @@ class TestPolyBasics:
         assert P(1, 1) ** 3 == P(1, 3, 3, 1)
         assert P(0, 1) ** 0 == Poly.one(ZZ)
 
-    def test_pow_mod(self):
-        # [DERIVED] pow(f, n, m) is f**n reduced modulo m
-        rng = random.Random(2)
-        for ring in (ZZ, QQ, GF(5)):
-            for _ in range(12):
-                f = Poly(ring, [rng.randint(-4, 4) for _ in range(rng.randint(0, 4))])
-                m = Poly(ring, [rng.randint(-4, 4) for _ in range(rng.randint(0, 3))] + [1])
-                for n in (0, 1, 2, 5, 17, 40):
-                    assert pow(f, n, m) == divmod(f ** n, m)[1], (f, n, m)
-        # t^2 = 1 modulo t^2 - 1, so every even power of t is 1
-        assert pow(Poly.t(QQ), 10**18, Poly(QQ, (-1, 0, 1))) == Poly.one(QQ)
-        # modulo a unit every residue is zero
-        assert pow(P(1, 1), 0, P(1)) == Poly.zero(ZZ)
-
     def test_divmod_exact_over_zz(self):
         q, r = divmod(P(-1, 0, 1), P(-1, 1))
         assert q == P(1, 1) and r.is_zero

@@ -10,12 +10,13 @@ import sys
 import pytest
 
 from cyclocover.errors import PreconditionError
-from cyclocover.rings import LaurentPoly, Poly, QQ, ZZ
+from cyclocover.rings import GF, LaurentPoly, Poly, QQ, ZZ
 from cyclocover.serialize import (canonical_dumps, complex_to_json,
                                   input_digest, laurent_to_json, matrix_to_json,
                                   parse_complex, parse_int, parse_int_matrix,
                                   parse_laurent, parse_matrix,
                                   parse_presentation, parse_rational_matrix,
+                                  parse_scalar,
                                   presentation_to_json, scalar_str)
 
 from helpers import rand_unimodular_laurent
@@ -34,6 +35,40 @@ class TestScalars:
         for bad in (True, "x", 1.5, None):
             with pytest.raises(PreconditionError):
                 parse_int(bad)
+
+    def test_parse_scalar_table(self):
+        # integer strings take int() and the rest Fraction(); both accept and
+        # reject exactly what Fraction() alone does on this Python, with the
+        # same message (Python 3.10's Fraction() rejects "1_000")
+        from fractions import Fraction
+
+        def via_fraction(ring, raw):
+            try:
+                return ring.coerce(Fraction(raw))
+            except (ValueError, ZeroDivisionError, TypeError) as exc:
+                return f"bad coefficient {raw!r}: {exc}"
+
+        def parsed(ring, raw):
+            try:
+                return parse_scalar(ring, raw)
+            except PreconditionError as exc:
+                return str(exc)
+
+        table = [("1_000", ZZ, None), (" 3 ", ZZ, 3), ("+3", ZZ, 3),
+                 ("-3", GF(5), 2), ("007", QQ, 7), ("3.0", ZZ, 3),
+                 ("6/2", ZZ, 3), ("1/2", QQ, Fraction(1, 2)),
+                 ("1/2", ZZ, "bad"), ("0x10", ZZ, "bad"), ("", QQ, "bad"),
+                 ("+-3", ZZ, "bad"), ("١٢", ZZ, None), ("9" * 5000, ZZ, None)]
+        for raw, ring, want in table:
+            got = parsed(ring, raw)
+            assert got == via_fraction(ring, raw), (raw, ring)
+            if want == "bad":
+                assert isinstance(got, str) and got.startswith("bad coefficient")
+            elif want is not None:
+                assert got == want and type(got) is type(want), (raw, ring)
+        for raw in (True, False, 1.5, None):
+            with pytest.raises(PreconditionError):
+                parse_scalar(ZZ, raw)
 
     def test_parse_rational_matrix(self):
         from fractions import Fraction

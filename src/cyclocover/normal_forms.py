@@ -5,12 +5,12 @@ Laurent matrices over ZZ reduce to it by clearing rows with powers of t
 and reading the coefficients into k.
 """
 
-from .arith import factorize, order_from_multiple, totient
+from .arith import factorize, order_from_multiple
 from .matrices import (LaurentMatrix, _cleared_coeffs, det_int, det_poly,
                        int_mat_check, mat_is_identity, mat_pow)
 from .rings import (MixedRingError, Poly, ZZ, clear_denominators, cyclotomic,
-                    gcd_gf_coeffs, gcd_zz_coeffs, monic_coeffs, mul_coeffs,
-                    pseudo_divmod)
+                    cyclotomic_degree, gcd_gf_coeffs, gcd_zz_coeffs,
+                    monic_coeffs, mul_coeffs, pseudo_divmod)
 
 from math import gcd, lcm
 
@@ -176,15 +176,15 @@ def peel_cyclotomics(f, indices):
     such Phi_d divided out as often as it divides.
 
     Phi_d is monic, so each test is an exact division in ZZ[t].  phi(d) =
-    deg Phi_d is compared with deg rest first, and Phi_d is built only
-    when it fits.
+    deg Phi_d (`cyclotomic_degree`) is compared with deg rest first, and
+    Phi_d is built only when it fits.
     """
     rest = list(f)
     found = set()
     for d in indices:
         if len(rest) <= 1:
             break
-        if totient(d) >= len(rest):
+        if cyclotomic_degree(d) >= len(rest):
             continue
         phi = cyclotomic(d).coeffs
         while True:

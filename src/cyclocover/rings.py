@@ -22,7 +22,7 @@ loop over kappa[t] all run on it, never through Fraction coefficients.
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import is_prime, power
+from .arith import is_prime, power, totient
 
 
 class ExactDivisionError(ArithmeticError):
@@ -308,15 +308,13 @@ class Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over a field: `gcd_gf_coeffs` over GF(p), and over QQ
-    `gcd_zz_coeffs` on the coefficients scaled into ZZ."""
+    """Monic gcd over a field."""
     ring = _same_ring(a, b)
     if not ring.is_field:
         raise TypeError("poly_gcd needs field coefficients")
-    if ring.char:
-        return Poly(ring, gcd_gf_coeffs(a.coeffs, b.coeffs, ring.char))
-    g = gcd_zz_coeffs(*clear_denominators((a.coeffs, b.coeffs))[1])
-    return Poly(ring, monic_coeffs(g, 0))
+    while not b.is_zero:
+        a, b = b, divmod(a, b)[1]
+    return a.monic()
 
 
 def gcd_zz(a: Poly, b: Poly) -> Poly:
@@ -473,6 +471,13 @@ def cyclotomic(n: int) -> Poly:
             num = num.exact_div(cyclotomic(d))
     _CYCLOTOMIC_CACHE[n] = num
     return num
+
+
+def cyclotomic_degree(n: int) -> int:
+    """phi(n) = deg Phi_n, read off Phi_n when it is already built; only an
+    n whose Phi_n has not been built pays `totient`, and nothing is built."""
+    phi = _CYCLOTOMIC_CACHE.get(n)
+    return totient(n) if phi is None else phi.degree
 
 
 

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cyclocover import rings
+from cyclocover.arith import totient
 from cyclocover.rings import (ExactDivisionError, GF, LaurentPoly,
                               MixedRingError, Poly, QQ, ZZ, cyclotomic, gcd_zz,
                               poly_gcd, pseudo_divmod)
@@ -307,6 +308,19 @@ class TestCyclotomic:
         monkeypatch.setattr(rings, "cyclotomic", wrapper)
         assert rings.cyclotomic(12) == P(1, 0, -1, 0, 1)
         assert calls[0] == 12
+
+    def test_degree_read_off_built_polynomial(self, monkeypatch):
+        # a built Phi_n gives phi(n) without factoring n; an unbuilt one is
+        # not built, so a huge index costs a factorization only
+        cyclotomic(12)
+        factored = []
+        monkeypatch.setattr(rings, "totient",
+                            lambda n: factored.append(n) or totient(n))
+        assert rings.cyclotomic_degree(12) == 4
+        assert factored == []
+        n = 10 ** 18 + 9
+        assert rings.cyclotomic_degree(n) == totient(n)
+        assert factored == [n] and n not in rings._CYCLOTOMIC_CACHE
 
 
 class TestLaurent:

@@ -146,14 +146,17 @@ def infinite_cover_homology_field(X: TwistedChainComplex, field):
     C_{j-1}, so it is free and ker d_j is a direct summand of C_j.  Hence
     coker d_{j+1} is H_j plus a free module of rank rk d_j: H_j has the
     torsion of coker d_{j+1} and free rank n_j - rk d_j - rk d_{j+1}.  One
-    Smith form per boundary gives both its torsion and its rank.
+    Smith form per boundary in `X.boundaries` gives both its torsion and
+    its rank; the zero maps d_0 and d_{top+1} off the ends have rank 0,
+    and coker d_{top+1} = C_top has no torsion.
     """
-    factors, ranks = [], []
-    for j in range(X.top_degree + 2):
-        d = X.boundary(j)
+    factors, ranks = [], [0]
+    for d in X.boundaries:
         fs, free = laurent_cokernel(d, field)
         factors.append(fs)
         ranks.append(d.nrows - free)
+    factors.append([])
+    ranks.append(0)
     out = []
     for j, n in enumerate(X.ranks):
         free_rank = n - ranks[j] - ranks[j + 1]
@@ -161,7 +164,7 @@ def infinite_cover_homology_field(X: TwistedChainComplex, field):
             raise InternalCheckError(
                 f"rk d_{j} + rk d_{j + 1} = {ranks[j]} + {ranks[j + 1]} "
                 f"exceeds rank {n} of C_{j}")
-        out.append((factors[j + 1], free_rank))
+        out.append((factors[j], free_rank))
     return out
 
 

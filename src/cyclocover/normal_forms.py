@@ -1,8 +1,11 @@
 """Smith normal form over k[t], plus derived invariants.
 
-The Smith form is taken over k[t] for k a field (QQ or a prime field).
-Laurent matrices over ZZ reduce to it by clearing rows with powers of t
-and reading the coefficients into k.
+The Smith form is taken over k[t] for k a field (QQ or a prime field),
+on coefficient lists (`_smith_lists`).  `smith_normal_form` is its
+entry point for rows of Poly.  Laurent matrices over ZZ reduce to it by
+clearing rows with powers of t: `laurent_cokernel` hands the cleared
+ZZ[t] rows to the list core as they are over QQ and reduced modulo p
+over GF(p), with no Poly in between.
 """
 
 from .arith import factorize, order_from_multiple
@@ -23,22 +26,10 @@ def smith_normal_form(rows):
     """Invariant factors over kappa[t], kappa = QQ or GF(p), invariants only.
 
     `rows` is a list of rows of Poly over one field.  Returns
-    (factors, rank): the monic invariant factors s_1 | ... | s_rank.
-    Pivots are chosen by least degree, ties by lowest (row, col), until
-    the matrix is diagonal; the diagonal is then put in divisibility order
-    by diag(a, b) ~ diag(gcd, lcm) and made monic.
-
-    The loop runs fraction-free on coefficient lists.  Over GF(p) they
-    hold residues and each step takes the field quotient.  Over QQ each
-    row is scaled once into ZZ[t], and each Euclidean step is a
-    pseudo-division s*a = q*b + r (`pseudo_divmod`): a row step sets
-    D[i] to s*D[i] - q*D[0] and divides out the row's content, a column
-    step sets D[0][j] to r and multiplies the rest of column j by s.
-    Every entry stays a nonzero rational multiple of the entry Euclid over
-    QQ[t] would hold, so degrees, zero patterns, pivots and the monic
-    factors are the same.  The closing pass runs on the same lists, with
-    `gcd_zz_coeffs` over QQ and Euclid over GF(p) (`gcd_gf_coeffs`); one
-    Poly is built per factor, once it is monic.
+    (factors, rank): the monic invariant factors s_1 | ... | s_rank, one
+    Poly each.  The entries are checked and read into coefficient lists
+    (over QQ each row is scaled once into ZZ[t]), and the Smith form is
+    taken there by `_smith_lists`.
     """
     ring = None
     for row in rows:
@@ -58,8 +49,35 @@ def smith_normal_form(rows):
     if p:
         D = [[list(e.coeffs) for e in row] for row in rows]
     else:
-        D = [_primitive_row(clear_denominators([e.coeffs for e in row])[1])
-             for row in rows]
+        D = [clear_denominators([e.coeffs for e in row])[1] for row in rows]
+    factors = _smith_lists(D, p)
+    return [Poly(ring, f) for f in factors], len(factors)
+
+
+def _smith_lists(D, p):
+    """The monic invariant factors s_1 | ... | s_rank, as coefficient
+    lists, of the matrix D: a list of row lists, which the loop reorders
+    and overwrites, whose entries are coefficient lists or tuples (no
+    trailing zeros; empty is zero), residues over GF(p) for p > 0 and ints
+    read over QQ for p = 0.
+
+    Pivots are chosen by least degree, ties by lowest (row, col), until
+    the matrix is diagonal; the diagonal is then put in divisibility order
+    by diag(a, b) ~ diag(gcd, lcm) and made monic.
+
+    The loop runs fraction-free.  Over GF(p) each step takes the field
+    quotient.  Over QQ each row is divided by its content, and each
+    Euclidean step is a pseudo-division s*a = q*b + r (`pseudo_divmod`):
+    a row step sets D[i] to s*D[i] - q*D[0] and divides out the row's
+    content, a column step sets D[0][j] to r and multiplies the rest of
+    column j by s.  Every entry stays a nonzero rational multiple of the
+    entry Euclid over QQ[t] would hold, so degrees, zero patterns, pivots
+    and the monic factors are the same.  The closing pass runs on the same
+    lists, with `gcd_zz_coeffs` over QQ and Euclid over GF(p)
+    (`gcd_gf_coeffs`).
+    """
+    if not p:
+        D = [_primitive_row(row) for row in D]
     diag = []
     while True:
         nonzero = [(len(e), i, j) for i, row in enumerate(D)
@@ -115,7 +133,7 @@ def smith_normal_form(rows):
                 # over QQ both are known up to a unit, and so are these
                 g = gcd_gf_coeffs(a, b, p) if p else gcd_zz_coeffs(a, b)
                 diag[i], diag[j] = g, mul_coeffs(a, pseudo_divmod(b, g, p)[1], p)
-    return [Poly(ring, monic_coeffs(f, p)) for f in diag], len(diag)
+    return [monic_coeffs(f, p) for f in diag]
 
 
 def _sub_mul(s, a, q, b, p):
@@ -131,9 +149,14 @@ def _sub_mul(s, a, q, b, p):
                 out[i:i + m] = [x - c * d for x, d in zip(out[i:i + m], b)]
         if p:
             out = [c % p for c in out]
-    while out and not out[-1]:
-        out.pop()
-    return out
+    return _strip(out)
+
+
+def _strip(cs):
+    """The coefficient list cs without its trailing zeros."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
 
 
 def _primitive_row(row):
@@ -243,10 +266,12 @@ def laurent_cokernel(mat: LaurentMatrix, field):
     LaurentMatrix `mat` over ZZ.
 
     Each row of `mat` is cleared into ZZ[t] by a power of t (a unit row
-    scaling, `_cleared_coeffs`) and read into field[t] once; Smith normal
-    form is taken there, and unit (power-of-t or constant) factors are
-    dropped.  Returned factors are monic with nonzero constant term, in
-    divisibility order.
+    scaling, `_cleared_coeffs`).  The cleared rows go to the Smith core
+    `_smith_lists` as they are over QQ, and with every coefficient reduced
+    modulo p over GF(p).  Unit (power-of-t or constant) factors are
+    dropped, and a Poly is built only for a factor of positive degree.
+    Returned factors are monic with nonzero constant term, in divisibility
+    order.
     """
     if mat.ring is not ZZ:
         raise TypeError("laurent_cokernel reads a matrix over ZZ")
@@ -256,14 +281,15 @@ def laurent_cokernel(mat: LaurentMatrix, field):
         return [], 0
     if mat.ncols == 0:
         return [], mat.nrows
-    invariants, rank = smith_normal_form(
-        [[Poly(field, cs) for cs in _cleared_coeffs(row)]
-         for row in mat.entries])
+    p = field.char
+    D = [_cleared_coeffs(row) for row in mat.entries]
+    if p:
+        D = [[_strip([c % p for c in cs]) for cs in row] for row in D]
+    invariants = _smith_lists(D, p)
     factors = []
     for f in invariants:
-        k = f.low_order()
-        if k:
-            f = Poly(field, f.coeffs[k:])
-        if f.degree > 0:
-            factors.append(f)
-    return factors, mat.nrows - rank
+        k = next(i for i, c in enumerate(f) if c)
+        if len(f) - k > 1:
+            factors.append(Poly(field, f[k:]))
+    return factors, mat.nrows - len(invariants)
+

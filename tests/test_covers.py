@@ -172,9 +172,9 @@ class TestMappingTorus:
 
 class TestOneSmithFormPerBoundary:
     def test_call_counts(self, monkeypatch):
-        calls = {"laurent_cokernel": 0, "smith_normal_form": 0}
+        calls = {"laurent_cokernel": 0, "_smith_lists": 0}
         for mod, name in ((covers, "laurent_cokernel"),
-                          (normal_forms, "smith_normal_form")):
+                          (normal_forms, "_smith_lists")):
             def counted(*args, _real=getattr(mod, name), _name=name):
                 calls[_name] += 1
                 if _name == "laurent_cokernel":
@@ -185,10 +185,25 @@ class TestOneSmithFormPerBoundary:
             monkeypatch.setattr(mod, name, counted)
         x = trefoil()
         infinite_cover_homology_field(x, QQ)
-        # boundaries 0 and top + 1 have no rows or no columns, so only the
-        # two inner boundaries reach a Smith form
-        assert calls == {"laurent_cokernel": x.top_degree + 2,
-                         "smith_normal_form": 2}
+        # the zero boundaries 0 and top + 1 need no cokernel, so each of
+        # the two inner boundaries takes one cokernel and one Smith form
+        assert calls == {"laurent_cokernel": x.top_degree,
+                         "_smith_lists": 2}
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+    def test_end_boundaries_skipped(self, field):
+        # [DERIVED] the zero maps off the ends contribute rank 0 and no
+        # torsion, so a complex without boundaries is free in each degree
+        assert infinite_cover_homology_field(
+            TwistedChainComplex([2], []), field) == [([], 2)]
+        empty = LaurentMatrix(ZZ, 0, 3, [])
+        assert infinite_cover_homology_field(
+            TwistedChainComplex([0, 3], [empty]), field) == [([], 0), ([], 3)]
+        x = trefoil()
+        assert infinite_cover_homology_field(x, field) == [
+            ([Poly(field, (-1, 1))], 0), ([Poly(field, (1, -1, 1))], 0), ([], 0)]
+        for q in range(1, 8):
+            check_against_oracle(x, field, q)
 
     # Known answers by construction: boundary entries, and per field the
     # (factors, free rank) of H_0, H_1, ..., as integer coefficient tuples,

@@ -589,3 +589,52 @@ class TestLaurentCokernelAgainstOracle:
         m = LaurentMatrix(ZZ, 1, 2, [[LaurentPoly(ZZ, 0, [10, 1]),
                                       LaurentPoly(ZZ, 2, [5])]])
         assert laurent_cokernel(m, field) == self.oracle(m, field) == ([], 0)
+
+    # [DERIVED] rows of integer coefficient tuples (lowest degree first) and
+    # the cokernel over GF(5), whose reduction modulo 5 changes the matrix
+    GF5_EDGES = {
+        # 5t - 5 vanishes modulo 5, leaving gcd(0, t - 1) = t - 1
+        "entry_vanishes": ([[(-5, 5), (-1, 1)]], ([(4, 1)], 0)),
+        # the row (5t, 10) vanishes modulo 5, leaving one relation on two
+        # generators: free rank 1
+        "row_vanishes": ([[(0, 5), (10,)], [(-2, 1), (1,)]], ([], 1)),
+        # t + 5 is t modulo 5, a unit of GF(5)[t, 1/t], and
+        # (t + 5)(t^2 - t + 1) is t (t^2 + 4t + 1), leaving t^2 + 4t + 1
+        "constant_vanishes": ([[(5, 1), ()], [(), (5, -4, 4, 1)]],
+                              ([(1, 4, 1)], 0)),
+    }
+
+    @pytest.mark.parametrize("name", sorted(GF5_EDGES))
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+    def test_reduction_modulo_p_edge_cases(self, name, field):
+        rows, want = self.GF5_EDGES[name]
+        m = LaurentMatrix(ZZ, len(rows), len(rows[0]),
+                          [[LaurentPoly(ZZ, 0, cs) for cs in row] for row in rows])
+        got = laurent_cokernel(m, field)
+        assert got == self.oracle(m, field)
+        assert all(f.coeffs[0] for f in got[0])
+        if field is GF(5):
+            assert got == ([Poly(field, cs) for cs in want[0]], want[1])
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+    def test_one_poly_per_factor(self, field, monkeypatch):
+        # the cleared rows reach the Smith core as coefficient lists; only
+        # the returned factors are built as Poly
+        rng = random.Random(4242)
+        mats = [self.rand_matrix(rng, g, r) for g in range(1, 5)
+                for r in range(1, 5) for _ in range(2)]
+        built = [0]
+        real = Poly.__init__
+
+        def counted(poly, ring, coeffs):
+            built[0] += 1
+            real(poly, ring, coeffs)
+
+        monkeypatch.setattr(Poly, "__init__", counted)
+        total = 0
+        for m in mats:
+            built[0] = 0
+            factors, _ = laurent_cokernel(m, field)
+            assert built[0] == len(factors), m
+            total += len(factors)
+        assert total

@@ -50,9 +50,8 @@ def prime_bound():
     return b
 
 
-def _check_p(p, bound):
-    if bound is None:
-        bound = prime_bound()
+def _check_p(p):
+    bound = prime_bound()
     if not isinstance(p, int) or p < 3 or p % 2 == 0 or not is_prime(p):
         raise PreconditionError(f"p must be an odd prime, got {p}")
     if p > bound:
@@ -138,9 +137,10 @@ def _hp_minus_maillet(p):
     return d
 
 
-def hp_minus(p, bound=None):
-    """First factor of the class number of Z[zeta_p], cross-checked."""
-    _check_p(p, bound)
+def hp_minus(p):
+    """First factor of the class number of Z[zeta_p], cross-checked, for
+    an odd prime p up to `prime_bound()`."""
+    _check_p(p)
     h1 = _hp_minus_charsum(p)
     h2 = _hp_minus_maillet(p)
     if h1 != h2:
@@ -233,9 +233,9 @@ class ClassGateReport:
     gate: Optional[bool]            # None when p is absent from the fixture
 
 
-def gate_theorem_CD(p, fixture, bound=None) -> ClassGateReport:
+def gate_theorem_CD(p, fixture) -> ClassGateReport:
     """Do both h_p^- and (per the fixture) h_p^+ have odd prime factors?"""
-    h = hp_minus(p, bound)
+    h = hp_minus(p)
     minus_odd = odd_prime_factor(h)
     entry = fixture.get(p)
     if entry is None:

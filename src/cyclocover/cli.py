@@ -13,7 +13,7 @@ from importlib import resources
 
 from . import __version__
 from .classnumbers import (default_fixture_path, gate_theorem_CD, hp_minus,
-                           load_hplus_table, odd_prime_factor, prime_bound)
+                           load_hplus_table, odd_prime_factor)
 from .covers import (SelfCoverWitness, cover_dimensions, cover_homology_field,
                      mapping_torus_complex, verify_self_cover_relation,
                      wang_dimensions)
@@ -159,7 +159,7 @@ def _run_periodicity(params):
 
 def _run_hp_minus(params):
     p = parse_int(params["p"])
-    h = hp_minus(p, prime_bound())
+    h = hp_minus(p)
     odd = odd_prime_factor(h)
     return {"p": p, "h_minus": str(h),
             "odd_prime_factor": str(odd) if odd is not None else None}
@@ -173,7 +173,7 @@ def _run_gate(params):
     if fixture_path == "default":
         fixture_path = default_fixture_path()
     fixture = load_hplus_table(fixture_path)
-    rep = gate_theorem_CD(p, fixture, prime_bound())
+    rep = gate_theorem_CD(p, fixture)
     entry = None
     if rep.h_plus_entry is not None:
         entry = {"factors": [str(q) for q in rep.h_plus_entry.factors],

@@ -13,10 +13,9 @@ from .arith import power
 from .errors import InternalCheckError, PreconditionError
 from .linfield import rref
 from .matrices import LaurentMatrix, mat_mul, mat_pow
-from .normal_forms import (_sub_mul, cyclotomic_indices, laurent_cokernel,
-                           peel_cyclotomics)
+from .normal_forms import cyclotomic_indices, laurent_cokernel, peel_cyclotomics
 from .rings import (LaurentPoly, Poly, QQ, ZZ, clear_denominators, cyclotomic,
-                    gcd_gf_coeffs, mul_coeffs, mulmod_coeffs)
+                    gcd_gf_coeffs, mul_coeffs, mulmod_coeffs, sub_mul_coeffs)
 
 
 class FreeHomologyError(PreconditionError):
@@ -170,31 +169,24 @@ def infinite_cover_homology_field(X: TwistedChainComplex, field):
 
 def companion_matrix(f: Poly):
     """Companion matrix of a monic polynomial, over its coefficient ring."""
-    n = f.degree
-    ring = f.ring
-    zero = ring.coerce(0)
-    m = [[zero] * n for _ in range(n)]
-    for i in range(1, n):
-        m[i][i - 1] = ring.coerce(1)
-    for i in range(n):
-        m[i][n - 1] = ring.coerce(-f.coeffs[i])
-    return m
+    return t_action_matrix([f], f.ring)
 
 
 def t_action_matrix(factors, field):
-    """Block companion matrix of t acting on the direct sum of kappa[t]/(f)."""
-    dims = [f.degree for f in factors]
-    n = sum(dims)
-    zero = field.coerce(0)
+    """Block companion matrix of t acting on the direct sum of kappa[t]/(f),
+    for monic f: block f has ones below its diagonal and -f's coefficients
+    in its last column."""
+    n = sum(f.degree for f in factors)
+    zero, one = field.coerce(0), field.coerce(1)
     m = [[zero] * n for _ in range(n)]
     off = 0
     for f in factors:
-        blk = companion_matrix(f)
-        d = f.degree
-        for a in range(d):
-            for b in range(d):
-                m[off + a][off + b] = blk[a][b]
-        off += d
+        last = off + f.degree - 1
+        for i, c in enumerate(f.coeffs[:-1], start=off):
+            if i > off:
+                m[i][i - 1] = one
+            m[i][last] = field.coerce(-c)
+        off = last + 1
     return m
 
 
@@ -211,7 +203,7 @@ def _gcd_tq1(f, q, p):
     """
     if p:
         tq = power([0, 1], q, lambda u, v: mulmod_coeffs(u, v, f, p), [1])
-        return gcd_gf_coeffs(f, _sub_mul(1, tq, [1], [1], p), p)
+        return gcd_gf_coeffs(f, sub_mul_coeffs(1, tq, [1], [1], p), p)
     n = len(f) - 1
     found, _ = peel_cyclotomics(clear_denominators([f])[1][0],
                                 (d for d in range(1, 2 * n * n + 3) if q % d == 0))
@@ -332,7 +324,7 @@ def verify_self_cover_relation(X: TwistedChainComplex, w: SelfCoverWitness):
             raise PreconditionError(f"hbar block {j} is not invertible")
         f = factors[-1]
         if (any(c.denominator != 1 for c in f.coeffs)
-                or cyclotomic_indices(Poly(ZZ, f.coeffs)) is None):
+                or cyclotomic_indices(f.coeffs) is None):
             results.append(False)
             continue
         T = t_action_matrix(factors, QQ)

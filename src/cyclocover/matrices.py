@@ -122,21 +122,30 @@ def _kronecker_digits(d, k):
         d = (d - c) >> k
     return coeffs
 
+def det_coeffs(rows):
+    """Exact determinant of a square matrix of int coefficient lists, as an
+    int coefficient list, by Kronecker substitution.
+
+    The Leibniz expansion bounds the 1-norm of the determinant by
+    B = prod_i max(1, sum_j |a_ij|_1), so with k = bitlen(B) + 1 every
+    coefficient lies strictly inside (-2^(k-1), 2^(k-1)).  One integer
+    Bareiss run at t = 2^k therefore gives the coefficients back as
+    balanced base-2^k digits.
+    """
+    k = prod(map(_row_norm, rows)).bit_length() + 1
+    return _kronecker_digits(
+        _bareiss([[_kronecker_eval(cs, k) for cs in row] for row in rows]), k)
+
 def det_poly(rows, ring):
     """Exact determinant of a square matrix of Poly (or scalars) over ZZ,
-    QQ or GF(p), by Kronecker substitution.
+    QQ or GF(p), by `det_coeffs`.
 
     Entries become integer coefficient lists: over QQ each row is scaled
     by the lcm of its denominators, over GF(p) residues are lifted from
-    [0, p).  The Leibniz expansion bounds the 1-norm of the integer
-    determinant by B = prod_i max(1, sum_j |a_ij|_1), so with
-    k = bitlen(B) + 1 every coefficient lies strictly inside
-    (-2^(k-1), 2^(k-1)).  One integer Bareiss run at t = 2^k therefore
-    gives the coefficients back as balanced base-2^k digits.
+    [0, p).
     """
     int_rows = []
     scale = 1
-    bound = 1
     for row in rows:
         cs_row = []
         for e in row:
@@ -149,12 +158,8 @@ def det_poly(rows, ring):
         if ring is QQ:
             den, cs_row = clear_denominators(cs_row)
             scale *= den
-        bound *= _row_norm(cs_row)
         int_rows.append(cs_row)
-    k = bound.bit_length() + 1
-    d = _bareiss([[_kronecker_eval(cs, k) for cs in cs_row]
-                  for cs_row in int_rows])
-    coeffs = _kronecker_digits(d, k)
+    coeffs = det_coeffs(int_rows)
     if scale != 1:
         coeffs = [Fraction(c, scale) for c in coeffs]
     return Poly(ring, coeffs)
@@ -162,17 +167,6 @@ def det_poly(rows, ring):
 
 # ---------------------------------------------------------------------------
 # Laurent matrices
-
-def _cleared_coeffs(row):
-    """A row of Laurent entries as coefficient tuples, each multiplied by
-    the power of t that clears the row (its least nonzero valuation
-    becomes 0).  This is how rows are cleared for minor gcds and for
-    cokernels: a unit row scaling changes minors by units and keeps the
-    cokernel's isomorphism type."""
-    v = min((e.val for e in row if not e.is_zero), default=0)
-    return [(0,) * (e.val - v) + e.body.coeffs if e.body.coeffs else ()
-            for e in row]
-
 
 class LaurentMatrix:
     """Rectangular matrix with LaurentPoly entries over one coefficient ring."""
@@ -245,6 +239,19 @@ class LaurentMatrix:
     def is_zero(self):
         return all(e.is_zero for row in self.entries for e in row)
 
+    def cleared_rows(self):
+        """The rows as lists of coefficient tuples, each row multiplied by
+        the power of t that clears it (its least nonzero valuation becomes
+        0).  This is how rows are cleared for minor gcds and for cokernels:
+        a unit row scaling changes minors by units and keeps the cokernel's
+        isomorphism type."""
+        out = []
+        for row in self.entries:
+            v = min((e.val for e in row if not e.is_zero), default=0)
+            out.append([(0,) * (e.val - v) + e.body.coeffs if e.body.coeffs
+                        else () for e in row])
+        return out
+
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
@@ -262,7 +269,7 @@ def laurent_minor_gcd(mat: LaurentMatrix, size: int) -> Poly:
     Rows are first cleared by powers of t, which only changes minors by
     units.  Returns the zero polynomial when all minors vanish.
 
-    Each entry is evaluated once, at t = 2^k with k from `det_poly`'s
+    Each entry is evaluated once, at t = 2^k with k from `det_coeffs`'s
     bound B: a minor's Leibniz bound is a product of `size` row factors
     `_row_norm`, so the product of the `size` largest ones bounds every
     minor.  Each minor is then one integer Bareiss run, its t-power
@@ -275,7 +282,7 @@ def laurent_minor_gcd(mat: LaurentMatrix, size: int) -> Poly:
     if size == 0:
         # the empty minor; `combinations` would first copy every column index
         return Poly.one(ZZ)
-    cs_rows = [_cleared_coeffs(row) for row in mat.entries]
+    cs_rows = mat.cleared_rows()
     bound = prod(sorted(map(_row_norm, cs_rows), reverse=True)[:size])
     k = bound.bit_length() + 1
     mask = (1 << k) - 1

@@ -9,11 +9,12 @@ over GF(p), with no Poly in between.
 """
 
 from .arith import factorize, order_from_multiple
-from .matrices import (LaurentMatrix, _cleared_coeffs, det_int, det_poly,
-                       int_mat_check, mat_is_identity, mat_pow)
+from .matrices import (LaurentMatrix, det_coeffs, det_int, int_mat_check,
+                       mat_is_identity, mat_pow)
 from .rings import (MixedRingError, Poly, ZZ, clear_denominators, cyclotomic,
                     cyclotomic_degree, gcd_gf_coeffs, gcd_zz_coeffs,
-                    monic_coeffs, mul_coeffs, pseudo_divmod)
+                    monic_coeffs, mul_coeffs, pseudo_divmod, strip_coeffs,
+                    sub_mul_coeffs)
 
 from math import gcd, lcm
 
@@ -98,7 +99,7 @@ def _smith_lists(D, p):
                     continue
                 if len(a) >= len(D[0][0]):
                     s, q, r = pseudo_divmod(a, D[0][0], p)
-                    D[i] = [r] + [_sub_mul(s, x, q, y, p)
+                    D[i] = [r] + [sub_mul_coeffs(s, x, q, y, p)
                                   for x, y in zip(D[i][1:], D[0][1:])]
                     if not p:
                         D[i] = _primitive_row(D[i])
@@ -136,29 +137,6 @@ def _smith_lists(D, p):
     return [monic_coeffs(f, p) for f in diag]
 
 
-def _sub_mul(s, a, q, b, p):
-    """s*a - q*b on coefficient lists, reduced modulo p when p > 0."""
-    out = [s * c for c in a] if s != 1 else list(a)
-    if b:
-        n = len(q) + len(b) - 1
-        if len(out) < n:
-            out += [0] * (n - len(out))
-        m = len(b)
-        for i, c in enumerate(q):
-            if c:
-                out[i:i + m] = [x - c * d for x, d in zip(out[i:i + m], b)]
-        if p:
-            out = [c % p for c in out]
-    return _strip(out)
-
-
-def _strip(cs):
-    """The coefficient list cs without its trailing zeros."""
-    while cs and not cs[-1]:
-        cs.pop()
-    return cs
-
-
 def _primitive_row(row):
     """The row of int coefficient lists divided by its content."""
     h = 0
@@ -176,21 +154,12 @@ def _primitive_row(row):
 # characteristic polynomial and finite order
 
 def char_poly(a) -> Poly:
-    """det(tI - A), monic, for a square integer matrix."""
+    """det(tI - A), monic, for a square integer matrix (`det_coeffs` on
+    the int coefficient lists of tI - A)."""
     int_mat_check(a, square=True)
-    n = len(a)
-    ring = ZZ
-    t = Poly.t(ring)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            e = Poly(ring, (-a[i][j],))
-            if i == j:
-                e = e + t
-            row.append(e)
-        rows.append(row)
-    return det_poly(rows, ring)
+    return Poly(ZZ, det_coeffs([[[-x, 1] if i == j else [-x]
+                                 for j, x in enumerate(row)]
+                                for i, row in enumerate(a)]))
 
 
 def peel_cyclotomics(f, indices):
@@ -220,15 +189,15 @@ def peel_cyclotomics(f, indices):
 
 
 def cyclotomic_indices(f):
-    """The set of d with Phi_d dividing f, a monic polynomial over ZZ, or
+    """The set of d with Phi_d dividing f, a monic int coefficient list, or
     None when f is not a product of cyclotomic polynomials, that is when
     some root of f is not a root of unity.
 
     Cyclotomic factors are peeled off (`peel_cyclotomics`); deg Phi_d =
     phi(d) >= sqrt(d / 2) bounds d by 2 deg(f)^2.
     """
-    n = f.degree
-    indices, rest = peel_cyclotomics(f.coeffs, range(1, 2 * n * n + 3))
+    n = len(f) - 1
+    indices, rest = peel_cyclotomics(f, range(1, 2 * n * n + 3))
     return None if len(rest) > 1 else indices
 
 
@@ -246,9 +215,13 @@ def finite_order(a):
 def unimodular_order(a):
     """`finite_order` of a square integer matrix A already known to have
     det A = +-1, without checking it again."""
-    if not a:
-        return 1
-    indices = cyclotomic_indices(char_poly(a))
+    return cyclotomic_order(a, cyclotomic_indices(char_poly(a).coeffs))
+
+
+def cyclotomic_order(a, indices):
+    """`unimodular_order` of A from `indices`, the `cyclotomic_indices` of
+    its characteristic polynomial, for a caller that has factored it: None
+    when `indices` is None or A is not semisimple."""
     if indices is None:
         return None
     order = lcm(*indices)
@@ -266,9 +239,9 @@ def laurent_cokernel(mat: LaurentMatrix, field):
     LaurentMatrix `mat` over ZZ.
 
     Each row of `mat` is cleared into ZZ[t] by a power of t (a unit row
-    scaling, `_cleared_coeffs`).  The cleared rows go to the Smith core
-    `_smith_lists` as they are over QQ, and with every coefficient reduced
-    modulo p over GF(p).  Unit (power-of-t or constant) factors are
+    scaling, `LaurentMatrix.cleared_rows`).  The cleared rows go to the
+    Smith core `_smith_lists` as they are over QQ, and with every
+    coefficient reduced modulo p over GF(p).  Unit (power-of-t or constant) factors are
     dropped, and a Poly is built only for a factor of positive degree.
     Returned factors are monic with nonzero constant term, in divisibility
     order.
@@ -282,9 +255,9 @@ def laurent_cokernel(mat: LaurentMatrix, field):
     if mat.ncols == 0:
         return [], mat.nrows
     p = field.char
-    D = [_cleared_coeffs(row) for row in mat.entries]
+    D = mat.cleared_rows()
     if p:
-        D = [[_strip([c % p for c in cs]) for cs in row] for row in D]
+        D = [[strip_coeffs([c % p for c in cs]) for cs in row] for row in D]
     invariants = _smith_lists(D, p)
     factors = []
     for f in invariants:

@@ -15,8 +15,8 @@ from .arith import factorize, order_from_multiple, power
 from .errors import InternalCheckError, PreconditionError
 from .matrices import (det_int, int_mat_check, mat_identity, mat_is_identity,
                        mat_mul, mat_pow)
-from .normal_forms import _sub_mul, char_poly, cyclotomic_indices, unimodular_order
-from .rings import gcd_gf_coeffs, mulmod_coeffs, pseudo_divmod
+from .normal_forms import char_poly, cyclotomic_indices, cyclotomic_order
+from .rings import gcd_gf_coeffs, mulmod_coeffs, pseudo_divmod, sub_mul_coeffs
 
 
 class RelationError(PreconditionError):
@@ -47,13 +47,13 @@ def _charpoly_mod(a, p):
                     row[k] = (row[k] + c * row[i]) % p
     polys = [[1]]
     for m in range(n):
-        nxt = _sub_mul(1, [0] + polys[m], [h[m][m]], polys[m], p)
+        nxt = sub_mul_coeffs(1, [0] + polys[m], [h[m][m]], polys[m], p)
         sub = 1
         for i in range(m - 1, -1, -1):
             sub = sub * h[i + 1][i] % p
             if not sub:
                 break
-            nxt = _sub_mul(1, nxt, [h[i][m] * sub], polys[i], p)
+            nxt = sub_mul_coeffs(1, nxt, [h[i][m] * sub], polys[i], p)
         polys.append(nxt)
     return polys[n]
 
@@ -69,7 +69,7 @@ def _factor_degrees(f, p):
         j += 1
         # h = x^(p^j) mod f
         h = power(h, p, lambda u, v: mulmod_coeffs(u, v, f, p), [1])
-        g = gcd_gf_coeffs(f, _sub_mul(1, h, [1], [0, 1], p), p)
+        g = gcd_gf_coeffs(f, sub_mul_coeffs(1, h, [1], [0, 1], p), p)
         if len(g) > 1:
             degrees.append(j)
             while len(g) > 1:  # take every factor of degree j out of f
@@ -235,12 +235,13 @@ def _solve_relation(a, b, k, sign):
         raise RelationError("A must be invertible over ZZ")
     if det_int(b) not in (1, -1):
         raise RelationError("B must be invertible over ZZ")
-    m = unimodular_order(a)
     # the relation makes A^(k^2) similar to A, so lambda -> lambda^(k^2)
     # permutes the eigenvalues of A and each is a root of unity.  Check
     # that before powering: otherwise the entries of A^k grow linearly in k.
-    if m is None and cyclotomic_indices(char_poly(a)) is None:
+    indices = cyclotomic_indices(char_poly(a).coeffs)
+    if indices is None:
         raise RelationError("B A^k B^-1 = A^sign does not hold")
+    m = cyclotomic_order(a, indices)
     # B is invertible, so the relation reads B A^k = A B for sign +1 and
     # A B A^k = B for sign -1
     bak = mat_mul(b, mat_pow(a, k))

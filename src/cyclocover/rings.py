@@ -11,12 +11,23 @@ polynomials carry an extra power-of-t valuation.
 
 A `Poly` is false exactly when it is zero, and `a // b` is exact
 division: it raises `ExactDivisionError` on a nonzero remainder.
-`pseudo_divmod` divides plain int coefficient lists without fractions,
-and it is the one division loop: `divmod` on `Poly`, the gcds over ZZ[t]
-(a primitive pseudo-remainder sequence) and over GF(p), and the Smith
-loop over kappa[t] all run on it, never through Fraction coefficients.
-`mul_coeffs` is the one product loop, under `Poly` multiplication and
-`mulmod_coeffs`.
+
+This module is also the one home of the coefficient-list primitives that
+every other module builds on; each is defined once:
+
+- `strip_coeffs` is the one trailing-zero strip, under `Poly`
+  construction, `pseudo_divmod` and `sub_mul_coeffs`;
+- `sub_mul_coeffs` (s*a - q*b) is the one add/subtract loop, under `Poly`
+  addition and subtraction, the Smith loop's row steps and the
+  characteristic polynomials mod p;
+- `primitive_coeffs` is the one division of a list by its content, under
+  `Poly.content`, `Poly.primitive` and `gcd_zz_coeffs`;
+- `pseudo_divmod` divides without fractions and is the one division
+  loop: `divmod` on `Poly`, `cyclotomic`, the gcds over ZZ[t] (a
+  primitive pseudo-remainder sequence) and over GF(p), and the Smith loop
+  over kappa[t] all run on it, never through Fraction coefficients;
+- `mul_coeffs` is the one product loop, under `Poly` multiplication and
+  `mulmod_coeffs`.
 """
 
 from fractions import Fraction
@@ -136,11 +147,8 @@ class Poly:
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
-        cs = [ring.coerce(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
         self.ring = ring
-        self.coeffs = tuple(cs)
+        self.coeffs = tuple(strip_coeffs([ring.coerce(c) for c in coeffs]))
 
     @classmethod
     def zero(cls, ring):
@@ -176,17 +184,12 @@ class Poly:
         return self.coeffs[0] if self.coeffs else self.ring.coerce(0)
 
     def __add__(self, other):
-        ring = _same_ring(self, other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        cs = list(a)
-        for i, c in enumerate(b):
-            cs[i] = cs[i] + c
-        return Poly(ring, cs)
+        return Poly(_same_ring(self, other),
+                    sub_mul_coeffs(1, self.coeffs, (-1,), other.coeffs))
 
     def __sub__(self, other):
-        return self + (-other)
+        return Poly(_same_ring(self, other),
+                    sub_mul_coeffs(1, self.coeffs, (1,), other.coeffs))
 
     def __neg__(self):
         return Poly(self.ring, [-c for c in self.coeffs])
@@ -252,21 +255,19 @@ class Poly:
 
     def content(self):
         """gcd of integer coefficients (ZZ polynomials only), >= 0."""
-        if self.ring is not ZZ:
-            raise TypeError("content is defined over ZZ")
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
+        return self._zz_primitive()[0]
 
     def primitive(self):
         """Content-1, positive-leading associate over ZZ."""
         if self.is_zero:
             return self
-        c = self.content()
-        if self.leading < 0:
-            c = -c
-        return Poly(ZZ, [a // c for a in self.coeffs])
+        f = self._zz_primitive()[1]
+        return Poly(ZZ, f if f[-1] > 0 else [-c for c in f])
+
+    def _zz_primitive(self):
+        if self.ring is not ZZ:
+            raise TypeError("content is defined over ZZ")
+        return primitive_coeffs(self.coeffs)
 
     def to_ring(self, ring):
         if ring is self.ring:
@@ -333,13 +334,12 @@ def gcd_zz_coeffs(a, b):
     if not a or not b:
         f = a or b
         return [-c for c in f] if f and f[-1] < 0 else list(f)
-    ca, cb = gcd(*a), gcd(*b)
-    f = [c // ca for c in a]
-    g = [c // cb for c in b]
+    ca, f = primitive_coeffs(a)
+    cb, g = primitive_coeffs(b)
     if len(f) < len(g):
         f, g = g, f
     while len(g) > 1:
-        f, g = g, _primitive_prem(f, g)
+        f, g = g, primitive_coeffs(pseudo_divmod(f, g)[2])[1]
     if g:
         # a nonzero constant divides f, so the primitive parts are coprime
         f = [1]
@@ -390,9 +390,41 @@ def pseudo_divmod(f, g, p=0):
         r[top_i] = v
     q = r[n - 1:]
     del r[n - 1:]
-    while r and not r[-1]:
-        r.pop()
-    return s, q, r
+    return s, q, strip_coeffs(r)
+
+
+def strip_coeffs(cs):
+    """The coefficient list cs, in place, without its trailing zeros."""
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def sub_mul_coeffs(s, a, q, b, p=0):
+    """s*a - q*b on coefficient lists, reduced modulo p when p > 0 and b is
+    nonzero.  Coefficients are ints or Fractions for p = 0 and residues
+    otherwise; the result has no trailing zeros."""
+    out = [s * c for c in a] if s != 1 else list(a)
+    if b:
+        n = len(q) + len(b) - 1
+        if len(out) < n:
+            out += [0] * (n - len(out))
+        m = len(b)
+        for i, c in enumerate(q):
+            if c:
+                out[i:i + m] = [x - c * d for x, d in zip(out[i:i + m], b)]
+        if p:
+            out = [c % p for c in out]
+    return strip_coeffs(out)
+
+
+def primitive_coeffs(f):
+    """(content, primitive part) of an int coefficient list f: the content
+    is the gcd of the coefficients, >= 0 and 0 for [], and the primitive
+    part is f divided by it (f itself when the content is 0 or 1), with
+    the signs of f."""
+    c = gcd(*f)
+    return c, f if c <= 1 else [x // c for x in f]
 
 
 def mul_coeffs(a, b, p=0):
@@ -445,17 +477,6 @@ def clear_denominators(coeff_lists):
                  for cs in coeff_lists]
 
 
-def _primitive_prem(f, g):
-    """Primitive part of the pseudo-remainder of f by g (int coefficient
-    lists, len(f) >= len(g) > 0, no trailing zeros); [] when g divides f."""
-    r = pseudo_divmod(f, g)[2]
-    if r:
-        h = gcd(*r)
-        if h != 1:
-            r = [x // h for x in r]
-    return r
-
-
 _CYCLOTOMIC_CACHE = {}
 
 
@@ -465,12 +486,13 @@ def cyclotomic(n: int) -> Poly:
         raise ValueError("cyclotomic index must be a positive integer")
     if n in _CYCLOTOMIC_CACHE:
         return _CYCLOTOMIC_CACHE[n]
-    num = Poly(ZZ, [-1] + [0] * (n - 1) + [1])
+    num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:
-            num = num.exact_div(cyclotomic(d))
-    _CYCLOTOMIC_CACHE[n] = num
-    return num
+            # Phi_d is monic, so the division is exact in ZZ[t]
+            num = pseudo_divmod(num, cyclotomic(d).coeffs)[1]
+    phi = _CYCLOTOMIC_CACHE[n] = Poly(ZZ, num)
+    return phi
 
 
 def cyclotomic_degree(n: int) -> int:

@@ -18,8 +18,8 @@ from math import gcd, lcm
 
 from cyclocover.arith import factorize, primitive_root
 from cyclocover.linfield import rref
-from cyclocover.matrices import (LaurentMatrix, _cleared_coeffs, det_int,
-                                 det_poly, mat_identity, mat_mul)
+from cyclocover.matrices import (LaurentMatrix, det_int, det_poly,
+                                 mat_identity, mat_mul)
 from cyclocover.modules import (FinGenVerdict, FinGenWitness,
                                 INFINITE_DIMENSION, T_NOT_INTEGRAL,
                                 TINV_NOT_INTEGRAL, minor_gcd)
@@ -403,13 +403,18 @@ def gcd_zz_over_qq(a, b):
 
 def minor_gcd_oracle(mat, size):
     """gcd over ZZ[t] (content included, positive leading coefficient) of
-    every size x size minor of a LaurentMatrix over ZZ: each minor is
-    rebuilt from the cleared Poly rows and gets its own `det_poly`, with
-    its own Kronecker bound, and its t-power is stripped before `gcd_zz`."""
+    every size x size minor of a LaurentMatrix over ZZ: each row is
+    cleared into ZZ[t] by the power of t that brings its least valuation to
+    0, each minor is rebuilt from the cleared Poly rows and gets its own
+    `det_poly`, with its own Kronecker bound, and its t-power is stripped
+    before `gcd_zz`."""
     if size > mat.nrows or size > mat.ncols:
         return Poly.zero(ZZ)
-    poly_rows = [[Poly(ZZ, cs) for cs in _cleared_coeffs(row)]
-                 for row in mat.entries]
+    poly_rows = []
+    for row in mat.entries:
+        v = min((e.val for e in row if not e.is_zero), default=0)
+        poly_rows.append([Poly(ZZ, [0] * (e.val - v) + list(e.body.coeffs))
+                          for e in row])
     g = Poly.zero(ZZ)
     for rsel in combinations(range(mat.nrows), size):
         for csel in combinations(range(mat.ncols), size):

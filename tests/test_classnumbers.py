@@ -39,9 +39,11 @@ class TestHpMinus:
     def test_published_values(self, p, h):
         assert hp_minus(p) == h
 
-    def test_bound_enforced(self):
+    def test_bound_enforced(self, monkeypatch):
+        monkeypatch.delenv("CCK_PRIME_BOUND", raising=False)
+        assert prime_bound() == 211
         with pytest.raises(PreconditionError, match="bound"):
-            hp_minus(223, bound=211)
+            hp_minus(223)
 
     def test_composite_rejected(self):
         with pytest.raises(PreconditionError):
@@ -57,7 +59,7 @@ class TestHpMinus:
         monkeypatch.setenv("CCK_PRIME_BOUND", "30")
         assert prime_bound() == 30
         with pytest.raises(PreconditionError, match="bound"):
-            hp_minus(31, prime_bound())
+            hp_minus(31)
         monkeypatch.setenv("CCK_PRIME_BOUND", "abc")
         with pytest.raises(PreconditionError):
             prime_bound()
@@ -276,7 +278,7 @@ class TestGate:
     def test_env_bound_applies(self, monkeypatch):
         monkeypatch.setenv("CCK_PRIME_BOUND", "20")
         with pytest.raises(PreconditionError, match="bound"):
-            gate_theorem_CD(23, {}, prime_bound())
+            gate_theorem_CD(23, {})
 
 
 def test_h191_runtime_and_value():

@@ -164,7 +164,7 @@ class TestExitCodes:
         def give_up(n):
             raise RuntimeError(f"pollard rho failed on {n}")
 
-        monkeypatch.setattr(cli, "hp_minus", lambda p, bound: 100003 * 100019)
+        monkeypatch.setattr(cli, "hp_minus", lambda p: 100003 * 100019)
         monkeypatch.setattr(arith, "_pollard_rho", give_up)
         code, rep = invoke(capsys, "hp-minus", "--p", "23")
         assert code == 3

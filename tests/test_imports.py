@@ -1,8 +1,9 @@
-"""Every name a library module imports is used in that module, and every
-private name the library defines is used somewhere in the library.
+"""Every name a library module imports is used in that module, every
+private name the library defines is used somewhere in the library, and no
+library module imports another library module's private name.
 
-`__init__.py` is left out of the import check: its imports are the
-package's public surface.
+`__init__.py` is left out of the unused-import check: its imports are
+the package's public surface.
 """
 
 import ast
@@ -37,6 +38,34 @@ def test_guard_sees_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == [], path.name
+
+
+def private_imports(source):
+    """Sorted (line, name) of each `_`-prefixed name, dunders aside, that
+    `source` imports from a library module: by a relative import or from
+    the package by name."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "cyclocover"):
+            found += [(node.lineno, alias.name) for alias in node.names
+                      if alias.name.startswith("_")
+                      and not alias.name.endswith("__")]
+    return sorted(found)
+
+
+def test_guard_sees_private_imports():
+    src = ("from .rings import _strip, pub\n"
+           "from cyclocover.matrices import _cleared as c\n"
+           "from . import __version__, _private\n"
+           "from typing import _Alias\n"
+           "from cyclocoverage import _other\n")
+    assert private_imports(src) == [(1, "_strip"), (2, "_cleared"), (3, "_private")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_imports(path):
+    assert private_imports(path.read_text()) == [], path.name
 
 
 def _references(node):

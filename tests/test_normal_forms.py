@@ -14,7 +14,7 @@ from itertools import combinations
 
 import pytest
 
-from cyclocover.matrices import (LaurentMatrix, det_int, det_poly,
+from cyclocover.matrices import (LaurentMatrix, det_coeffs, det_int, det_poly,
                                  laurent_minor_gcd, mat_mul)
 from cyclocover.normal_forms import (DomainError, char_poly, finite_order,
                                      laurent_cokernel, smith_normal_form)
@@ -186,6 +186,49 @@ class TestDeterminant:
     def test_poly_coefficient_at_the_bound(self, a, expected):
         rows = [[Poly(ZZ, cs) for cs in row] for row in a]
         assert det_poly(rows, ZZ) == Poly(ZZ, expected)
+
+    def test_coeffs_against_det_poly_and_leibniz(self):
+        # det_coeffs is det_poly's core on int coefficient lists
+        rng = random.Random(23)
+        one, zero = Poly.one(ZZ), Poly.zero(ZZ)
+        assert det_coeffs([]) == [1]
+        for trial in range(60):
+            n = rng.randint(1, 4)
+            a = [[[rng.randint(-9, 9) for _ in range(rng.randint(0, 4))]
+                  for _ in range(n)] for _ in range(n)]
+            if trial % 4 == 1 and n >= 2:
+                a[1] = [list(cs) for cs in a[0]]
+            rows = [[Poly(ZZ, cs) for cs in row] for row in a]
+            got = det_coeffs(a)
+            assert not got or got[-1] != 0
+            assert Poly(ZZ, got) == det_poly(rows, ZZ), a
+            assert Poly(ZZ, got) == leibniz_det(rows, one, zero), a
+
+
+class TestClearedRows:
+    def test_mixed_valuations_and_zero_entries(self):
+        # [DERIVED] each row is multiplied by t^(-least nonzero valuation);
+        # a zero entry stays () and a zero row is left alone
+        z = LaurentPoly.zero(ZZ)
+        m = LaurentMatrix(ZZ, 3, 3, [
+            [LaurentPoly(ZZ, -2, [3, 1]), z, LaurentPoly(ZZ, 1, [-1])],
+            [z, LaurentPoly(ZZ, 4, [2]), LaurentPoly(ZZ, 5, [1, 0, 7])],
+            [z, z, z]])
+        assert m.cleared_rows() == [
+            [(3, 1), (), (0, 0, 0, -1)],
+            [(), (2,), (0, 1, 0, 7)],
+            [(), (), ()]]
+
+    def test_values_are_the_rows_times_a_t_power(self):
+        rng = random.Random(29)
+        for _ in range(40):
+            entries = [[TestMinorGcdAgainstOracle.rand_entry(rng) for _ in range(3)]
+                       for _ in range(2)]
+            cleared_rows = LaurentMatrix(ZZ, 2, 3, entries).cleared_rows()
+            for row, cleared in zip(entries, cleared_rows):
+                v = min((e.val for e in row if not e.is_zero), default=0)
+                assert [LaurentPoly(ZZ, v, cs) for cs in cleared] == row
+                assert all(not cs or cs[-1] != 0 for cs in cleared)
 
 
 class TestMinorGcdAgainstOracle:

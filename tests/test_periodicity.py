@@ -59,6 +59,23 @@ class TestSolvePropMatrix:
         assert solve_prop_matrix(TREFOIL, TREFOIL_B, 5, 1) == 6
         assert sorted(calls) == sorted([TREFOIL, TREFOIL_B])
 
+    def test_one_characteristic_polynomial(self, monkeypatch):
+        # an A of infinite order fails on the cyclotomic factoring of its
+        # characteristic polynomial, which is built once, before any power
+        from cyclocover import normal_forms
+        calls = []
+        real = periodicity.char_poly
+
+        def counting(a):
+            calls.append(a)
+            return real(a)
+        monkeypatch.setattr(periodicity, "char_poly", counting)
+        monkeypatch.setattr(normal_forms, "char_poly", counting)
+        anosov = [[2, 1], [1, 1]]
+        with pytest.raises(RelationError, match="does not hold"):
+            solve_prop_matrix(anosov, I2, 2, 1)
+        assert calls == [anosov]
+
     def test_order_matches_brute_force(self):
         rng = random.Random(47)
         for base, k, sign in [(ROT4, 3, -1), (TREFOIL, 5, 1),

@@ -7,6 +7,8 @@ second independent identity (e.g. prod of cyclotomics = t^n - 1);
 
 import random
 from fractions import Fraction
+from functools import reduce
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -15,7 +17,8 @@ from cyclocover import rings
 from cyclocover.arith import totient
 from cyclocover.rings import (ExactDivisionError, GF, LaurentPoly,
                               MixedRingError, Poly, QQ, ZZ, cyclotomic, gcd_zz,
-                              poly_gcd, pseudo_divmod)
+                              poly_gcd, primitive_coeffs, pseudo_divmod,
+                              strip_coeffs, sub_mul_coeffs)
 
 from helpers import gcd_zz_over_qq
 
@@ -266,6 +269,91 @@ class TestPseudoDivmod:
             assert s == 1
             assert all(0 <= c < p for c in q + r)
             assert (Poly(field, q), Poly(field, r)) == divmod(Poly(field, f), Poly(field, g))
+
+
+class TestCoefficientLists:
+    """strip_coeffs, sub_mul_coeffs and primitive_coeffs, over ZZ, QQ
+    (Fraction coefficients) and GF(p), against Poly arithmetic, values at
+    a few points and math.gcd."""
+
+    RINGS = [(ZZ, 0), (QQ, 0), (GF(5), 5), (GF(2 ** 31 - 1), 2 ** 31 - 1)]
+
+    @staticmethod
+    def rand_coeff(rng, ring, p):
+        if p:
+            return rng.randrange(p)
+        if ring is QQ and rng.random() < 0.5:
+            return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        return rng.randint(-9, 9)
+
+    def rand_list(self, rng, ring, p, max_len):
+        return strip_coeffs([self.rand_coeff(rng, ring, p)
+                             for _ in range(rng.randint(0, max_len))])
+
+    def test_strip(self):
+        # [TRIVIAL] trailing zeros go, inner and leading ones stay, in place
+        cs = [0, 1, 0, 2, 0, 0]
+        assert strip_coeffs(cs) is cs and cs == [0, 1, 0, 2]
+        assert strip_coeffs([]) == [] and strip_coeffs([0, 0]) == []
+        assert strip_coeffs([Fraction(1, 2), Fraction(0)]) == [Fraction(1, 2)]
+        assert strip_coeffs([3, 0]) == [3]
+
+    @pytest.mark.parametrize("ring,p", RINGS, ids=lambda x: str(x))
+    def test_sub_mul_against_poly_arithmetic(self, ring, p):
+        rng = random.Random(53)
+        for trial in range(300):
+            a = self.rand_list(rng, ring, p, 6)
+            q = self.rand_list(rng, ring, p, 4)
+            b = self.rand_list(rng, ring, p, 4)
+            s = rng.choice([1, -1, 3, Fraction(2, 3)] if ring is QQ else [1, -1, 3])
+            if trial % 10 == 0:
+                b = a  # a zero result: everything must be stripped
+                q, s = [1], 1
+            out = sub_mul_coeffs(s, a, q, b, p)
+            assert not out or out[-1] != 0
+            if p and b:
+                assert all(0 <= c < p for c in out)
+            want = Poly(ring, a).scale(s) - Poly(ring, q) * Poly(ring, b)
+            assert Poly(ring, out) == want
+            for x in (0, 1, -2, 3):
+                value = sum(c * x ** i for i, c in enumerate(out))
+                expect = (s * Poly(ring, a).evaluate(x)
+                          - Poly(ring, q).evaluate(x) * Poly(ring, b).evaluate(x))
+                assert ring.coerce(value) == ring.coerce(expect)
+
+    def test_sub_mul_hand_cases(self):
+        # [DERIVED] 2(1 + t) - (1 + t)(2) = 0; (t^2) - (t)(t - 1) = t
+        assert sub_mul_coeffs(2, [1, 1], [1, 1], [2]) == []
+        assert sub_mul_coeffs(1, [0, 0, 1], [0, 1], [-1, 1]) == [0, 1]
+        # modulo 5: (4 + t) - (1)(4) = t, and b = 0 leaves s*a as it is
+        assert sub_mul_coeffs(1, [4, 1], [1], [4], 5) == [0, 1]
+        assert sub_mul_coeffs(1, [4, 1], [1], [], 5) == [4, 1]
+        assert sub_mul_coeffs(1, [], [1], [], 5) == []
+
+    def test_primitive_hand_cases(self):
+        # [DERIVED] contents are >= 0 and the primitive part keeps the signs
+        assert primitive_coeffs([]) == (0, [])
+        assert primitive_coeffs([0, 6, -4]) == (2, [0, 3, -2])
+        assert primitive_coeffs([-6, -4]) == (2, [-3, -2])
+        assert primitive_coeffs([-5]) == (5, [-1])
+        f = [3, -2, 5]
+        c, prim = primitive_coeffs(f)
+        assert c == 1 and prim is f
+
+    def test_primitive_against_math_gcd(self):
+        rng = random.Random(59)
+        for _ in range(300):
+            scale = rng.choice([1, -1, 2, -6, 35])
+            f = strip_coeffs([scale * rng.randint(-20, 20)
+                              for _ in range(rng.randint(0, 6))])
+            c, prim = primitive_coeffs(f)
+            assert c == reduce(gcd, f, 0) >= 0
+            assert [c * x for x in prim] == f
+            assert gcd(*prim) == (1 if f else 0)
+            if f:
+                assert Poly(ZZ, f).content() == c
+                assert Poly(ZZ, f).primitive() == Poly(ZZ, prim if prim[-1] > 0
+                                                      else [-x for x in prim])
 
 
 class TestCyclotomic:

@@ -14,8 +14,12 @@ h_p^- is computed twice and the two values are cross-checked:
 - Maillet's determinant.  Subtracting a times the first row from row a
   of (a * b^-1 mod p)_{1<=a,b<=(p-1)/2} leaves -p * floor(a * b^-1 / p)
   (Carlitz and Olson, 1955), so h_p^- = |det| of the matrix with first
-  row b^-1 mod p and rows floor(a * (b^-1 mod p) / p) for a >= 2.  A
-  zero determinant fails the check.
+  row r_b = b^-1 mod p and rows floor(a * r_b / p) for a >= 2.  Row 2,
+  floor(2 * r_b / p), is already 0/1, and row a minus row a-1 for a >= 3
+  is too, without changing |det|: for every a >= 2 the entry is
+  floor(a * r_b / p) - floor((a-1) * r_b / p) = [a * r_b mod p < r_b].
+  That 0/1 matrix is the one `det_int` reduces.  A zero determinant
+  fails the check.
 
 h_p^+ is not computable here; it is shipped as a fixture table of
 published (heuristic) factorizations.
@@ -123,10 +127,16 @@ def _maillet_reduced(p):
     """Maillet's matrix with the factor p^((p-3)/2) of its determinant removed.
 
     With r_b = b^-1 mod p in [1, p-1] for b = 1..(p-1)/2, the first row is
-    r_b and row a (a >= 2) is floor(a * r_b / p).
+    r_b and row a (a >= 2) is floor(a * r_b / p) - floor((a-1) * r_b / p),
+    1 when a * r_b mod p < r_b and 0 otherwise.  For a = 2 that is the
+    Carlitz-Olson row floor(2 * r_b / p) itself; for a >= 3 it is row a
+    minus row a-1 of the Carlitz-Olson matrix, a unimodular row operation
+    that keeps |det|.  `det_int` then finds many +-1 pivots on sparse
+    rows.
     """
     r = [pow(b, -1, p) for b in range(1, (p + 1) // 2)]
-    return [r] + [[a * x // p for x in r] for a in range(2, len(r) + 1)]
+    return [r] + [[1 if a * x % p < x else 0 for x in r]
+                  for a in range(2, len(r) + 1)]
 
 
 def _hp_minus_maillet(p):

@@ -12,7 +12,8 @@ from typing import List
 from .arith import power
 from .errors import InternalCheckError, PreconditionError
 from .linfield import rref
-from .matrices import LaurentMatrix, mat_mul, mat_pow
+from .matrices import (LaurentMatrix, laurent_product_is_zero, mat_mul,
+                       mat_pow)
 from .normal_forms import cyclotomic_indices, laurent_cokernel, peel_cyclotomics
 from .rings import (LaurentPoly, Poly, QQ, ZZ, clear_denominators, cyclotomic,
                     gcd_gf_coeffs, mul_coeffs, mulmod_coeffs, sub_mul_coeffs)
@@ -50,7 +51,7 @@ class TwistedChainComplex:
                                         f"expected {ranks[j - 1]}x{ranks[j]}")
             mats.append(b)
         for j in range(1, len(mats)):
-            if not (mats[j - 1] * mats[j]).is_zero():
+            if not laurent_product_is_zero(mats[j - 1], mats[j]):
                 raise PreconditionError(
                     f"boundary composition in degree {j + 1} is nonzero")
         self.ranks = tuple(ranks)

@@ -1,7 +1,7 @@
 """Dense matrices: integer matrices and matrices over Laurent rings."""
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, repeat
 from math import prod
 
 from .arith import power
@@ -42,7 +42,7 @@ def mat_mul(a, b):
 # integer matrices
 
 def int_mat_check(a, square=False):
-    if not all(isinstance(x, int) for row in a for x in row):
+    if not all(map(isinstance, chain.from_iterable(a), repeat(int))):
         raise TypeError("expected an integer matrix")
     widths = {len(row) for row in a}
     if len(widths) > 1:
@@ -52,29 +52,62 @@ def int_mat_check(a, square=False):
 
 def _bareiss(m):
     """Determinant of the square integer matrix m (overwritten) by
-    fraction-free Bareiss elimination; every `//` divides exactly."""
+    fraction-free Bareiss elimination; every `//` divides exactly.
+
+    While prev is 1 the rows below k hold the Schur complement itself, so
+    a pivot +-1 there eliminates with no multiplication by the pivot and
+    no division: each lower row with a nonzero lead a loses a * pivot
+    times the pivot row, on that row's nonzero columns only, and prev
+    stays 1.  A unit is looked for down the column only where a pivot
+    search is due anyway (a zero diagonal entry) or right after a unit
+    step, so a matrix whose leading pivots are neither goes through plain
+    Bareiss with no extra scan.
+    """
     n = len(m)
     if n == 0:
         return 1
     sign = 1
     prev = 1
+    unit = False  # whether the last step had a unit pivot
     for k in range(n - 1):
-        if not m[k][k]:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0  # column k is zero from row k down
         rk = m[k]
         pk = rk[k]
-        for i in range(k + 1, n):
-            ri = m[i]
-            a = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = (ri[j] * pk - a * rk[j]) // prev
-        prev = pk
+        if not pk or unit and pk != 1 and pk != -1:
+            # swap up a unit from below, or on a zero diagonal entry
+            # failing that any nonzero one
+            s = 0
+            for i in range(k + 1, n):
+                x = m[i][k]
+                if x == 1 or x == -1:
+                    s = i
+                    break
+                if x and not pk:
+                    s = i
+            if s:
+                m[k], m[s] = m[s], rk
+                rk = m[k]
+                pk = rk[k]
+                sign = -sign
+            elif not pk:
+                return 0  # column k is zero from row k down
+        unit = prev == 1 and (pk == 1 or pk == -1)
+        if unit:
+            if pk < 0:
+                sign = -sign
+            piv = [(j, rk[j] * pk) for j in range(k + 1, n) if rk[j]]
+            for i in range(k + 1, n):
+                ri = m[i]
+                a = ri[k]
+                if a:
+                    for j, x in piv:
+                        ri[j] -= a * x
+        else:
+            for i in range(k + 1, n):
+                ri = m[i]
+                a = ri[k]
+                for j in range(k + 1, n):
+                    ri[j] = (ri[j] * pk - a * rk[j]) // prev
+            prev = pk
     d = m[n - 1][n - 1]
     return -d if sign < 0 else d
 
@@ -236,9 +269,6 @@ class LaurentMatrix:
             rows.append(row)
         return LaurentMatrix(self.ring, self.nrows, other.ncols, rows)
 
-    def is_zero(self):
-        return all(e.is_zero for row in self.entries for e in row)
-
     def cleared_rows(self):
         """The rows as lists of coefficient tuples, each row multiplied by
         the power of t that clears it (its least nonzero valuation becomes
@@ -261,6 +291,38 @@ class LaurentMatrix:
     def __repr__(self):
         body = "; ".join(", ".join(repr(e) for e in row) for row in self.entries)
         return f"LaurentMatrix({self.nrows}x{self.ncols} over {self.ring}: {body})"
+
+
+def laurent_product_is_zero(a: LaurentMatrix, b: LaurentMatrix) -> bool:
+    """Whether the product a * b of Laurent matrices over ZZ is zero, by
+    one integer matrix product.
+
+    Each matrix is multiplied by t^-v for its least valuation v (zero
+    entries count as valuation 0), which multiplies the product by a unit
+    and leaves polynomial entries.  Entry (i, j) of the product then has
+    1-norm at most (1-norm of row i of a) * (largest entry 1-norm of b)
+    <= B < 2^k.  So the lowest nonzero coefficient c of a nonzero entry,
+    at t^i, has 0 < |c| < 2^k, and the entry's value at t = 2^k is
+    c * 2^(k*i) modulo 2^(k*(i+1)), which is not 0.
+    """
+    if a.ring is not ZZ or b.ring is not ZZ:
+        raise TypeError("the product test is computed over ZZ")
+    if a.ncols != b.nrows:
+        raise ValueError("matrix shape mismatch in multiplication")
+
+    def norm(e):
+        return sum(map(abs, e.body.coeffs))
+
+    bound = (max((sum(map(norm, row)) for row in a.entries), default=0)
+             * max((norm(e) for row in b.entries for e in row), default=0))
+    k = bound.bit_length()
+
+    def at_2k(mat):
+        v = min((e.val for row in mat.entries for e in row), default=0)
+        return [[_kronecker_eval(e.body.coeffs, k) << k * (e.val - v)
+                 for e in row] for row in mat.entries]
+
+    return not any(map(any, mat_mul(at_2k(a), at_2k(b))))
 
 
 def laurent_minor_gcd(mat: LaurentMatrix, size: int) -> Poly:

@@ -6,10 +6,10 @@ finite generation is also decided by Smith forms over the residue fields,
 matrix orders are found by brute-force powering, finite-cover homology
 is computed directly as ker/im of the cover's dense boundary matrices, and
 h_p^- comes from the exact product of cyclically shifted polynomials and
-from Maillet's full determinant, determinants come from the Leibniz
-permutation sum, gcds over ZZ[t] from Euclid over QQ[t], minor gcds from
-one determinant per minor, and Smith forms from Euclid over kappa[t] on
-Poly entries.
+from Maillet's full determinant, determinants come from Fraction
+elimination and from the Leibniz permutation sum, gcds over ZZ[t] from
+Euclid over QQ[t], minor gcds from one determinant per minor, and Smith
+forms from Euclid over kappa[t] on Poly entries.
 """
 
 from fractions import Fraction
@@ -18,8 +18,7 @@ from math import gcd, lcm
 
 from cyclocover.arith import factorize, primitive_root
 from cyclocover.linfield import rref
-from cyclocover.matrices import (LaurentMatrix, det_int, det_poly,
-                                 mat_identity, mat_mul)
+from cyclocover.matrices import LaurentMatrix, det_poly, mat_identity, mat_mul
 from cyclocover.modules import (FinGenVerdict, FinGenWitness,
                                 INFINITE_DIMENSION, T_NOT_INTEGRAL,
                                 TINV_NOT_INTEGRAL, minor_gcd)
@@ -360,14 +359,38 @@ def maillet_matrix(p):
 
 def maillet_hp_minus(p):
     """h_p^- = |det maillet_matrix(p)| / p^((p-3)/2)."""
-    d = abs(det_int(maillet_matrix(p)))
+    d = abs(fraction_det(maillet_matrix(p)))
     den = p ** ((p - 3) // 2)
     assert d and d % den == 0, d
     return d // den
 
 
 # ---------------------------------------------------------------------------
-# determinant by the Leibniz formula
+# determinants by Fraction elimination and by the Leibniz formula
+
+def fraction_det(a):
+    """Determinant of a square integer matrix by Gaussian elimination over
+    Fraction, with no fraction-free step: an oracle for `det_int` that
+    shares none of its code."""
+    m = [[Fraction(x) for x in row] for row in a]
+    n = len(m)
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        pk = m[k][k]
+        det *= pk
+        for i in range(k + 1, n):
+            f = m[i][k] / pk
+            if f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[k])]
+    assert det.denominator == 1
+    return int(det)
+
 
 def leibniz_det(a, one, zero):
     """sum over permutations s of sign(s) * prod_i a[i][s(i)]; no division."""

@@ -21,8 +21,8 @@ from cyclocover.classnumbers import (ClassGateReport, DEFAULT_PRIME_BOUND,
                                      load_hplus_table, odd_prime_factor,
                                      prime_bound)
 from cyclocover.errors import InternalCheckError, PreconditionError
-from cyclocover.matrices import det_int
-from helpers import charsum_hp_minus, maillet_hp_minus, maillet_matrix
+from helpers import (charsum_hp_minus, fraction_det, maillet_hp_minus,
+                     maillet_matrix)
 
 ODD_PRIMES_TO_101 = [p for p in range(3, 102, 2) if is_prime(p)]
 
@@ -79,9 +79,22 @@ class TestAgainstOracles:
 
     @pytest.mark.parametrize("p", [p for p in ODD_PRIMES_TO_101 if p <= 61])
     def test_maillet_reduction(self, p):
-        full = abs(det_int(maillet_matrix(p)))
-        reduced = abs(det_int(classnumbers._maillet_reduced(p)))
+        full = abs(fraction_det(maillet_matrix(p)))
+        reduced = abs(fraction_det(classnumbers._maillet_reduced(p)))
         assert full == p ** ((p - 3) // 2) * reduced
+
+    @pytest.mark.parametrize("p", ODD_PRIMES_TO_101)
+    def test_maillet_rows_are_floor_differences(self, p):
+        # row a >= 2 is floor(a r_b / p) - floor((a-1) r_b / p), each 0 or 1,
+        # under the first row r_b = b^-1 mod p
+        h = (p - 1) // 2
+        r = [pow(b, -1, p) for b in range(1, h + 1)]
+        want = [r] + [[a * x // p - (a - 1) * x // p for x in r]
+                      for a in range(2, h + 1)]
+        got = classnumbers._maillet_reduced(p)
+        assert got == want
+        assert all(type(x) is int for row in got for x in row)
+        assert all(x in (0, 1) for row in got[1:] for x in row)
 
 
 def _record_residues(monkeypatch, tamper=None):

@@ -15,12 +15,14 @@ from itertools import combinations
 import pytest
 
 from cyclocover.matrices import (LaurentMatrix, det_coeffs, det_int, det_poly,
-                                 laurent_minor_gcd, mat_mul)
+                                 laurent_minor_gcd, laurent_product_is_zero,
+                                 mat_mul)
 from cyclocover.normal_forms import (DomainError, char_poly, finite_order,
                                      laurent_cokernel, smith_normal_form)
 from cyclocover.rings import GF, LaurentPoly, MixedRingError, Poly, QQ, ZZ, poly_gcd
 
-from helpers import brute_order, leibniz_det, minor_gcd_oracle, smith_oracle
+from helpers import (brute_order, fraction_det, leibniz_det, minor_gcd_oracle,
+                     smith_oracle)
 
 
 def P(*cs):
@@ -83,6 +85,61 @@ class TestDeterminant:
             d = det_int(a)
             assert d == leibniz_det(a, 1, 0), a
             assert type(d) is int
+
+    # [DERIVED] by hand and by Fraction elimination; the comments name the
+    # route through det_int's unit steps (pivot +-1 while prev is 1) and
+    # its Bareiss steps
+    UNIT_PHASE = (
+        # unit pivots in columns 0 and 1 (the second after a swap), so unit
+        # steps run to the last column: det -6
+        ([[1, 2, 0], [3, 1, 1], [0, 1, 1]], -6),
+        # one unit step leaves column 1 zero from row 1 down: det 0
+        ([[1, 2, 3], [2, 4, 5], [1, 2, 7]], 0),
+        # a zero diagonal entry, then pivots -1, 1, -1, each after a swap:
+        # det 9
+        ([[0, 0, 3, 3], [-1, 2, 1, -2], [0, 1, 3, 0], [1, -2, -2, -2]], 9),
+        # one unit step, then column 1 reads 0, 2, 3 from row 1 down: the
+        # Bareiss steps start with a zero-pivot swap; det 29
+        ([[1, 1, 2, 1], [2, 2, 6, 9], [1, 3, 5, 6], [-1, 2, 3, 1]], 29),
+        # Bareiss pivots 2 and 1 bring prev back to 1, so the diagonal 1 in
+        # column 2 is a unit step: det 2
+        ([[2, 1, 0, 0], [3, 2, 1, 0], [0, 1, 3, 1], [1, 0, 1, 4]], 2),
+        # the same, with a zero on the diagonal in column 2: a -1 is
+        # swapped up for the unit step; det 1
+        ([[2, 1, 0, 0], [3, 2, 1, 0], [1, 1, 1, 1], [0, 1, 1, 2]], 1),
+    )
+    # [[2, 1], [1, 3]]: a leading pivot 2 with a unit below it is a plain
+    # Bareiss step (no search below a nonzero diagonal entry before any
+    # unit step)
+    SMALL = (([[1]], 1), ([[-1]], -1), ([[0]], 0), ([[5]], 5),
+             ([[1, 2], [3, 4]], -2), ([[0, -1], [1, 0]], 1),
+             ([[-1, 5], [2, 7]], -17), ([[2, 3], [4, 5]], -2),
+             ([[0, 2], [3, 0]], -6), ([[2, 1], [1, 3]], 5))
+
+    @pytest.mark.parametrize("a,d", UNIT_PHASE + SMALL)
+    def test_int_unit_phase_cases(self, a, d):
+        assert fraction_det(a) == d
+        assert det_int(a) == d
+
+    def test_int_random_01_biased_against_fractions(self):
+        # mostly 0 and +-1, so unit steps run, hand over to Bareiss steps
+        # (and now and then back) at varying columns, and meet zero columns
+        # on singular draws
+        rng = random.Random(23)
+        pool = [0, 0, 0, 1, 1, -1, -1, 2, -3]
+        for trial in range(400):
+            n = rng.randint(1, 12)
+            a = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
+            if trial % 5 == 1 and n >= 2:
+                make_singular(a, rng, [-1, 0, 1, 2])
+            assert det_int(a) == fraction_det(a), a
+
+    def test_int_entry_types(self):
+        # bools are ints; anything else is refused before elimination
+        assert det_int([[True, False], [True, True]]) == 1
+        for bad in ([[1.0]], [[1, 2], [3, Fraction(4)]], [[Poly.one(ZZ)]]):
+            with pytest.raises(TypeError, match="integer matrix"):
+                det_int(bad)
 
     @pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)])
     def test_poly_hand_cases(self, ring):
@@ -229,6 +286,68 @@ class TestClearedRows:
                 v = min((e.val for e in row if not e.is_zero), default=0)
                 assert [LaurentPoly(ZZ, v, cs) for cs in cleared] == row
                 assert all(not cs or cs[-1] != 0 for cs in cleared)
+
+
+class TestLaurentProductIsZero:
+    """laurent_product_is_zero, one integer product at t = 2^k, against
+    the entries of the LaurentPoly product."""
+
+    @staticmethod
+    def product_is_zero(a, b):
+        return all(e.is_zero for row in (a * b).entries for e in row)
+
+    @staticmethod
+    def mat(rows):
+        return LaurentMatrix(ZZ, len(rows), len(rows[0]) if rows else 0, rows)
+
+    def test_hand_cases(self):
+        L = LaurentPoly
+        t, one, z = L.t_power(ZZ, 1), L.one(ZZ), L.zero(ZZ)
+        # [DERIVED] t * (t - 2) and t^-2 * (t - 2) vanish at t = 2 only
+        t_minus_2 = L(ZZ, 0, [-2, 1])
+        for a in ([[t]], [[L.t_power(ZZ, -2)]]):
+            assert not laurent_product_is_zero(self.mat(a), self.mat([[t_minus_2]]))
+        # [DERIVED] t^-1 * t^-2 - t^-3 * 1 = 0: cancellation across the sum
+        a = self.mat([[L.t_power(ZZ, -1), L.t_power(ZZ, -3, -1)]])
+        b = self.mat([[L.t_power(ZZ, -2)], [one]])
+        assert laurent_product_is_zero(a, b)
+        assert not laurent_product_is_zero(a, self.mat([[L.t_power(ZZ, -2)], [t]]))
+        # rank-0 middle degree: the 2 x 3 product is empty of summands
+        a = LaurentMatrix(ZZ, 2, 0, [[], []])
+        assert laurent_product_is_zero(a, LaurentMatrix.zero(ZZ, 0, 3))
+        assert laurent_product_is_zero(self.mat([[z, z]]), self.mat([[t], [one]]))
+
+    def test_rejects_shape_and_ring(self):
+        a = LaurentMatrix.identity(ZZ, 2)
+        with pytest.raises(ValueError, match="shape"):
+            laurent_product_is_zero(a, LaurentMatrix.identity(ZZ, 3))
+        with pytest.raises(TypeError):
+            laurent_product_is_zero(a, LaurentMatrix.identity(QQ, 2))
+
+    def test_random_against_laurent_product(self):
+        # a = [x | -x y] and b = [y ; I] multiply to zero; one perturbed
+        # entry of b (often by a multiple of t - 2) usually breaks that
+        rng = random.Random(31)
+        entry = TestMinorGcdAgainstOracle.rand_entry
+        seen = {True: 0, False: 0}
+        for trial in range(150):
+            m, p, q = rng.randint(1, 3), rng.randint(0, 3), rng.randint(1, 3)
+            x = [[entry(rng) for _ in range(p)] for _ in range(m)]
+            y = [[entry(rng) for _ in range(q)] for _ in range(p)]
+            xy = self.mat(x) * self.mat(y) if p else LaurentMatrix.zero(ZZ, m, q)
+            a = [x[i] + [-e for e in xy.entries[i]] for i in range(m)]
+            b = [y[i] for i in range(p)] + [
+                [LaurentPoly.const(ZZ, int(i == j)) for j in range(q)]
+                for i in range(q)]
+            if trial % 2:
+                i, j = rng.randrange(p + q), rng.randrange(q)
+                c = LaurentPoly(ZZ, rng.randint(-3, 3), [-2, 1])
+                b[i][j] = b[i][j] + (c if trial % 4 == 1 else entry(rng))
+            a, b = self.mat(a), self.mat(b)
+            want = self.product_is_zero(a, b)
+            assert laurent_product_is_zero(a, b) == want, (a, b)
+            seen[want] += 1
+        assert min(seen.values()) >= 30, seen
 
 
 class TestMinorGcdAgainstOracle:

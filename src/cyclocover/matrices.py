@@ -13,8 +13,8 @@ from .rings import (LaurentPoly, MixedRingError, Poly, QQ, ZZ,
 # ---------------------------------------------------------------------------
 # generic list-of-lists helpers (entries support +, -, *)
 
-def mat_identity(n, one=1, zero=0):
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def mat_identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 def mat_copy(a):
     return [row[:] for row in a]
@@ -120,10 +120,10 @@ def mat_is_identity(a):
     return all(x == (1 if i == j else 0)
                for i, row in enumerate(a) for j, x in enumerate(row))
 
-def mat_pow(a, e, one=1, zero=0):
-    """a**e for e >= 0 by square-and-multiply; `one`/`zero` as in mat_identity.
-    Entries as in `mat_mul`: a GF(p) caller must `ring.coerce` the result."""
-    return power(a, e, mat_mul, mat_identity(len(a), one, zero))
+def mat_pow(a, e):
+    """a**e for e >= 0 by square-and-multiply.  Entries as in `mat_mul`: a
+    GF(p) caller must `ring.coerce` the result."""
+    return power(a, e, mat_mul, mat_identity(len(a)))
 
 
 # ---------------------------------------------------------------------------
@@ -202,34 +202,35 @@ def det_poly(rows, ring):
 # Laurent matrices
 
 class LaurentMatrix:
-    """Rectangular matrix with LaurentPoly entries over one coefficient ring."""
+    """Rectangular matrix with LaurentPoly entries over ZZ.
 
-    __slots__ = ("ring", "nrows", "ncols", "entries")
+    `ring` must be ZZ; any other ring raises TypeError.  A field enters
+    only as a base change, through `laurent_cokernel(mat, field)`.
+    """
+
+    __slots__ = ("nrows", "ncols", "entries")
+
+    ring = ZZ
 
     def __init__(self, ring, nrows, ncols, entries):
+        if ring is not ZZ:
+            raise TypeError(f"Laurent matrices are over ZZ, got {ring}")
         if len(entries) != nrows or any(len(r) != ncols for r in entries):
             raise ValueError("entry grid does not match declared shape")
-        rows = []
-        for row in entries:
-            out = []
-            for e in row:
-                e = self._coerce_entry(ring, e)
-                out.append(e)
-            rows.append(tuple(out))
-        self.ring = ring
         self.nrows = nrows
         self.ncols = ncols
-        self.entries = tuple(rows)
+        self.entries = tuple(tuple(map(self._coerce_entry, row))
+                             for row in entries)
 
     @staticmethod
-    def _coerce_entry(ring, e):
+    def _coerce_entry(e):
         if isinstance(e, LaurentPoly):
-            if e.ring is not ring:
+            if e.ring is not ZZ:
                 raise MixedRingError("matrix entry over a different ring")
             return e
         if isinstance(e, Poly):
-            return LaurentPoly.from_poly(e.to_ring(ring))
-        return LaurentPoly.const(ring, e)
+            return LaurentPoly.from_poly(e.to_ring(ZZ))
+        return LaurentPoly.const(ZZ, e)
 
     @classmethod
     def zero(cls, ring, nrows, ncols):
@@ -250,11 +251,9 @@ class LaurentMatrix:
     def __mul__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
-        if self.ring is not other.ring:
-            raise MixedRingError("matrix product over mixed rings")
         if self.ncols != other.nrows:
             raise ValueError("matrix shape mismatch in multiplication")
-        z = LaurentPoly.zero(self.ring)
+        z = LaurentPoly.zero(ZZ)
         rows = []
         for i in range(self.nrows):
             row = []
@@ -267,7 +266,7 @@ class LaurentMatrix:
                         acc = acc + a * b
                 row.append(acc)
             rows.append(row)
-        return LaurentMatrix(self.ring, self.nrows, other.ncols, rows)
+        return LaurentMatrix(ZZ, self.nrows, other.ncols, rows)
 
     def cleared_rows(self):
         """The rows as lists of coefficient tuples, each row multiplied by
@@ -285,12 +284,12 @@ class LaurentMatrix:
     def __eq__(self, other):
         if not isinstance(other, LaurentMatrix):
             return NotImplemented
-        return (self.ring is other.ring and self.nrows == other.nrows
-                and self.ncols == other.ncols and self.entries == other.entries)
+        return (self.nrows == other.nrows and self.ncols == other.ncols
+                and self.entries == other.entries)
 
     def __repr__(self):
         body = "; ".join(", ".join(repr(e) for e in row) for row in self.entries)
-        return f"LaurentMatrix({self.nrows}x{self.ncols} over {self.ring}: {body})"
+        return f"LaurentMatrix({self.nrows}x{self.ncols} over ZZ: {body})"
 
 
 def laurent_product_is_zero(a: LaurentMatrix, b: LaurentMatrix) -> bool:
@@ -305,8 +304,6 @@ def laurent_product_is_zero(a: LaurentMatrix, b: LaurentMatrix) -> bool:
     at t^i, has 0 < |c| < 2^k, and the entry's value at t = 2^k is
     c * 2^(k*i) modulo 2^(k*(i+1)), which is not 0.
     """
-    if a.ring is not ZZ or b.ring is not ZZ:
-        raise TypeError("the product test is computed over ZZ")
     if a.ncols != b.nrows:
         raise ValueError("matrix shape mismatch in multiplication")
 
@@ -337,8 +334,6 @@ def laurent_minor_gcd(mat: LaurentMatrix, size: int) -> Poly:
     minor.  Each minor is then one integer Bareiss run, its t-power
     stripped and its coefficients read back as base-2^k digits.
     """
-    if mat.ring is not ZZ:
-        raise TypeError("minor gcd is computed over ZZ")
     if size > mat.nrows or size > mat.ncols:
         return Poly.zero(ZZ)
     if size == 0:

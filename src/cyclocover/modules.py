@@ -35,8 +35,6 @@ class ModulePresentation:
     __slots__ = ("generators", "relations")
 
     def __init__(self, generators: int, relations: LaurentMatrix):
-        if relations.ring is not ZZ:
-            raise TypeError("relation matrix must be over ZZ")
         if relations.nrows != generators:
             raise PreconditionError("relation matrix must have one row per generator")
         self.generators = generators

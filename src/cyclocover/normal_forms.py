@@ -9,7 +9,7 @@ over GF(p), with no Poly in between.
 """
 
 from .arith import factorize, order_from_multiple
-from .matrices import (LaurentMatrix, det_coeffs, det_int, int_mat_check,
+from .matrices import (LaurentMatrix, det_coeffs, int_mat_check,
                        mat_is_identity, mat_pow)
 from .rings import (MixedRingError, Poly, ZZ, clear_denominators, cyclotomic,
                     cyclotomic_degree, gcd_gf_coeffs, gcd_zz_coeffs,
@@ -204,24 +204,20 @@ def cyclotomic_indices(f):
 def finite_order(a):
     """Exact multiplicative order of an invertible integer matrix.
 
-    Returns None when the order is infinite.  Requires |det A| = 1.
+    Returns None when the order is infinite.  Requires |det A| = 1, read
+    off the constant term (-1)^n det A of the characteristic polynomial.
     """
-    # det_int checks that A is a square integer matrix
-    if det_int(a) not in (1, -1):
+    f = char_poly(a)  # checks that A is a square integer matrix
+    if f.constant not in (1, -1):
         raise ValueError("matrix must have determinant +-1")
-    return unimodular_order(a)
-
-
-def unimodular_order(a):
-    """`finite_order` of a square integer matrix A already known to have
-    det A = +-1, without checking it again."""
-    return cyclotomic_order(a, cyclotomic_indices(char_poly(a).coeffs))
+    return cyclotomic_order(a, cyclotomic_indices(f.coeffs))
 
 
 def cyclotomic_order(a, indices):
-    """`unimodular_order` of A from `indices`, the `cyclotomic_indices` of
-    its characteristic polynomial, for a caller that has factored it: None
-    when `indices` is None or A is not semisimple."""
+    """`finite_order` of a square integer matrix A with det A = +-1, from
+    `indices`, the `cyclotomic_indices` of its characteristic polynomial,
+    for a caller that has factored it: None when `indices` is None or A is
+    not semisimple."""
     if indices is None:
         return None
     order = lcm(*indices)
@@ -246,8 +242,6 @@ def laurent_cokernel(mat: LaurentMatrix, field):
     Returned factors are monic with nonzero constant term, in divisibility
     order.
     """
-    if mat.ring is not ZZ:
-        raise TypeError("laurent_cokernel reads a matrix over ZZ")
     if not field.is_field:
         raise DomainError(f"laurent_cokernel needs a field, got {field}")
     if mat.nrows == 0:

@@ -231,14 +231,16 @@ def solve_prop_matrix(a, b, k, sign):
 def _solve_relation(a, b, k, sign):
     """`solve_prop_matrix` on A, B, k and sign whose shapes and values are
     already checked."""
-    if det_int(a) not in (1, -1):
+    # the constant term of det(tI - A) is (-1)^n det A
+    f = char_poly(a)
+    if f.constant not in (1, -1):
         raise RelationError("A must be invertible over ZZ")
     if det_int(b) not in (1, -1):
         raise RelationError("B must be invertible over ZZ")
     # the relation makes A^(k^2) similar to A, so lambda -> lambda^(k^2)
     # permutes the eigenvalues of A and each is a root of unity.  Check
     # that before powering: otherwise the entries of A^k grow linearly in k.
-    indices = cyclotomic_indices(char_poly(a).coeffs)
+    indices = cyclotomic_indices(f.coeffs)
     if indices is None:
         raise RelationError("B A^k B^-1 = A^sign does not hold")
     m = cyclotomic_order(a, indices)

@@ -100,7 +100,8 @@ class PrimeField:
     _cache: dict = {}
 
     def __new__(cls, p):
-        if p in cls._cache:
+        # only an int is looked up: 7.0 == 7 would find GF(7)
+        if isinstance(p, int) and p in cls._cache:
             return cls._cache[p]
         if not isinstance(p, int) or not is_prime(p):
             raise ValueError(f"{p} is not prime")

@@ -1,7 +1,8 @@
 """JSON wire formats.
 
 Laurent polynomial: {"val": i, "coeffs": ["c0", "c1", ...]} with exact
-coefficients as decimal strings ("a/b" for rationals).  Matrix:
+coefficients as decimal strings ("a/b" for rationals, which are written
+out but read only over ZZ, as Laurent matrices are).  Matrix:
 {"rows": r, "cols": c, "entries": [[<laurent>, ...], ...]}.  Integer
 matrices are plain nested lists of decimal strings.
 """
@@ -15,11 +16,11 @@ from .modules import ModulePresentation
 from .covers import TwistedChainComplex
 from .rings import LaurentPoly, Poly, QQ, ZZ
 
-# the largest chain-complex rank or matrix dimension, and the largest
-# degree the entries of a matrix may span (which bounds every row and
-# column once cleared by a power of t), that a wire input may ask for; the memory and time they cost grow with them
-# (a 0 x n matrix costs n without n entries), so a larger one is refused
-# before anything is built
+# the largest chain-complex rank or matrix dimension a wire input may ask
+# for, and the largest degree the entries of one matrix may span (which
+# bounds every row and column once cleared by a power of t).  Memory and
+# time grow with both, a 0 x n matrix costing n without n entries, so a
+# larger value is refused before anything is built
 _RANK_LIMIT = 2048
 _CLEARED_DEGREE_LIMIT = 2048
 
@@ -60,7 +61,7 @@ def laurent_to_json(f):
     return {"val": f.val, "coeffs": [scalar_str(c) for c in f.body.coeffs]}
 
 
-def parse_laurent(obj, ring=ZZ) -> LaurentPoly:
+def parse_laurent(obj) -> LaurentPoly:
     if not isinstance(obj, dict) or set(obj) - {"val", "coeffs"}:
         raise PreconditionError(f"bad Laurent polynomial {obj!r}")
     val = obj.get("val", 0)
@@ -69,7 +70,7 @@ def parse_laurent(obj, ring=ZZ) -> LaurentPoly:
     coeffs = obj.get("coeffs", [])
     if not isinstance(coeffs, list):
         raise PreconditionError("coeffs must be a list")
-    return LaurentPoly(ring, val, [parse_scalar(ring, c) for c in coeffs])
+    return LaurentPoly(ZZ, val, [parse_scalar(ZZ, c) for c in coeffs])
 
 
 def matrix_to_json(m: LaurentMatrix):
@@ -77,7 +78,7 @@ def matrix_to_json(m: LaurentMatrix):
             "entries": [[laurent_to_json(e) for e in row] for row in m.entries]}
 
 
-def parse_matrix(obj, ring=ZZ) -> LaurentMatrix:
+def parse_matrix(obj) -> LaurentMatrix:
     if not isinstance(obj, dict):
         raise PreconditionError(f"bad matrix {obj!r}")
     try:
@@ -97,13 +98,13 @@ def parse_matrix(obj, ring=ZZ) -> LaurentMatrix:
     for row in entries:
         if not isinstance(row, list) or len(row) != cols:
             raise PreconditionError("matrix entries do not match declared cols")
-        grid.append([parse_laurent(e, ring) for e in row])
+        grid.append([parse_laurent(e) for e in row])
     # the span of the whole matrix bounds that of every row and column
     span = _span([e for line in grid for e in line])
     if span > _CLEARED_DEGREE_LIMIT:
         raise PreconditionError(f"matrix entries span degree {span}, above "
                                 f"the limit {_CLEARED_DEGREE_LIMIT}")
-    return LaurentMatrix(ring, rows, cols, grid)
+    return LaurentMatrix(ZZ, rows, cols, grid)
 
 
 def _span(entries):
@@ -156,10 +157,6 @@ def parse_ranks(ranks):
     return ranks
 
 
-def presentation_to_json(m: ModulePresentation):
-    return {"generators": m.generators, "relations": matrix_to_json(m.relations)}
-
-
 def parse_presentation(obj) -> ModulePresentation:
     if not isinstance(obj, dict):
         raise PreconditionError(f"bad module presentation {obj!r}")
@@ -170,7 +167,7 @@ def parse_presentation(obj) -> ModulePresentation:
         raise PreconditionError(f"presentation is missing field {exc}")
     if not _is_count(g):
         raise PreconditionError(f"bad generator count {g!r}")
-    return ModulePresentation(g, parse_matrix(rel, ZZ))
+    return ModulePresentation(g, parse_matrix(rel))
 
 
 def complex_to_json(x: TwistedChainComplex):
@@ -189,7 +186,7 @@ def parse_complex(obj) -> TwistedChainComplex:
     if not isinstance(bnds, list):
         raise PreconditionError("boundaries must be a list")
     return TwistedChainComplex(parse_ranks(ranks),
-                               [parse_matrix(b, ZZ) for b in bnds])
+                               [parse_matrix(b) for b in bnds])
 
 
 def canonical_dumps(obj) -> str:

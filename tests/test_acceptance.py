@@ -106,13 +106,13 @@ def test_criterion_3_mapping_torus_identity(capfd):
 
 def _finite_order_instance(rng):
     """Random A of known finite order with a valid (B, k, sign) relation."""
-    from cyclocover.covers import companion_matrix
+    from cyclocover.covers import t_action_matrix
     from cyclocover.rings import cyclotomic
     from math import lcm
     pool = [1, 2, 3, 4, 6]   # cyclotomic indices with companion size <= 2
     nblocks = rng.randint(1, 3)
     ds = [rng.choice(pool) for _ in range(nblocks)]
-    blocks = [companion_matrix(cyclotomic(d)) for d in ds]
+    blocks = [t_action_matrix([cyclotomic(d)], ZZ) for d in ds]
     n = sum(len(b) for b in blocks)
     a = [[0] * n for _ in range(n)]
     off = 0

@@ -129,6 +129,13 @@ class TestMappingTorus:
         with pytest.raises(ValueError, match="composition"):
             TwistedChainComplex([1, 1, 1], [b1, b2])
 
+    def test_boundary_shape_validated(self):
+        # a raw grid is checked against the ranks before it is built, so
+        # it fails like the same mistake made as a LaurentMatrix
+        for b in ([[1]], [[1, 1], [1]], LaurentMatrix(ZZ, 1, 1, [[1]])):
+            with pytest.raises(PreconditionError, match="boundary 1 is not 1x2"):
+                TwistedChainComplex([1, 2], [b])
+
     def test_noncommuting_endomorphism_rejected(self):
         with pytest.raises(ValueError, match="commute"):
             mapping_torus_complex([1, 1], [[[1]]], [[[1]], [[2]]])
@@ -390,7 +397,7 @@ class TestDirectCover:
         for dim, act in out:
             if dim == 0:
                 continue
-            p6 = mat_pow(act, 6, QQ.coerce(1), QQ.coerce(0))
+            p6 = mat_pow(act, 6)
             assert p6 == [[QQ.coerce(int(i == j)) for j in range(dim)]
                           for i in range(dim)]
 

@@ -474,3 +474,12 @@ def test_divmod_identity(ring, a_cs, b_cs, lead):
     if ring.is_field and ring.char:
         assert all(type(c) is int and 0 <= c < ring.char
                    for c in q.coeffs + r.coeffs)
+
+
+def test_prime_field_needs_an_int(monkeypatch):
+    # 7.0 == 7, so GF(7.0) is refused both before GF(7) is built and after
+    monkeypatch.setattr(rings.PrimeField, "_cache", {})
+    for _ in range(2):
+        with pytest.raises(ValueError, match="7.0 is not prime"):
+            GF(7.0)
+        assert GF(7).p == 7

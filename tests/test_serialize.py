@@ -16,8 +16,7 @@ from cyclocover.serialize import (canonical_dumps, complex_to_json,
                                   parse_complex, parse_int, parse_int_matrix,
                                   parse_laurent, parse_matrix,
                                   parse_presentation, parse_rational_matrix,
-                                  parse_scalar,
-                                  presentation_to_json, scalar_str)
+                                  parse_scalar, scalar_str)
 
 from helpers import rand_unimodular_laurent
 
@@ -90,11 +89,6 @@ class TestLaurentRoundTrip:
                             Poly(ZZ, [rng.randint(-9, 9) for _ in range(4)]))
             assert parse_laurent(laurent_to_json(f)) == f
 
-    def test_rational_ring(self):
-        from fractions import Fraction
-        f = LaurentPoly(QQ, 1, Poly(QQ, (Fraction(1, 3),)))
-        assert parse_laurent(laurent_to_json(f), QQ) == f
-
     def test_rejects_junk(self):
         for bad in ("t+1", {"val": "0", "coeffs": []},
                     {"val": 0, "coeffs": "1"}, {"val": 0, "extra": 1}):
@@ -126,7 +120,8 @@ class TestCompositeRoundTrip:
     def test_presentation(self):
         from cyclocover.modules import ModulePresentation
         m = ModulePresentation.principal(Poly(ZZ, (1, -1, 1)))
-        back = parse_presentation(presentation_to_json(m))
+        back = parse_presentation({"generators": m.generators,
+                                   "relations": matrix_to_json(m.relations)})
         assert back.generators == 1 and back.relations == m.relations
 
     def test_presentation_validation(self):

@@ -11,8 +11,7 @@ __version__ = "0.1.0"
 from .errors import InternalCheckError, PreconditionError
 from .rings import GF, LaurentPoly, Poly, QQ, ZZ, cyclotomic, poly_gcd
 from .matrices import LaurentMatrix
-from .normal_forms import (char_poly, finite_order, laurent_cokernel,
-                           smith_normal_form)
+from .normal_forms import char_poly, finite_order, laurent_cokernel
 from .modules import (FinGenVerdict, FinGenWitness, ModulePresentation,
                       base_change_residue, finitely_generated_over_Z,
                       order_ideal, property1_check, relevant_primes)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import List
 
 from .arith import power
-from .errors import InternalCheckError, PreconditionError
+from .errors import InternalCheckError, PreconditionError, is_count
 from .linfield import rref
 from .matrices import (LaurentMatrix, laurent_product_is_zero, mat_mul,
                        mat_pow)
@@ -35,8 +35,8 @@ class TwistedChainComplex:
 
     def __init__(self, ranks, boundaries):
         ranks = list(ranks)
-        if any(r < 0 for r in ranks):
-            raise PreconditionError("negative rank")
+        if not all(map(is_count, ranks)):
+            raise PreconditionError(f"bad rank list {ranks!r}")
         if len(boundaries) != max(len(ranks) - 1, 0):
             raise PreconditionError(
                 "need exactly one boundary per adjacent pair of degrees")
@@ -294,10 +294,10 @@ def verify_self_cover_relation(X: TwistedChainComplex, w: SelfCoverWitness):
         raise PreconditionError("k must be > 1")
     if w.sign not in (1, -1):
         raise PreconditionError("sign must be +1 or -1")
+    if len(w.hbar) != len(X.ranks):
+        raise PreconditionError("need one hbar block per degree")
     inf = infinite_cover_homology_field(X, QQ)
     results = []
-    if len(w.hbar) != len(inf):
-        raise PreconditionError("need one hbar block per degree")
     for j, (factors, free_rank) in enumerate(inf):
         if free_rank:
             raise FreeHomologyError(f"H_{j}(X_inf; QQ) has a free part")

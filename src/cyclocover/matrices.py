@@ -1,13 +1,11 @@
 """Dense matrices: integer matrices and matrices over Laurent rings."""
 
-from fractions import Fraction
 from itertools import chain, combinations, repeat
 from math import prod
 
 from .arith import power
 from .errors import PreconditionError
-from .rings import (LaurentPoly, MixedRingError, Poly, QQ, ZZ,
-                    clear_denominators, gcd_zz_coeffs)
+from .rings import LaurentPoly, MixedRingError, Poly, ZZ, gcd_zz_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -169,34 +167,6 @@ def det_coeffs(rows):
     return _kronecker_digits(
         _bareiss([[_kronecker_eval(cs, k) for cs in row] for row in rows]), k)
 
-def det_poly(rows, ring):
-    """Exact determinant of a square matrix of Poly (or scalars) over ZZ,
-    QQ or GF(p), by `det_coeffs`.
-
-    Entries become integer coefficient lists: over QQ each row is scaled
-    by the lcm of its denominators, over GF(p) residues are lifted from
-    [0, p).
-    """
-    int_rows = []
-    scale = 1
-    for row in rows:
-        cs_row = []
-        for e in row:
-            if isinstance(e, Poly):
-                if e.ring is not ring:
-                    raise MixedRingError("matrix entry over a different ring")
-                cs_row.append(e.coeffs)
-            else:
-                cs_row.append((ring.coerce(e),))
-        if ring is QQ:
-            den, cs_row = clear_denominators(cs_row)
-            scale *= den
-        int_rows.append(cs_row)
-    coeffs = det_coeffs(int_rows)
-    if scale != 1:
-        coeffs = [Fraction(c, scale) for c in coeffs]
-    return Poly(ring, coeffs)
-
 
 # ---------------------------------------------------------------------------
 # Laurent matrices
@@ -204,8 +174,10 @@ def det_poly(rows, ring):
 class LaurentMatrix:
     """Rectangular matrix with LaurentPoly entries over ZZ.
 
-    `ring` must be ZZ; any other ring raises TypeError.  A field enters
-    only as a base change, through `laurent_cokernel(mat, field)`.
+    `ring` must be ZZ; any other ring raises TypeError, and an entry (Poly
+    or LaurentPoly) over another ring raises MixedRingError rather than
+    being lifted into ZZ.  A field enters only as a base change, through
+    `laurent_cokernel(mat, field)`.
     """
 
     __slots__ = ("nrows", "ncols", "entries")
@@ -224,13 +196,13 @@ class LaurentMatrix:
 
     @staticmethod
     def _coerce_entry(e):
-        if isinstance(e, LaurentPoly):
-            if e.ring is not ZZ:
-                raise MixedRingError("matrix entry over a different ring")
-            return e
-        if isinstance(e, Poly):
-            return LaurentPoly.from_poly(e.to_ring(ZZ))
-        return LaurentPoly.const(ZZ, e)
+        if not isinstance(e, LaurentPoly):
+            if not isinstance(e, Poly):
+                return LaurentPoly.const(ZZ, e)
+            e = LaurentPoly.from_poly(e)
+        if e.ring is not ZZ:
+            raise MixedRingError("matrix entry over a different ring")
+        return e
 
     @classmethod
     def zero(cls, ring, nrows, ncols):

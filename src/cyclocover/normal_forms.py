@@ -1,58 +1,25 @@
 """Smith normal form over k[t], plus derived invariants.
 
 The Smith form is taken over k[t] for k a field (QQ or a prime field),
-on coefficient lists (`_smith_lists`).  `smith_normal_form` is its
-entry point for rows of Poly.  Laurent matrices over ZZ reduce to it by
-clearing rows with powers of t: `laurent_cokernel` hands the cleared
-ZZ[t] rows to the list core as they are over QQ and reduced modulo p
-over GF(p), with no Poly in between.
+on coefficient lists (`_smith_lists`).  `laurent_cokernel` is its entry
+point: Laurent matrices over ZZ reduce to it by clearing rows with powers
+of t, and the cleared ZZ[t] rows reach the list core as they are over QQ
+and reduced modulo p over GF(p), with no Poly in between.
 """
 
 from .arith import factorize, order_from_multiple
 from .matrices import (LaurentMatrix, det_coeffs, int_mat_check,
                        mat_is_identity, mat_pow)
-from .rings import (MixedRingError, Poly, ZZ, clear_denominators, cyclotomic,
-                    cyclotomic_degree, gcd_gf_coeffs, gcd_zz_coeffs,
-                    monic_coeffs, mul_coeffs, pseudo_divmod, strip_coeffs,
-                    sub_mul_coeffs)
+from .rings import (MixedRingError, Poly, ZZ, cyclotomic, cyclotomic_degree,
+                    gcd_gf_coeffs, gcd_zz_coeffs, monic_coeffs, mul_coeffs,
+                    pseudo_divmod, strip_coeffs, sub_mul_coeffs)
 
 from math import gcd, lcm
 
 
 class DomainError(MixedRingError):
-    """Matrix entries are not polynomials over one field."""
-
-
-def smith_normal_form(rows):
-    """Invariant factors over kappa[t], kappa = QQ or GF(p), invariants only.
-
-    `rows` is a list of rows of Poly over one field.  Returns
-    (factors, rank): the monic invariant factors s_1 | ... | s_rank, one
-    Poly each.  The entries are checked and read into coefficient lists
-    (over QQ each row is scaled once into ZZ[t]), and the Smith form is
-    taken there by `_smith_lists`.
-    """
-    ring = None
-    for row in rows:
-        for e in row:
-            if not isinstance(e, Poly):
-                raise DomainError(f"unsupported matrix entry {e!r}")
-            if ring is None:
-                ring = e.ring
-            elif ring is not e.ring:
-                raise DomainError("mixed polynomial coefficient rings")
-    if ring is not None and not ring.is_field:
-        raise DomainError(f"Smith form needs field polynomial coefficients, got {ring}")
-    n = len(rows[0]) if rows else 0
-    if any(len(r) != n for r in rows):
-        raise ValueError("ragged matrix")
-    p = ring.char if ring is not None else 0
-    if p:
-        D = [[list(e.coeffs) for e in row] for row in rows]
-    else:
-        D = [clear_denominators([e.coeffs for e in row])[1] for row in rows]
-    factors = _smith_lists(D, p)
-    return [Poly(ring, f) for f in factors], len(factors)
+    """A Smith form is asked for over a coefficient ring that is not a
+    field."""
 
 
 def _smith_lists(D, p):

@@ -245,9 +245,6 @@ class Poly:
             return self
         return self.scale(self.ring.inv(self.leading))
 
-    def is_monic(self):
-        return not self.is_zero and self.leading == 1
-
     def evaluate(self, x):
         acc = 0
         for c in reversed(self.coeffs):
@@ -317,14 +314,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     while not b.is_zero:
         a, b = b, divmod(a, b)[1]
     return a.monic()
-
-
-def gcd_zz(a: Poly, b: Poly) -> Poly:
-    """gcd over ZZ[t] with a positive leading coefficient (`gcd_zz_coeffs`
-    on the coefficient tuples)."""
-    if a.ring is not ZZ or b.ring is not ZZ:
-        raise TypeError("gcd_zz needs ZZ coefficients")
-    return Poly(ZZ, gcd_zz_coeffs(a.coeffs, b.coeffs))
 
 
 def gcd_zz_coeffs(a, b):

@@ -10,7 +10,7 @@ matrices are plain nested lists of decimal strings.
 import json
 from fractions import Fraction
 
-from .errors import PreconditionError
+from .errors import PreconditionError, is_count
 from .matrices import LaurentMatrix
 from .modules import ModulePresentation
 from .covers import TwistedChainComplex
@@ -23,10 +23,6 @@ from .rings import LaurentPoly, Poly, QQ, ZZ
 # larger value is refused before anything is built
 _RANK_LIMIT = 2048
 _CLEARED_DEGREE_LIMIT = 2048
-
-
-def _is_count(x):
-    return isinstance(x, int) and not isinstance(x, bool) and x >= 0
 
 
 def scalar_str(x):
@@ -87,7 +83,7 @@ def parse_matrix(obj) -> LaurentMatrix:
         entries = obj["entries"]
     except KeyError as exc:
         raise PreconditionError(f"matrix is missing field {exc}")
-    if not (_is_count(rows) and _is_count(cols)):
+    if not (is_count(rows) and is_count(cols)):
         raise PreconditionError(f"bad matrix shape {rows!r}x{cols!r}")
     if max(rows, cols) > _RANK_LIMIT:
         raise PreconditionError(
@@ -149,7 +145,7 @@ def parse_rational_matrix(obj):
 
 
 def parse_ranks(ranks):
-    if not isinstance(ranks, list) or not all(map(_is_count, ranks)):
+    if not isinstance(ranks, list) or not all(map(is_count, ranks)):
         raise PreconditionError(f"bad rank list {ranks!r}")
     if max(ranks, default=0) > _RANK_LIMIT:
         raise PreconditionError(
@@ -165,7 +161,7 @@ def parse_presentation(obj) -> ModulePresentation:
         rel = obj["relations"]
     except KeyError as exc:
         raise PreconditionError(f"presentation is missing field {exc}")
-    if not _is_count(g):
+    if not is_count(g):
         raise PreconditionError(f"bad generator count {g!r}")
     return ModulePresentation(g, parse_matrix(rel))
 

@@ -8,8 +8,8 @@ is computed directly as ker/im of the cover's dense boundary matrices, and
 h_p^- comes from the exact product of cyclically shifted polynomials and
 from Maillet's full determinant, determinants come from Fraction
 elimination and from the Leibniz permutation sum, gcds over ZZ[t] from
-Euclid over QQ[t], minor gcds from one determinant per minor, and Smith
-forms from Euclid over kappa[t] on Poly entries.
+Euclid over QQ[t], minor gcds from one Leibniz sum per minor folded by
+that gcd, and Smith forms from Euclid over kappa[t] on Poly entries.
 """
 
 from fractions import Fraction
@@ -18,13 +18,12 @@ from math import gcd, lcm
 
 from cyclocover.arith import factorize, primitive_root
 from cyclocover.linfield import rref
-from cyclocover.matrices import LaurentMatrix, det_poly, mat_identity, mat_mul
+from cyclocover.matrices import LaurentMatrix, mat_identity, mat_mul
 from cyclocover.modules import (FinGenVerdict, FinGenWitness,
                                 INFINITE_DIMENSION, T_NOT_INTEGRAL,
                                 TINV_NOT_INTEGRAL, minor_gcd)
 from cyclocover.normal_forms import laurent_cokernel
-from cyclocover.rings import (GF, LaurentPoly, Poly, QQ, ZZ, cyclotomic,
-                              gcd_zz, poly_gcd)
+from cyclocover.rings import GF, LaurentPoly, Poly, QQ, ZZ, cyclotomic, poly_gcd
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +421,14 @@ def gcd_zz_over_qq(a, b):
 
 
 # ---------------------------------------------------------------------------
-# maximal-minor gcd, one det_poly per minor
+# minor gcd, one Leibniz sum per minor
 
 def minor_gcd_oracle(mat, size):
     """gcd over ZZ[t] (content included, positive leading coefficient) of
     every size x size minor of a LaurentMatrix over ZZ: each row is
     cleared into ZZ[t] by the power of t that brings its least valuation to
-    0, each minor is rebuilt from the cleared Poly rows and gets its own
-    `det_poly`, with its own Kronecker bound, and its t-power is stripped
-    before `gcd_zz`."""
+    0, each minor is the Leibniz sum (`leibniz_det`) of the cleared Poly
+    rows, and its t-power is stripped before `gcd_zz_over_qq`."""
     if size > mat.nrows or size > mat.ncols:
         return Poly.zero(ZZ)
     poly_rows = []
@@ -438,12 +436,14 @@ def minor_gcd_oracle(mat, size):
         v = min((e.val for e in row if not e.is_zero), default=0)
         poly_rows.append([Poly(ZZ, [0] * (e.val - v) + list(e.body.coeffs))
                           for e in row])
-    g = Poly.zero(ZZ)
+    one, zero = Poly.one(ZZ), Poly.zero(ZZ)
+    g = zero
     for rsel in combinations(range(mat.nrows), size):
         for csel in combinations(range(mat.ncols), size):
-            d = det_poly([[poly_rows[i][j] for j in csel] for i in rsel], ZZ)
+            d = leibniz_det([[poly_rows[i][j] for j in csel] for i in rsel],
+                            one, zero)
             if d:
-                g = gcd_zz(g, Poly(ZZ, d.coeffs[d.low_order():]))
+                g = gcd_zz_over_qq(g, Poly(ZZ, d.coeffs[d.low_order():]))
     return g
 
 
@@ -453,8 +453,8 @@ def minor_gcd_oracle(mat, size):
 def smith_oracle(rows):
     """(monic invariant factors, rank) of a matrix of Poly over a field,
     with every step a Poly division over the field: the same pivot rule
-    (least degree, then lowest (row, col)) and diagonal read-off as
-    `smith_normal_form`, without its fraction-free coefficient lists."""
+    (least degree, then lowest (row, col)) and diagonal read-off as the
+    library's Smith core, without its fraction-free coefficient lists."""
     D = [list(row) for row in rows]
     diag = []
     while True:

@@ -9,11 +9,12 @@ of t*I - f_* on homology.
 """
 
 import random
+import sys
 import time
 
 import pytest
 
-from cyclocover import covers, normal_forms
+from cyclocover import covers, matrices, normal_forms, rings
 from cyclocover.covers import (FreeHomologyError, SelfCoverWitness,
                                TwistedChainComplex, cover_dimensions,
                                cover_homology_field, dimension_bound_check,
@@ -22,11 +23,11 @@ from cyclocover.covers import (FreeHomologyError, SelfCoverWitness,
                                verify_self_cover_relation, wang_dimensions)
 from cyclocover.errors import PreconditionError
 from cyclocover.matrices import LaurentMatrix, mat_pow
-from cyclocover.normal_forms import char_poly, smith_normal_form
+from cyclocover.normal_forms import char_poly
 from cyclocover.rings import GF, LaurentPoly, Poly, QQ, ZZ, poly_gcd
 
-from helpers import (direct_cover_homology, rand_unimodular_laurent,
-                     random_chain_endo)
+from helpers import (direct_cover_homology, minor_gcd_oracle,
+                     rand_unimodular_laurent, random_chain_endo, smith_oracle)
 
 
 def trefoil():
@@ -44,7 +45,8 @@ def klein():
 
 
 def expected_factors(m, field=QQ):
-    """Invariant factors over kappa[t,1/t] of t*I - m, via SNF over kappa[t].
+    """Invariant factors over kappa[t,1/t] of t*I - m, via the Smith form
+    over kappa[t] by Euclid on Poly entries (`helpers.smith_oracle`).
 
     For an invertible m these decide m up to similarity.
     """
@@ -55,7 +57,7 @@ def expected_factors(m, field=QQ):
     rows = [[(t if i == j else Poly.zero(field)) - Poly(field, (field.coerce(m[i][j]),))
              for j in range(n)] for i in range(n)]
     out = []
-    for f in smith_normal_form(rows)[0]:
+    for f in smith_oracle(rows)[0]:
         k = f.low_order()
         if k:
             f = Poly(field, f.coeffs[k:])
@@ -135,6 +137,15 @@ class TestMappingTorus:
         for b in ([[1]], [[1, 1], [1]], LaurentMatrix(ZZ, 1, 1, [[1]])):
             with pytest.raises(PreconditionError, match="boundary 1 is not 1x2"):
                 TwistedChainComplex([1, 2], [b])
+
+    @pytest.mark.parametrize("ranks", [[1.0], [True, 1], [-1], [1, -1], ["1"]],
+                             ids=str)
+    def test_rank_must_be_a_count(self, ranks):
+        # a float, a bool or a negative rank is refused before any boundary
+        # is looked at; 1.0 used to build and report free rank 1.0
+        boundaries = [[[0]]] if len(ranks) == 2 else []
+        with pytest.raises(PreconditionError, match="bad rank list"):
+            TwistedChainComplex(ranks, boundaries)
 
     def test_noncommuting_endomorphism_rejected(self):
         with pytest.raises(ValueError, match="commute"):
@@ -426,6 +437,14 @@ class TestSelfCover:
         with pytest.raises(ValueError, match="sign"):
             verify_self_cover_relation(trefoil(), SelfCoverWitness(5, 0, []))
 
+    @pytest.mark.parametrize("hbar", [[[[1]], [[1, 1], [0, -1]]], [[[1]]] * 4, []])
+    def test_block_count_checked_before_any_smith_form(self, hbar, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("laurent_cokernel ran before the input check")
+        monkeypatch.setattr(covers, "laurent_cokernel", refuse)
+        with pytest.raises(PreconditionError, match="one hbar block per degree"):
+            verify_self_cover_relation(trefoil(), SelfCoverWitness(5, 1, hbar))
+
     def test_sign_minus_one(self):
         # klein H_1 is coker(t+1): t = -1 = t^-1, identity witnesses k=3, sign=-1
         w = SelfCoverWitness(3, -1, [[[1]], [[1]], []])
@@ -506,3 +525,54 @@ class TestDimensionBound:
         assert len(m) == 3
         assert char_poly([[int(x) for x in row] for row in m]) == \
             Poly(ZZ, (-1, 1)) * Poly(ZZ, (1, -1, 1))
+
+
+class TestOraclesAreIndependent:
+    """The oracles do not run on the library kernels they check.  With the
+    Bareiss loop, `det_coeffs`, `gcd_zz_coeffs` and the Smith core made to
+    raise under every name a library module holds them by, the oracles
+    still return, and give what the library gave before."""
+
+    KERNELS = (matrices._bareiss, matrices.det_coeffs, rings.gcd_zz_coeffs,
+               normal_forms._smith_lists)
+
+    def refuse_kernels(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an oracle ran on a library kernel")
+        kernels = set(map(id, self.KERNELS))
+        patched = 0
+        for name, mod in list(sys.modules.items()):
+            if name == "cyclocover" or name.startswith("cyclocover."):
+                for attr, value in list(vars(mod).items()):
+                    if id(value) in kernels:
+                        monkeypatch.setattr(mod, attr, refuse)
+                        patched += 1
+        assert patched >= len(self.KERNELS)
+
+    def test_oracles_avoid_the_library_kernels(self, monkeypatch):
+        rng = random.Random(4099)
+        rows = [[LaurentPoly(ZZ, rng.randint(-2, 2),
+                             [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+                 for _ in range(4)] for _ in range(3)]
+        mat = LaurentMatrix(ZZ, 3, 4, rows)
+        gcds = [matrices.laurent_minor_gcd(mat, size) for size in range(4)]
+        blocks = [([[0, -1], [1, -1]], QQ), ([[1, 1], [0, 1]], GF(5)),
+                  ([[2, 1], [1, 1]], QQ)]
+        factors = [infinite_cover_homology_field(
+            mapping_torus_complex([2], [], [m]), field)[0][0] for m, field in blocks]
+        t = Poly.t(QQ)
+        smith_rows = [[t * t - Poly.one(QQ), t - Poly.one(QQ)],
+                      [t + Poly.one(QQ), Poly.zero(QQ)]]
+        self.refuse_kernels(monkeypatch)
+        # the library itself now fails on each path
+        with pytest.raises(AssertionError, match="library kernel"):
+            matrices.laurent_minor_gcd(mat, 2)
+        with pytest.raises(AssertionError, match="library kernel"):
+            normal_forms.laurent_cokernel(mat, QQ)
+        with pytest.raises(AssertionError, match="library kernel"):
+            char_poly([[1, 2], [3, 4]])
+        assert [minor_gcd_oracle(mat, size) for size in range(4)] == gcds
+        assert [expected_factors(m, field) for m, field in blocks] == factors
+        # [DERIVED] the entries have gcd 1 (t - 1 and t + 1 are coprime)
+        # and the determinant is -(t - 1)(t + 1): factors 1 and t^2 - 1
+        assert smith_oracle(smith_rows) == ([Poly.one(QQ), t * t - Poly.one(QQ)], 2)

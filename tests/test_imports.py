@@ -1,8 +1,9 @@
 """Every name a library module imports is used in that module, every
 private name the library defines is used somewhere in the library, every
-public function or class is used by the library, exported by the package
-or used by the test oracles, and no library module imports another
-library module's private name.
+public function or class is used by the library or exported by the
+package, and no library module imports another library module's private
+name.  A name only the tests use is dead: the oracles are written on
+their own, not on library code kept alive for them.
 
 `__init__.py` is left out of the unused-import check: its imports are
 the package's public surface.
@@ -131,17 +132,15 @@ def test_no_dead_private_names():
     assert dead_private_names(sources) == []
 
 
-def dead_public_names(sources, exports, oracles):
+def dead_public_names(sources, exports):
     """Sorted names of the module-level functions and classes of the
-    modules in `sources` whose names do not start with `_` and that no
-    module references outside the name's own definition, that the package
-    source `exports` does not import, and that the test oracle source
-    `oracles` does not reference."""
+    modules in `sources` whose names do not start with `_`, that no
+    module references outside the name's own definition and that the
+    package source `exports` does not import."""
     trees = [ast.parse(src) for src in sources]
     total = sum((_references(tree) for tree in trees), Counter())
     kept = {alias.name for node in ast.walk(ast.parse(exports))
             if isinstance(node, ast.ImportFrom) for alias in node.names}
-    kept.update(_references(ast.parse(oracles)))
     return sorted(node.name for tree in trees for node in tree.body
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                   and not node.name.startswith("_")
@@ -156,20 +155,16 @@ def test_guard_sees_dead_public_names():
         "def unused(n):\n    return n\n"
         "def recursive(n):\n    return recursive(n - 1)\n"
         "def exported():\n    pass\n"
-        "def oracle_only():\n    pass\n"
         "class Gone:\n    def method(self):\n        pass\n"
         "class Raised(Exception):\n    pass\n"
         "def _private():\n    return used(1)\n"
     )
     user = "import lib\nlib.used(2)\nraise Raised()\n"
     exports = "from .lib import exported\n"
-    oracles = "from cyclocover.lib import oracle_only, recursive\noracle_only()\n"
-    assert dead_public_names([lib, user], exports, oracles) == [
+    assert dead_public_names([lib, user], exports) == [
         "Gone", "recursive", "unused"]
 
 
 def test_no_dead_public_names():
-    oracles = pathlib.Path(__file__).resolve().parent / "helpers.py"
     assert dead_public_names([p.read_text() for p in MODULES],
-                             (SRC / "__init__.py").read_text(),
-                             oracles.read_text()) == []
+                             (SRC / "__init__.py").read_text()) == []

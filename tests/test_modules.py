@@ -15,15 +15,16 @@ import time
 import pytest
 
 from cyclocover import modules
-from cyclocover.matrices import LaurentMatrix, det_poly
+from cyclocover.matrices import LaurentMatrix
 from cyclocover.modules import (FreeCokernelError, INFINITE_DIMENSION,
                                 ModulePresentation, T_NOT_INTEGRAL,
                                 TINV_NOT_INTEGRAL, base_change_residue,
                                 finitely_generated_over_Z, minor_gcd,
                                 order_ideal, property1_check, relevant_primes)
-from cyclocover.rings import LaurentPoly, Poly, ZZ, gcd_zz
+from cyclocover.rings import LaurentPoly, Poly, ZZ
 
-from helpers import lattice_fg_oracle, rand_unimodular_laurent, residue_fingen
+from helpers import (gcd_zz_over_qq, lattice_fg_oracle, leibniz_det,
+                     rand_unimodular_laurent, residue_fingen)
 
 
 def P(*cs):
@@ -302,11 +303,14 @@ class TestFittingRoute:
         v = finitely_generated_over_Z(m)
         elapsed = time.perf_counter() - start
         assert v.answer and v.underlying_rank is None and elapsed < 2.0
-        # independent check: three maximal minors are already coprime
-        g = Poly.zero(ZZ)
+        # independent check: three maximal minors, as Leibniz sums, are
+        # already coprime by Euclid over QQ[t]
+        one, zero = Poly.one(ZZ), Poly.zero(ZZ)
+        g = zero
         for cols in ((0, 1, 2, 3, 4), (4, 5, 6, 7, 8), (0, 2, 4, 6, 8)):
-            g = gcd_zz(g, det_poly([[row[j] for j in cols] for row in rows], ZZ))
-        assert g == Poly(ZZ, (1,))
+            minor = leibniz_det([[row[j] for j in cols] for row in rows], one, zero)
+            g = gcd_zz_over_qq(g, minor)
+        assert g == one
 
     def test_dense_7x13_content_no_is_fast(self):
         # a dense 6x12 degree-2 block plus coker(2): every maximal minor is

@@ -6,15 +6,17 @@ Fitting ideal alone: with g the gcd over ZZ[t] of the maximal minors, the
 module is finitely generated over ZZ iff g != 0, content(g) = 1 and the
 primitive part of g has leading and constant coefficient +-1.  By Gauss's
 lemma these say the QQ-cokernel is finite dimensional with t and 1/t
-integral, and that no residue field F_p sees a free part.  The Smith form
-over QQ[t] only names the offending invariant factor of a "no".
+integral, and that no residue field F_p sees a free part.  A "no" at the
+generic point names monic(prim g), the characteristic polynomial of t on
+M tensor QQ.  Only property1_check at a prime P != 0 runs a Smith form,
+as gcd does not commute with reduction mod p.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
 from .arith import factorize
-from .errors import PreconditionError
+from .errors import PreconditionError, is_count
 from .matrices import LaurentMatrix, laurent_minor_gcd
 from .normal_forms import laurent_cokernel
 from .rings import GF, LaurentPoly, Poly, QQ, ZZ
@@ -35,6 +37,8 @@ class ModulePresentation:
     __slots__ = ("generators", "relations")
 
     def __init__(self, generators: int, relations: LaurentMatrix):
+        if not is_count(generators):
+            raise PreconditionError(f"bad generator count {generators!r}")
         if relations.nrows != generators:
             raise PreconditionError("relation matrix must have one row per generator")
         self.generators = generators
@@ -71,7 +75,8 @@ class Property1Result:
 class FinGenWitness:
     prime: int              # 0 for the generic point (kappa = QQ)
     kind: str
-    factor: Optional[Poly]  # offending invariant factor, when applicable
+    factor: Optional[Poly]  # characteristic polynomial of t on M tensor QQ,
+                            # when t or 1/t is not integral
 
 
 @dataclass
@@ -110,17 +115,25 @@ def base_change_residue(M: ModulePresentation, P):
 
 
 def property1_check(M: ModulePresentation, P) -> Property1Result:
-    """Finite dimensionality plus integrality of the t and 1/t eigenvalues."""
+    """Finite dimensionality plus integrality of the t and 1/t eigenvalues.
+
+    At the generic point all of it is read off the minor gcd g: the
+    dimension is deg g, t is integral iff lc(prim g) = 1, and 1/t also iff
+    const(prim g) = +-1.
+    """
+    if P == 0:
+        g = minor_gcd(M)
+        if g.is_zero:
+            return Property1Result(False, False, False, None)
+        prim = g.primitive()
+        t_ok = prim.leading == 1
+        return Property1Result(True, t_ok, t_ok and prim.constant in (1, -1),
+                               g.degree)
     factors, free_rank = base_change_residue(M, P)
     if free_rank > 0:
         return Property1Result(False, False, False, None)
-    dim = sum(f.degree for f in factors)
-    if P != 0:
-        # every element algebraic over F_p is integral over F_p
-        return Property1Result(True, True, True, dim)
-    t_ok = _first_nonintegral(factors) is None
-    tinv_ok = t_ok and _first_nonunit_constant(factors) is None
-    return Property1Result(True, t_ok, tinv_ok, dim)
+    # every element algebraic over F_p is integral over F_p
+    return Property1Result(True, True, True, sum(f.degree for f in factors))
 
 
 def _bad_primes(g: Poly):
@@ -143,26 +156,11 @@ def relevant_primes(M: ModulePresentation):
     return _bad_primes(g)
 
 
-def _first_nonintegral(factors):
-    for f in factors:
-        if any(c.denominator != 1 for c in f.coeffs):
-            return f
-    return None
-
-
-def _first_nonunit_constant(factors):
-    for f in factors:
-        if f.constant not in (1, -1):
-            return f
-    return None
-
-
 def finitely_generated_over_Z(M: ModulePresentation) -> FinGenVerdict:
     """Decide whether coker(relations) is finitely generated over ZZ.
 
-    Reads the verdict off the maximal-minor gcd g (the Fitting ideal).  The
-    Smith form over QQ[t] runs only to name the witness factor of a
-    non-integral eigenvalue.
+    Reads the verdict and its witness off the maximal-minor gcd g (the
+    Fitting ideal).
     """
     g = minor_gcd(M)
     if g.is_zero:
@@ -171,14 +169,10 @@ def finitely_generated_over_Z(M: ModulePresentation) -> FinGenVerdict:
                              None, ())
     prim = g.primitive()
     if prim.leading != 1 or prim.constant not in (1, -1):
-        factors, _ = base_change_residue(M, 0)
-        bad = _first_nonintegral(factors)
-        if bad is not None:
-            witness = FinGenWitness(0, T_NOT_INTEGRAL, bad)
-        else:
-            witness = FinGenWitness(0, TINV_NOT_INTEGRAL,
-                                    _first_nonunit_constant(factors))
-        return FinGenVerdict(False, witness, None, ())
+        kind = T_NOT_INTEGRAL if prim.leading != 1 else TINV_NOT_INTEGRAL
+        return FinGenVerdict(False,
+                             FinGenWitness(0, kind, prim.to_ring(QQ).monic()),
+                             None, ())
     # both ends of prim are units, so these are the primes of the content
     primes = tuple(_bad_primes(g))
     if primes:

@@ -270,8 +270,6 @@ class Poly:
     def to_ring(self, ring):
         if ring is self.ring:
             return self
-        if ring is ZZ:
-            return Poly(ZZ, [ZZ.coerce(c) for c in self.coeffs])
         return Poly(ring, self.coeffs)
 
     def low_order(self):
@@ -502,7 +500,7 @@ class LaurentPoly:
         if not isinstance(body, Poly):
             body = Poly(ring, body)
         elif body.ring is not ring:
-            body = body.to_ring(ring)
+            raise MixedRingError(f"body over {body.ring}, not {ring}")
         if body.is_zero:
             val = 0
         else:

@@ -151,22 +151,22 @@ def residue_fingen(M) -> FinGenVerdict:
     t and 1/t integral (every invariant factor in ZZ[t], the product of
     their constants +-1); then every prime dividing the content, leading
     or constant coefficient of the minor gcd must leave no free part over
-    F_p.  The underlying rank of a square presentation is the QQ-dimension.
+    F_p.  A generic "no" names the product of the invariant factors, the
+    characteristic polynomial of t.  The underlying rank of a square
+    presentation is the QQ-dimension.
     """
     factors, free_rank = laurent_cokernel(M.relations, QQ)
     if free_rank > 0:
         return FinGenVerdict(False, FinGenWitness(0, INFINITE_DIMENSION, None),
                              None, ())
+    char = Poly.one(QQ)
     for f in factors:
-        if any(c.denominator != 1 for c in f.coeffs):
-            return FinGenVerdict(False, FinGenWitness(0, T_NOT_INTEGRAL, f),
-                                 None, ())
-    const = Fraction(1)
-    for f in factors:
-        const *= f.constant
-    if const not in (1, -1):
-        f = next(f for f in factors if f.constant not in (1, -1))
-        return FinGenVerdict(False, FinGenWitness(0, TINV_NOT_INTEGRAL, f),
+        char = char * f
+    if any(c.denominator != 1 for f in factors for c in f.coeffs):
+        return FinGenVerdict(False, FinGenWitness(0, T_NOT_INTEGRAL, char),
+                             None, ())
+    if char.constant not in (1, -1):
+        return FinGenVerdict(False, FinGenWitness(0, TINV_NOT_INTEGRAL, char),
                              None, ())
     g = minor_gcd(M)
     prim = g.primitive()

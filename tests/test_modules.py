@@ -11,17 +11,21 @@ Fitting-ideal route.
 import collections
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
 from cyclocover import modules
+from cyclocover.errors import PreconditionError
 from cyclocover.matrices import LaurentMatrix
 from cyclocover.modules import (FreeCokernelError, INFINITE_DIMENSION,
-                                ModulePresentation, T_NOT_INTEGRAL,
-                                TINV_NOT_INTEGRAL, base_change_residue,
+                                ModulePresentation, Property1Result,
+                                T_NOT_INTEGRAL, TINV_NOT_INTEGRAL,
+                                base_change_residue,
                                 finitely_generated_over_Z, minor_gcd,
                                 order_ideal, property1_check, relevant_primes)
-from cyclocover.rings import LaurentPoly, Poly, ZZ
+from cyclocover.normal_forms import laurent_cokernel
+from cyclocover.rings import LaurentPoly, Poly, QQ, ZZ
 
 from helpers import (gcd_zz_over_qq, lattice_fg_oracle, leibniz_det,
                      rand_unimodular_laurent, residue_fingen)
@@ -181,7 +185,6 @@ class TestFinGen:
             assert finitely_generated_over_Z(m).answer is expected
 
     def test_relation_matrix_must_be_zz(self):
-        from cyclocover.rings import QQ
         with pytest.raises(TypeError):
             ModulePresentation(1, LaurentMatrix(QQ, 1, 1,
                                                 [[LaurentPoly.one(QQ)]]))
@@ -189,6 +192,26 @@ class TestFinGen:
     def test_row_count_must_match(self):
         with pytest.raises(ValueError):
             ModulePresentation(2, LaurentMatrix.zero(ZZ, 1, 1))
+
+    @pytest.mark.parametrize("generators", [1.0, True, -1])
+    def test_generator_count_must_be_a_count(self, generators):
+        with pytest.raises(PreconditionError):
+            ModulePresentation(generators, LaurentMatrix(ZZ, 1, 0, [[]]))
+
+    @pytest.mark.parametrize("f,kind,witness", [
+        # [DERIVED] diag(2t - 1, 2t - 1): t acts as 1/2 on QQ^2, so the
+        # characteristic polynomial is (t - 1/2)^2 = t^2 - t + 1/4
+        (P(-1, 2), T_NOT_INTEGRAL, Poly(QQ, (Fraction(1, 4), -1, 1))),
+        # [DERIVED] diag(t - 3, t - 3): (t - 3)^2 = t^2 - 6t + 9
+        (P(-3, 1), TINV_NOT_INTEGRAL, Poly(QQ, (9, -6, 1))),
+    ])
+    def test_witness_is_characteristic_polynomial(self, f, kind, witness):
+        f = LaurentPoly.from_poly(f)
+        z = LaurentPoly.zero(ZZ)
+        m = ModulePresentation(2, LaurentMatrix(ZZ, 2, 2, [[f, z], [z, f]]))
+        v = finitely_generated_over_Z(m)
+        assert v.witness.kind == kind and v.witness.factor == witness
+        assert v == residue_fingen(m)
 
 
 class TestFiberedCondition:
@@ -246,6 +269,16 @@ def _dense(rng):
     return ModulePresentation(g, LaurentMatrix(ZZ, g, r, rows))
 
 
+def _smith_property1(m):
+    """property1_check(m, 0) read off the Smith form over QQ[t]."""
+    factors, free_rank = laurent_cokernel(m.relations, QQ)
+    if free_rank > 0:
+        return Property1Result(False, False, False, None)
+    t_ok = all(c.denominator == 1 for f in factors for c in f.coeffs)
+    tinv_ok = t_ok and all(f.constant in (1, -1) for f in factors)
+    return Property1Result(True, t_ok, tinv_ok, sum(f.degree for f in factors))
+
+
 class TestAgainstResidueFields:
     def test_random_presentations(self):
         rng = random.Random(41)
@@ -253,7 +286,8 @@ class TestAgainstResidueFields:
         for i in range(300):
             m = _disguised_sum(rng) if i % 2 == 0 else _dense(rng)
             got = finitely_generated_over_Z(m)
-            assert got == residue_fingen(m), (i, m.relations.rows)
+            assert got == residue_fingen(m), (i, m.relations.entries)
+            assert property1_check(m, 0) == _smith_property1(m), (i, m.relations.entries)
             w = got.witness
             seen[(got.answer, w and w.kind, w and w.prime > 0,
                   got.underlying_rank is not None)] += 1
@@ -286,17 +320,28 @@ class TestFittingRoute:
         assert v.witness.prime == 3 and v.relevant_primes == (3,)
         assert calls == {"minor_gcd": 1, "laurent_cokernel": 0}
 
-    def test_witness_factor_needs_one_generic_smith_form(self, monkeypatch):
+    def test_witness_factor_needs_no_smith_form(self, monkeypatch):
         calls = self._count_calls(monkeypatch)
         v = finitely_generated_over_Z(principal(-1, 2))
-        assert v.witness.kind == T_NOT_INTEGRAL and v.witness.factor.degree == 1
-        assert calls == {"minor_gcd": 1, "laurent_cokernel": 1}
+        assert v.witness.kind == T_NOT_INTEGRAL
+        assert v.witness.factor == Poly(QQ, (Fraction(-1, 2), 1))
+        assert calls == {"minor_gcd": 1, "laurent_cokernel": 0}
 
-    def test_dense_5x9_is_fast(self):
+    def test_generic_property1_needs_no_smith_form(self, monkeypatch):
+        calls = self._count_calls(monkeypatch)
+        r = property1_check(principal(-2, 1), 0)
+        assert r.finite_dim and r.t_integral and not r.tinv_integral
+        assert calls == {"minor_gcd": 1, "laurent_cokernel": 0}
+
+    @staticmethod
+    def _dense_5x9():
         # the Smith form over QQ[t] of this presentation runs for minutes
         rng = random.Random(3)
-        rows = [[Poly(ZZ, [rng.randint(-3, 3) for _ in range(3)])
+        return [[Poly(ZZ, [rng.randint(-3, 3) for _ in range(3)])
                  for _ in range(9)] for _ in range(5)]
+
+    def test_dense_5x9_is_fast(self):
+        rows = self._dense_5x9()
         m = ModulePresentation(5, LaurentMatrix(
             ZZ, 5, 9, [[LaurentPoly.from_poly(f) for f in row] for row in rows]))
         start = time.perf_counter()
@@ -311,6 +356,21 @@ class TestFittingRoute:
             minor = leibniz_det([[row[j] for j in cols] for row in rows], one, zero)
             g = gcd_zz_over_qq(g, minor)
         assert g == one
+
+    def test_dense_5x9_witness_is_fast(self):
+        # the 5x9 block-summed with coker(2t - 1): a generic "no" whose
+        # witness needs no Smith form of the 5x9
+        z = LaurentPoly.zero(ZZ)
+        rows = [[LaurentPoly.from_poly(f) for f in row] + [z]
+                for row in self._dense_5x9()]
+        rows.append([z] * 9 + [LaurentPoly.from_poly(P(-1, 2))])
+        m = ModulePresentation(6, LaurentMatrix(ZZ, 6, 10, rows))
+        start = time.perf_counter()
+        v = finitely_generated_over_Z(m)
+        elapsed = time.perf_counter() - start
+        assert not v.answer and v.witness.kind == T_NOT_INTEGRAL
+        assert v.witness.factor == Poly(QQ, (Fraction(-1, 2), 1))
+        assert elapsed < 2.0
 
     def test_dense_7x13_content_no_is_fast(self):
         # a dense 6x12 degree-2 block plus coker(2): every maximal minor is

@@ -438,6 +438,12 @@ class TestLaurent:
         f = L(-2, 1, 0, 0, 7)
         assert f.val == -2
 
+    @pytest.mark.parametrize("ring", [GF(5), QQ])
+    def test_body_over_other_ring_rejected(self, ring):
+        # a residue 3 over GF(5) is not the integer 3
+        with pytest.raises(MixedRingError):
+            LaurentPoly(ZZ, 0, Poly(ring, (3,)))
+
 
 COEFF_RINGS = [ZZ, QQ, GF(2), GF(7), GF(2**31 - 1)]
 big_ints = st.integers(-10**12, 10**12)

@@ -29,7 +29,8 @@ _T_ACTION_LIMIT = 2048
 
 
 class TwistedChainComplex:
-    """ranks[j] cells in degree j; boundaries[j-1] is the map C_j -> C_{j-1}."""
+    """ranks[j] cells in degree j; boundaries[j-1] is the map C_j -> C_{j-1},
+    for 1 <= j <= top.  The zero maps off the ends are not stored."""
 
     __slots__ = ("ranks", "boundaries")
 
@@ -58,20 +59,6 @@ class TwistedChainComplex:
                     f"boundary composition in degree {j + 1} is nonzero")
         self.ranks = tuple(ranks)
         self.boundaries = tuple(mats)
-
-    @property
-    def top_degree(self):
-        return len(self.ranks) - 1
-
-    def boundary(self, j):
-        """The boundary C_j -> C_{j-1}; zero maps off the ends."""
-        if 1 <= j <= self.top_degree:
-            return self.boundaries[j - 1]
-        if j == 0:
-            return LaurentMatrix.zero(ZZ, 0, self.ranks[0])
-        if j == self.top_degree + 1:
-            return LaurentMatrix.zero(ZZ, self.ranks[-1], 0)
-        raise IndexError(f"no boundary in degree {j}")
 
     def __repr__(self):
         return f"TwistedChainComplex(ranks={list(self.ranks)})"

@@ -4,7 +4,7 @@ from itertools import chain, combinations, repeat
 from math import prod
 
 from .arith import power
-from .errors import PreconditionError
+from .errors import PreconditionError, is_count
 from .rings import LaurentPoly, MixedRingError, Poly, ZZ, gcd_zz_coeffs
 
 
@@ -172,12 +172,14 @@ def det_coeffs(rows):
 # Laurent matrices
 
 class LaurentMatrix:
-    """Rectangular matrix with LaurentPoly entries over ZZ.
+    """Rectangular matrix with LaurentPoly entries over ZZ, read through
+    `entries` and `cleared_rows`; it has no arithmetic.
 
     `ring` must be ZZ; any other ring raises TypeError, and an entry (Poly
     or LaurentPoly) over another ring raises MixedRingError rather than
     being lifted into ZZ.  A field enters only as a base change, through
-    `laurent_cokernel(mat, field)`.
+    `laurent_cokernel(mat, field)`.  The shape must be two counts and the
+    entry grid must match it, or PreconditionError is raised.
     """
 
     __slots__ = ("nrows", "ncols", "entries")
@@ -187,8 +189,10 @@ class LaurentMatrix:
     def __init__(self, ring, nrows, ncols, entries):
         if ring is not ZZ:
             raise TypeError(f"Laurent matrices are over ZZ, got {ring}")
+        if not (is_count(nrows) and is_count(ncols)):
+            raise PreconditionError(f"bad shape {nrows!r} x {ncols!r}")
         if len(entries) != nrows or any(len(r) != ncols for r in entries):
-            raise ValueError("entry grid does not match declared shape")
+            raise PreconditionError("entry grid does not match declared shape")
         self.nrows = nrows
         self.ncols = ncols
         self.entries = tuple(tuple(map(self._coerce_entry, row))
@@ -208,37 +212,6 @@ class LaurentMatrix:
     def zero(cls, ring, nrows, ncols):
         z = LaurentPoly.zero(ring)
         return cls(ring, nrows, ncols, [[z] * ncols for _ in range(nrows)])
-
-    @classmethod
-    def identity(cls, ring, n):
-        z = LaurentPoly.zero(ring)
-        o = LaurentPoly.one(ring)
-        return cls(ring, n, n,
-                   [[o if i == j else z for j in range(n)] for i in range(n)])
-
-    def __getitem__(self, ij):
-        i, j = ij
-        return self.entries[i][j]
-
-    def __mul__(self, other):
-        if not isinstance(other, LaurentMatrix):
-            return NotImplemented
-        if self.ncols != other.nrows:
-            raise ValueError("matrix shape mismatch in multiplication")
-        z = LaurentPoly.zero(ZZ)
-        rows = []
-        for i in range(self.nrows):
-            row = []
-            for j in range(other.ncols):
-                acc = z
-                for k in range(self.ncols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if not (a.is_zero or b.is_zero):
-                        acc = acc + a * b
-                row.append(acc)
-            rows.append(row)
-        return LaurentMatrix(ZZ, self.nrows, other.ncols, rows)
 
     def cleared_rows(self):
         """The rows as lists of coefficient tuples, each row multiplied by

@@ -160,13 +160,6 @@ class FgAbelianAutomorphism:
         phi.torsion_block, phi.mixing_block = map(self._reduce_rows, (torsion, mixing))
         return phi
 
-    @classmethod
-    def identity(cls, r, torsion_orders=()):
-        d = list(torsion_orders)
-        s = len(d)
-        return cls(mat_identity(r), d, mat_identity(s),
-                   [[0] * r for _ in range(s)])
-
     @property
     def free_rank(self):
         return len(self.free_block)

@@ -7,7 +7,8 @@ otherwise; and over GF(p) an int in [0, p).  A ring's `coerce` is the one
 place that normalizes, so code that adds or multiplies GF(p)
 coefficients itself must coerce the result before it tests it for zero
 or stores it.  Polynomials are dense lists of coefficients; Laurent
-polynomials carry an extra power-of-t valuation.
+polynomials carry an extra power-of-t valuation and are values only:
+they are built, compared and printed, never added or multiplied.
 
 A `Poly` is false exactly when it is zero, and `a // b` is exact
 division: it raises `ExactDivisionError` on a nonzero remainder.
@@ -159,10 +160,6 @@ class Poly:
     def one(cls, ring):
         return cls(ring, (1,))
 
-    @classmethod
-    def t(cls, ring):
-        return cls(ring, (0, 1))
-
     @property
     def degree(self):
         return len(self.coeffs) - 1
@@ -201,12 +198,6 @@ class Poly:
     def scale(self, c):
         c = self.ring.coerce(c)
         return Poly(self.ring, [a * c for a in self.coeffs])
-
-    def shift(self, k):
-        """Multiply by t**k (k >= 0)."""
-        if self.is_zero:
-            return self
-        return Poly(self.ring, (0,) * k + self.coeffs)
 
     def __pow__(self, n):
         """self**n by squaring."""
@@ -517,16 +508,8 @@ class LaurentPoly:
         return cls(ring, 0, Poly.zero(ring))
 
     @classmethod
-    def one(cls, ring):
-        return cls(ring, 0, Poly.one(ring))
-
-    @classmethod
     def from_poly(cls, p: Poly):
         return cls(p.ring, 0, p)
-
-    @classmethod
-    def t_power(cls, ring, k, c=1):
-        return cls(ring, k, Poly(ring, (c,)))
 
     @classmethod
     def const(cls, ring, c):
@@ -535,33 +518,6 @@ class LaurentPoly:
     @property
     def is_zero(self):
         return self.body.is_zero
-
-    def __add__(self, other):
-        ring = _same_ring(self, other)
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        v = min(self.val, other.val)
-        a = self.body.shift(self.val - v)
-        b = other.body.shift(other.val - v)
-        return LaurentPoly(ring, v, a + b)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LaurentPoly(self.ring, self.val, -self.body)
-
-    def __mul__(self, other):
-        ring = _same_ring(self, other)
-        return LaurentPoly(ring, self.val + other.val, self.body * other.body)
-
-    def shift(self, k):
-        """Multiply by t**k."""
-        if self.is_zero:
-            return self
-        return LaurentPoly(self.ring, self.val + k, self.body)
 
     def __eq__(self, other):
         if not isinstance(other, LaurentPoly):

@@ -9,7 +9,8 @@ h_p^- comes from the exact product of cyclically shifted polynomials and
 from Maillet's full determinant, determinants come from Fraction
 elimination and from the Leibniz permutation sum, gcds over ZZ[t] from
 Euclid over QQ[t], minor gcds from one Leibniz sum per minor folded by
-that gcd, and Smith forms from Euclid over kappa[t] on Poly entries.
+that gcd, Smith forms from Euclid over kappa[t] on Poly entries, and
+Laurent matrix products from Poly sums and products entry by entry.
 """
 
 from fractions import Fraction
@@ -272,7 +273,7 @@ def _big_matrix(mat, field, q):
     big = [[zero] * cols for _ in range(rows)]
     for i in range(mat.nrows):
         for j in range(mat.ncols):
-            e = mat[i, j]
+            e = mat.entries[i][j]
             if e.is_zero:
                 continue
             for idx, c in enumerate(e.body.coeffs):
@@ -294,11 +295,15 @@ def direct_cover_homology(X, field, q):
     """
     if q < 1:
         raise ValueError("q must be >= 1")
+    d = X.boundaries
     out = []
-    for j in range(X.top_degree + 1):
-        n = X.ranks[j] * q
-        dj = _big_matrix(X.boundary(j), field, q)
-        dj1 = _big_matrix(X.boundary(j + 1), field, q)
+    for j, rank in enumerate(X.ranks):
+        n = rank * q
+        # the maps d_0 and d_{top+1} off the ends are zero
+        dj = _big_matrix(d[j - 1] if j else LaurentMatrix.zero(ZZ, 0, rank),
+                         field, q)
+        dj1 = _big_matrix(d[j] if j < len(d) else LaurentMatrix.zero(ZZ, rank, 0),
+                          field, q)
         ker = kernel_basis(field, dj, n)
         im_cols = [list(col) for col in zip(*dj1)]
         quot = QuotientSpace(field, ker, im_cols, n)
@@ -306,7 +311,7 @@ def direct_cover_homology(X, field, q):
         def shift(v):
             # t acts on each cell's block of q coordinates as the cyclic shift
             return [v[c * q + (a - 1) % q]
-                    for c in range(X.ranks[j]) for a in range(q)]
+                    for c in range(rank) for a in range(q)]
 
         out.append((quot.dim, quot.action_matrix(shift) if quot.dim else []))
     return out
@@ -542,6 +547,32 @@ def brute_automorphism_order(free, orders, torsion, mixing, cap=5000):
 
 
 # ---------------------------------------------------------------------------
+# Laurent matrix product on Poly arithmetic
+
+def laurent_mat_mul(a, b):
+    """The product a * b of two LaurentMatrix over ZZ.  Each entry is a
+    sum of terms t^w * p, w the sum of the two factors' valuations and p
+    the `Poly` product of their bodies: the Polys t^(w - v) * p are added,
+    v the least w, and the entry is t^v times that sum."""
+    if a.ncols != b.nrows:
+        raise ValueError("matrix shape mismatch in multiplication")
+    rows = []
+    for arow in a.entries:
+        row = []
+        for j in range(b.ncols):
+            terms = [(x.val + y.val, x.body * y.body)
+                     for x, y in zip(arow, (brow[j] for brow in b.entries))
+                     if not (x.is_zero or y.is_zero)]
+            v = min((w for w, _ in terms), default=0)
+            acc = Poly.zero(ZZ)
+            for w, p in terms:
+                acc = acc + Poly(ZZ, (0,) * (w - v) + p.coeffs)
+            row.append(LaurentPoly(ZZ, v, acc))
+        rows.append(row)
+    return LaurentMatrix(ZZ, a.nrows, b.ncols, rows)
+
+
+# ---------------------------------------------------------------------------
 # random generators
 
 def rand_unimodular_int(n, rng, steps=6):
@@ -564,11 +595,8 @@ def rand_unimodular_int(n, rng, steps=6):
 
 def rand_unimodular_laurent(n, rng, steps=4):
     """Random unimodular Laurent matrix over ZZ with its exact inverse."""
-    u = LaurentMatrix.identity(ZZ, n)
-    uinv = LaurentMatrix.identity(ZZ, n)
-    lams = [LaurentPoly.const(ZZ, 1), LaurentPoly.const(ZZ, -1),
-            LaurentPoly.t_power(ZZ, 1), LaurentPoly.t_power(ZZ, -1),
-            LaurentPoly.t_power(ZZ, 1, -1)]
+    u = uinv = LaurentMatrix(ZZ, n, n, mat_identity(n))
+    lams = [(0, 1), (0, -1), (1, 1), (-1, 1), (1, -1)]  # c * t^k as (k, c)
     if n < 2:
         return u, uinv
     for _ in range(steps):
@@ -576,17 +604,15 @@ def rand_unimodular_laurent(n, rng, steps=4):
         j = rng.randrange(n)
         if i == j:
             continue
-        lam = rng.choice(lams)
-        e = _elementary(n, i, j, lam)
-        einv = _elementary(n, i, j, -lam)
-        u = e * u
-        uinv = uinv * einv
+        k, c = rng.choice(lams)
+        u = laurent_mat_mul(_elementary(n, i, j, k, c), u)
+        uinv = laurent_mat_mul(uinv, _elementary(n, i, j, k, -c))
     return u, uinv
 
-def _elementary(n, i, j, lam):
-    rows = [[LaurentPoly.const(ZZ, int(a == b)) for b in range(n)]
-            for a in range(n)]
-    rows[i][j] = lam
+def _elementary(n, i, j, k, c):
+    """The identity with c * t^k at (i, j), i != j."""
+    rows = mat_identity(n)
+    rows[i][j] = LaurentPoly(ZZ, k, [c])
     return LaurentMatrix(ZZ, n, n, rows)
 
 

@@ -1,9 +1,12 @@
 """Every name a library module imports is used in that module, every
 private name the library defines is used somewhere in the library, every
 public function or class is used by the library or exported by the
-package, and no library module imports another library module's private
-name.  A name only the tests use is dead: the oracles are written on
-their own, not on library code kept alive for them.
+package, every public method or property of a module-level class is used
+by the library or named in README.md as `Class.method`, no library module
+imports another library module's private name, and every import is of the
+package itself or of the standard library.  A name only the tests use is
+dead: the oracles are written on their own, not on library code kept
+alive for them.
 
 `__init__.py` is left out of the unused-import check: its imports are
 the package's public surface.
@@ -11,11 +14,14 @@ the package's public surface.
 
 import ast
 import pathlib
+import re
+import sys
 from collections import Counter
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "cyclocover"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "cyclocover"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -168,3 +174,79 @@ def test_guard_sees_dead_public_names():
 def test_no_dead_public_names():
     assert dead_public_names([p.read_text() for p in MODULES],
                              (SRC / "__init__.py").read_text()) == []
+
+
+def dead_public_methods(sources, readme):
+    """Sorted `Class.method` for each method or property of a module-level
+    class of the modules in `sources` whose name does not start with `_`,
+    that no module references outside the method's own definition and
+    that the text `readme` does not name as `Class.method`."""
+    trees = [ast.parse(src) for src in sources]
+    total = sum((_references(tree) for tree in trees), Counter())
+    return sorted(f"{cls.name}.{item.name}" for tree in trees for cls in tree.body
+                  if isinstance(cls, ast.ClassDef)
+                  for item in cls.body
+                  if isinstance(item, ast.FunctionDef)
+                  and not item.name.startswith("_")
+                  and total[item.name] == _references(item)[item.name]
+                  and not re.search(rf"\b{cls.name}\.{item.name}\b", readme))
+
+
+def test_guard_sees_dead_public_methods():
+    lib = (
+        "class Pub:\n"
+        "    def used(self):\n        return self.helper()\n"
+        "    def helper(self):\n        return 0\n"
+        "    def dead(self):\n        return 0\n"
+        "    @property\n    def dead_prop(self):\n        return 1\n"
+        "    @classmethod\n    def documented(cls):\n        return cls()\n"
+        "    @classmethod\n    def doc(cls):\n        return cls()\n"
+        "    def recursive(self):\n        return self.recursive()\n"
+        "    def __repr__(self):\n        return ''\n"
+        "    def _private(self):\n        return 0\n"
+        "class _Hidden:\n    def gone(self):\n        pass\n"
+    )
+    user = "from lib import Pub\nPub().used()\n"
+    readme = "Build one with `Pub.documented()`.\n"
+    assert dead_public_methods([lib, user], readme) == [
+        "Pub.dead", "Pub.dead_prop", "Pub.doc", "Pub.recursive", "_Hidden.gone"]
+
+
+def test_no_dead_public_methods():
+    assert dead_public_methods([p.read_text() for p in MODULES],
+                               (ROOT / "README.md").read_text()) == []
+
+
+def foreign_imports(source):
+    """Sorted (line, module) of each import in `source` that is neither
+    relative, nor of the package itself, nor in the standard library."""
+    allowed = sys.stdlib_module_names | {"cyclocover"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.split(".")[0] not in allowed]
+    return sorted(found)
+
+
+def test_guard_sees_foreign_imports():
+    src = ("import os, numpy\n"
+           "from . import rings\n"
+           "from .matrices import mat_mul\n"
+           "from cyclocover.rings import ZZ\n"
+           "from scipy.linalg import det\n"
+           "import xml.etree.ElementTree\n"
+           "import cyclocoverage\n")
+    assert foreign_imports(src) == [(1, "numpy"), (5, "scipy.linalg"),
+                                    (7, "cyclocoverage")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_stdlib_imports(path):
+    # pyproject.toml declares `dependencies = []`
+    assert foreign_imports(path.read_text()) == [], path.name

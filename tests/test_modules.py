@@ -27,8 +27,8 @@ from cyclocover.modules import (FreeCokernelError, INFINITE_DIMENSION,
 from cyclocover.normal_forms import laurent_cokernel
 from cyclocover.rings import LaurentPoly, Poly, QQ, ZZ
 
-from helpers import (gcd_zz_over_qq, lattice_fg_oracle, leibniz_det,
-                     rand_unimodular_laurent, residue_fingen)
+from helpers import (gcd_zz_over_qq, lattice_fg_oracle, laurent_mat_mul,
+                     leibniz_det, rand_unimodular_laurent, residue_fingen)
 
 
 def P(*cs):
@@ -155,7 +155,7 @@ class TestFinGen:
         assert v.answer and v.underlying_rank == 0
 
     def test_unit_relation(self):
-        m = ModulePresentation.principal(LaurentPoly.t_power(ZZ, -2, -1))
+        m = ModulePresentation.principal(LaurentPoly(ZZ, -2, [-1]))
         v = finitely_generated_over_Z(m)
         assert v.answer and v.underlying_rank == 0
 
@@ -177,17 +177,16 @@ class TestFinGen:
         for coeffs, expected in self.CASES[:6]:
             f = LaurentPoly.from_poly(P(*coeffs))
             z = LaurentPoly.zero(ZZ)
-            one = LaurentPoly.one(ZZ)
-            base = LaurentMatrix(ZZ, 2, 2, [[f, z], [z, one]])
+            base = LaurentMatrix(ZZ, 2, 2, [[f, z], [z, 1]])
             u, _ = rand_unimodular_laurent(2, rng)
             v, _ = rand_unimodular_laurent(2, rng)
-            m = ModulePresentation(2, u * base * v)
+            m = ModulePresentation(2, laurent_mat_mul(laurent_mat_mul(u, base), v))
             assert finitely_generated_over_Z(m).answer is expected
 
     def test_relation_matrix_must_be_zz(self):
         with pytest.raises(TypeError):
             ModulePresentation(1, LaurentMatrix(QQ, 1, 1,
-                                                [[LaurentPoly.one(QQ)]]))
+                                                [[LaurentPoly.const(QQ, 1)]]))
 
     def test_row_count_must_match(self):
         with pytest.raises(ValueError):
@@ -255,7 +254,7 @@ def _disguised_sum(rng):
                                      for j in range(k)] for i in range(k)])
     u, _ = rand_unimodular_laurent(k, rng, 3)
     v, _ = rand_unimodular_laurent(k, rng, 3)
-    return ModulePresentation(k, u * base * v)
+    return ModulePresentation(k, laurent_mat_mul(laurent_mat_mul(u, base), v))
 
 
 def _dense(rng):

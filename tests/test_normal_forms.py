@@ -15,15 +15,16 @@ from itertools import combinations
 
 import pytest
 
+from cyclocover.errors import PreconditionError
 from cyclocover.matrices import (LaurentMatrix, det_coeffs, det_int,
                                  laurent_minor_gcd, laurent_product_is_zero,
-                                 mat_mul)
+                                 mat_identity, mat_mul)
 from cyclocover.normal_forms import (DomainError, char_poly, finite_order,
                                      laurent_cokernel)
 from cyclocover.rings import GF, LaurentPoly, MixedRingError, Poly, QQ, ZZ, poly_gcd
 
-from helpers import (brute_order, fraction_det, leibniz_det, minor_gcd_oracle,
-                     smith_oracle)
+from helpers import (brute_order, fraction_det, laurent_mat_mul, leibniz_det,
+                     minor_gcd_oracle, rand_unimodular_laurent, smith_oracle)
 
 
 def P(*cs):
@@ -283,13 +284,30 @@ class TestClearedRows:
                 assert all(not cs or cs[-1] != 0 for cs in cleared)
 
 
+class TestRandUnimodularLaurent:
+    """The disguises in test_covers and test_modules conjugate by
+    rand_unimodular_laurent pairs, so each pair must be exactly inverse
+    under helpers.laurent_mat_mul."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_pairs_multiply_to_identity(self, n):
+        rng = random.Random(61 + n)
+        ident = LaurentMatrix(ZZ, n, n, mat_identity(n))
+        moved = 0
+        for _ in range(20):
+            u, uinv = rand_unimodular_laurent(n, rng, steps=6)
+            assert laurent_mat_mul(u, uinv) == ident == laurent_mat_mul(uinv, u), u
+            moved += u != ident
+        assert moved >= 15 if n > 1 else moved == 0
+
+
 class TestLaurentProductIsZero:
     """laurent_product_is_zero, one integer product at t = 2^k, against
-    the entries of the LaurentPoly product."""
+    the entries of helpers.laurent_mat_mul."""
 
     @staticmethod
     def product_is_zero(a, b):
-        return all(e.is_zero for row in (a * b).entries for e in row)
+        return all(e.is_zero for row in laurent_mat_mul(a, b).entries for e in row)
 
     @staticmethod
     def mat(rows):
@@ -297,30 +315,30 @@ class TestLaurentProductIsZero:
 
     def test_hand_cases(self):
         L = LaurentPoly
-        t, one, z = L.t_power(ZZ, 1), L.one(ZZ), L.zero(ZZ)
+        t, one, z = L(ZZ, 1, [1]), L.const(ZZ, 1), L.zero(ZZ)
         # [DERIVED] t * (t - 2) and t^-2 * (t - 2) vanish at t = 2 only
         t_minus_2 = L(ZZ, 0, [-2, 1])
-        for a in ([[t]], [[L.t_power(ZZ, -2)]]):
+        for a in ([[t]], [[L(ZZ, -2, [1])]]):
             assert not laurent_product_is_zero(self.mat(a), self.mat([[t_minus_2]]))
         # [DERIVED] t^-1 * t^-2 - t^-3 * 1 = 0: cancellation across the sum
-        a = self.mat([[L.t_power(ZZ, -1), L.t_power(ZZ, -3, -1)]])
-        b = self.mat([[L.t_power(ZZ, -2)], [one]])
+        a = self.mat([[L(ZZ, -1, [1]), L(ZZ, -3, [-1])]])
+        b = self.mat([[L(ZZ, -2, [1])], [one]])
         assert laurent_product_is_zero(a, b)
-        assert not laurent_product_is_zero(a, self.mat([[L.t_power(ZZ, -2)], [t]]))
+        assert not laurent_product_is_zero(a, self.mat([[L(ZZ, -2, [1])], [t]]))
         # rank-0 middle degree: the 2 x 3 product is empty of summands
         a = LaurentMatrix(ZZ, 2, 0, [[], []])
         assert laurent_product_is_zero(a, LaurentMatrix.zero(ZZ, 0, 3))
         assert laurent_product_is_zero(self.mat([[z, z]]), self.mat([[t], [one]]))
 
     def test_rejects_shape_and_ring(self):
-        a = LaurentMatrix.identity(ZZ, 2)
+        a = LaurentMatrix(ZZ, 2, 2, mat_identity(2))
         with pytest.raises(ValueError, match="shape"):
-            laurent_product_is_zero(a, LaurentMatrix.identity(ZZ, 3))
+            laurent_product_is_zero(a, LaurentMatrix(ZZ, 3, 3, mat_identity(3)))
         with pytest.raises(TypeError):
-            laurent_product_is_zero(a, LaurentMatrix.identity(QQ, 2))
+            laurent_product_is_zero(a, LaurentMatrix(QQ, 2, 2, mat_identity(2)))
 
     def test_random_against_laurent_product(self):
-        # a = [x | -x y] and b = [y ; I] multiply to zero; one perturbed
+        # a = [x | x y] and b = [y ; -I] multiply to zero; one perturbed
         # entry of b (often by a multiple of t - 2) usually breaks that
         rng = random.Random(31)
         entry = TestMinorGcdAgainstOracle.rand_entry
@@ -329,15 +347,19 @@ class TestLaurentProductIsZero:
             m, p, q = rng.randint(1, 3), rng.randint(0, 3), rng.randint(1, 3)
             x = [[entry(rng) for _ in range(p)] for _ in range(m)]
             y = [[entry(rng) for _ in range(q)] for _ in range(p)]
-            xy = self.mat(x) * self.mat(y) if p else LaurentMatrix.zero(ZZ, m, q)
-            a = [x[i] + [-e for e in xy.entries[i]] for i in range(m)]
+            xy = (laurent_mat_mul(self.mat(x), self.mat(y)) if p
+                  else LaurentMatrix.zero(ZZ, m, q))
+            a = [x[i] + list(xy.entries[i]) for i in range(m)]
             b = [y[i] for i in range(p)] + [
-                [LaurentPoly.const(ZZ, int(i == j)) for j in range(q)]
+                [LaurentPoly.const(ZZ, -int(i == j)) for j in range(q)]
                 for i in range(q)]
             if trial % 2:
                 i, j = rng.randrange(p + q), rng.randrange(q)
                 c = LaurentPoly(ZZ, rng.randint(-3, 3), [-2, 1])
-                b[i][j] = b[i][j] + (c if trial % 4 == 1 else entry(rng))
+                e = c if trial % 4 == 1 else entry(rng)
+                # b[i][j] + e as the 1 x 1 product (b[i][j], e) (1 ; 1)
+                pair = self.mat([[b[i][j], e]])
+                b[i][j] = laurent_mat_mul(pair, self.mat([[1], [1]])).entries[0][0]
             a, b = self.mat(a), self.mat(b)
             want = self.product_is_zero(a, b)
             assert laurent_product_is_zero(a, b) == want, (a, b)
@@ -386,8 +408,10 @@ class TestMinorGcdAgainstOracle:
         rng = random.Random(2423)
         for g, r in [(2, 2), (3, 5), (4, 4), (4, 7)]:
             rows = self.rand_rows(rng, g - 1, r)
-            a, b = self.rand_entry(rng), LaurentPoly.t_power(ZZ, rng.randint(-3, 3), -2)
-            rows.append([a * x + b * y for x, y in zip(rows[0], rows[-1])])
+            a, b = self.rand_entry(rng), LaurentPoly(ZZ, rng.randint(-3, 3), [-2])
+            # a * rows[0] + b * rows[-1]
+            rows += laurent_mat_mul(LaurentMatrix(ZZ, 1, 2, [[a, b]]),
+                                    LaurentMatrix(ZZ, 2, r, [rows[0], rows[-1]])).entries
             assert self.check(rows, g, r)[g].is_zero
 
     def test_content_above_one(self):
@@ -397,7 +421,8 @@ class TestMinorGcdAgainstOracle:
         h = LaurentPoly(ZZ, -1, [6, -6, 6])
         for g, r in [(1, 3), (2, 4), (3, 3), (4, 6)]:
             rows = [[self.rand_entry(rng) for _ in range(r)] for _ in range(g)]
-            rows[0] = [x * h for x in rows[0]]
+            rows[0] = laurent_mat_mul(LaurentMatrix(ZZ, 1, 1, [[h]]),
+                                      LaurentMatrix(ZZ, 1, r, rows[:1])).entries[0]
             got = self.check(rows, g, r)[g]
             assert not got.is_zero and got.content() % 6 == 0
             assert divmod(got, P(1, -1, 1))[1].is_zero
@@ -419,11 +444,12 @@ class TestMinorGcdAgainstOracle:
         # the scaled row is the last one, so a bound taken from the first
         # `size` rows would miss it on every minor that contains it
         rng = random.Random(2441)
-        big = LaurentPoly.t_power(ZZ, 2, 10**6)
+        big = LaurentMatrix(ZZ, 1, 1, [[LaurentPoly(ZZ, 2, [10**6])]])
         for g, r in [(2, 3), (3, 4), (4, 5), (4, 7)]:
             for _ in range(3):
                 rows = self.rand_rows(rng, g, r)
-                rows[-1] = [x * big for x in rows[-1]]
+                rows[-1] = laurent_mat_mul(
+                    big, LaurentMatrix(ZZ, 1, r, rows[-1:])).entries[0]
                 self.check(rows, g, r)
 
 
@@ -483,7 +509,7 @@ class TestSnfPoly:
                 return LaurentMatrix(ZZ, rows, cols, [
                     [LaurentPoly(ZZ, 0, [rng.randint(-3, 3) for _ in range(rng.randint(0, 2))])
                      for _ in range(cols)] for _ in range(rows)])
-            _, rank = check_smith_form(rand(4, r) * rand(r, 6), field)
+            _, rank = check_smith_form(laurent_mat_mul(rand(4, r), rand(r, 6)), field)
             assert rank <= r
 
     def test_mixed_entries_rejected(self):
@@ -495,8 +521,17 @@ class TestSnfPoly:
                     LaurentMatrix(ZZ, 1, 2, [[1, e]])
 
     def test_ragged_rejected(self):
-        with pytest.raises(ValueError, match="grid"):
+        with pytest.raises(PreconditionError, match="grid"):
             LaurentMatrix(ZZ, 2, 2, [[1, 0], [0]])
+
+    @pytest.mark.parametrize("nrows,ncols,entries", [
+        (0, -5, []), (True, 1, [[1]]), (1.0, 1, [[1]])])
+    def test_shape_must_be_counts(self, nrows, ncols, entries):
+        # each size is an int >= 0 and not a bool (errors.is_count); a
+        # 0 x -5 relation matrix would present the zero module as one of
+        # infinite dimension
+        with pytest.raises(PreconditionError, match="bad shape"):
+            LaurentMatrix(ZZ, nrows, ncols, entries)
 
 
 class TestSnfAgainstOracle:
@@ -559,7 +594,7 @@ class TestSnfAgainstOracle:
         for r in (1, 2, 2, 3):
             b = self.rand_matrix(rng, field, 4, r, 2)
             c = self.rand_matrix(rng, field, r, 4, 2)
-            _, free = self.check(b * c, field)
+            _, free = self.check(laurent_mat_mul(b, c), field)
             assert free >= 4 - r
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
@@ -651,7 +686,7 @@ class TestLaurentCokernel:
         assert factors == [Poly(QQ, (1, -1, 1))]
 
     def test_unit_relation(self):
-        m = LaurentMatrix(ZZ, 1, 1, [[LaurentPoly.t_power(ZZ, -3, 5)]])
+        m = LaurentMatrix(ZZ, 1, 1, [[LaurentPoly(ZZ, -3, [5])]])
         factors, free = laurent_cokernel(m, QQ)
         assert factors == [] and free == 0
 
@@ -676,7 +711,7 @@ class TestLaurentCokernel:
         assert factors == [Poly(F, (1, 1))]
 
     def test_needs_field(self):
-        m = LaurentMatrix(ZZ, 1, 1, [[LaurentPoly.one(ZZ)]])
+        m = LaurentMatrix(ZZ, 1, 1, [[LaurentPoly.const(ZZ, 1)]])
         with pytest.raises(DomainError):
             laurent_cokernel(m, ZZ)
 
@@ -685,7 +720,7 @@ class TestLaurentCokernel:
         # base change only
         for ring in (QQ, GF(5)):
             with pytest.raises(TypeError, match="over ZZ"):
-                LaurentMatrix(ring, 1, 1, [[LaurentPoly.one(ring)]])
+                LaurentMatrix(ring, 1, 1, [[LaurentPoly.const(ring, 1)]])
 
     def test_negative_valuations_handled(self):
         # t^-1 (t - 1) presents the same module as (t - 1)
@@ -725,7 +760,8 @@ class TestLaurentCokernelAgainstOracle:
         for row in mat.entries:
             row = [LaurentPoly(field, e.val, e.body.coeffs) for e in row]
             v = min((e.val for e in row if not e.is_zero), default=0)
-            rows.append([e.body.shift(e.val - v) for e in row])
+            rows.append([Poly(field, (0,) * (e.val - v) + e.body.coeffs)
+                         for e in row])
         invariants, rank = smith_oracle(rows)
         factors = [Poly(field, f.coeffs[f.low_order():]) for f in invariants]
         return [f for f in factors if f.degree > 0], mat.nrows - rank

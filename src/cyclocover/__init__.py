@@ -9,7 +9,7 @@ cyclotomic class-number gate.
 __version__ = "0.1.0"
 
 from .errors import InternalCheckError, PreconditionError
-from .rings import GF, LaurentPoly, Poly, QQ, ZZ, cyclotomic, poly_gcd
+from .rings import GF, LaurentPoly, Poly, QQ, ZZ, cyclotomic
 from .matrices import LaurentMatrix
 from .normal_forms import char_poly, finite_order, laurent_cokernel
 from .modules import (FinGenVerdict, FinGenWitness, ModulePresentation,

@@ -216,6 +216,13 @@ def _dims(blocks, q):
             for here, free_rank, below in blocks]
 
 
+def _check_degree(name, n, least):
+    """A cover degree q (least 1) or self-cover power k (least 2) is an
+    int >= least and not a bool, or PreconditionError."""
+    if not is_count(n) or n < least:
+        raise PreconditionError(f"{name} must be an int >= {least}, not {n!r}")
+
+
 def cover_homology_field(X: TwistedChainComplex, field, q):
     """Homology of the q-fold cyclic cover with kappa coefficients.
 
@@ -236,8 +243,7 @@ def cover_homology_field(X: TwistedChainComplex, field, q):
     The dimension is the sum of the block degrees.  A dimension above
     _T_ACTION_LIMIT raises PreconditionError before any block is built.
     """
-    if q < 1:
-        raise PreconditionError("q must be >= 1")
+    _check_degree("q", q, 1)
     blocks = _cover_blocks(infinite_cover_homology_field(X, field), field, q)
     dims = _dims(blocks, q)
     if max(dims, default=0) > _T_ACTION_LIMIT:
@@ -258,8 +264,7 @@ def wang_dimensions(X: TwistedChainComplex, field, q):
     and in the next.  A free part would make the dimensions grow with q,
     so it raises FreeHomologyError.
     """
-    if q < 1:
-        raise PreconditionError("q must be >= 1")
+    _check_degree("q", q, 1)
     inf = infinite_cover_homology_field(X, field)
     for j, (_, free_rank) in enumerate(inf):
         if free_rank:
@@ -277,8 +282,7 @@ def verify_self_cover_relation(X: TwistedChainComplex, w: SelfCoverWitness):
     so no entry of T_j^k grows exponentially in k.  The eigenvalues are
     the roots of the last invariant factor, which all others divide.
     """
-    if w.k <= 1:
-        raise PreconditionError("k must be > 1")
+    _check_degree("k", w.k, 2)
     if w.sign not in (1, -1):
         raise PreconditionError("sign must be +1 or -1")
     if len(w.hbar) != len(X.ranks):
@@ -320,8 +324,8 @@ def cover_dimensions(X: TwistedChainComplex, field, iterates):
     `cover_homology_field`, from block degrees alone: a unit of free rank
     adds q without building t^q - 1.
     """
-    if any(q < 1 for q in iterates):
-        raise PreconditionError("q must be >= 1")
+    for q in iterates:
+        _check_degree("q", q, 1)
     inf = infinite_cover_homology_field(X, field)
     return [_dims(_cover_blocks(inf, field, q), q) for q in iterates]
 

@@ -6,35 +6,37 @@ over ZZ; over QQ an int when the value is integral and a Fraction only
 otherwise; and over GF(p) an int in [0, p).  A ring's `coerce` is the one
 place that normalizes, so code that adds or multiplies GF(p)
 coefficients itself must coerce the result before it tests it for zero
-or stores it.  Polynomials are dense lists of coefficients; Laurent
-polynomials carry an extra power-of-t valuation and are values only:
-they are built, compared and printed, never added or multiplied.
+or stores it.
 
-A `Poly` is false exactly when it is zero, and `a // b` is exact
-division: it raises `ExactDivisionError` on a nonzero remainder.
+Polynomials are dense coefficient lists.  A `Poly` and a `LaurentPoly`
+(which carries an extra power-of-t valuation) are values only: they are
+built, compared and printed, and a `Poly` is also evaluated and
+normalized (`monic`, `content`, `primitive`), but neither is added,
+multiplied or divided.  A `Poly` is false exactly when it is zero.
 
-This module is also the one home of the coefficient-list primitives that
-every other module builds on; each is defined once:
+All polynomial arithmetic runs on the coefficient-list primitives of
+this module; each is defined once:
 
 - `strip_coeffs` is the one trailing-zero strip, under `Poly`
   construction, `pseudo_divmod` and `sub_mul_coeffs`;
-- `sub_mul_coeffs` (s*a - q*b) is the one add/subtract loop, under `Poly`
-  addition and subtraction, the Smith loop's row steps and the
-  characteristic polynomials mod p;
+- `sub_mul_coeffs` (s*a - q*b) is the one add/subtract loop, under the
+  Smith loop's row steps, t^q - 1 modulo f and the characteristic
+  polynomials mod p;
 - `primitive_coeffs` is the one division of a list by its content, under
   `Poly.content`, `Poly.primitive` and `gcd_zz_coeffs`;
 - `pseudo_divmod` divides without fractions and is the one division
-  loop: `divmod` on `Poly`, `cyclotomic`, the gcds over ZZ[t] (a
-  primitive pseudo-remainder sequence) and over GF(p), and the Smith loop
-  over kappa[t] all run on it, never through Fraction coefficients;
-- `mul_coeffs` is the one product loop, under `Poly` multiplication and
-  `mulmod_coeffs`.
+  loop: `cyclotomic`, the gcds over ZZ[t] (a primitive pseudo-remainder
+  sequence) and over GF(p), and the Smith loop over kappa[t] all run on
+  it, never through Fraction coefficients;
+- `mul_coeffs` is the one product loop, under `mulmod_coeffs`, the
+  Smith loop's lcm step and the cyclotomic products over QQ.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 
-from .arith import is_prime, power, totient
+from .arith import is_prime, totient
+from .errors import PreconditionError
 
 
 class ExactDivisionError(ArithmeticError):
@@ -137,12 +139,6 @@ def GF(p):
     return PrimeField(p)
 
 
-def _same_ring(a, b):
-    if a.ring is not b.ring:
-        raise MixedRingError(f"mixed coefficient rings {a.ring} and {b.ring}")
-    return a.ring
-
-
 class Poly:
     """Dense polynomial; coeffs[i] is the coefficient of t**i."""
 
@@ -181,55 +177,9 @@ class Poly:
     def constant(self):
         return self.coeffs[0] if self.coeffs else self.ring.coerce(0)
 
-    def __add__(self, other):
-        return Poly(_same_ring(self, other),
-                    sub_mul_coeffs(1, self.coeffs, (-1,), other.coeffs))
-
-    def __sub__(self, other):
-        return Poly(_same_ring(self, other),
-                    sub_mul_coeffs(1, self.coeffs, (1,), other.coeffs))
-
-    def __neg__(self):
-        return Poly(self.ring, [-c for c in self.coeffs])
-
-    def __mul__(self, other):
-        return Poly(_same_ring(self, other), mul_coeffs(self.coeffs, other.coeffs))
-
     def scale(self, c):
         c = self.ring.coerce(c)
         return Poly(self.ring, [a * c for a in self.coeffs])
-
-    def __pow__(self, n):
-        """self**n by squaring."""
-        return power(self, n, Poly.__mul__, Poly.one(self.ring))
-
-    def __divmod__(self, other):
-        """(q, r) with self = q*other + r and deg r < deg other, by
-        `pseudo_divmod`.  Over QQ both operands are first scaled into ZZ;
-        over ZZ every coefficient quotient must be exact, that is s = +-1."""
-        ring = _same_ring(self, other)
-        if other.is_zero:
-            raise ZeroDivisionError("polynomial division by zero")
-        den = 1
-        f, g = self.coeffs, other.coeffs
-        if ring is QQ:
-            den, (f, g) = clear_denominators((f, g))
-        s, q, r = pseudo_divmod(f, g, ring.char)
-        if ring is ZZ and s not in (1, -1):
-            raise ExactDivisionError(
-                f"quotient by leading coefficient {other.leading} is not integral")
-        if s != 1 or den != 1:
-            q = [Fraction(c, s) for c in q]
-            r = [Fraction(c, s * den) for c in r]
-        return Poly(ring, q), Poly(ring, r)
-
-    def exact_div(self, other):
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise ExactDivisionError("division not exact")
-        return q
-
-    __floordiv__ = exact_div
 
     def monic(self):
         if self.is_zero:
@@ -293,16 +243,6 @@ class Poly:
             else:
                 parts.append(f"t^{i}" if c == 1 else f"{c}*t^{i}")
         return " + ".join(parts).replace("+ -", "- ")
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd over a field."""
-    ring = _same_ring(a, b)
-    if not ring.is_field:
-        raise TypeError("poly_gcd needs field coefficients")
-    while not b.is_zero:
-        a, b = b, divmod(a, b)[1]
-    return a.monic()
 
 
 def gcd_zz_coeffs(a, b):
@@ -488,6 +428,8 @@ class LaurentPoly:
     __slots__ = ("ring", "val", "body")
 
     def __init__(self, ring, val, body):
+        if not isinstance(val, int) or isinstance(val, bool):
+            raise PreconditionError(f"bad valuation {val!r}")
         if not isinstance(body, Poly):
             body = Poly(ring, body)
         elif body.ring is not ring:

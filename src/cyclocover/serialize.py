@@ -60,13 +60,11 @@ def laurent_to_json(f):
 def parse_laurent(obj) -> LaurentPoly:
     if not isinstance(obj, dict) or set(obj) - {"val", "coeffs"}:
         raise PreconditionError(f"bad Laurent polynomial {obj!r}")
-    val = obj.get("val", 0)
-    if not isinstance(val, int) or isinstance(val, bool):
-        raise PreconditionError(f"bad valuation {val!r}")
     coeffs = obj.get("coeffs", [])
     if not isinstance(coeffs, list):
         raise PreconditionError("coeffs must be a list")
-    return LaurentPoly(ZZ, val, [parse_scalar(ZZ, c) for c in coeffs])
+    # LaurentPoly checks the valuation
+    return LaurentPoly(ZZ, obj.get("val", 0), [parse_scalar(ZZ, c) for c in coeffs])
 
 
 def matrix_to_json(m: LaurentMatrix):

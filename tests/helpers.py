@@ -9,12 +9,16 @@ h_p^- comes from the exact product of cyclically shifted polynomials and
 from Maillet's full determinant, determinants come from Fraction
 elimination and from the Leibniz permutation sum, gcds over ZZ[t] from
 Euclid over QQ[t], minor gcds from one Leibniz sum per minor folded by
-that gcd, Smith forms from Euclid over kappa[t] on Poly entries, and
-Laurent matrix products from Poly sums and products entry by entry.
+that gcd, Smith forms from Euclid over kappa[t], and Laurent matrix
+products from sums and products entry by entry.  Every polynomial step
+runs on the textbook coefficient-list arithmetic below (`poly_add`,
+`poly_sub`, `poly_mul`, `poly_divmod`, `monic_gcd`), not on the
+library's list primitives; library `Poly` values are built only where
+results are compared.
 """
 
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, zip_longest
 from math import gcd, lcm
 
 from cyclocover.arith import factorize, primitive_root
@@ -24,7 +28,81 @@ from cyclocover.modules import (FinGenVerdict, FinGenWitness,
                                 INFINITE_DIMENSION, T_NOT_INTEGRAL,
                                 TINV_NOT_INTEGRAL, minor_gcd)
 from cyclocover.normal_forms import laurent_cokernel
-from cyclocover.rings import GF, LaurentPoly, Poly, QQ, ZZ, cyclotomic, poly_gcd
+from cyclocover.rings import GF, LaurentPoly, Poly, QQ, ZZ, cyclotomic
+
+
+# ---------------------------------------------------------------------------
+# textbook polynomial arithmetic on coefficient lists
+#
+# A polynomial is a list of coefficients, lowest degree first; results
+# carry no trailing zeros ([] is zero).  p = 0 reads the coefficients as
+# ints over ZZ or as ints and Fractions over QQ, and a prime p reads them
+# modulo p.  Division multiplies by the inverse of the leading
+# coefficient, in QQ or in GF(p).  None of it runs on cyclocover.rings'
+# coefficient-list primitives, which the oracles below check.
+
+def _trim(cs, p=0):
+    out = [c % p for c in cs] if p else list(cs)
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def poly_add(a, b, p=0):
+    return _trim([x + y for x, y in zip_longest(a, b, fillvalue=0)], p)
+
+
+def poly_sub(a, b, p=0):
+    return _trim([x - y for x, y in zip_longest(a, b, fillvalue=0)], p)
+
+
+def poly_mul(a, b, p=0):
+    out = [0] * (len(a) + len(b) - 1) if a and b else []
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out, p)
+
+
+def _inverse(c, p):
+    return pow(c, -1, p) if p else 1 / Fraction(c)
+
+
+def poly_divmod(a, b, p=0):
+    """(q, r) with a = q*b + r and len(r) < len(b), for b with a nonzero
+    leading coefficient: long division over QQ (p = 0) or GF(p)."""
+    inv = _inverse(b[-1], p)
+    n = len(b) - 1
+    r = list(a)
+    q = [0] * max(len(r) - n, 0)
+    for k in reversed(range(len(q))):
+        c = r[k + n] * inv
+        q[k] = c % p if p else c
+        for i, y in enumerate(b):
+            r[k + i] -= q[k] * y
+    return _trim(q, p), _trim(r[:n], p)
+
+
+def poly_monic(a, p=0):
+    if not a:
+        return []
+    inv = _inverse(a[-1], p)
+    return _trim([c * inv for c in a], p)
+
+
+def monic_gcd(a, b, p=0):
+    """The monic gcd over QQ (p = 0) or GF(p) by Euclid ([] when both are
+    zero)."""
+    a, b = _trim(a, p), _trim(b, p)
+    while b:
+        a, b = b, poly_divmod(a, b, p)[1]
+    return poly_monic(a, p)
+
+
+def strip_t_power(a):
+    """The coefficient list a without its factor t^k."""
+    k = next((i for i, c in enumerate(a) if c), 0)
+    return list(a[k:])
 
 
 # ---------------------------------------------------------------------------
@@ -160,9 +238,10 @@ def residue_fingen(M) -> FinGenVerdict:
     if free_rank > 0:
         return FinGenVerdict(False, FinGenWitness(0, INFINITE_DIMENSION, None),
                              None, ())
-    char = Poly.one(QQ)
+    char = [1]
     for f in factors:
-        char = char * f
+        char = poly_mul(char, f.coeffs)
+    char = Poly(QQ, char)
     if any(c.denominator != 1 for f in factors for c in f.coeffs):
         return FinGenVerdict(False, FinGenWitness(0, T_NOT_INTEGRAL, char),
                              None, ())
@@ -346,9 +425,9 @@ def charsum_hp_minus(p):
         for j, x in enumerate(f):
             shifted[(a * j) % n] += x
         prod = shifted if prod is None else _cyclic_mul(prod, shifted, n)
-    _, r = divmod(Poly(ZZ, tuple(prod)), cyclotomic(n))
-    assert r.degree <= 0, "character-sum product is not Galois-stable"
-    c = int(r.constant)
+    _, r = poly_divmod(prod, cyclotomic(n).coeffs)
+    assert len(r) <= 1, "character-sum product is not Galois-stable"
+    c = int(r[0]) if r else 0
     num = c if (p - 1) // 2 % 2 == 0 else -c
     den = (2 * p) ** ((p - 3) // 2)
     assert num > 0 and num % den == 0, num
@@ -396,16 +475,18 @@ def fraction_det(a):
     return int(det)
 
 
-def leibniz_det(a, one, zero):
-    """sum over permutations s of sign(s) * prod_i a[i][s(i)]; no division."""
+def leibniz_det(a, p=0):
+    """sum over permutations s of sign(s) * prod_i a[i][s(i)] for a square
+    matrix of coefficient lists, over ZZ or QQ (p = 0) or GF(p); no
+    division."""
     n = len(a)
-    total = zero
+    total = []
     for perm in permutations(range(n)):
         inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
-        term = one
+        term = [1]
         for i, j in enumerate(perm):
-            term = term * a[i][j]
-        total = total - term if inversions % 2 else total + term
+            term = poly_mul(term, a[i][j], p)
+        total = (poly_sub if inversions % 2 else poly_add)(total, term, p)
     return total
 
 
@@ -413,16 +494,19 @@ def leibniz_det(a, one, zero):
 # gcd over ZZ[t] through Euclid over QQ[t]
 
 def gcd_zz_over_qq(a, b):
-    """gcd over ZZ[t] via Gauss: gcd of contents times the primitive,
-    positive-leading associate of the monic gcd over QQ[t]."""
-    if a.is_zero:
-        return b if b.is_zero or b.leading > 0 else -b
-    if b.is_zero:
-        return a if a.leading > 0 else -a
-    c = gcd(a.content(), b.content())
-    g = poly_gcd(a.to_ring(QQ), b.to_ring(QQ))
-    den = lcm(*(q.denominator for q in g.coeffs))
-    return Poly(ZZ, [int(q * den) for q in g.coeffs]).primitive().scale(c)
+    """gcd over ZZ[t] of two int coefficient lists via Gauss: the gcd of
+    the contents times the primitive, positive-leading associate of the
+    monic gcd over QQ[t]."""
+    a, b = _trim(a), _trim(b)
+    if not a or not b:
+        f = a or b
+        return [-c for c in f] if f and f[-1] < 0 else f
+    g = monic_gcd(a, b)
+    den = lcm(*(Fraction(c).denominator for c in g))
+    g = [int(c * den) for c in g]
+    c = gcd(gcd(*a), gcd(*b))
+    h = gcd(*g)
+    return [c * x // h for x in g]
 
 
 # ---------------------------------------------------------------------------
@@ -430,40 +514,39 @@ def gcd_zz_over_qq(a, b):
 
 def minor_gcd_oracle(mat, size):
     """gcd over ZZ[t] (content included, positive leading coefficient) of
-    every size x size minor of a LaurentMatrix over ZZ: each row is
-    cleared into ZZ[t] by the power of t that brings its least valuation to
-    0, each minor is the Leibniz sum (`leibniz_det`) of the cleared Poly
-    rows, and its t-power is stripped before `gcd_zz_over_qq`."""
+    every size x size minor of a LaurentMatrix over ZZ, as a Poly: each
+    row is cleared into ZZ[t] by the power of t that brings its least
+    valuation to 0, each minor is the Leibniz sum (`leibniz_det`) of the
+    cleared coefficient lists, and its t-power is stripped before
+    `gcd_zz_over_qq`."""
     if size > mat.nrows or size > mat.ncols:
         return Poly.zero(ZZ)
-    poly_rows = []
+    rows = []
     for row in mat.entries:
         v = min((e.val for e in row if not e.is_zero), default=0)
-        poly_rows.append([Poly(ZZ, [0] * (e.val - v) + list(e.body.coeffs))
-                          for e in row])
-    one, zero = Poly.one(ZZ), Poly.zero(ZZ)
-    g = zero
+        rows.append([[0] * (e.val - v) + list(e.body.coeffs) for e in row])
+    g = []
     for rsel in combinations(range(mat.nrows), size):
         for csel in combinations(range(mat.ncols), size):
-            d = leibniz_det([[poly_rows[i][j] for j in csel] for i in rsel],
-                            one, zero)
+            d = leibniz_det([[rows[i][j] for j in csel] for i in rsel])
             if d:
-                g = gcd_zz_over_qq(g, Poly(ZZ, d.coeffs[d.low_order():]))
-    return g
+                g = gcd_zz_over_qq(g, strip_t_power(d))
+    return Poly(ZZ, g)
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form by Euclid over kappa[t] on Poly entries
+# Smith normal form by Euclid over kappa[t] on coefficient lists
 
-def smith_oracle(rows):
-    """(monic invariant factors, rank) of a matrix of Poly over a field,
-    with every step a Poly division over the field: the same pivot rule
-    (least degree, then lowest (row, col)) and diagonal read-off as the
-    library's Smith core, without its fraction-free coefficient lists."""
-    D = [list(row) for row in rows]
+def smith_oracle(rows, p=0):
+    """(monic invariant factors, rank) of a matrix of coefficient lists
+    over QQ (p = 0) or GF(p), the factors as coefficient lists, with every
+    step a long division over the field: the same pivot rule (least
+    degree, then lowest (row, col)) and diagonal read-off as the library's
+    Smith core, without its fraction-free steps."""
+    D = [[_trim(e, p) for e in row] for row in rows]
     diag = []
     while True:
-        nonzero = [(e.degree, i, j) for i, row in enumerate(D)
+        nonzero = [(len(e), i, j) for i, row in enumerate(D)
                    for j, e in enumerate(row) if e]
         if not nonzero:
             break
@@ -477,9 +560,10 @@ def smith_oracle(rows):
             for i in range(1, len(D)):
                 if not D[i][0]:
                     continue
-                q = divmod(D[i][0], D[0][0])[0]
+                q = poly_divmod(D[i][0], D[0][0], p)[0]
                 if q:
-                    D[i] = [a - q * b for a, b in zip(D[i], D[0])]
+                    D[i] = [poly_sub(a, poly_mul(q, b, p), p)
+                            for a, b in zip(D[i], D[0])]
                 if D[i][0]:
                     D[0], D[i] = D[i], D[0]
                     dirty = True
@@ -488,7 +572,7 @@ def smith_oracle(rows):
             for j in range(1, len(D[0])):
                 if not D[0][j]:
                     continue
-                D[0][j] = divmod(D[0][j], D[0][0])[1]
+                D[0][j] = poly_divmod(D[0][j], D[0][0], p)[1]
                 if D[0][j]:
                     for row in D:
                         row[0], row[j] = row[j], row[0]
@@ -498,10 +582,11 @@ def smith_oracle(rows):
         D = [row[1:] for row in D[1:]]
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
-            if divmod(diag[j], diag[i])[1]:
-                g = poly_gcd(diag[i], diag[j])
-                diag[i], diag[j] = g, diag[i] * diag[j] // g
-        diag[i] = diag[i].monic()
+            if poly_divmod(diag[j], diag[i], p)[1]:
+                g = monic_gcd(diag[i], diag[j], p)
+                lcm_ij = poly_divmod(poly_mul(diag[i], diag[j], p), g, p)[0]
+                diag[i], diag[j] = g, lcm_ij
+        diag[i] = poly_monic(diag[i], p)
     return diag, len(diag)
 
 
@@ -547,26 +632,26 @@ def brute_automorphism_order(free, orders, torsion, mixing, cap=5000):
 
 
 # ---------------------------------------------------------------------------
-# Laurent matrix product on Poly arithmetic
+# Laurent matrix product on coefficient lists
 
 def laurent_mat_mul(a, b):
     """The product a * b of two LaurentMatrix over ZZ.  Each entry is a
-    sum of terms t^w * p, w the sum of the two factors' valuations and p
-    the `Poly` product of their bodies: the Polys t^(w - v) * p are added,
-    v the least w, and the entry is t^v times that sum."""
+    sum of terms t^w * f, w the sum of the two factors' valuations and f
+    the `poly_mul` product of their bodies: the lists t^(w - v) * f are
+    added, v the least w, and the entry is t^v times that sum."""
     if a.ncols != b.nrows:
         raise ValueError("matrix shape mismatch in multiplication")
     rows = []
     for arow in a.entries:
         row = []
         for j in range(b.ncols):
-            terms = [(x.val + y.val, x.body * y.body)
+            terms = [(x.val + y.val, poly_mul(x.body.coeffs, y.body.coeffs))
                      for x, y in zip(arow, (brow[j] for brow in b.entries))
                      if not (x.is_zero or y.is_zero)]
             v = min((w for w, _ in terms), default=0)
-            acc = Poly.zero(ZZ)
-            for w, p in terms:
-                acc = acc + Poly(ZZ, (0,) * (w - v) + p.coeffs)
+            acc = []
+            for w, f in terms:
+                acc = poly_add(acc, [0] * (w - v) + f)
             row.append(LaurentPoly(ZZ, v, acc))
         rows.append(row)
     return LaurentMatrix(ZZ, a.nrows, b.ncols, rows)

@@ -24,10 +24,12 @@ from cyclocover.covers import (FreeHomologyError, SelfCoverWitness,
 from cyclocover.errors import PreconditionError
 from cyclocover.matrices import LaurentMatrix, mat_pow
 from cyclocover.normal_forms import char_poly
-from cyclocover.rings import GF, LaurentPoly, Poly, QQ, ZZ, poly_gcd
+from cyclocover.rings import GF, LaurentPoly, Poly, QQ, ZZ
 
-from helpers import (direct_cover_homology, laurent_mat_mul, minor_gcd_oracle,
-                     rand_unimodular_laurent, random_chain_endo, smith_oracle)
+from helpers import (direct_cover_homology, gcd_zz_over_qq, laurent_mat_mul,
+                     minor_gcd_oracle, monic_gcd, poly_mul,
+                     rand_unimodular_laurent, random_chain_endo, smith_oracle,
+                     strip_t_power)
 
 
 def trefoil():
@@ -45,25 +47,16 @@ def klein():
 
 
 def expected_factors(m, field=QQ):
-    """Invariant factors over kappa[t,1/t] of t*I - m, via the Smith form
-    over kappa[t] by Euclid on Poly entries (`helpers.smith_oracle`).
+    """Invariant factors over kappa[t,1/t] of t*I - m, as Polys, via the
+    Smith form over kappa[t] by Euclid on coefficient lists
+    (`helpers.smith_oracle`).
 
     For an invertible m these decide m up to similarity.
     """
-    n = len(m)
-    if n == 0:
-        return []
-    t = Poly(field, (0, 1))
-    rows = [[(t if i == j else Poly.zero(field)) - Poly(field, (field.coerce(m[i][j]),))
-             for j in range(n)] for i in range(n)]
-    out = []
-    for f in smith_oracle(rows)[0]:
-        k = f.low_order()
-        if k:
-            f = Poly(field, f.coeffs[k:])
-        if f.degree > 0:
-            out.append(f.monic())
-    return out
+    rows = [[[-m[i][j], 1] if i == j else [-m[i][j]] for j in range(len(m))]
+            for i in range(len(m))]
+    factors = (strip_t_power(f) for f in smith_oracle(rows, field.char)[0])
+    return [Poly(field, f) for f in factors if len(f) > 1]
 
 
 def check_against_oracle(x, field, q):
@@ -182,10 +175,10 @@ class TestMappingTorus:
         inf = infinite_cover_homology_field(x, QQ)
         assert time.perf_counter() - start < 2
         factors, free = inf[0]
-        prod = Poly.one(QQ)
+        prod = [1]
         for f in factors:
-            prod = prod * f
-        assert free == 0 and prod == char_poly(a).to_ring(QQ)
+            prod = poly_mul(prod, f.coeffs)
+        assert free == 0 and Poly(QQ, prod) == char_poly(a).to_ring(QQ)
 
 
 class TestOneSmithFormPerBoundary:
@@ -289,8 +282,17 @@ class TestWang:
             wang_dimensions(x, QQ, 2)
 
     def test_bad_q(self):
-        with pytest.raises(ValueError):
-            wang_dimensions(circle(), QQ, 0)
+        # q is an int >= 1 and not a bool: 2.5 gave float dimensions over
+        # QQ and a TypeError over GF(5), and True was read as q = 1
+        x = mapping_torus_complex([1, 2], [[[0, 0]]], [[[1]], [[0, -1], [1, -1]]])
+        for q in (0, -3, 2.5, 6.0, True, "3"):
+            for field in (QQ, GF(5)):
+                with pytest.raises(PreconditionError, match="q must be"):
+                    wang_dimensions(x, field, q)
+                with pytest.raises(PreconditionError, match="q must be"):
+                    cover_homology_field(x, field, q)
+                with pytest.raises(PreconditionError, match="q must be"):
+                    cover_dimensions(x, field, [2, q])
 
     @pytest.mark.parametrize("field", [QQ, GF(5)])
     def test_trefoil_huge_q_is_fast(self, field):
@@ -328,7 +330,8 @@ class TestTqModF:
         tq1 = Poly(field, [-1] + [0] * (q - 1) + [1])
         out, below = [], []
         for factors, free_rank in infinite_cover_homology_field(x, field):
-            here = [poly_gcd(f, tq1) for f in factors]
+            here = [Poly(field, monic_gcd(f.coeffs, tq1.coeffs, field.char))
+                    for f in factors]
             blocks = [g for g in here + [tq1] * free_rank + below if g.degree > 0]
             out.append((sum(g.degree for g in blocks), t_action_matrix(blocks, field)))
             below = here
@@ -432,8 +435,10 @@ class TestSelfCover:
         w = SelfCoverWitness(5, 1, [[[1]], [[1]], []])
         with pytest.raises(ValueError):
             verify_self_cover_relation(trefoil(), w)
-        with pytest.raises(ValueError, match="k must be"):
-            verify_self_cover_relation(trefoil(), SelfCoverWitness(1, 1, []))
+        # k is an int > 1 and not a bool; 2.5 used to raise TypeError
+        for k in (1, -5, 2.5, 6.0, True, "5"):
+            with pytest.raises(PreconditionError, match="k must be"):
+                verify_self_cover_relation(trefoil(), SelfCoverWitness(k, 1, []))
         with pytest.raises(ValueError, match="sign"):
             verify_self_cover_relation(trefoil(), SelfCoverWitness(5, 0, []))
 
@@ -523,18 +528,22 @@ class TestDimensionBound:
         g = Poly(QQ, (-1, 1))
         m = t_action_matrix([g, f], QQ)
         assert len(m) == 3
+        # [DERIVED] (t - 1)(t^2 - t + 1) = t^3 - 2t^2 + 2t - 1
         assert char_poly([[int(x) for x in row] for row in m]) == \
-            Poly(ZZ, (-1, 1)) * Poly(ZZ, (1, -1, 1))
+            Poly(ZZ, (-1, 2, -2, 1))
 
 
 class TestOraclesAreIndependent:
     """The oracles do not run on the library kernels they check.  With the
-    Bareiss loop, `det_coeffs`, `gcd_zz_coeffs` and the Smith core made to
-    raise under every name a library module holds them by, the oracles
-    still return, and give what the library gave before."""
+    Bareiss loop, `det_coeffs`, the Smith core and every coefficient-list
+    kernel of `rings` but `strip_coeffs` (which `Poly` construction needs)
+    made to raise under every name a library module holds them by, the
+    oracles still return, and give what the library gave before."""
 
-    KERNELS = (matrices._bareiss, matrices.det_coeffs, rings.gcd_zz_coeffs,
-               normal_forms._smith_lists)
+    KERNELS = (matrices._bareiss, matrices.det_coeffs, normal_forms._smith_lists,
+               rings.gcd_zz_coeffs, rings.pseudo_divmod, rings.sub_mul_coeffs,
+               rings.mul_coeffs, rings.mulmod_coeffs, rings.gcd_gf_coeffs,
+               rings.monic_coeffs)
 
     def refuse_kernels(self, monkeypatch):
         def refuse(*args):
@@ -551,18 +560,33 @@ class TestOraclesAreIndependent:
 
     def test_oracles_avoid_the_library_kernels(self, monkeypatch):
         rng = random.Random(4099)
-        rows = [[LaurentPoly(ZZ, rng.randint(-2, 2),
-                             [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
-                 for _ in range(4)] for _ in range(3)]
-        mat = LaurentMatrix(ZZ, 3, 4, rows)
+
+        def entry():
+            return LaurentPoly(ZZ, rng.randint(-2, 2),
+                               [rng.randint(-3, 3) for _ in range(rng.randint(1, 3))])
+
+        mat = LaurentMatrix(ZZ, 3, 4, [[entry() for _ in range(4)] for _ in range(3)])
         gcds = [matrices.laurent_minor_gcd(mat, size) for size in range(4)]
         blocks = [([[0, -1], [1, -1]], QQ), ([[1, 1], [0, 1]], GF(5)),
                   ([[2, 1], [1, 1]], QQ)]
         factors = [infinite_cover_homology_field(
             mapping_torus_complex([2], [], [m]), field)[0][0] for m, field in blocks]
-        t = Poly(QQ, (0, 1))
-        smith_rows = [[t * t - Poly.one(QQ), t - Poly.one(QQ)],
-                      [t + Poly.one(QQ), Poly.zero(QQ)]]
+        # [x | x y] times [y ; -I] is zero, x times y is not
+        y = LaurentMatrix(ZZ, 4, 2, [[entry() for _ in range(2)] for _ in range(4)])
+        xy = laurent_mat_mul(mat, y)
+        a = LaurentMatrix(ZZ, 3, 6, [r + s for r, s in zip(mat.entries, xy.entries)])
+        b = LaurentMatrix(ZZ, 6, 2, list(y.entries) + [
+            [LaurentPoly(ZZ, 0, [-int(i == j)]) for j in range(2)] for i in range(2)])
+        pairs = [(mat, y), (a, b)]
+        products = [laurent_mat_mul(u, v) for u, v in pairs]
+        verdicts = [matrices.laurent_product_is_zero(u, v) for u, v in pairs]
+        assert verdicts == [False, True]
+        polys = [([rng.randint(-4, 4) for _ in range(rng.randint(0, 5))],
+                  [rng.randint(-4, 4) for _ in range(rng.randint(0, 5))])
+                 for _ in range(30)]
+        polys = [(rings.strip_coeffs(f), rings.strip_coeffs(g)) for f, g in polys]
+        polys.append(([-2, 0, 2], [2, -4, 2]))  # [DERIVED] gcd 2(t - 1)
+        zz_gcds = [rings.gcd_zz_coeffs(f, g) for f, g in polys]
         self.refuse_kernels(monkeypatch)
         # the library itself now fails on each path
         with pytest.raises(AssertionError, match="library kernel"):
@@ -571,8 +595,16 @@ class TestOraclesAreIndependent:
             normal_forms.laurent_cokernel(mat, QQ)
         with pytest.raises(AssertionError, match="library kernel"):
             char_poly([[1, 2], [3, 4]])
+        with pytest.raises(AssertionError, match="library kernel"):
+            rings.gcd_zz_coeffs([-1, 1], [1, 1])
         assert [minor_gcd_oracle(mat, size) for size in range(4)] == gcds
         assert [expected_factors(m, field) for m, field in blocks] == factors
+        got = [laurent_mat_mul(u, v) for u, v in pairs]
+        assert got == products
+        assert [all(e.is_zero for row in p.entries for e in row) for p in got] == verdicts
+        assert [gcd_zz_over_qq(f, g) for f, g in polys] == zz_gcds
+        assert zz_gcds[-1] == [-2, 2]
         # [DERIVED] the entries have gcd 1 (t - 1 and t + 1 are coprime)
         # and the determinant is -(t - 1)(t + 1): factors 1 and t^2 - 1
-        assert smith_oracle(smith_rows) == ([Poly.one(QQ), t * t - Poly.one(QQ)], 2)
+        smith_rows = [[[-1, 0, 1], [-1, 1]], [[1, 1], []]]
+        assert smith_oracle(smith_rows) == ([[1], [-1, 0, 1]], 2)

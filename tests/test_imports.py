@@ -180,16 +180,29 @@ def dead_public_methods(sources, readme):
     """Sorted `Class.method` for each method or property of a module-level
     class of the modules in `sources` whose name does not start with `_`,
     that no module references outside the method's own definition and
-    that the text `readme` does not name as `Class.method`."""
+    outside the other dead methods, and that the text `readme` does not
+    name as `Class.method`.  Liveness is transitive: a method read only by
+    dead methods is dead too, found by iterating to a fixpoint.  Names are
+    bare, so a method that shares its name with a live method of another
+    class (`LaurentPoly.one` and `Poly.one`) counts as live."""
     trees = [ast.parse(src) for src in sources]
     total = sum((_references(tree) for tree in trees), Counter())
-    return sorted(f"{cls.name}.{item.name}" for tree in trees for cls in tree.body
-                  if isinstance(cls, ast.ClassDef)
-                  for item in cls.body
-                  if isinstance(item, ast.FunctionDef)
-                  and not item.name.startswith("_")
-                  and total[item.name] == _references(item)[item.name]
-                  and not re.search(rf"\b{cls.name}\.{item.name}\b", readme))
+    methods = [(f"{cls.name}.{item.name}", item, _references(item))
+               for tree in trees for cls in tree.body
+               if isinstance(cls, ast.ClassDef)
+               for item in cls.body
+               if isinstance(item, ast.FunctionDef)
+               and not item.name.startswith("_")
+               and not re.search(rf"\b{cls.name}\.{item.name}\b", readme)]
+    dead = set()
+    while True:
+        in_dead = sum((refs for key, _, refs in methods if key in dead), Counter())
+        found = {key for key, item, refs in methods
+                 if total[item.name] - in_dead[item.name]
+                 - (0 if key in dead else refs[item.name]) == 0}
+        if found == dead:
+            return sorted(dead)
+        dead = found
 
 
 def test_guard_sees_dead_public_methods():
@@ -197,7 +210,9 @@ def test_guard_sees_dead_public_methods():
         "class Pub:\n"
         "    def used(self):\n        return self.helper()\n"
         "    def helper(self):\n        return 0\n"
-        "    def dead(self):\n        return 0\n"
+        "    def dead(self):\n        return self.read_by_dead()\n"
+        "    def read_by_dead(self):\n        return self.chained()\n"
+        "    def chained(self):\n        return 0\n"
         "    @property\n    def dead_prop(self):\n        return 1\n"
         "    @classmethod\n    def documented(cls):\n        return cls()\n"
         "    @classmethod\n    def doc(cls):\n        return cls()\n"
@@ -209,7 +224,8 @@ def test_guard_sees_dead_public_methods():
     user = "from lib import Pub\nPub().used()\n"
     readme = "Build one with `Pub.documented()`.\n"
     assert dead_public_methods([lib, user], readme) == [
-        "Pub.dead", "Pub.dead_prop", "Pub.doc", "Pub.recursive", "_Hidden.gone"]
+        "Pub.chained", "Pub.dead", "Pub.dead_prop", "Pub.doc", "Pub.read_by_dead",
+        "Pub.recursive", "_Hidden.gone"]
 
 
 def test_no_dead_public_methods():

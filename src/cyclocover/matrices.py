@@ -56,10 +56,15 @@ def _bareiss(m):
     a pivot +-1 there eliminates with no multiplication by the pivot and
     no division: each lower row with a nonzero lead a loses a * pivot
     times the pivot row, on that row's nonzero columns only, and prev
-    stays 1.  A unit is looked for down the column only where a pivot
-    search is due anyway (a zero diagonal entry) or right after a unit
-    step, so a matrix whose leading pivots are neither goes through plain
-    Bareiss with no extra scan.
+    stays 1.  A unit is looked for only where a pivot search is due
+    anyway (a zero diagonal entry) or right after a unit step, so a
+    matrix whose leading pivots are neither goes through plain Bareiss
+    with no extra scan.  The search covers the whole remaining block
+    (rows k.., columns k..), row by row, and brings the first unit it
+    meets to (k, k) by a row swap and a column swap; the column swap
+    touches rows k.. only, since the rows above are never read again.
+    Failing a unit, a zero diagonal entry is swapped with the first
+    nonzero entry below it.
     """
     n = len(m)
     if n == 0:
@@ -68,26 +73,34 @@ def _bareiss(m):
     prev = 1
     unit = False  # whether the last step had a unit pivot
     for k in range(n - 1):
+        pk = m[k][k]
+        if not pk or unit and pk != 1 and pk != -1:
+            s = c = k
+            for i in range(k, n):
+                tail = m[i][k:]
+                if 1 in tail:
+                    s, c = i, k + tail.index(1)
+                    break
+                if -1 in tail:
+                    s, c = i, k + tail.index(-1)
+                    break
+            else:
+                if not pk:
+                    for s in range(k + 1, n):
+                        if m[s][k]:
+                            break
+                    else:
+                        return 0  # column k is zero from row k down
+            if c != k:
+                for i in range(k, n):
+                    ri = m[i]
+                    ri[k], ri[c] = ri[c], ri[k]
+                sign = -sign
+            if s != k:
+                m[k], m[s] = m[s], m[k]
+                sign = -sign
         rk = m[k]
         pk = rk[k]
-        if not pk or unit and pk != 1 and pk != -1:
-            # swap up a unit from below, or on a zero diagonal entry
-            # failing that any nonzero one
-            s = 0
-            for i in range(k + 1, n):
-                x = m[i][k]
-                if x == 1 or x == -1:
-                    s = i
-                    break
-                if x and not pk:
-                    s = i
-            if s:
-                m[k], m[s] = m[s], rk
-                rk = m[k]
-                pk = rk[k]
-                sign = -sign
-            elif not pk:
-                return 0  # column k is zero from row k down
         unit = prev == 1 and (pk == 1 or pk == -1)
         if unit:
             if pk < 0:

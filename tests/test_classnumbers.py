@@ -21,10 +21,12 @@ from cyclocover.classnumbers import (ClassGateReport, DEFAULT_PRIME_BOUND,
                                      load_hplus_table, odd_prime_factor,
                                      prime_bound)
 from cyclocover.errors import InternalCheckError, PreconditionError
+from cyclocover.matrices import det_int
 from helpers import (charsum_hp_minus, fraction_det, maillet_hp_minus,
                      maillet_matrix)
 
 ODD_PRIMES_TO_101 = [p for p in range(3, 102, 2) if is_prime(p)]
+ODD_PRIMES_103_TO_211 = [p for p in range(103, 212, 2) if is_prime(p)]
 
 
 KNOWN_H_MINUS = {
@@ -76,6 +78,21 @@ class TestAgainstOracles:
         h = hp_minus(p)
         assert h == charsum_hp_minus(p)
         assert h == maillet_hp_minus(p)
+
+    @pytest.mark.parametrize("p", ODD_PRIMES_103_TO_211)
+    def test_cross_check_up_to_the_default_bound(self, p, monkeypatch):
+        # the two internal methods agree, or hp_minus raises
+        # InternalCheckError, at the benchmark's sizes
+        monkeypatch.delenv("CCK_PRIME_BOUND", raising=False)
+        h = hp_minus(p)
+        assert type(h) is int and h > 0
+
+    def test_maillet_det_int_with_column_swaps(self):
+        # at p = 103 the block search of det_int swaps columns (14 times on
+        # the 51 x 51 matrix); the signed determinant must still be the
+        # Fraction elimination's
+        a = classnumbers._maillet_reduced(103)
+        assert det_int(a) == fraction_det(a)
 
     @pytest.mark.parametrize("p", [p for p in ODD_PRIMES_TO_101 if p <= 61])
     def test_maillet_reduction(self, p):
@@ -201,6 +218,10 @@ class TestOddPrimeFactor:
             odd_prime_factor(0)
         with pytest.raises(PreconditionError):
             odd_prime_factor(-3)
+        # bools are not counts, as everywhere else
+        for b in (True, False):
+            with pytest.raises(PreconditionError):
+                odd_prime_factor(b)
 
 
 class TestFixture:

@@ -499,6 +499,16 @@ class TestDimensionBound:
         dims = [cover_homology_field(x, QQ, q)[1][0] for q in (2, 4, 8)]
         assert dims == [3, 5, 9]
 
+    def test_iterates_read_once(self):
+        # a generator or iterator of q is read once, not used up by the
+        # check of each q before the dimensions are computed
+        tm1 = LaurentPoly.from_poly(Poly(ZZ, (-1, 1)))
+        x = TwistedChainComplex([1, 2], [LaurentMatrix(ZZ, 1, 2, [[tm1, tm1]])])
+        assert not dimension_bound_check(x, QQ, (q for q in [2]))
+        assert cover_dimensions(x, QQ, iter([2, 4])) == [[1, 3], [1, 5]]
+        with pytest.raises(PreconditionError):
+            cover_dimensions(x, QQ, (q for q in [2, 0]))
+
     @pytest.mark.parametrize("q", [covers._T_ACTION_LIMIT, 10**18])
     def test_t_action_limit_refuses_before_building(self, q):
         # dim H_1(X_q) = q + 1 is over the limit, so nothing is allocated

@@ -79,14 +79,19 @@ def make_singular(a, rng, scalars):
 
 
 class TestDeterminant:
-    # [DERIVED] zero leading pivot (row swap at k = 0), a pivot that
-    # vanishes mid-elimination (swap at k = 1), and a column that vanishes
-    # below the diagonal (early exit)
+    # [DERIVED] a zero leading pivot whose block holds a unit in row 0
+    # (column swap at k = 0, the first two), a pivot that vanishes after a
+    # unit step (column swap at k = 1, the next two); with no unit in the
+    # block, a zero leading pivot (row swap at k = 0), a pivot that
+    # vanishes after a Bareiss step (row swap at k = 1, prev 2), and a
+    # column that vanishes below the diagonal (early exit)
     SWAPS = ([[0, 1], [1, 0]], [[0, 2, 1], [3, 0, 4], [5, 6, 0]],
-             [[1, 2, 3], [2, 4, 5], [1, 3, 4]], [[1, 2, 3], [2, 4, 7], [3, 6, 1]])
+             [[1, 2, 3], [2, 4, 5], [1, 3, 4]], [[1, 2, 3], [2, 4, 7], [3, 6, 1]],
+             [[0, 2, 3], [3, 0, 4], [5, 6, 0]], [[2, 0, 3], [4, 0, 5], [6, 7, 8]],
+             [[1, 2, 3], [2, 4, 8], [3, 6, 1]])
 
     def test_int_hand_cases(self):
-        assert [det_int(a) for a in self.SWAPS] == [-1, 58, 1, 0]
+        assert [det_int(a) for a in self.SWAPS] == [-1, 58, 1, 0, 94, 14, 0]
         assert det_int([]) == 1
         assert det_int([[-4]]) == -4
 
@@ -105,25 +110,32 @@ class TestDeterminant:
             assert type(d) is int
 
     # [DERIVED] by hand and by Fraction elimination; the comments name the
-    # route through det_int's unit steps (pivot +-1 while prev is 1) and
-    # its Bareiss steps
+    # route through det_int's unit steps (pivot +-1 while prev is 1), its
+    # block search for a unit (rows k.., columns k.., row by row) and its
+    # Bareiss steps
     UNIT_PHASE = (
-        # unit pivots in columns 0 and 1 (the second after a swap), so unit
-        # steps run to the last column: det -6
+        # a unit step at column 0; the block search then meets the 1 in
+        # row 1, column 2 before the 1 below the diagonal, so a column swap
+        # gives the second unit step: det -6
         ([[1, 2, 0], [3, 1, 1], [0, 1, 1]], -6),
-        # one unit step leaves column 1 zero from row 1 down: det 0
+        # one unit step leaves column 1 zero from row 1 down; a column swap
+        # brings up the -1 of column 2 for a second unit step, which
+        # leaves 0 in the last entry: det 0
         ([[1, 2, 3], [2, 4, 5], [1, 2, 7]], 0),
-        # a zero diagonal entry, then pivots -1, 1, -1, each after a swap:
-        # det 9
+        # a zero diagonal entry: a row and a column swap bring up the 1 of
+        # row 1; after that unit step a row and a column swap bring up a
+        # -1, and a diagonal 1 ends it: three unit steps, det 9
         ([[0, 0, 3, 3], [-1, 2, 1, -2], [0, 1, 3, 0], [1, -2, -2, -2]], 9),
-        # one unit step, then column 1 reads 0, 2, 3 from row 1 down: the
-        # Bareiss steps start with a zero-pivot swap; det 29
+        # one unit step, then column 1 reads 0, 2, 3 from row 1 down and
+        # the block holds no unit: the zero pivot is swapped with the first
+        # nonzero entry below it, the 2, and Bareiss steps end it; det 29
         ([[1, 1, 2, 1], [2, 2, 6, 9], [1, 3, 5, 6], [-1, 2, 3, 1]], 29),
         # Bareiss pivots 2 and 1 bring prev back to 1, so the diagonal 1 in
         # column 2 is a unit step: det 2
         ([[2, 1, 0, 0], [3, 2, 1, 0], [0, 1, 3, 1], [1, 0, 1, 4]], 2),
-        # the same, with a zero on the diagonal in column 2: a -1 is
-        # swapped up for the unit step; det 1
+        # the same, with a zero on the diagonal in column 2: the search
+        # meets a 1 in that row at column 3, and a column swap alone gives
+        # the unit step; det 1
         ([[2, 1, 0, 0], [3, 2, 1, 0], [1, 1, 1, 1], [0, 1, 1, 2]], 1),
     )
     # [[2, 1], [1, 3]]: a leading pivot 2 with a unit below it is a plain
@@ -133,8 +145,31 @@ class TestDeterminant:
              ([[1, 2], [3, 4]], -2), ([[0, -1], [1, 0]], 1),
              ([[-1, 5], [2, 7]], -17), ([[2, 3], [4, 5]], -2),
              ([[0, 2], [3, 0]], -6), ([[2, 1], [1, 3]], 5))
+    # [DERIVED] the block search, each case by hand and by Fraction
+    # elimination
+    BLOCK_SEARCH = (
+        # after a unit step the block is [[2, 1], [3, 1]]: its only units
+        # lie right of column 1, so a column swap alone brings one up;
+        # det -1
+        ([[1, 1, 2], [2, 4, 5], [3, 6, 7]], -1),
+        # after a unit step row 1 of the block, [2, 2, 3], holds no unit,
+        # and the first unit is the -1 at row 2, column 3: a row swap and a
+        # column swap together, then a unit step with pivot -1 (three sign
+        # flips), then a Bareiss step with pivot 2; det 4
+        ([[1, 1, 1, 1], [1, 3, 3, 4], [2, 4, 2, 1], [1, 3, 4, 5]], 4),
+        # the same at k = 0, from a zero diagonal entry: det -61
+        ([[0, 2, 3], [2, 5, -1], [3, 1, 4]], -61),
+        # a zero diagonal entry and no unit anywhere: the search falls back
+        # to the first nonzero entry of column 0, the 4 (not the 2 below
+        # it), and Bareiss steps run with prev 1, then 4; det 6
+        ([[0, 2, 3], [4, 5, 6], [2, 7, 9]], 6),
+        # a singular 0/+-1 matrix (row 0 + row 1 = row 2 + row 3): a column
+        # swap at the zero leading pivot, then unit steps only, with 0 left
+        # in the last entry; det 0
+        ([[0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 0, 0], [0, 0, 1, 1]], 0),
+    )
 
-    @pytest.mark.parametrize("a,d", UNIT_PHASE + SMALL)
+    @pytest.mark.parametrize("a,d", UNIT_PHASE + SMALL + BLOCK_SEARCH)
     def test_int_unit_phase_cases(self, a, d):
         assert fraction_det(a) == d
         assert det_int(a) == d
@@ -146,7 +181,7 @@ class TestDeterminant:
         rng = random.Random(23)
         pool = [0, 0, 0, 1, 1, -1, -1, 2, -3]
         for trial in range(400):
-            n = rng.randint(1, 12)
+            n = rng.randint(1, 14)
             a = [[rng.choice(pool) for _ in range(n)] for _ in range(n)]
             if trial % 5 == 1 and n >= 2:
                 make_singular(a, rng, [-1, 0, 1, 2])

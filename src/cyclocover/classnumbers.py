@@ -37,8 +37,8 @@ from operator import itemgetter, mul
 from typing import Dict, List, Optional
 
 from .arith import is_prime, primitive_root, smallest_odd_prime_factor
-from .errors import InternalCheckError, PreconditionError, is_count
-from .matrices import det_int
+from .errors import InternalCheckError, PreconditionError, check_count
+from .matrices import det_int, kronecker_eval
 from .rings import cyclotomic
 
 DEFAULT_PRIME_BOUND = 211
@@ -108,7 +108,7 @@ def _hp_minus_charsum(p):
     target = bound << 33
     phi = cyclotomic(n)
     s = -(-target.bit_length() // phi.degree) + 1
-    modulus = phi.evaluate(1 << s)
+    modulus = kronecker_eval(phi.coeffs, s)
     if modulus <= target:
         raise InternalCheckError(
             f"Phi_{n}(2^{s}) does not exceed 2^33 times the bound")
@@ -165,8 +165,7 @@ def hp_minus(p):
 
 def odd_prime_factor(n) -> Optional[int]:
     """Smallest odd prime dividing n, or None when n is a power of 2."""
-    if not is_count(n) or n < 1:
-        raise PreconditionError(f"need a positive integer, got {n!r}")
+    check_count("n", n, 1)
     return smallest_odd_prime_factor(n)
 
 

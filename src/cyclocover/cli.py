@@ -266,6 +266,10 @@ def default_corpus_path():
 
 
 def run_corpus(path):
+    """Run every case of the corpus directory `path` ("default" for the
+    bundled one) and compare each result with the expected one."""
+    if path == "default":
+        path = default_corpus_path()
     if not os.path.isdir(path):
         raise PreconditionError(f"corpus directory {path!r} does not exist")
     names = sorted(n for n in os.listdir(path) if n.endswith(".json"))
@@ -307,7 +311,7 @@ def _parser():
                             default=_OPTIONAL_FLAGS.get(flag))
         sp.add_argument("--out")
     corpus = sub.add_parser("corpus")
-    corpus.add_argument("--path")
+    corpus.add_argument("--path", default="default")
     corpus.add_argument("--out")
     return parser
 
@@ -336,24 +340,18 @@ def run(argv):
             except OSError as exc:
                 raise PreconditionError(f"cannot write {args.out!r}: {exc}")
         if args.subcommand == "corpus":
-            path = args.path or default_corpus_path()
-            params = {"path": path}
-            result = run_corpus(path)
-            report = {"subcommand": "corpus",
-                      "input_digest": input_digest(params),
-                      "result": result, "warnings": [],
-                      "version": __version__}
-            _emit(report, out)
-            return 0 if result["failed"] == 0 else 1
-        params = _collect_params(args)
-        result = compute(args.subcommand, params)
+            params = {"path": args.path}
+            result = run_corpus(args.path)
+        else:
+            params = _collect_params(args)
+            result = compute(args.subcommand, params)
         report = {"subcommand": args.subcommand,
                   "input_digest": input_digest(params),
                   "result": result,
                   "warnings": _warnings(args.subcommand, result),
                   "version": __version__}
         _emit(report, out)
-        return 0
+        return 1 if args.subcommand == "corpus" and result["failed"] else 0
     except PreconditionError as exc:
         _emit({"error": {"kind": "precondition", "message": str(exc)}}, out)
         return 2

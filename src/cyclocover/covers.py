@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from typing import List
 
 from .arith import power
-from .errors import InternalCheckError, PreconditionError, is_count
+from .errors import (InternalCheckError, PreconditionError, check_count,
+                     check_sign, is_count)
 from .linfield import rref
 from .matrices import (LaurentMatrix, laurent_product_is_zero, mat_mul,
                        mat_pow)
@@ -29,8 +30,9 @@ _T_ACTION_LIMIT = 2048
 
 
 class TwistedChainComplex:
-    """ranks[j] cells in degree j; boundaries[j-1] is the map C_j -> C_{j-1},
-    for 1 <= j <= top.  The zero maps off the ends are not stored."""
+    """ranks[j] cells in degree j; boundaries[j-1], a ranks[j-1] x ranks[j]
+    LaurentMatrix, is the map C_j -> C_{j-1}, for 1 <= j <= top.  The zero
+    maps off the ends are not stored."""
 
     __slots__ = ("ranks", "boundaries")
 
@@ -41,24 +43,18 @@ class TwistedChainComplex:
         if len(boundaries) != max(len(ranks) - 1, 0):
             raise PreconditionError(
                 "need exactly one boundary per adjacent pair of degrees")
-        mats = []
         for j, b in enumerate(boundaries, start=1):
-            rows, cols = ranks[j - 1], ranks[j]
-            if isinstance(b, LaurentMatrix):
-                fits = b.nrows == rows and b.ncols == cols
-            else:
-                fits = len(b) == rows and all(len(r) == cols for r in b)
-            if not fits:
-                raise PreconditionError(f"boundary {j} is not {rows}x{cols}")
             if not isinstance(b, LaurentMatrix):
-                b = LaurentMatrix(ZZ, rows, cols, b)
-            mats.append(b)
-        for j in range(1, len(mats)):
-            if not laurent_product_is_zero(mats[j - 1], mats[j]):
+                raise PreconditionError(f"boundary {j} is not a LaurentMatrix")
+            rows, cols = ranks[j - 1], ranks[j]
+            if b.nrows != rows or b.ncols != cols:
+                raise PreconditionError(f"boundary {j} is not {rows}x{cols}")
+        for j in range(1, len(boundaries)):
+            if not laurent_product_is_zero(boundaries[j - 1], boundaries[j]):
                 raise PreconditionError(
                     f"boundary composition in degree {j + 1} is nonzero")
         self.ranks = tuple(ranks)
-        self.boundaries = tuple(mats)
+        self.boundaries = tuple(boundaries)
 
     def __repr__(self):
         return f"TwistedChainComplex(ranks={list(self.ranks)})"
@@ -216,13 +212,6 @@ def _dims(blocks, q):
             for here, free_rank, below in blocks]
 
 
-def _check_degree(name, n, least):
-    """A cover degree q (least 1) or self-cover power k (least 2) is an
-    int >= least and not a bool, or PreconditionError."""
-    if not is_count(n) or n < least:
-        raise PreconditionError(f"{name} must be an int >= {least}, not {n!r}")
-
-
 def cover_homology_field(X: TwistedChainComplex, field, q):
     """Homology of the q-fold cyclic cover with kappa coefficients.
 
@@ -243,7 +232,7 @@ def cover_homology_field(X: TwistedChainComplex, field, q):
     The dimension is the sum of the block degrees.  A dimension above
     _T_ACTION_LIMIT raises PreconditionError before any block is built.
     """
-    _check_degree("q", q, 1)
+    check_count("q", q, 1)
     blocks = _cover_blocks(infinite_cover_homology_field(X, field), field, q)
     dims = _dims(blocks, q)
     if max(dims, default=0) > _T_ACTION_LIMIT:
@@ -264,7 +253,7 @@ def wang_dimensions(X: TwistedChainComplex, field, q):
     and in the next.  A free part would make the dimensions grow with q,
     so it raises FreeHomologyError.
     """
-    _check_degree("q", q, 1)
+    check_count("q", q, 1)
     inf = infinite_cover_homology_field(X, field)
     for j, (_, free_rank) in enumerate(inf):
         if free_rank:
@@ -282,9 +271,8 @@ def verify_self_cover_relation(X: TwistedChainComplex, w: SelfCoverWitness):
     so no entry of T_j^k grows exponentially in k.  The eigenvalues are
     the roots of the last invariant factor, which all others divide.
     """
-    _check_degree("k", w.k, 2)
-    if w.sign not in (1, -1):
-        raise PreconditionError("sign must be +1 or -1")
+    check_count("k", w.k, 2)
+    check_sign(w.sign)
     if len(w.hbar) != len(X.ranks):
         raise PreconditionError("need one hbar block per degree")
     inf = infinite_cover_homology_field(X, QQ)
@@ -326,7 +314,7 @@ def cover_dimensions(X: TwistedChainComplex, field, iterates):
     """
     qs = list(iterates)
     for q in qs:
-        _check_degree("q", q, 1)
+        check_count("q", q, 1)
     inf = infinite_cover_homology_field(X, field)
     return [_dims(_cover_blocks(inf, field, q), q) for q in qs]
 

@@ -1,6 +1,6 @@
 """Dense matrices: integer matrices and matrices over Laurent rings."""
 
-from itertools import chain, combinations, repeat
+from itertools import chain, combinations
 from math import prod
 
 from .arith import power
@@ -39,13 +39,13 @@ def mat_mul(a, b):
 # ---------------------------------------------------------------------------
 # integer matrices
 
-def int_mat_check(a, square=False):
-    if not all(map(isinstance, chain.from_iterable(a), repeat(int))):
-        raise TypeError("expected an integer matrix")
-    widths = {len(row) for row in a}
-    if len(widths) > 1:
+def int_mat_check(a):
+    """A square matrix of ints, bools excluded, or PreconditionError."""
+    if not set(map(type, chain.from_iterable(a))) <= {int}:
+        raise PreconditionError("expected an integer matrix")
+    if len({len(row) for row in a}) > 1:
         raise PreconditionError("ragged matrix")
-    if square and a and len(a) != len(a[0]):
+    if a and len(a) != len(a[0]):
         raise PreconditionError("expected a square matrix")
 
 def _bareiss(m):
@@ -124,7 +124,7 @@ def _bareiss(m):
 
 def det_int(a):
     """Exact determinant of an integer matrix."""
-    int_mat_check(a, square=True)
+    int_mat_check(a)
     return _bareiss(mat_copy(a))
 
 def mat_is_identity(a):
@@ -145,8 +145,9 @@ def _row_norm(cs_row):
     in the Leibniz bound on a determinant's 1-norm."""
     return max(1, sum(sum(map(abs, cs)) for cs in cs_row))
 
-def _kronecker_eval(cs, k):
-    """The int coefficient list cs evaluated at t = 2^k."""
+def kronecker_eval(cs, k):
+    """The int coefficient list cs evaluated at t = 2^k, by Horner's rule
+    with shifts for products."""
     v = 0
     for c in reversed(cs):
         v = (v << k) + c
@@ -178,7 +179,7 @@ def det_coeffs(rows):
     """
     k = prod(map(_row_norm, rows)).bit_length() + 1
     return _kronecker_digits(
-        _bareiss([[_kronecker_eval(cs, k) for cs in row] for row in rows]), k)
+        _bareiss([[kronecker_eval(cs, k) for cs in row] for row in rows]), k)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +275,7 @@ def laurent_product_is_zero(a: LaurentMatrix, b: LaurentMatrix) -> bool:
 
     def at_2k(mat):
         v = min((e.val for row in mat.entries for e in row), default=0)
-        return [[_kronecker_eval(e.body.coeffs, k) << k * (e.val - v)
+        return [[kronecker_eval(e.body.coeffs, k) << k * (e.val - v)
                  for e in row] for row in mat.entries]
 
     return not any(map(any, mat_mul(at_2k(a), at_2k(b))))
@@ -301,7 +302,7 @@ def laurent_minor_gcd(mat: LaurentMatrix, size: int) -> Poly:
     bound = prod(sorted(map(_row_norm, cs_rows), reverse=True)[:size])
     k = bound.bit_length() + 1
     mask = (1 << k) - 1
-    vals = [[_kronecker_eval(cs, k) for cs in cs_row] for cs_row in cs_rows]
+    vals = [[kronecker_eval(cs, k) for cs in cs_row] for cs_row in cs_rows]
     g = []
     for rsel in combinations(vals, size):
         for csel in combinations(range(mat.ncols), size):

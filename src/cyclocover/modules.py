@@ -19,7 +19,7 @@ from .arith import factorize
 from .errors import PreconditionError, is_count
 from .matrices import LaurentMatrix, laurent_minor_gcd
 from .normal_forms import laurent_cokernel
-from .rings import GF, LaurentPoly, Poly, QQ, ZZ
+from .rings import GF, LaurentPoly, Poly, QQ, ZZ, monic_coeffs
 
 
 class FreeCokernelError(PreconditionError):
@@ -170,9 +170,8 @@ def finitely_generated_over_Z(M: ModulePresentation) -> FinGenVerdict:
     prim = g.primitive()
     if prim.leading != 1 or prim.constant not in (1, -1):
         kind = T_NOT_INTEGRAL if prim.leading != 1 else TINV_NOT_INTEGRAL
-        return FinGenVerdict(False,
-                             FinGenWitness(0, kind, prim.to_ring(QQ).monic()),
-                             None, ())
+        factor = Poly(QQ, monic_coeffs(prim.coeffs, 0))
+        return FinGenVerdict(False, FinGenWitness(0, kind, factor), None, ())
     # both ends of prim are units, so these are the primes of the content
     primes = tuple(_bad_primes(g))
     if primes:

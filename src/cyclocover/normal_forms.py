@@ -8,6 +8,7 @@ and reduced modulo p over GF(p), with no Poly in between.
 """
 
 from .arith import factorize, order_from_multiple
+from .errors import PreconditionError
 from .matrices import (LaurentMatrix, det_coeffs, int_mat_check,
                        mat_is_identity, mat_pow)
 from .rings import (MixedRingError, Poly, ZZ, cyclotomic, cyclotomic_degree,
@@ -123,7 +124,7 @@ def _primitive_row(row):
 def char_poly(a) -> Poly:
     """det(tI - A), monic, for a square integer matrix (`det_coeffs` on
     the int coefficient lists of tI - A)."""
-    int_mat_check(a, square=True)
+    int_mat_check(a)
     return Poly(ZZ, det_coeffs([[[-x, 1] if i == j else [-x]
                                  for j, x in enumerate(row)]
                                 for i, row in enumerate(a)]))
@@ -176,7 +177,7 @@ def finite_order(a):
     """
     f = char_poly(a)  # checks that A is a square integer matrix
     if f.constant not in (1, -1):
-        raise ValueError("matrix must have determinant +-1")
+        raise PreconditionError("matrix must have determinant +-1")
     return cyclotomic_order(a, cyclotomic_indices(f.coeffs))
 
 

@@ -12,7 +12,8 @@ from math import gcd, lcm
 from typing import List, Tuple
 
 from .arith import factorize, order_from_multiple, power
-from .errors import InternalCheckError, PreconditionError
+from .errors import (InternalCheckError, PreconditionError, check_count,
+                     check_sign)
 from .matrices import (det_int, int_mat_check, mat_identity, mat_is_identity,
                        mat_mul, mat_pow)
 from .normal_forms import char_poly, cyclotomic_indices, cyclotomic_order
@@ -118,12 +119,14 @@ class FgAbelianAutomorphism:
     _factors: dict = field(init=False, repr=False, compare=False)  # of d_s
 
     def __post_init__(self):
-        int_mat_check(self.free_block, square=True)
+        int_mat_check(self.free_block)
         r = len(self.free_block)
         s = len(self.torsion_orders)
         d = self.torsion_orders
-        if sorted(d) != d or any(x < 2 for x in d):
-            raise PreconditionError("torsion orders must be >= 2 and sorted")
+        for x in d:
+            check_count("a torsion order", x, 2)
+        if sorted(d) != d:
+            raise PreconditionError("torsion orders must be sorted")
         for i in range(1, s):
             if d[i] % d[i - 1]:
                 raise PreconditionError("torsion orders must form a divisibility chain")
@@ -198,14 +201,12 @@ class FgAbelianAutomorphism:
 
 
 def _check_relation_input(r, b, k, sign):
-    """B square of size r, an integer k > 1 and sign +-1, or PreconditionError."""
-    int_mat_check(b, square=True)
+    """B square of size r, an int k > 1 and sign +-1, or PreconditionError."""
+    int_mat_check(b)
     if len(b) != r:
         raise PreconditionError("A and B must have the same size")
-    if not isinstance(k, int) or k <= 1:
-        raise PreconditionError("k must be an integer > 1")
-    if sign not in (1, -1):
-        raise PreconditionError("sign must be +1 or -1")
+    check_count("k", k, 2)
+    check_sign(sign)
 
 
 def solve_prop_matrix(a, b, k, sign):
@@ -216,7 +217,7 @@ def solve_prop_matrix(a, b, k, sign):
     A is not a root of unity.  An A of infinite order despite a valid
     relation would contradict the theory and raises an internal error.
     """
-    int_mat_check(a, square=True)
+    int_mat_check(a)
     _check_relation_input(len(a), b, k, sign)
     return _solve_relation(a, b, k, sign)
 
@@ -264,14 +265,22 @@ def full_order(phi: FgAbelianAutomorphism, m_free: int) -> int:
     block and N^2 = 0; its j-th power has mixing block j * N.  Row i of
     j * N vanishes modulo d_i iff d_i / gcd(d_i, row i of N) divides j.
     """
-    if m_free < 1:
-        raise PreconditionError("m_free must be positive")
+    check_count("m_free", m_free, 1)
     if phi.free_rank and not mat_is_identity(mat_pow(phi.free_block, m_free)):
         raise RelationError("phi^m_free is not the identity on the free quotient")
     base = lcm(m_free, phi.torsion_order())
     mixing = phi.power(base).mixing_block
     j = lcm(*(d // gcd(d, *row) for d, row in zip(phi.torsion_orders, mixing)))
     return base * j
+
+
+def _in_degree(j, fn, *args):
+    """fn(*args), with `degree j: ` put before the message of a
+    PreconditionError it raises, whose type is kept."""
+    try:
+        return fn(*args)
+    except PreconditionError as exc:
+        raise type(exc)(f"degree {j}: {exc}") from exc
 
 
 def cor_period_driver(monodromy, k, conj_witness) -> Tuple[int, int]:
@@ -286,28 +295,17 @@ def cor_period_driver(monodromy, k, conj_witness) -> Tuple[int, int]:
     if len(monodromy) != len(conj_witness):
         raise PreconditionError("need one conjugation witness per degree")
     for j, (phi, (bmat, sign)) in enumerate(zip(monodromy, conj_witness)):
-        try:
-            _check_relation_input(phi.free_rank, bmat, k, sign)
-        except PreconditionError as exc:
-            raise PreconditionError(f"degree {j}: {exc}") from exc
+        _in_degree(j, _check_relation_input, phi.free_rank, bmat, k, sign)
     m = 1
     for j, (phi, (bmat, sign)) in enumerate(zip(monodromy, conj_witness)):
-        if phi.free_rank == 0:
-            continue
-        try:
-            mj = _solve_relation(phi.free_block, bmat, k, sign)
-        except PreconditionError as exc:
-            raise type(exc)(f"degree {j}: {exc}") from exc
-        m = lcm(m, mj)
+        if phi.free_rank:
+            m = lcm(m, _in_degree(j, _solve_relation, phi.free_block, bmat,
+                                  k, sign))
     if gcd(m, k) != 1:
         raise InternalCheckError(f"aggregated m={m} is not prime to k={k}")
     l = 1
     for j, phi in enumerate(monodromy):
-        try:
-            lj = full_order(phi, m)
-        except RelationError as exc:
-            raise RelationError(f"degree {j}: {exc}") from exc
-        l = lcm(l, lj)
+        l = lcm(l, _in_degree(j, full_order, phi, m))
     for j, phi in enumerate(monodromy):
         if not phi.power(l).is_identity():
             raise InternalCheckError(f"degree {j}: phi^{l} is not the identity")

@@ -10,9 +10,9 @@ or stores it.
 
 Polynomials are dense coefficient lists.  A `Poly` and a `LaurentPoly`
 (which carries an extra power-of-t valuation) are values only: they are
-built, compared and printed, and a `Poly` is also evaluated and
-normalized (`monic`, `content`, `primitive`), but neither is added,
-multiplied or divided.  A `Poly` is false exactly when it is zero.
+built, compared and printed, and a `Poly` over ZZ also gives its
+`content` and `primitive` part, but neither is added, multiplied,
+divided or evaluated.  A `Poly` is false exactly when it is zero.
 
 All polynomial arithmetic runs on the coefficient-list primitives of
 this module; each is defined once:
@@ -39,10 +39,6 @@ from .arith import is_prime, totient
 from .errors import PreconditionError
 
 
-class ExactDivisionError(ArithmeticError):
-    """Raised when a division required to be exact leaves a remainder."""
-
-
 class MixedRingError(ValueError):
     """Raised when operands live over different coefficient rings."""
 
@@ -60,11 +56,6 @@ class _IntegerRing:
         if isinstance(x, Fraction) and x.denominator == 1:
             return int(x)
         raise TypeError(f"cannot coerce {x!r} into ZZ")
-
-    def inv(self, x):
-        if x not in (1, -1):
-            raise ExactDivisionError(f"{x} is not a unit of ZZ")
-        return x
 
     def __repr__(self):
         return "ZZ"
@@ -97,7 +88,6 @@ QQ = _RationalField()
 
 
 class PrimeField:
-    name_prefix = "GF"
     is_field = True
 
     _cache: dict = {}
@@ -177,21 +167,6 @@ class Poly:
     def constant(self):
         return self.coeffs[0] if self.coeffs else self.ring.coerce(0)
 
-    def scale(self, c):
-        c = self.ring.coerce(c)
-        return Poly(self.ring, [a * c for a in self.coeffs])
-
-    def monic(self):
-        if self.is_zero:
-            return self
-        return self.scale(self.ring.inv(self.leading))
-
-    def evaluate(self, x):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return self.ring.coerce(acc)
-
     def content(self):
         """gcd of integer coefficients (ZZ polynomials only), >= 0."""
         return self._zz_primitive()[0]
@@ -207,11 +182,6 @@ class Poly:
         if self.ring is not ZZ:
             raise TypeError("content is defined over ZZ")
         return primitive_coeffs(self.coeffs)
-
-    def to_ring(self, ring):
-        if ring is self.ring:
-            return self
-        return Poly(ring, self.coeffs)
 
     def low_order(self):
         """Multiplicity of the root t = 0."""

@@ -515,6 +515,13 @@ class TestCorpus:
         assert phi["torsion"] == [[str(primitive_root(p))]]
         assert case["expected"] == {"m": "1", "l": str(p - 1)}
 
+    def test_corpus_digest_names_the_default_path(self, capsys):
+        # as for gate's fixture, the digest must not depend on where the
+        # package is installed
+        want = hashlib.sha256(b'{"path":"default"}').hexdigest()
+        _, rep = invoke(capsys, "corpus")
+        assert rep["input_digest"] == want
+
     def test_corpus_deterministic(self, capsys):
         run(["corpus"])
         first = capsys.readouterr().out

@@ -125,11 +125,16 @@ class TestMappingTorus:
             TwistedChainComplex([1, 1, 1], [b1, b2])
 
     def test_boundary_shape_validated(self):
-        # a raw grid is checked against the ranks before it is built, so
-        # it fails like the same mistake made as a LaurentMatrix
-        for b in ([[1]], [[1, 1], [1]], LaurentMatrix(ZZ, 1, 1, [[1]])):
-            with pytest.raises(PreconditionError, match="boundary 1 is not 1x2"):
-                TwistedChainComplex([1, 2], [b])
+        with pytest.raises(PreconditionError, match="boundary 1 is not 1x2"):
+            TwistedChainComplex([1, 2], [LaurentMatrix(ZZ, 1, 1, [[1]])])
+
+    @pytest.mark.parametrize("b", [[[1, 1]], [[1]], [[1, 1], [1]]], ids=str)
+    def test_raw_grid_boundary_refused(self, b):
+        # a boundary is a LaurentMatrix; a grid is refused whatever its
+        # shape, one that fits the ranks included
+        with pytest.raises(PreconditionError,
+                           match="boundary 1 is not a LaurentMatrix"):
+            TwistedChainComplex([1, 2], [b])
 
     @pytest.mark.parametrize("ranks", [[1.0], [True, 1], [-1], [1, -1], ["1"]],
                              ids=str)
@@ -178,7 +183,7 @@ class TestMappingTorus:
         prod = [1]
         for f in factors:
             prod = poly_mul(prod, f.coeffs)
-        assert free == 0 and Poly(QQ, prod) == char_poly(a).to_ring(QQ)
+        assert free == 0 and Poly(QQ, prod) == Poly(QQ, char_poly(a).coeffs)
 
 
 class TestOneSmithFormPerBoundary:
@@ -439,8 +444,11 @@ class TestSelfCover:
         for k in (1, -5, 2.5, 6.0, True, "5"):
             with pytest.raises(PreconditionError, match="k must be"):
                 verify_self_cover_relation(trefoil(), SelfCoverWitness(k, 1, []))
-        with pytest.raises(ValueError, match="sign"):
-            verify_self_cover_relation(trefoil(), SelfCoverWitness(5, 0, []))
+        # sign is the int +-1; True == 1 used to pass as +1
+        for sign in (0, 2, True, 1.0, "1"):
+            with pytest.raises(PreconditionError, match="sign must be"):
+                verify_self_cover_relation(trefoil(),
+                                           SelfCoverWitness(5, sign, []))
 
     @pytest.mark.parametrize("hbar", [[[[1]], [[1, 1], [0, -1]]], [[[1]]] * 4, []])
     def test_block_count_checked_before_any_smith_form(self, hbar, monkeypatch):

@@ -2,8 +2,9 @@
 private name the library defines is used somewhere in the library, every
 public function or class is used by the library or exported by the
 package, every public method or property of a module-level class is used
-by the library or named in README.md as `Class.method`, no library module
-imports another library module's private name, and every import is of the
+by the library or named in README.md as `Class.method`, every public
+class-level attribute is read by the library, no library module imports
+another library module's private name, and every import is of the
 package itself or of the standard library.  A name only the tests use is
 dead: the oracles are written on their own, not on library code kept
 alive for them.
@@ -231,6 +232,51 @@ def test_guard_sees_dead_public_methods():
 def test_no_dead_public_methods():
     assert dead_public_methods([p.read_text() for p in MODULES],
                                (ROOT / "README.md").read_text()) == []
+
+
+def dead_class_attributes(sources):
+    """Sorted `Class.name` for each name whose name does not start with `_`
+    that a plain or annotated assignment in the body of a module-level
+    class of the modules in `sources` defines (a class constant or a
+    dataclass field), and that no module reads outside that assignment.
+    Names are bare, as for methods, so a read of the same name anywhere
+    counts."""
+    trees = [ast.parse(src) for src in sources]
+    total = sum((_references(tree) for tree in trees), Counter())
+    return sorted(f"{cls.name}.{target.id}"
+                  for tree in trees for cls in tree.body
+                  if isinstance(cls, ast.ClassDef)
+                  for item in cls.body
+                  if isinstance(item, (ast.Assign, ast.AnnAssign))
+                  for target in (item.targets if isinstance(item, ast.Assign)
+                                 else [item.target])
+                  if isinstance(target, ast.Name)
+                  and not target.id.startswith("_")
+                  and total[target.id] == _references(item)[target.id])
+
+
+def test_guard_sees_dead_class_attributes():
+    lib = (
+        "from dataclasses import dataclass\n"
+        "class Ring:\n"
+        "    name = 'R'\n"
+        "    name_prefix = 'GF'\n"
+        "    a = b = 1\n"
+        "    _cache = {}\n"
+        "    __slots__ = ()\n"
+        "    def label(self):\n        return self.name\n"
+        "@dataclass\n"
+        "class Report:\n"
+        "    value: int\n"
+        "    note: str = ''\n"
+    )
+    user = "from lib import Report, Ring\nRing.a\nReport(1).value\n"
+    assert dead_class_attributes([lib, user]) == [
+        "Report.note", "Ring.b", "Ring.name_prefix"]
+
+
+def test_no_dead_class_attributes():
+    assert dead_class_attributes([p.read_text() for p in MODULES]) == []
 
 
 def foreign_imports(source):

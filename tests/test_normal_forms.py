@@ -188,11 +188,14 @@ class TestDeterminant:
             assert det_int(a) == fraction_det(a), a
 
     def test_int_entry_types(self):
-        # bools are ints; anything else is refused before elimination
-        assert det_int([[True, False], [True, True]]) == 1
-        for bad in ([[1.0]], [[1, 2], [3, Fraction(4)]], [[Poly.one(ZZ)]]):
-            with pytest.raises(TypeError, match="integer matrix"):
-                det_int(bad)
+        # only ints: a bool, float, str, Fraction or Poly entry is refused
+        # before elimination; a float, str or bool used to raise TypeError
+        # or, for bools, be read as 0 and 1
+        for bad in ([[True, False], [True, True]], [[1.0]], [["1"]],
+                    [[1, 2], [3, Fraction(4)]], [[Poly.one(ZZ)]]):
+            for check in (det_int, char_poly):
+                with pytest.raises(PreconditionError, match="integer matrix"):
+                    check(bad)
 
     # det_coeffs evaluates at t = 2^k and reads balanced base-2^k digits
     # back, so the cases below aim at the digit bound.  The determinant
@@ -693,7 +696,7 @@ class TestFiniteOrder:
         assert finite_order([[1, 0, 1], [0, 1, 0], [0, 0, 1]]) is None
 
     def test_requires_unimodular(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(PreconditionError, match="determinant"):
             finite_order([[2, 0], [0, 1]])
 
     def test_empty_matrix(self):

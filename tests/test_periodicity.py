@@ -110,10 +110,14 @@ class TestSolvePropMatrix:
             solve_prop_matrix(I2, [[2, 0], [0, 1]], 3, 1)
 
     def test_bad_k_and_sign(self):
-        with pytest.raises(ValueError):
-            solve_prop_matrix(I2, I2, 1, 1)
-        with pytest.raises(ValueError):
-            solve_prop_matrix(I2, I2, 3, 2)
+        # k is an int > 1 and sign the int +-1, bools refused: True == 1
+        # used to pass as sign +1
+        for k in (1, 2.5, True):
+            with pytest.raises(PreconditionError, match="k must be"):
+                solve_prop_matrix(I2, I2, k, 1)
+        for sign in (2, 0, True, 1.0):
+            with pytest.raises(PreconditionError, match="sign must be"):
+                solve_prop_matrix(I2, I2, 3, sign)
 
     def test_infinite_order_is_internal_error(self):
         # unipotent A with the (vacuously checkable) sign -1 relation:
@@ -155,6 +159,13 @@ class TestAutomorphismGroup:
             # Z/2 + Z/4: sending the order-4 generator to the order-2 one
             # requires the (2,1) entry times 2 to vanish mod 4
             FgAbelianAutomorphism([], [2, 4], [[1, 0], [1, 1]], [[], []])
+
+    @pytest.mark.parametrize("orders", [[3.0], [7.0], ["5"]], ids=repr)
+    def test_torsion_orders_are_ints(self, orders):
+        # [3.0] used to build with float entries and [7.0] to end in a
+        # TypeError from det_int
+        with pytest.raises(PreconditionError, match="torsion order must be"):
+            FgAbelianAutomorphism([], orders, [[2]], [[]])
 
     def test_torsion_invertibility_mod_p(self):
         with pytest.raises(ValueError, match="not invertible"):
@@ -355,6 +366,14 @@ class TestFullOrder:
         with pytest.raises(RelationError):
             full_order(phi, 3)
 
+    def test_m_free_must_be_a_count(self):
+        # 2.5 used to reach arith.power as a TypeError, and True was read
+        # as m_free = 1
+        phi = FgAbelianAutomorphism([[1]], [], [], [])
+        for m_free in (0, 2.5, True):
+            with pytest.raises(PreconditionError, match="m_free must be"):
+                full_order(phi, m_free)
+
 
 class TestDriver:
     def test_trefoil_k5(self):
@@ -375,6 +394,14 @@ class TestDriver:
         wit = [([[1]], 1), (I2, 1)]
         with pytest.raises(RelationError, match="degree 1:"):
             cor_period_driver(mono, 5, wit)
+
+    def test_bad_sign_refused_in_its_degree(self):
+        mono = [FgAbelianAutomorphism([[1]], [], [], []),
+                FgAbelianAutomorphism(ROT4, [], [], [])]
+        for sign in (True, 1.0, 2):
+            with pytest.raises(PreconditionError,
+                               match="degree 1: sign must be"):
+                cor_period_driver(mono, 3, [([[1]], 1), (I2, sign)])
 
     def test_witness_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -30,14 +30,7 @@ def _parse_kappa(raw):
     if raw == "Q":
         return QQ
     if isinstance(raw, str) and raw.startswith("Fp:"):
-        try:
-            p = int(raw[3:])
-        except ValueError:
-            raise PreconditionError(f"bad kappa {raw!r}")
-        try:
-            return GF(p)
-        except ValueError as exc:
-            raise PreconditionError(str(exc))
+        return GF(parse_int(raw[3:]))
     raise PreconditionError(f"kappa must be 'Q' or 'Fp:<p>', got {raw!r}")
 
 

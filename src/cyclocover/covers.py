@@ -13,8 +13,8 @@ from .arith import power
 from .errors import (InternalCheckError, PreconditionError, check_count,
                      check_sign, is_count)
 from .linfield import rref
-from .matrices import (LaurentMatrix, laurent_product_is_zero, mat_mul,
-                       mat_pow)
+from .matrices import (LaurentMatrix, int_mat_check, laurent_product_is_zero,
+                       mat_mul, mat_pow)
 from .normal_forms import cyclotomic_indices, laurent_cokernel, peel_cyclotomics
 from .rings import (Poly, QQ, ZZ, clear_denominators, cyclotomic, gcd_gf_coeffs,
                     mul_coeffs, mulmod_coeffs, sub_mul_coeffs)
@@ -71,7 +71,9 @@ def mapping_torus_complex(ranks_f, boundaries_f, f) -> TwistedChainComplex:
     """Algebraic mapping torus: cone of (t - f) on C(F) tensor ZZ[t,1/t].
 
     `boundaries_f[j-1]` (ranks_f[j-1] x ranks_f[j]) and `f[j]` are integer
-    matrices; f must commute with the boundaries degreewise.
+    matrices; f must commute with the boundaries degreewise.  The cone's
+    d o d has f_{j-1} dF_j - dF_j f_j as its off-diagonal block, so
+    `TwistedChainComplex` refuses an f that fails to commute.
     """
     ranks_f = list(ranks_f)
     top = len(ranks_f) - 1
@@ -81,13 +83,9 @@ def mapping_torus_complex(ranks_f, boundaries_f, f) -> TwistedChainComplex:
         raise PreconditionError("need exactly one boundary per adjacent pair of degrees")
     dF = [None] + list(boundaries_f)
     for j, fj in enumerate(f):
-        if len(fj) != ranks_f[j] or any(len(r) != ranks_f[j] for r in fj):
-            raise PreconditionError(f"f[{j}] is not square of size {ranks_f[j]}")
+        int_mat_check(f"f[{j}]", fj, ranks_f[j], ranks_f[j])
     for j in range(1, top + 1):
-        if len(dF[j]) != ranks_f[j - 1] or any(len(r) != ranks_f[j] for r in dF[j]):
-            raise PreconditionError(f"boundary {j} is not {ranks_f[j - 1]}x{ranks_f[j]}")
-        if mat_mul(f[j - 1], dF[j]) != mat_mul(dF[j], f[j]):
-            raise PreconditionError(f"endomorphism does not commute with boundary {j}")
+        int_mat_check(f"boundary {j}", dF[j], ranks_f[j - 1], ranks_f[j])
 
     def rank_of(j):
         return ranks_f[j] if 0 <= j <= top else 0

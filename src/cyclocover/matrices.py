@@ -5,7 +5,7 @@ from math import prod
 
 from .arith import power
 from .errors import PreconditionError, is_count
-from .rings import LaurentPoly, MixedRingError, Poly, ZZ, gcd_zz_coeffs
+from .rings import LaurentPoly, Poly, ZZ, gcd_zz_coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -14,14 +14,10 @@ from .rings import LaurentPoly, MixedRingError, Poly, ZZ, gcd_zz_coeffs
 def mat_identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
-def mat_copy(a):
-    return [row[:] for row in a]
-
 def mat_mul(a, b):
-    """Product of matrices of ints or Fractions.  GF(p) entries come out
-    unreduced: a GF(p) caller must pass them through `ring.coerce`."""
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("matrix shape mismatch in multiplication")
+    """Product of matrices of ints or Fractions whose shapes the caller
+    has checked to match.  GF(p) entries come out unreduced: a GF(p)
+    caller must pass them through `ring.coerce`."""
     n = len(b[0]) if b else 0
     out = []
     for row in a:
@@ -39,14 +35,14 @@ def mat_mul(a, b):
 # ---------------------------------------------------------------------------
 # integer matrices
 
-def int_mat_check(a):
-    """A square matrix of ints, bools excluded, or PreconditionError."""
+def int_mat_check(name, a, rows, cols):
+    """PreconditionError unless a is a list of `rows` lists of `cols` ints
+    each, bools excluded."""
+    if (type(a) is not list or len(a) != rows
+            or any(type(row) is not list or len(row) != cols for row in a)):
+        raise PreconditionError(f"{name} is not {rows}x{cols}")
     if not set(map(type, chain.from_iterable(a))) <= {int}:
-        raise PreconditionError("expected an integer matrix")
-    if len({len(row) for row in a}) > 1:
-        raise PreconditionError("ragged matrix")
-    if a and len(a) != len(a[0]):
-        raise PreconditionError("expected a square matrix")
+        raise PreconditionError(f"{name} is not an integer matrix")
 
 def _bareiss(m):
     """Determinant of the square integer matrix m (overwritten) by
@@ -123,9 +119,9 @@ def _bareiss(m):
     return -d if sign < 0 else d
 
 def det_int(a):
-    """Exact determinant of an integer matrix."""
-    int_mat_check(a)
-    return _bareiss(mat_copy(a))
+    """Exact determinant of a square integer matrix."""
+    int_mat_check("matrix", a, len(a), len(a))
+    return _bareiss([row[:] for row in a])
 
 def mat_is_identity(a):
     return all(x == (1 if i == j else 0)
@@ -189,11 +185,11 @@ class LaurentMatrix:
     """Rectangular matrix with LaurentPoly entries over ZZ, read through
     `entries` and `cleared_rows`; it has no arithmetic.
 
-    `ring` must be ZZ; any other ring raises TypeError, and an entry (Poly
-    or LaurentPoly) over another ring raises MixedRingError rather than
-    being lifted into ZZ.  A field enters only as a base change, through
-    `laurent_cokernel(mat, field)`.  The shape must be two counts and the
-    entry grid must match it, or PreconditionError is raised.
+    `ring` must be ZZ, and an entry (Poly or LaurentPoly) over another ring
+    is refused rather than lifted into ZZ.  A field enters only as a base
+    change, through `laurent_cokernel(mat, field)`.  The shape must be two
+    counts and the entry grid must match it.  Each refusal raises
+    PreconditionError.
     """
 
     __slots__ = ("nrows", "ncols", "entries")
@@ -202,7 +198,7 @@ class LaurentMatrix:
 
     def __init__(self, ring, nrows, ncols, entries):
         if ring is not ZZ:
-            raise TypeError(f"Laurent matrices are over ZZ, got {ring}")
+            raise PreconditionError(f"Laurent matrices are over ZZ, got {ring}")
         if not (is_count(nrows) and is_count(ncols)):
             raise PreconditionError(f"bad shape {nrows!r} x {ncols!r}")
         if len(entries) != nrows or any(len(r) != ncols for r in entries):
@@ -219,7 +215,7 @@ class LaurentMatrix:
                 return LaurentPoly.const(ZZ, e)
             e = LaurentPoly.from_poly(e)
         if e.ring is not ZZ:
-            raise MixedRingError("matrix entry over a different ring")
+            raise PreconditionError("matrix entry over a different ring")
         return e
 
     @classmethod
@@ -264,7 +260,8 @@ def laurent_product_is_zero(a: LaurentMatrix, b: LaurentMatrix) -> bool:
     c * 2^(k*i) modulo 2^(k*(i+1)), which is not 0.
     """
     if a.ncols != b.nrows:
-        raise ValueError("matrix shape mismatch in multiplication")
+        raise PreconditionError(f"shapes {a.nrows}x{a.ncols} and "
+                                f"{b.nrows}x{b.ncols} do not multiply")
 
     def norm(e):
         return sum(map(abs, e.body.coeffs))

@@ -9,7 +9,7 @@ lemma these say the QQ-cokernel is finite dimensional with t and 1/t
 integral, and that no residue field F_p sees a free part.  A "no" at the
 generic point names monic(prim g), the characteristic polynomial of t on
 M tensor QQ.  Only property1_check at a prime P != 0 runs a Smith form,
-as gcd does not commute with reduction mod p.
+as reduction mod p need not preserve the gcd.
 """
 
 from dataclasses import dataclass
@@ -39,6 +39,8 @@ class ModulePresentation:
     def __init__(self, generators: int, relations: LaurentMatrix):
         if not is_count(generators):
             raise PreconditionError(f"bad generator count {generators!r}")
+        if not isinstance(relations, LaurentMatrix):
+            raise PreconditionError("relations is not a LaurentMatrix")
         if relations.nrows != generators:
             raise PreconditionError("relation matrix must have one row per generator")
         self.generators = generators

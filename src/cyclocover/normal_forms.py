@@ -11,16 +11,11 @@ from .arith import factorize, order_from_multiple
 from .errors import PreconditionError
 from .matrices import (LaurentMatrix, det_coeffs, int_mat_check,
                        mat_is_identity, mat_pow)
-from .rings import (MixedRingError, Poly, ZZ, cyclotomic, cyclotomic_degree,
-                    gcd_gf_coeffs, gcd_zz_coeffs, monic_coeffs, mul_coeffs,
-                    pseudo_divmod, strip_coeffs, sub_mul_coeffs)
+from .rings import (Poly, ZZ, cyclotomic, cyclotomic_degree, gcd_gf_coeffs,
+                    gcd_zz_coeffs, monic_coeffs, mul_coeffs, pseudo_divmod,
+                    strip_coeffs, sub_mul_coeffs)
 
 from math import gcd, lcm
-
-
-class DomainError(MixedRingError):
-    """A Smith form is asked for over a coefficient ring that is not a
-    field."""
 
 
 def _smith_lists(D, p):
@@ -124,7 +119,7 @@ def _primitive_row(row):
 def char_poly(a) -> Poly:
     """det(tI - A), monic, for a square integer matrix (`det_coeffs` on
     the int coefficient lists of tI - A)."""
-    int_mat_check(a)
+    int_mat_check("matrix", a, len(a), len(a))
     return Poly(ZZ, det_coeffs([[[-x, 1] if i == j else [-x]
                                  for j, x in enumerate(row)]
                                 for i, row in enumerate(a)]))
@@ -211,7 +206,7 @@ def laurent_cokernel(mat: LaurentMatrix, field):
     order.
     """
     if not field.is_field:
-        raise DomainError(f"laurent_cokernel needs a field, got {field}")
+        raise PreconditionError(f"laurent_cokernel needs a field, got {field}")
     if mat.nrows == 0:
         return [], 0
     if mat.ncols == 0:

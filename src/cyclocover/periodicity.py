@@ -119,21 +119,18 @@ class FgAbelianAutomorphism:
     _factors: dict = field(init=False, repr=False, compare=False)  # of d_s
 
     def __post_init__(self):
-        int_mat_check(self.free_block)
         r = len(self.free_block)
         s = len(self.torsion_orders)
         d = self.torsion_orders
+        int_mat_check("free block", self.free_block, r, r)
         for x in d:
             check_count("a torsion order", x, 2)
-        if sorted(d) != d:
-            raise PreconditionError("torsion orders must be sorted")
+        # orders >= 2 in a divisibility chain are sorted
         for i in range(1, s):
             if d[i] % d[i - 1]:
                 raise PreconditionError("torsion orders must form a divisibility chain")
-        if len(self.torsion_block) != s or any(len(row) != s for row in self.torsion_block):
-            raise PreconditionError("torsion block shape mismatch")
-        if len(self.mixing_block) != s or any(len(row) != r for row in self.mixing_block):
-            raise PreconditionError("mixing block shape mismatch")
+        int_mat_check("torsion block", self.torsion_block, s, s)
+        int_mat_check("mixing block", self.mixing_block, s, r)
         if r and det_int(self.free_block) not in (1, -1):
             raise PreconditionError("free block is not invertible over ZZ")
         # well-definedness: column j has order d_j, so T[i][j]*d_j = 0 mod d_i
@@ -171,7 +168,7 @@ class FgAbelianAutomorphism:
         """self after other."""
         if (self.free_rank != other.free_rank
                 or self.torsion_orders != other.torsion_orders):
-            raise ValueError("automorphisms of different groups")
+            raise PreconditionError("automorphisms of different groups")
         mix = [[a + b for a, b in zip(r1, r2)] for r1, r2 in
                zip(mat_mul(self.mixing_block, other.free_block),
                    mat_mul(self.torsion_block, other.mixing_block))]
@@ -200,12 +197,9 @@ class FgAbelianAutomorphism:
                                    lambda e: probe.power(e).is_identity())
 
 
-def _check_relation_input(r, b, k, sign):
-    """B square of size r, an int k > 1 and sign +-1, or PreconditionError."""
-    int_mat_check(b)
-    if len(b) != r:
-        raise PreconditionError("A and B must have the same size")
-    check_count("k", k, 2)
+def _check_relation_input(r, b, sign):
+    """B an r x r integer matrix and sign +-1, or PreconditionError."""
+    int_mat_check("B", b, r, r)
     check_sign(sign)
 
 
@@ -217,8 +211,9 @@ def solve_prop_matrix(a, b, k, sign):
     A is not a root of unity.  An A of infinite order despite a valid
     relation would contradict the theory and raises an internal error.
     """
-    int_mat_check(a)
-    _check_relation_input(len(a), b, k, sign)
+    int_mat_check("A", a, len(a), len(a))
+    _check_relation_input(len(a), b, sign)
+    check_count("k", k, 2)
     return _solve_relation(a, b, k, sign)
 
 
@@ -290,12 +285,13 @@ def cor_period_driver(monodromy, k, conj_witness) -> Tuple[int, int]:
     `conj_witness` a parallel list of (B, sign) acting on the free quotients.
     Returns m = lcm of the per-degree orders on the free quotients (prime
     to k) and l with the full action trivial, both verified by powering.
-    k and every witness are checked, in every degree, before any work.
+    k, and every witness in every degree, are checked before any work.
     """
+    check_count("k", k, 2)
     if len(monodromy) != len(conj_witness):
         raise PreconditionError("need one conjugation witness per degree")
     for j, (phi, (bmat, sign)) in enumerate(zip(monodromy, conj_witness)):
-        _in_degree(j, _check_relation_input, phi.free_rank, bmat, k, sign)
+        _in_degree(j, _check_relation_input, phi.free_rank, bmat, sign)
     m = 1
     for j, (phi, (bmat, sign)) in enumerate(zip(monodromy, conj_witness)):
         if phi.free_rank:

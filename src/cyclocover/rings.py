@@ -6,7 +6,9 @@ over ZZ; over QQ an int when the value is integral and a Fraction only
 otherwise; and over GF(p) an int in [0, p).  A ring's `coerce` is the one
 place that normalizes, so code that adds or multiplies GF(p)
 coefficients itself must coerce the result before it tests it for zero
-or stores it.
+or stores it.  What is not in the ring (a bool, a float, a str, a
+Fraction whose denominator p divides) `coerce` refuses with
+PreconditionError.
 
 Polynomials are dense coefficient lists.  A `Poly` and a `LaurentPoly`
 (which carries an extra power-of-t valuation) are values only: they are
@@ -39,23 +41,17 @@ from .arith import is_prime, totient
 from .errors import PreconditionError
 
 
-class MixedRingError(ValueError):
-    """Raised when operands live over different coefficient rings."""
-
-
 class _IntegerRing:
     name = "ZZ"
     is_field = False
     char = 0
 
     def coerce(self, x):
-        if isinstance(x, bool):
-            raise TypeError("bool is not an integer coefficient")
-        if isinstance(x, int):
+        if type(x) is int:
             return x
         if isinstance(x, Fraction) and x.denominator == 1:
             return int(x)
-        raise TypeError(f"cannot coerce {x!r} into ZZ")
+        raise PreconditionError(f"cannot coerce {x!r} into ZZ")
 
     def __repr__(self):
         return "ZZ"
@@ -70,11 +66,9 @@ class _RationalField:
         """An int for an integral value, a Fraction otherwise."""
         if isinstance(x, Fraction):
             return x.numerator if x.denominator == 1 else x
-        if isinstance(x, bool):
-            raise TypeError("bool is not a rational coefficient")
-        if isinstance(x, int):
+        if type(x) is int:
             return x
-        raise TypeError(f"cannot coerce {x!r} into QQ")
+        raise PreconditionError(f"cannot coerce {x!r} into QQ")
 
     def inv(self, x):
         return self.coerce(1 / Fraction(x))
@@ -97,9 +91,9 @@ class PrimeField:
         if isinstance(p, int) and p in cls._cache:
             return cls._cache[p]
         if not isinstance(p, int) or not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise PreconditionError(f"{p} is not prime")
         if p >= 1 << 64:
-            raise ValueError("prime fields are limited to word-sized p")
+            raise PreconditionError("prime fields are limited to word-sized p")
         self = super().__new__(cls)
         self.p = p
         self.char = p
@@ -108,15 +102,13 @@ class PrimeField:
         return self
 
     def coerce(self, x):
-        if isinstance(x, bool):
-            raise TypeError("bool is not a field coefficient")
-        if isinstance(x, int):
+        if type(x) is int:
             return x % self.p
         if isinstance(x, Fraction):
             if x.denominator % self.p == 0:
-                raise ZeroDivisionError(f"denominator divisible by {self.p}")
+                raise PreconditionError(f"denominator divisible by {self.p}")
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
-        raise TypeError(f"cannot coerce {x!r} into {self.name}")
+        raise PreconditionError(f"cannot coerce {x!r} into {self.name}")
 
     def inv(self, x):
         return pow(x, -1, self.p)
@@ -403,7 +395,7 @@ class LaurentPoly:
         if not isinstance(body, Poly):
             body = Poly(ring, body)
         elif body.ring is not ring:
-            raise MixedRingError(f"body over {body.ring}, not {ring}")
+            raise PreconditionError(f"body over {body.ring}, not {ring}")
         if body.is_zero:
             val = 0
         else:

@@ -33,20 +33,21 @@ def scalar_str(x):
     return str(x)
 
 
+def _is_decimal(raw):
+    """Whether the str raw is an optional sign and ASCII digits: what int()
+    and Fraction() read alike on every Python."""
+    digits = raw[1:] if raw[:1] in ("+", "-") else raw
+    return digits.isascii() and digits.isdigit()
+
+
 def parse_scalar(ring, raw):
-    if isinstance(raw, bool):
-        raise PreconditionError(f"bad coefficient {raw!r}")
-    if isinstance(raw, int):
+    if type(raw) is int:
         return ring.coerce(raw)
     if isinstance(raw, str):
-        # an optional sign and ASCII digits read the same by int() as by
-        # Fraction() on every Python; anything else goes through Fraction()
-        digits = raw[1:] if raw[:1] in ("+", "-") else raw
+        # anything but a decimal integer goes through Fraction()
         try:
-            if digits.isascii() and digits.isdigit():
-                return ring.coerce(int(raw))
-            return ring.coerce(Fraction(raw))
-        except (ValueError, ZeroDivisionError, TypeError) as exc:
+            return ring.coerce(int(raw) if _is_decimal(raw) else Fraction(raw))
+        except (ValueError, ZeroDivisionError) as exc:
             raise PreconditionError(f"bad coefficient {raw!r}: {exc}")
     raise PreconditionError(f"bad coefficient {raw!r}")
 
@@ -124,15 +125,14 @@ def parse_int_matrix(obj):
 
 
 def parse_int(raw):
-    if isinstance(raw, bool):
-        raise PreconditionError(f"bad integer {raw!r}")
-    if isinstance(raw, int):
+    """An int, bools excluded, or a str that `_is_decimal` accepts."""
+    if type(raw) is int:
         return raw
-    if isinstance(raw, str):
+    if isinstance(raw, str) and _is_decimal(raw):
         try:
             return int(raw)
-        except ValueError:
-            raise PreconditionError(f"bad integer {raw!r}")
+        except ValueError:  # more digits than int() converts
+            pass
     raise PreconditionError(f"bad integer {raw!r}")
 
 
@@ -159,8 +159,7 @@ def parse_presentation(obj) -> ModulePresentation:
         rel = obj["relations"]
     except KeyError as exc:
         raise PreconditionError(f"presentation is missing field {exc}")
-    if not is_count(g):
-        raise PreconditionError(f"bad generator count {g!r}")
+    # ModulePresentation checks the generator count
     return ModulePresentation(g, parse_matrix(rel))
 
 

@@ -208,10 +208,10 @@ TORSION_ONLY = json.dumps([{"free": [], "torsion_orders": ["3"],
 BAD_INPUTS = {
     "prop-matrix ragged": (
         ["prop-matrix", "--a", '[["1", "0"], ["1"]]', "--b", I2,
-         "--k", "3", "--sign", "1"], "ragged"),
+         "--k", "3", "--sign", "1"], "A is not 2x2"),
     "prop-matrix sizes differ": (
         ["prop-matrix", "--a", ROT4, "--b", '[["1"]]', "--k", "3",
-         "--sign", "-1"], "same size"),
+         "--sign", "-1"], "B is not 2x2"),
     "prop-matrix relation fails": (
         ["prop-matrix", "--a", ROT4, "--b", I2, "--k", "3", "--sign", "1"],
         "does not hold"),
@@ -226,13 +226,17 @@ BAD_INPUTS = {
     "periodicity torsion_orders": (
         ["periodicity", "--monodromy", '[{"free": [], "torsion_orders": 5}]',
          "--k", "5", "--witness", '[{"b": [], "sign": 1}]'], "torsion_orders"),
-    # a degree of free rank 0 checks k and its witness like any other
+    # k is checked once, in no degree; a degree of free rank 0 checks its
+    # witness like any other
     "periodicity torsion-only k": (
         ["periodicity", "--monodromy", TORSION_ONLY, "--k", "-7",
-         "--witness", '[{"b": [], "sign": 1}]'], "degree 0: k must be"),
+         "--witness", '[{"b": [], "sign": 1}]'], "k must be"),
+    "periodicity no degrees k": (
+        ["periodicity", "--monodromy", "[]", "--k", "1", "--witness", "[]"],
+        "k must be"),
     "periodicity torsion-only witness": (
         ["periodicity", "--monodromy", TORSION_ONLY, "--k", "5", "--witness",
-         '[{"b": [["7", "1"], ["2", "9"]], "sign": 7}]'], "degree 0: A and B"),
+         '[{"b": [["7", "1"], ["2", "9"]], "sign": 7}]'], "degree 0: B is not 0x0"),
     "periodicity torsion-only sign": (
         ["periodicity", "--monodromy", TORSION_ONLY, "--k", "5",
          "--witness", '[{"b": [], "sign": 7}]'], "degree 0: sign must be"),
@@ -262,6 +266,12 @@ BAD_INPUTS = {
          "--kappa", "Q", "--q", "2"], "composition"),
     "wang free homology": (
         ["wang", "--complex", GROWING, "--kappa", "Q", "--q", "2"], "free rank"),
+    # a wire integer is an optional sign and ASCII digits, in Fp:<p> too;
+    # int() alone read these Arabic-Indic digits as 23 and 5
+    "hp-minus non-ASCII digits": (["hp-minus", "--p", "٢٣"], "bad integer"),
+    "wang kappa non-ASCII digits": (
+        ["wang", "--complex", TREFOIL, "--kappa", "Fp:٥", "--q", "2"],
+        "bad integer"),
 }
 
 

@@ -145,8 +145,25 @@ class TestMappingTorus:
         with pytest.raises(PreconditionError, match="bad rank list"):
             TwistedChainComplex(ranks, boundaries)
 
+    @pytest.mark.parametrize("f", [[[[True]]], [[[1.5]]], [[["1"]]]], ids=str)
+    def test_endomorphism_entries_are_ints(self, f):
+        # [[True]] used to build, read as 1, and [[1.5]] to end in a
+        # TypeError
+        with pytest.raises(PreconditionError,
+                           match=r"^f\[0\] is not an integer matrix$"):
+            mapping_torus_complex([1], [], f)
+
+    @pytest.mark.parametrize("bnds, f, message", [
+        ([[[0.5]]], [[[1]], [[1]]], "boundary 1 is not an integer matrix"),
+        ([[[0], [0]]], [[[1]], [[1]]], "boundary 1 is not 1x1"),
+        ([[[0]]], [[[1]], [[1, 0]]], r"f\[1\] is not 1x1")], ids=str)
+    def test_blocks_checked(self, bnds, f, message):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            mapping_torus_complex([1, 1], bnds, f)
+
     def test_noncommuting_endomorphism_rejected(self):
-        with pytest.raises(ValueError, match="commute"):
+        # f_0 dF_1 - dF_1 f_1 is the off-diagonal block of the cone's d o d
+        with pytest.raises(PreconditionError, match="composition"):
             mapping_torus_complex([1, 1], [[[1]]], [[[1]], [[2]]])
 
     def test_t_acts_as_f(self):

@@ -4,22 +4,26 @@ public function or class is used by the library or exported by the
 package, every public method or property of a module-level class is used
 by the library or named in README.md as `Class.method`, every public
 class-level attribute is read by the library, no library module imports
-another library module's private name, and every import is of the
-package itself or of the standard library.  A name only the tests use is
-dead: the oracles are written on their own, not on library code kept
-alive for them.
+another library module's private name, every import is of the package
+itself or of the standard library, and every exception class the library
+defines derives from PreconditionError or InternalCheckError.  A name
+only the tests use is dead: the oracles are written on their own, not on
+library code kept alive for them.
 
 `__init__.py` is left out of the unused-import check: its imports are
 the package's public surface.
 """
 
 import ast
+import importlib
 import pathlib
 import re
 import sys
 from collections import Counter
 
 import pytest
+
+from cyclocover.errors import InternalCheckError, PreconditionError
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "cyclocover"
@@ -312,3 +316,40 @@ def test_guard_sees_foreign_imports():
 def test_only_stdlib_imports(path):
     # pyproject.toml declares `dependencies = []`
     assert foreign_imports(path.read_text()) == [], path.name
+
+
+def stray_exception_classes(classes):
+    """Sorted names of the exception classes among `classes` that derive
+    from neither PreconditionError nor InternalCheckError.  A refused
+    input must raise the one and a failed cross-check the other, so the
+    CLI tells bad input (exit 2) from an internal fault (exit 3) by type."""
+    return sorted(c.__name__ for c in classes
+                  if issubclass(c, BaseException)
+                  and not issubclass(c, (PreconditionError, InternalCheckError)))
+
+
+def test_guard_sees_stray_exception_classes():
+    class Mixed(ValueError):
+        pass
+
+    class Refusal(PreconditionError):
+        pass
+
+    class Check(InternalCheckError):
+        pass
+
+    class Plain:
+        pass
+
+    assert stray_exception_classes(
+        [Mixed, Refusal, Check, Plain, PreconditionError, KeyError]) == [
+        "KeyError", "Mixed"]
+
+
+def test_every_exception_class_is_a_refusal_or_a_check():
+    classes = []
+    for path in sorted(SRC.glob("*.py")):
+        mod = importlib.import_module(f"cyclocover.{path.stem}")
+        classes += [obj for obj in vars(mod).values()
+                    if isinstance(obj, type) and obj.__module__ == mod.__name__]
+    assert stray_exception_classes(classes) == []

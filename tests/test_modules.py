@@ -184,9 +184,16 @@ class TestFinGen:
             assert finitely_generated_over_Z(m).answer is expected
 
     def test_relation_matrix_must_be_zz(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(PreconditionError, match="over ZZ"):
             ModulePresentation(1, LaurentMatrix(QQ, 1, 1,
                                                 [[LaurentPoly.const(QQ, 1)]]))
+
+    @pytest.mark.parametrize("relations", [[[1]], None], ids=str)
+    def test_relations_must_be_a_laurent_matrix(self, relations):
+        # [[1]] used to end in an AttributeError
+        with pytest.raises(PreconditionError,
+                           match="relations is not a LaurentMatrix"):
+            ModulePresentation(1, relations)
 
     def test_row_count_must_match(self):
         with pytest.raises(ValueError):

@@ -19,9 +19,8 @@ from cyclocover.errors import PreconditionError
 from cyclocover.matrices import (LaurentMatrix, det_coeffs, det_int,
                                  laurent_minor_gcd, laurent_product_is_zero,
                                  mat_identity, mat_mul)
-from cyclocover.normal_forms import (DomainError, char_poly, finite_order,
-                                     laurent_cokernel)
-from cyclocover.rings import GF, LaurentPoly, MixedRingError, Poly, QQ, ZZ
+from cyclocover.normal_forms import char_poly, finite_order, laurent_cokernel
+from cyclocover.rings import GF, LaurentPoly, Poly, QQ, ZZ
 
 from helpers import (brute_order, fraction_det, laurent_mat_mul, leibniz_det,
                      minor_gcd_oracle, monic_gcd, poly_add, poly_divmod, poly_mul,
@@ -196,6 +195,15 @@ class TestDeterminant:
             for check in (det_int, char_poly):
                 with pytest.raises(PreconditionError, match="integer matrix"):
                     check(bad)
+
+    @pytest.mark.parametrize("bad, message", [
+        ([[1, 2], [3]], "matrix is not 2x2"), ([[1, 2]], "matrix is not 1x1"),
+        ([(1,)], "matrix is not 1x1"), ([[1], 2], "matrix is not 2x2")],
+        ids=str)
+    def test_square_shape(self, bad, message):
+        for check in (det_int, char_poly):
+            with pytest.raises(PreconditionError, match=f"^{message}$"):
+                check(bad)
 
     # det_coeffs evaluates at t = 2^k and reads balanced base-2^k digits
     # back, so the cases below aim at the digit bound.  The determinant
@@ -376,7 +384,7 @@ class TestLaurentProductIsZero:
         a = LaurentMatrix(ZZ, 2, 2, mat_identity(2))
         with pytest.raises(ValueError, match="shape"):
             laurent_product_is_zero(a, LaurentMatrix(ZZ, 3, 3, mat_identity(3)))
-        with pytest.raises(TypeError):
+        with pytest.raises(PreconditionError, match="over ZZ"):
             laurent_product_is_zero(a, LaurentMatrix(QQ, 2, 2, mat_identity(2)))
 
     def test_random_against_laurent_product(self):
@@ -559,12 +567,18 @@ class TestSnfPoly:
         # LaurentPoly or as a Poly, is refused rather than lifted into ZZ
         for ring in (QQ, GF(5)):
             for e in (LaurentPoly(ring, 0, (3,)), Poly(ring, (3,))):
-                with pytest.raises(MixedRingError):
+                with pytest.raises(PreconditionError, match="different ring"):
                     LaurentMatrix(ZZ, 1, 2, [[1, e]])
 
     def test_ragged_rejected(self):
         with pytest.raises(PreconditionError, match="grid"):
             LaurentMatrix(ZZ, 2, 2, [[1, 0], [0]])
+
+    @pytest.mark.parametrize("entry", [1.5, "1", True, Fraction(1, 2)], ids=repr)
+    def test_entry_must_be_an_integer(self, entry):
+        # 1.5 used to raise TypeError
+        with pytest.raises(PreconditionError, match="coefficient|coerce"):
+            LaurentMatrix(ZZ, 1, 1, [[entry]])
 
     @pytest.mark.parametrize("nrows,ncols,entries", [
         (0, -5, []), (True, 1, [[1]]), (1.0, 1, [[1]])])
@@ -754,14 +768,14 @@ class TestLaurentCokernel:
 
     def test_needs_field(self):
         m = LaurentMatrix(ZZ, 1, 1, [[LaurentPoly.const(ZZ, 1)]])
-        with pytest.raises(DomainError):
+        with pytest.raises(PreconditionError, match="needs a field"):
             laurent_cokernel(m, ZZ)
 
     def test_needs_integer_matrix(self):
         # Laurent matrices are over ZZ; a field enters as laurent_cokernel's
         # base change only
         for ring in (QQ, GF(5)):
-            with pytest.raises(TypeError, match="over ZZ"):
+            with pytest.raises(PreconditionError, match="over ZZ"):
                 LaurentMatrix(ring, 1, 1, [[LaurentPoly.const(ring, 1)]])
 
     def test_negative_valuations_handled(self):

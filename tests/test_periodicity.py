@@ -51,6 +51,16 @@ class TestSolvePropMatrix:
     def test_identity_any_k(self):
         assert solve_prop_matrix(I2, I2, 7, 1) == 1
 
+    @pytest.mark.parametrize("a, b, message", [
+        ([[1, 0], [1]], I2, "A is not 2x2"),
+        (ROT4, [[1]], "B is not 2x2"),
+        ([(1,)], [[1]], "A is not 1x1"),
+        ([[1.0]], [[1]], "A is not an integer matrix"),
+        (ROT4, [[1, 0], [0, True]], "B is not an integer matrix")], ids=str)
+    def test_matrices_checked(self, a, b, message):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            solve_prop_matrix(a, b, 3, 1)
+
     def test_one_determinant_per_matrix(self, monkeypatch):
         # det A is read off the characteristic polynomial, which the order
         # of A needs anyway, so only B takes a determinant
@@ -148,6 +158,32 @@ class TestSolvePropMatrix:
 
 
 class TestAutomorphismGroup:
+    @pytest.mark.parametrize("free, torsion, mixing, name", [
+        ([[True]], [[2]], [[0]], "free block"),
+        ([[1]], [[True]], [[0]], "torsion block"),
+        ([[1]], [[2]], [[0.5]], "mixing block")], ids=str)
+    def test_blocks_are_integer_matrices(self, free, torsion, mixing, name):
+        # a torsion block [[True]] used to be read as 1, and a mixing block
+        # [[0.5]] stored as it was
+        with pytest.raises(PreconditionError,
+                           match=f"^{name} is not an integer matrix"):
+            FgAbelianAutomorphism(free, [3], torsion, mixing)
+
+    @pytest.mark.parametrize("free, torsion, mixing, message", [
+        ([[1, 0], [0]], [[2]], [[0, 0]], "free block is not 2x2"),
+        ([[1]], [[2, 0]], [[0]], "torsion block is not 1x1"),
+        ([[1]], [[2]], [], "mixing block is not 1x1"),
+        ([[1]], [[2]], [[0, 0]], "mixing block is not 1x1")], ids=str)
+    def test_block_shapes(self, free, torsion, mixing, message):
+        with pytest.raises(PreconditionError, match=f"^{message}$"):
+            FgAbelianAutomorphism(free, [3], torsion, mixing)
+
+    def test_orders_need_not_be_a_list(self):
+        # orders >= 2 in a divisibility chain are sorted whatever their
+        # container; a tuple used to be refused as unsorted
+        phi = FgAbelianAutomorphism([], (2,), [[1]], [[]])
+        assert phi.is_identity() and phi.torsion_order() == 1
+
     def test_validation(self):
         with pytest.raises(ValueError, match="divisibility"):
             FgAbelianAutomorphism([[1]], [2, 3], I2, [[0], [0]])
@@ -159,6 +195,9 @@ class TestAutomorphismGroup:
             # Z/2 + Z/4: sending the order-4 generator to the order-2 one
             # requires the (2,1) entry times 2 to vanish mod 4
             FgAbelianAutomorphism([], [2, 4], [[1, 0], [1, 1]], [[], []])
+        with pytest.raises(PreconditionError, match="different groups"):
+            FgAbelianAutomorphism([[1]], [], [], []).compose(
+                FgAbelianAutomorphism([], [], [], []))
 
     @pytest.mark.parametrize("orders", [[3.0], [7.0], ["5"]], ids=repr)
     def test_torsion_orders_are_ints(self, orders):
@@ -376,6 +415,16 @@ class TestFullOrder:
 
 
 class TestDriver:
+    @pytest.mark.parametrize("k", [1, 2.5, True, "5"], ids=repr)
+    def test_k_checked_once_before_the_degrees(self, k):
+        # k belongs to no degree: with no degrees k = 1 used to pass, and
+        # 2.5 to end in a TypeError from math.gcd
+        with pytest.raises(PreconditionError, match="^k must be"):
+            cor_period_driver([], k, [])
+        with pytest.raises(PreconditionError, match="^k must be"):
+            cor_period_driver([FgAbelianAutomorphism([], [3], [[2]], [[]])],
+                              k, [([], 1)])
+
     def test_trefoil_k5(self):
         mono = [FgAbelianAutomorphism([[1]], [], [], []),
                 FgAbelianAutomorphism(TREFOIL, [], [], [])]

@@ -18,7 +18,7 @@ from cyclocover import rings
 from cyclocover.arith import totient
 from cyclocover.errors import PreconditionError
 from cyclocover.matrices import kronecker_eval
-from cyclocover.rings import (GF, LaurentPoly, MixedRingError, Poly, QQ, ZZ,
+from cyclocover.rings import (GF, LaurentPoly, Poly, QQ, ZZ,
                               cyclotomic, gcd_zz_coeffs, primitive_coeffs,
                               pseudo_divmod, strip_coeffs, sub_mul_coeffs)
 
@@ -90,8 +90,20 @@ class TestPolyBasics:
         assert P(0, 0, 5).low_order() == 2
         assert P(1, 2).low_order() == 0
 
+    @pytest.mark.parametrize("ring", [ZZ, QQ, GF(5)], ids=repr)
+    @pytest.mark.parametrize("x", [True, 1.5, "1", None], ids=repr)
+    def test_coerce_refusals(self, ring, x):
+        with pytest.raises(PreconditionError):
+            ring.coerce(x)
+
+    def test_denominator_divisible_by_p(self):
+        # used to raise ZeroDivisionError
+        with pytest.raises(PreconditionError, match="divisible by 5"):
+            Poly(GF(5), [Fraction(1, 5)])
+        assert Poly(GF(5), [Fraction(1, 2)]).coeffs == (3,)
+
     def test_bool_coefficient_rejected(self):
-        with pytest.raises(TypeError):
+        with pytest.raises(PreconditionError, match="cannot coerce True"):
             Poly(ZZ, (True,))
 
 
@@ -425,7 +437,7 @@ class TestLaurent:
     @pytest.mark.parametrize("ring", [GF(5), QQ])
     def test_body_over_other_ring_rejected(self, ring):
         # a residue 3 over GF(5) is not the integer 3
-        with pytest.raises(MixedRingError):
+        with pytest.raises(PreconditionError, match="body over"):
             LaurentPoly(ZZ, 0, Poly(ring, (3,)))
 
 
@@ -462,6 +474,14 @@ def test_prime_field_needs_an_int(monkeypatch):
     # 7.0 == 7, so GF(7.0) is refused both before GF(7) is built and after
     monkeypatch.setattr(rings.PrimeField, "_cache", {})
     for _ in range(2):
-        with pytest.raises(ValueError, match="7.0 is not prime"):
+        with pytest.raises(PreconditionError, match="7.0 is not prime"):
             GF(7.0)
         assert GF(7).p == 7
+
+
+@pytest.mark.parametrize("p, message", [
+    (4, "4 is not prime"), (-7, "-7 is not prime"),
+    (2**89 - 1, "word-sized")], ids=str)
+def test_prime_field_refusals(p, message):
+    with pytest.raises(PreconditionError, match=message):
+        GF(p)

@@ -31,8 +31,13 @@ class TestScalars:
     def test_parse_int(self):
         assert parse_int("12") == 12
         assert parse_int(-3) == -3
-        for bad in (True, "x", 1.5, None):
-            with pytest.raises(PreconditionError):
+        assert parse_int("+007") == 7 and parse_int("-0") == 0
+        # an int or an optional sign and ASCII digits, as in parse_scalar;
+        # int() alone accepted the blanks, the underscore and the
+        # Arabic-Indic digits
+        for bad in (True, "x", 1.5, None, " 7 ", "1_000", "٢٣", "", "+",
+                    "+-3", "0x10", "9" * 5000):
+            with pytest.raises(PreconditionError, match="^bad integer"):
                 parse_int(bad)
 
     def test_parse_scalar_table(self):
@@ -44,7 +49,7 @@ class TestScalars:
         def via_fraction(ring, raw):
             try:
                 return ring.coerce(Fraction(raw))
-            except (ValueError, ZeroDivisionError, TypeError) as exc:
+            except (ValueError, ZeroDivisionError) as exc:
                 return f"bad coefficient {raw!r}: {exc}"
 
         def parsed(ring, raw):
@@ -133,6 +138,12 @@ class TestCompositeRoundTrip:
             parse_presentation({"generators": -1, "relations": {}})
         with pytest.raises(PreconditionError):
             parse_presentation({"generators": 1})
+        # the count is ModulePresentation's to check
+        one = {"rows": 1, "cols": 1, "entries": [[{"coeffs": ["1"]}]]}
+        for g in (True, 1.0, "1"):
+            with pytest.raises(PreconditionError,
+                               match=f"^bad generator count {g!r}$"):
+                parse_presentation({"generators": g, "relations": one})
 
     def test_complex(self):
         from cyclocover.covers import mapping_torus_complex

@@ -31,10 +31,9 @@ published (heuristic) factorizations.
 import csv
 import io
 import os
-from dataclasses import dataclass
 from importlib import resources
 from operator import itemgetter, mul
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from .arith import is_prime, primitive_root, smallest_odd_prime_factor
 from .errors import InternalCheckError, PreconditionError, check_count
@@ -169,8 +168,7 @@ def odd_prime_factor(n) -> Optional[int]:
     return smallest_odd_prime_factor(n)
 
 
-@dataclass
-class HplusRecord:
+class HplusRecord(NamedTuple):
     p: int
     factors: List[int]
     source: str
@@ -236,8 +234,7 @@ def load_hplus_table(path) -> Dict[int, HplusRecord]:
     return table
 
 
-@dataclass
-class ClassGateReport:
+class ClassGateReport(NamedTuple):
     p: int
     h_minus: int
     h_minus_odd_factor: Optional[int]

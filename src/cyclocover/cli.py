@@ -2,24 +2,18 @@
 
 Exit codes: 0 success, 1 corpus mismatch, 2 PreconditionError (bad
 input), 3 any other exception: a failed internal cross-check or a bug.
+
+A subcommand imports its library layer when it runs, and argparse and
+json are imported where they are used, so a request loads only what it
+needs: one process per request is the intended use.
 """
 
-import argparse
 import functools
-import json
 import os
 import sys
-from importlib import resources
 
 from . import __version__
-from .classnumbers import (default_fixture_path, gate_theorem_CD, hp_minus,
-                           load_hplus_table, odd_prime_factor)
-from .covers import (SelfCoverWitness, cover_dimensions, cover_homology_field,
-                     mapping_torus_complex, verify_self_cover_relation,
-                     wang_dimensions)
 from .errors import InternalCheckError, PreconditionError
-from .modules import finitely_generated_over_Z, order_ideal
-from .periodicity import FgAbelianAutomorphism, cor_period_driver, solve_prop_matrix
 from .rings import GF, QQ
 from .serialize import (canonical_dumps, complex_to_json, input_digest,
                         laurent_to_json, parse_complex, parse_int,
@@ -35,6 +29,7 @@ def _parse_kappa(raw):
 
 
 def _run_fingen(params):
+    from .modules import finitely_generated_over_Z
     m = parse_presentation(params["module"])
     v = finitely_generated_over_Z(m)
     witness = None
@@ -51,11 +46,13 @@ def _run_fingen(params):
 
 
 def _run_order_ideal(params):
+    from .modules import order_ideal
     m = parse_presentation(params["module"])
     return {"order_ideal": laurent_to_json(order_ideal(m))}
 
 
 def _run_mapping_torus(params):
+    from .covers import mapping_torus_complex
     spec = params["f"]
     if not isinstance(spec, dict):
         raise PreconditionError("mapping-torus input must be an object")
@@ -71,6 +68,7 @@ def _run_mapping_torus(params):
 
 
 def _run_cover_homology(params):
+    from .covers import cover_homology_field
     x = parse_complex(params["complex"])
     kappa = _parse_kappa(params["kappa"])
     q = parse_int(params["q"])
@@ -82,6 +80,7 @@ def _run_cover_homology(params):
 
 
 def _run_wang(params):
+    from .covers import wang_dimensions
     x = parse_complex(params["complex"])
     kappa = _parse_kappa(params["kappa"])
     q = parse_int(params["q"])
@@ -89,6 +88,7 @@ def _run_wang(params):
 
 
 def _run_verify_selfcover(params):
+    from .covers import SelfCoverWitness, verify_self_cover_relation
     x = parse_complex(params["complex"])
     k = parse_int(params["k"])
     sign = parse_int(params["sign"])
@@ -101,6 +101,7 @@ def _run_verify_selfcover(params):
 
 
 def _run_dimension_bound(params):
+    from .covers import cover_dimensions
     x = parse_complex(params["complex"])
     kappa = _parse_kappa(params["kappa"])
     qs = params["q"]
@@ -115,6 +116,7 @@ def _run_dimension_bound(params):
 
 
 def _run_prop_matrix(params):
+    from .periodicity import solve_prop_matrix
     a = parse_int_matrix(params["a"])
     b = parse_int_matrix(params["b"])
     k = parse_int(params["k"])
@@ -123,6 +125,7 @@ def _run_prop_matrix(params):
 
 
 def _parse_automorphism(obj):
+    from .periodicity import FgAbelianAutomorphism
     if not isinstance(obj, dict) or "free" not in obj:
         raise PreconditionError(f"bad automorphism {obj!r}")
     orders = obj.get("torsion_orders", [])
@@ -135,6 +138,7 @@ def _parse_automorphism(obj):
 
 
 def _run_periodicity(params):
+    from .periodicity import cor_period_driver
     mono_raw = params["monodromy"]
     wit_raw = params["witness"]
     if not isinstance(mono_raw, list) or not isinstance(wit_raw, list):
@@ -151,6 +155,7 @@ def _run_periodicity(params):
 
 
 def _run_hp_minus(params):
+    from .classnumbers import hp_minus, odd_prime_factor
     p = parse_int(params["p"])
     h = hp_minus(p)
     odd = odd_prime_factor(h)
@@ -159,6 +164,8 @@ def _run_hp_minus(params):
 
 
 def _run_gate(params):
+    from .classnumbers import (default_fixture_path, gate_theorem_CD,
+                               load_hplus_table)
     p = parse_int(params["p"])
     fixture_path = params["fixture"]
     if not isinstance(fixture_path, str):
@@ -201,6 +208,7 @@ def _json_arg(raw):
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise PreconditionError(f"cannot read {raw[1:]!r}: {exc}")
+    import json
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -214,7 +222,7 @@ def _int_list_arg(raw):
 
 # One row per subcommand: name -> (runner, {flag: converter}).  Each
 # converter turns the raw --flag string into the parameter of the same
-# name.  Runners look up library functions as this module's globals.
+# name.  Each runner imports the library functions it calls.
 _COMMANDS = {
     "fingen": (_run_fingen, {"module": _json_arg}),
     "order-ideal": (_run_order_ideal, {"module": _json_arg}),
@@ -255,6 +263,7 @@ def compute(subcommand, params):
 
 
 def default_corpus_path():
+    from importlib import resources
     return str(resources.files("cyclocover").joinpath("data/corpus"))
 
 
@@ -265,6 +274,7 @@ def run_corpus(path):
         path = default_corpus_path()
     if not os.path.isdir(path):
         raise PreconditionError(f"corpus directory {path!r} does not exist")
+    import json
     names = sorted(n for n in os.listdir(path) if n.endswith(".json"))
     cases = []
     failed = 0
@@ -294,6 +304,7 @@ def run_corpus(path):
 
 @functools.cache
 def _parser():
+    import argparse
     parser = argparse.ArgumentParser(prog="cyclocover")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)

@@ -6,8 +6,7 @@ vectors.  Mapping tori of integer chain endomorphisms are built as the
 algebraic cone of (t - f).
 """
 
-from dataclasses import dataclass
-from typing import List
+from typing import List, NamedTuple
 
 from .arith import power
 from .errors import (InternalCheckError, PreconditionError, check_count,
@@ -60,8 +59,7 @@ class TwistedChainComplex:
         return f"TwistedChainComplex(ranks={list(self.ranks)})"
 
 
-@dataclass
-class SelfCoverWitness:
+class SelfCoverWitness(NamedTuple):
     k: int
     sign: int             # +1 preserves, -1 reverses deck orientation
     hbar: List[list]      # per-degree square rational matrices
@@ -76,6 +74,8 @@ def mapping_torus_complex(ranks_f, boundaries_f, f) -> TwistedChainComplex:
     `TwistedChainComplex` refuses an f that fails to commute.
     """
     ranks_f = list(ranks_f)
+    if not all(map(is_count, ranks_f)):
+        raise PreconditionError(f"bad rank list {ranks_f!r}")
     top = len(ranks_f) - 1
     if len(f) != len(ranks_f):
         raise PreconditionError("need one endomorphism block per degree")

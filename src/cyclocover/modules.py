@@ -12,8 +12,7 @@ M tensor QQ.  Only property1_check at a prime P != 0 runs a Smith form,
 as reduction mod p need not preserve the gcd.
 """
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .arith import factorize
 from .errors import PreconditionError, is_count
@@ -62,8 +61,7 @@ class ModulePresentation:
                 f"{self.relations.ncols} relations)")
 
 
-@dataclass
-class Property1Result:
+class Property1Result(NamedTuple):
     finite_dim: bool
     t_integral: bool
     tinv_integral: bool
@@ -73,16 +71,14 @@ class Property1Result:
         return self.finite_dim and self.t_integral and self.tinv_integral
 
 
-@dataclass
-class FinGenWitness:
+class FinGenWitness(NamedTuple):
     prime: int              # 0 for the generic point (kappa = QQ)
     kind: str
     factor: Optional[Poly]  # characteristic polynomial of t on M tensor QQ,
                             # when t or 1/t is not integral
 
 
-@dataclass
-class FinGenVerdict:
+class FinGenVerdict(NamedTuple):
     answer: bool
     witness: Optional[FinGenWitness]
     underlying_rank: Optional[int]

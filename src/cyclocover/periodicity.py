@@ -7,9 +7,9 @@ per-degree data of a monodromy action.
 """
 
 from copy import copy
-from dataclasses import dataclass, field
 from math import gcd, lcm
-from typing import List, Tuple
+from operator import mul
+from typing import Tuple
 
 from .arith import factorize, order_from_multiple, power
 from .errors import (InternalCheckError, PreconditionError, check_count,
@@ -17,7 +17,8 @@ from .errors import (InternalCheckError, PreconditionError, check_count,
 from .matrices import (det_int, int_mat_check, mat_identity, mat_is_identity,
                        mat_mul, mat_pow)
 from .normal_forms import char_poly, cyclotomic_indices, cyclotomic_order
-from .rings import gcd_gf_coeffs, mulmod_coeffs, pseudo_divmod, sub_mul_coeffs
+from .rings import (gcd_gf_coeffs, mulmod_coeffs, pseudo_divmod, strip_coeffs,
+                    sub_mul_coeffs)
 
 
 class RelationError(PreconditionError):
@@ -62,21 +63,37 @@ def _charpoly_mod(a, p):
 def _factor_degrees(f, p):
     """The degrees of the irreducible factors other than x - 1 of f over
     GF(p), a coefficient list with f(0) != 0, by distinct-degree
-    factorization: those of degree j divide x^(p^j) - x."""
+    factorization: those of degree j divide x^(p^j) - x.
+
+    With f0 the f of degree n left once x - 1 is divided out, h = x^(p^j)
+    mod f0 steps to h^p = sum h_i x^(p i) mod f0 by Berlekamp's matrix,
+    whose row i is x^(p i) mod f0: one n x n product per degree, not a
+    power.  Reading h modulo each later f is right, as f divides f0.  Once
+    every factor of degree < j is out, an f of degree < 2j is irreducible."""
     while len(f) > 1 and sum(f) % p == 0:  # f(1) = 0
         f = pseudo_divmod(f, [p - 1, 1], p)[1]
+    n = len(f) - 1
+    if n < 2:  # 1, or x - a with a != 0, 1
+        return [n] if n else []
+    xp = power([0, 1], p, lambda u, v: mulmod_coeffs(u, v, f, p), [1])
+    rows, row = [], [1]
+    for _ in range(n):
+        rows.append(row + [0] * (n - len(row)))
+        row = mulmod_coeffs(row, xp, f, p)
+    cols = list(zip(*rows))
     degrees, h, j = [], [0, 1], 0
     while len(f) > 1:
         j += 1
-        # h = x^(p^j) mod f
-        h = power(h, p, lambda u, v: mulmod_coeffs(u, v, f, p), [1])
+        if len(f) - 1 < 2 * j:
+            degrees.append(len(f) - 1)
+            break
+        h = strip_coeffs([sum(map(mul, h, col)) % p for col in cols])
         g = gcd_gf_coeffs(f, sub_mul_coeffs(1, h, [1], [0, 1], p), p)
         if len(g) > 1:
             degrees.append(j)
             while len(g) > 1:  # take every factor of degree j out of f
                 f = pseudo_divmod(f, g, p)[1]
                 g = gcd_gf_coeffs(f, g, p)
-            h = pseudo_divmod(h, f, p)[2]
     return degrees
 
 
@@ -104,21 +121,24 @@ def _order_multiple(orders, block, factors):
     return mult, primes
 
 
-@dataclass
 class FgAbelianAutomorphism:
     """Automorphism of Z^r + sum Z/d_i in block-triangular form.
 
     free_block acts on Z^r, torsion_block on the torsion part (entries of
     row i read modulo d_i), mixing_block records the component Z^r -> T.
     The constructor checks the blocks and reduces row i modulo d_i >= 2;
-    `compose` and `power` build on checked blocks without checking again."""
-    free_block: List[List[int]]
-    torsion_orders: List[int] = field(default_factory=list)
-    torsion_block: List[List[int]] = field(default_factory=list)
-    mixing_block: List[List[int]] = field(default_factory=list)
-    _factors: dict = field(init=False, repr=False, compare=False)  # of d_s
+    `compose` and `power` build on checked blocks without checking again.
+    Two automorphisms are equal when their four blocks are."""
 
-    def __post_init__(self):
+    __slots__ = ("free_block", "torsion_orders", "torsion_block",
+                 "mixing_block", "_factors")  # _factors: those of d_s
+
+    def __init__(self, free_block, torsion_orders=None, torsion_block=None,
+                 mixing_block=None):
+        self.free_block = free_block
+        self.torsion_orders = [] if torsion_orders is None else torsion_orders
+        self.torsion_block = [] if torsion_block is None else torsion_block
+        self.mixing_block = [] if mixing_block is None else mixing_block
         r = len(self.free_block)
         s = len(self.torsion_orders)
         d = self.torsion_orders
@@ -148,6 +168,21 @@ class FgAbelianAutomorphism:
                 raise PreconditionError(f"torsion block is not invertible (mod {p})")
         self.torsion_block = self._reduce_rows(self.torsion_block)
         self.mixing_block = self._reduce_rows(self.mixing_block)
+
+    def _blocks(self):
+        return (self.free_block, self.torsion_orders, self.torsion_block,
+                self.mixing_block)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._blocks() == other._blocks()
+
+    __hash__ = None  # the blocks are lists
+
+    def __repr__(self):
+        return ("FgAbelianAutomorphism(free_block={!r}, torsion_orders={!r}, "
+                "torsion_block={!r}, mixing_block={!r})".format(*self._blocks()))
 
     def _reduce_rows(self, mat):
         return [[x % self.torsion_orders[i] for x in row]
@@ -285,12 +320,16 @@ def cor_period_driver(monodromy, k, conj_witness) -> Tuple[int, int]:
     `conj_witness` a parallel list of (B, sign) acting on the free quotients.
     Returns m = lcm of the per-degree orders on the free quotients (prime
     to k) and l with the full action trivial, both verified by powering.
-    k, and every witness in every degree, are checked before any work.
+    k, the type of every monodromy entry and every witness in every
+    degree are checked before any work.
     """
     check_count("k", k, 2)
     if len(monodromy) != len(conj_witness):
         raise PreconditionError("need one conjugation witness per degree")
     for j, (phi, (bmat, sign)) in enumerate(zip(monodromy, conj_witness)):
+        if not isinstance(phi, FgAbelianAutomorphism):
+            raise PreconditionError(
+                f"degree {j}: monodromy {phi!r} is not an FgAbelianAutomorphism")
         _in_degree(j, _check_relation_input, phi.free_rank, bmat, sign)
     m = 1
     for j, (phi, (bmat, sign)) in enumerate(zip(monodromy, conj_witness)):

@@ -5,15 +5,16 @@ coefficients as decimal strings ("a/b" for rationals, which are written
 out but read only over ZZ, as Laurent matrices are).  Matrix:
 {"rows": r, "cols": c, "entries": [[<laurent>, ...], ...]}.  Integer
 matrices are plain nested lists of decimal strings.
+
+`parse_presentation` and `parse_complex` import the classes they build,
+and `canonical_dumps` imports json, so a request that reads neither a
+presentation nor a complex loads neither `modules` nor `covers`.
 """
 
-import json
 from fractions import Fraction
 
 from .errors import PreconditionError, is_count
 from .matrices import LaurentMatrix
-from .modules import ModulePresentation
-from .covers import TwistedChainComplex
 from .rings import LaurentPoly, Poly, QQ, ZZ
 
 # the largest chain-complex rank or matrix dimension a wire input may ask
@@ -151,7 +152,8 @@ def parse_ranks(ranks):
     return ranks
 
 
-def parse_presentation(obj) -> ModulePresentation:
+def parse_presentation(obj):
+    from .modules import ModulePresentation
     if not isinstance(obj, dict):
         raise PreconditionError(f"bad module presentation {obj!r}")
     try:
@@ -163,12 +165,13 @@ def parse_presentation(obj) -> ModulePresentation:
     return ModulePresentation(g, parse_matrix(rel))
 
 
-def complex_to_json(x: TwistedChainComplex):
+def complex_to_json(x):
     return {"ranks": list(x.ranks),
             "boundaries": [matrix_to_json(b) for b in x.boundaries]}
 
 
-def parse_complex(obj) -> TwistedChainComplex:
+def parse_complex(obj):
+    from .covers import TwistedChainComplex
     if not isinstance(obj, dict):
         raise PreconditionError(f"bad chain complex {obj!r}")
     try:
@@ -183,6 +186,7 @@ def parse_complex(obj) -> TwistedChainComplex:
 
 
 def canonical_dumps(obj) -> str:
+    import json
     return json.dumps(obj, sort_keys=True, separators=(",", ":"),
                       ensure_ascii=True)
 

@@ -9,8 +9,9 @@ h_p^- comes from the exact product of cyclically shifted polynomials and
 from Maillet's full determinant, determinants come from Fraction
 elimination and from the Leibniz permutation sum, gcds over ZZ[t] from
 Euclid over QQ[t], minor gcds from one Leibniz sum per minor folded by
-that gcd, Smith forms from Euclid over kappa[t], and Laurent matrix
-products from sums and products entry by entry.  Every polynomial step
+that gcd, Smith forms from Euclid over kappa[t], factor degrees over
+GF(p) from the distinct-degree split, and Laurent matrix products from
+sums and products entry by entry.  Every polynomial step
 runs on the textbook coefficient-list arithmetic below (`poly_add`,
 `poly_sub`, `poly_mul`, `poly_divmod`, `monic_gcd`), not on the
 library's list primitives; library `Poly` values are built only where
@@ -97,6 +98,33 @@ def monic_gcd(a, b, p=0):
     while b:
         a, b = b, poly_divmod(a, b, p)[1]
     return poly_monic(a, p)
+
+
+def distinct_degrees(f, p):
+    """The sorted degrees of the irreducible factors other than x - 1 of f
+    over GF(p) (f(0) != 0), by the distinct-degree split: gcd(f, x^(p^j) -
+    x) is the product of the factors of degree dividing j, and x^(p^j) mod
+    f is the p-th power of x^(p^(j-1)), by repeated squaring."""
+    f = _trim(f, p)
+    while len(f) > 1 and sum(f) % p == 0:
+        f = poly_divmod(f, [p - 1, 1], p)[0]
+    degrees, h, j = [], [0, 1], 0
+    while len(f) > 1:
+        j += 1
+        base, e, h = h, p, [1]
+        while e:
+            if e & 1:
+                h = poly_divmod(poly_mul(h, base, p), f, p)[1]
+            base = poly_divmod(poly_mul(base, base, p), f, p)[1]
+            e >>= 1
+        g = monic_gcd(f, poly_sub(h, [0, 1], p), p)
+        if len(g) > 1:
+            degrees.append(j)
+            while len(g) > 1:
+                f = poly_divmod(f, g, p)[0]
+                g = monic_gcd(f, g, p)
+            h = poly_divmod(h, f, p)[1]
+    return degrees
 
 
 def strip_t_power(a):

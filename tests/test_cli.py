@@ -10,7 +10,7 @@ import tracemalloc
 
 import pytest
 
-from cyclocover import __version__, cli
+from cyclocover import __version__, cli, modules
 from cyclocover.arith import primitive_root
 from cyclocover.cli import default_corpus_path, run
 from cyclocover.modules import finitely_generated_over_Z
@@ -143,14 +143,15 @@ class TestExitCodes:
 
     def test_internal_check_exit_3(self, capsys, monkeypatch):
         # a failing cross-check cannot be produced by valid inputs (that is
-        # the point of the check), so inject one to exercise the exit path
-        from cyclocover import cli
+        # the point of the check), so inject one to exercise the exit path;
+        # the CLI imports the layer's function when the subcommand runs
+        from cyclocover import classnumbers
         from cyclocover.errors import InternalCheckError
 
         def boom(*args, **kwargs):
             raise InternalCheckError("methods disagree")
 
-        monkeypatch.setattr(cli, "hp_minus", boom)
+        monkeypatch.setattr(classnumbers, "hp_minus", boom)
         code, rep = invoke(capsys, "hp-minus", "--p", "23")
         assert code == 3
         assert rep["error"]["kind"] == "internal-check"
@@ -159,12 +160,12 @@ class TestExitCodes:
     def test_runtime_error_exit_3(self, capsys, monkeypatch):
         # 100003 * 100019 has no factor below the trial-division limit, so
         # odd_prime_factor falls through to Pollard rho; make that give up
-        from cyclocover import arith
+        from cyclocover import arith, classnumbers
 
         def give_up(n):
             raise RuntimeError(f"pollard rho failed on {n}")
 
-        monkeypatch.setattr(cli, "hp_minus", lambda p: 100003 * 100019)
+        monkeypatch.setattr(classnumbers, "hp_minus", lambda p: 100003 * 100019)
         monkeypatch.setattr(arith, "_pollard_rho", give_up)
         code, rep = invoke(capsys, "hp-minus", "--p", "23")
         assert code == 3
@@ -402,7 +403,7 @@ class TestInputBoundary:
         def boom(*args):
             raise exc("injected")
 
-        monkeypatch.setattr(cli, "finitely_generated_over_Z", boom)
+        monkeypatch.setattr(modules, "finitely_generated_over_Z", boom)
         code, rep = invoke(capsys, "fingen", "--module", PRINCIPAL_TREFOIL)
         assert code == 3 and rep["error"]["kind"] == "internal-check"
         assert rep["error"]["message"].startswith(exc.__name__ + ": ")

@@ -145,6 +145,12 @@ class TestMappingTorus:
         with pytest.raises(PreconditionError, match="bad rank list"):
             TwistedChainComplex(ranks, boundaries)
 
+    @pytest.mark.parametrize("rank", [True, 1.0, -1, "1"], ids=repr)
+    def test_fibre_rank_must_be_a_count(self, rank):
+        # [True] used to build ranks (1, 1), and [1.0] to end in a TypeError
+        with pytest.raises(PreconditionError, match="bad rank list"):
+            mapping_torus_complex([rank], [], [[[1]]])
+
     @pytest.mark.parametrize("f", [[[[True]]], [[[1.5]]], [[["1"]]]], ids=str)
     def test_endomorphism_entries_are_ints(self, f):
         # [[True]] used to build, read as 1, and [[1.5]] to end in a

@@ -10,8 +10,9 @@ defines derives from PreconditionError or InternalCheckError.  A name
 only the tests use is dead: the oracles are written on their own, not on
 library code kept alive for them.
 
-`__init__.py` is left out of the unused-import check: its imports are
-the package's public surface.
+`__init__.py` is left out of the unused-import check: its export table,
+`_EXPORTS`, is the package's public surface, each name imported on first
+access.
 """
 
 import ast
@@ -143,15 +144,25 @@ def test_no_dead_private_names():
     assert dead_private_names(sources) == []
 
 
+def exported_names(source):
+    """The keys of the `_EXPORTS` dict literal that the package source
+    `source` assigns: the names the package exports."""
+    for node in ast.parse(source).body:
+        if (isinstance(node, ast.Assign)
+                and [t.id for t in node.targets if isinstance(t, ast.Name)]
+                == ["_EXPORTS"]):
+            return {key.value for key in node.value.keys}
+    raise AssertionError("no _EXPORTS table")
+
+
 def dead_public_names(sources, exports):
     """Sorted names of the module-level functions and classes of the
     modules in `sources` whose names do not start with `_`, that no
     module references outside the name's own definition and that the
-    package source `exports` does not import."""
+    package source `exports` does not export."""
     trees = [ast.parse(src) for src in sources]
     total = sum((_references(tree) for tree in trees), Counter())
-    kept = {alias.name for node in ast.walk(ast.parse(exports))
-            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    kept = exported_names(exports)
     return sorted(node.name for tree in trees for node in tree.body
                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                   and not node.name.startswith("_")
@@ -171,7 +182,7 @@ def test_guard_sees_dead_public_names():
         "def _private():\n    return used(1)\n"
     )
     user = "import lib\nlib.used(2)\nraise Raised()\n"
-    exports = "from .lib import exported\n"
+    exports = "_EXPORTS = {\"exported\": \"lib\"}\n"
     assert dead_public_names([lib, user], exports) == [
         "Gone", "recursive", "unused"]
 

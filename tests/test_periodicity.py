@@ -21,7 +21,8 @@ from cyclocover.periodicity import (FgAbelianAutomorphism, RelationError,
                                     solve_prop_matrix)
 
 from helpers import (brute_automorphism_order, brute_order,
-                     brute_order_prime_to, rand_unimodular_int)
+                     brute_order_prime_to, distinct_degrees,
+                     rand_unimodular_int)
 
 
 ROT4 = [[0, -1], [1, 0]]
@@ -271,6 +272,37 @@ class TestTorsionOrder:
     def test_factor_degrees_known_answers(self, f, p, degrees):
         assert periodicity._factor_degrees(f, p) == degrees
 
+    def test_factor_degrees_against_the_split_oracle(self):
+        # seeded blocks mod small and large primes, and random f of every
+        # degree from 1 up, with p = 2 and 3 among them
+        rng = random.Random(23)
+        for p in (2, 3, 5, 7, 101, 1000003, 10 ** 24 + 7):
+            for n in range(1, 9):
+                block = [[rng.randrange(p) for _ in range(n)] for _ in range(n)]
+                f = periodicity._charpoly_mod(block, p)
+                if f[0]:
+                    assert periodicity._factor_degrees(f, p) == \
+                        distinct_degrees(f, p), (block, p)
+                f = [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(n - 1)] + [1]
+                assert periodicity._factor_degrees(f, p) == \
+                    distinct_degrees(f, p), (f, p)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_factor_degrees_of_degree_one(self, p):
+        # x + c for every c != 0; x - 1 is left out
+        for c in range(1, p):
+            assert periodicity._factor_degrees([c, 1], p) == \
+                ([] if c == p - 1 else [1])
+
+    def test_factor_degrees_of_a_large_block_is_quick(self):
+        rng = random.Random(1)
+        p = 10 ** 24 + 7
+        f = periodicity._charpoly_mod(
+            [[rng.randrange(p) for _ in range(40)] for _ in range(40)], p)
+        start = time.perf_counter()
+        assert periodicity._factor_degrees(f, p) == distinct_degrees(f, p)
+        assert time.perf_counter() - start < 5
+
     @pytest.mark.parametrize("orders", [[2, 2], [2, 4], [4, 4], [3, 9], [3, 3],
                                         [2, 2, 4]])
     def test_multiple_on_every_accepted_block(self, orders):
@@ -451,6 +483,16 @@ class TestDriver:
             with pytest.raises(PreconditionError,
                                match="degree 1: sign must be"):
                 cor_period_driver(mono, 3, [([[1]], 1), (I2, sign)])
+
+    @pytest.mark.parametrize("entry", [5, None, [[1]]], ids=repr)
+    def test_monodromy_entry_must_be_an_automorphism(self, entry):
+        # 5 used to end in an AttributeError
+        with pytest.raises(PreconditionError,
+                           match="^degree 0: .* is not an FgAbelianAutomorphism"):
+            cor_period_driver([entry], 2, [([], 1)])
+        with pytest.raises(PreconditionError, match="^degree 1: "):
+            cor_period_driver([FgAbelianAutomorphism([[1]]), entry], 2,
+                              [([[1]], 1), ([], 1)])
 
     def test_witness_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -31,7 +31,6 @@ published (heuristic) factorizations.
 import csv
 import io
 import os
-from importlib import resources
 from operator import itemgetter, mul
 from typing import Dict, List, NamedTuple, Optional
 
@@ -180,6 +179,7 @@ class HplusRecord(NamedTuple):
 
 
 def default_fixture_path():
+    from importlib import resources  # at module level it loads inspect (3.12+)
     return str(resources.files("cyclocover").joinpath("data/hplus.csv"))
 
 

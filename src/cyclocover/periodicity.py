@@ -73,8 +73,6 @@ def _factor_degrees(f, p):
     while len(f) > 1 and sum(f) % p == 0:  # f(1) = 0
         f = pseudo_divmod(f, [p - 1, 1], p)[1]
     n = len(f) - 1
-    if n < 2:  # 1, or x - a with a != 0, 1
-        return [n] if n else []
     xp = power([0, 1], p, lambda u, v: mulmod_coeffs(u, v, f, p), [1])
     rows, row = [], [1]
     for _ in range(n):
@@ -129,9 +127,6 @@ class FgAbelianAutomorphism:
     The constructor checks the blocks and reduces row i modulo d_i >= 2;
     `compose` and `power` build on checked blocks without checking again.
     Two automorphisms are equal when their four blocks are."""
-
-    __slots__ = ("free_block", "torsion_orders", "torsion_block",
-                 "mixing_block", "_factors")  # _factors: those of d_s
 
     def __init__(self, free_block, torsion_orders=None, torsion_block=None,
                  mixing_block=None):

@@ -251,6 +251,18 @@ def lattice_fg_oracle(f: Poly, max_n=12) -> bool:
 # ---------------------------------------------------------------------------
 # finite generation read off the residue fields
 
+def same_record(a, b):
+    """a == b with the record types checked too, field by field: a
+    NamedTuple record also equals a plain tuple, or another record, with
+    the same values."""
+    if type(a) is not type(b):
+        return False
+    if hasattr(a, "_fields"):
+        return all(map(same_record, a, b))
+    return a == b
+
+
+
 def residue_fingen(M) -> FinGenVerdict:
     """finitely_generated_over_Z by Smith forms over the residue fields.
 

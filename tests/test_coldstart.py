@@ -68,7 +68,8 @@ def test_cli_import_loads_only_its_core():
     # hp-minus adds its layer and nothing of the others
     ours = {m for m in after_run if m.split(".")[0] == "cyclocover"}
     assert ours == CLI_CORE | {"cyclocover.classnumbers"}
-    assert not {"dataclasses", "inspect"} & set(after_run)
+    # importlib.resources loads inspect from Python 3.12 on
+    assert not {"dataclasses", "inspect", "importlib.resources"} & set(after_run)
 
 
 def test_no_module_imports_dataclasses():

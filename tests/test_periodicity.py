@@ -299,9 +299,13 @@ class TestTorsionOrder:
         p = 10 ** 24 + 7
         f = periodicity._charpoly_mod(
             [[rng.randrange(p) for _ in range(40)] for _ in range(40)], p)
+        expected = distinct_degrees(f, p)
         start = time.perf_counter()
-        assert periodicity._factor_degrees(f, p) == distinct_degrees(f, p)
-        assert time.perf_counter() - start < 5
+        got = periodicity._factor_degrees(f, p)
+        elapsed = time.perf_counter() - start
+        assert got == expected
+        # powering x^(p^j) afresh at each degree took 1.7 s here
+        assert elapsed < 0.5
 
     @pytest.mark.parametrize("orders", [[2, 2], [2, 4], [4, 4], [3, 9], [3, 3],
                                         [2, 2, 4]])

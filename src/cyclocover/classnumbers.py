@@ -4,11 +4,17 @@ h_p^- is computed twice and the two values are cross-checked:
 
 - Character sums.  h_p^- = (-1)^((p-1)/2) * prod_{a odd} f(zeta^a) /
   (2p)^((p-3)/2), where zeta is a primitive (p-1)-th root of unity and
-  f(zeta^a) is the character sum of the a-th odd character.  The
-  product is a rational integer c with |c| <= B = (p(p-1)/2)^((p-1)/2).
-  It is evaluated modulo the one integer M = Phi_{p-1}(2^s), with zeta
-  sent to 2^s, and s chosen so that M > 2^33 * B; the symmetric residue
-  must then lie in [-B, B], which leaves 32 bits of headroom over 2B.
+  f(zeta^a) = F(zeta^a) is the character sum of the a-th odd character,
+  F(x) = sum_{j<m} f_j x^j with m = (p-1)/2 and f_j = 2 (g^j mod p) - p
+  for a primitive root g.  The product is a rational integer c, and
+  Parseval over the m odd characters with the AM-GM inequality gives
+  c^2 <= S^m for S = sum_j f_j^2.  It is evaluated
+  modulo the one integer M = Phi_{p-1}(2^s), with zeta sent to 2^s, and
+  s chosen so that M > 2^33 * ceil(sqrt(S^m)); the symmetric residue
+  must then satisfy c^2 <= S^m, which leaves 32 bits of headroom.  Each
+  odd a is paired with p-1-a: F(zeta^a) * F(zeta^-a) is
+  R_0 + sum_{d>=1} R_d (zeta^(a*d) + zeta^(-a*d)) for the autocorrelation
+  R_d = sum_j f_j f_{j+d}, computed once, and a = m (m odd) gives F(-1).
   The sign, positivity and (2p)^((p-3)/2)-divisibility of c are
   checked.
 - Maillet's determinant.  Subtracting a times the first row from row a
@@ -18,11 +24,13 @@ h_p^- is computed twice and the two values are cross-checked:
   floor(2 * r_b / p), is already 0/1, and row a minus row a-1 for a >= 3
   is too, without changing |det|: for every a >= 2 the entry is
   floor(a * r_b / p) - floor((a-1) * r_b / p) = [a * r_b mod p < r_b].
-  That 0/1 matrix is the one `det_int` reduces.  Its search for a +-1
-  pivot anywhere in the remaining block makes 43 of the 104 elimination
-  steps at p = 211 unit steps, with no multiplication by the pivot and no
-  division; the rest are Bareiss steps.  A zero determinant fails the
-  check.
+  Column b = 1 of that matrix is (1, 0, ..., 0), so its determinant is
+  the one of the 0/1 core, rows and columns a, b in [2, m], which is
+  what `det_int` reduces.  Its search for a +-1 pivot anywhere in the
+  remaining block makes 42 of the 103 elimination steps at p = 211 unit
+  steps, with no multiplication by the pivot and no division; the rest
+  are Bareiss steps, two columns at a time while 6 or more rows are
+  left.  A zero determinant fails the check.
 
 h_p^+ is not computable here; it is shipped as a fixture table of
 published (heuristic) factorizations.
@@ -31,7 +39,8 @@ published (heuristic) factorizations.
 import csv
 import io
 import os
-from operator import itemgetter, mul
+from math import isqrt
+from operator import mul
 from typing import Dict, List, NamedTuple, Optional
 
 from .arith import is_prime, primitive_root, smallest_odd_prime_factor
@@ -63,25 +72,29 @@ def _check_p(p):
         raise PreconditionError(f"p={p} exceeds the configured bound {bound}")
 
 
-def _odd_character_pickers(n):
-    """Per odd a < n, a getter taking (zeta^i)_{i<n} to (zeta^(a*j))_{j<n/2}.
+def _paired_charsum_residue(f, s, modulus):
+    """prod_{a odd} F(zeta^a) modulo modulus, for F(x) = sum_j f[j] x^j
+    and zeta sent to 2^s.
 
-    A trailing index 0 keeps the result a tuple when n/2 == 1 (p = 3);
-    sum(map(mul, f, ...)) stops at the n/2 entries of f before it.
+    The odd a < n = 2 * len(f) pair off as a and n - a, and with the
+    autocorrelation R_d = sum_j f[j] * f[j+d],
+    F(zeta^a) * F(zeta^-a) = R_0 + sum_{d>=1} R_d * (zeta^(a*d) + zeta^(-a*d)).
+    When m = len(f) is odd, a = m pairs with itself: zeta^m = -1, so it
+    contributes F(-1) = sum_j (-1)^j f[j].
     """
-    return [itemgetter(*[a * j % n for j in range(n // 2)], 0)
-            for a in range(1, n, 2)]
-
-
-def _charsum_residue(f, pickers, s, modulus):
-    """prod_{a odd} sum_j f[j] * 2^(s*a*j) modulo modulus."""
-    n = 2 * len(f)
+    m = len(f)
+    n = 2 * m
     powers = [1] * n
     for i in range(1, n):
         powers[i] = (powers[i - 1] << s) % modulus
-    v = 1
-    for pick in pickers:
-        v = v * sum(map(mul, f, pick(powers))) % modulus
+    # w[i] is the image of zeta^i + zeta^-i
+    w = [x + y for x, y in zip(powers, [1] + powers[:0:-1])]
+    r = [sum(map(mul, f, f[d:])) for d in range(1, m)]
+    r0 = sum(x * x for x in f)
+    v = sum(f[0::2]) - sum(f[1::2]) if m % 2 else 1
+    for a in range(1, m, 2):
+        pair = r0 + sum(map(mul, r, [w[a * d % n] for d in range(1, m)]))
+        v = v * pair % modulus
     return v
 
 
@@ -89,33 +102,35 @@ def _hp_minus_charsum(p):
     """h_p^- from the product of the odd character sums, modulo Phi_{p-1}(2^s).
 
     With f_j = g^j mod p for a primitive root g, the value c =
-    prod_{a odd} f(zeta^a) is a rational integer, and |f(zeta^a)| <=
-    sum_j f_j bounds it by B = (p(p-1)/2)^((p-1)/2).  Since g^m = -1 mod p
+    prod_{a odd} f(zeta^a) is a rational integer.  Since g^m = -1 mod p
     and zeta^(a*m) = -1 for m = (p-1)/2 and odd a, f(zeta^a) equals
-    sum_{j<m} (2 f_j - p) zeta^(a*j).  The map zeta -> 2^s is a ring
+    F(zeta^a) for F(x) = sum_{j<m} (2 f_j - p) x^j.  Parseval over the m
+    odd a gives sum_a |F(zeta^a)|^2 = m * S for S = sum_j (2 f_j - p)^2,
+    so by the AM-GM inequality c^2 <= S^m.  The map zeta -> 2^s is a ring
     homomorphism Z[zeta] -> Z/M for M = Phi_{p-1}(2^s), so c is known
     modulo M, and s is chosen so that M >= (2^s - 1)^phi(p-1) exceeds
-    2^33 * B.  The symmetric residue must lie in [-B, B]: with 32 bits of
-    headroom over 2B, a wrong residue passes with probability <= 2^-32.
+    2^33 * ceil(sqrt(S^m)).  The symmetric residue c must satisfy
+    c^2 <= S^m: with 32 bits of headroom over twice the bound, a wrong
+    residue passes with probability <= 2^-32.
     """
     n = p - 1
     m = n // 2
     g = primitive_root(p)
     f = [2 * pow(g, j, p) - p for j in range(m)]
-    bound = (p * m) ** m
-    target = bound << 33
+    square_bound = sum(x * x for x in f) ** m
+    target = (isqrt(square_bound - 1) + 1) << 33  # 2^33 * ceil(sqrt(S^m))
     phi = cyclotomic(n)
     s = -(-target.bit_length() // phi.degree) + 1
     modulus = kronecker_eval(phi.coeffs, s)
     if modulus <= target:
         raise InternalCheckError(
             f"Phi_{n}(2^{s}) does not exceed 2^33 times the bound")
-    c = _charsum_residue(f, _odd_character_pickers(n), s, modulus)
+    c = _paired_charsum_residue(f, s, modulus)
     if c > modulus // 2:
         c -= modulus
-    if abs(c) > bound:
+    if c * c > square_bound:
         raise InternalCheckError(
-            "character-sum residue lies outside [-B, B]")
+            "character-sum residue c breaks the Parseval bound c^2 <= S^m")
     num = c if m % 2 == 0 else -c
     den = (2 * p) ** (m - 1)
     if num <= 0 or num % den:
@@ -124,28 +139,32 @@ def _hp_minus_charsum(p):
     return num // den
 
 
-def _maillet_reduced(p):
-    """Maillet's matrix with the factor p^((p-3)/2) of its determinant removed.
+def _maillet_core(p):
+    """Maillet's matrix with the factor p^((p-3)/2) of its determinant
+    removed, and then its first row and column: a 0/1 matrix.
 
-    With r_b = b^-1 mod p in [1, p-1] for b = 1..(p-1)/2, the first row is
-    r_b and row a (a >= 2) is floor(a * r_b / p) - floor((a-1) * r_b / p),
-    1 when a * r_b mod p < r_b and 0 otherwise.  For a = 2 that is the
-    Carlitz-Olson row floor(2 * r_b / p) itself; for a >= 3 it is row a
-    minus row a-1 of the Carlitz-Olson matrix, a unimodular row operation
-    that keeps |det|.  The 0/1 rows hold +-1 entries in many columns,
-    which `det_int`'s block search brings to the diagonal as unit pivots
-    (40 of 74 steps at p = 151, 43 of 104 at p = 211).
+    With r_b = b^-1 mod p in [1, p-1], row a (a >= 2) of the p-reduced
+    matrix is floor(a * r_b / p) - floor((a-1) * r_b / p), 1 when
+    a * r_b mod p < r_b and 0 otherwise, under the first row r_b.  For
+    a = 2 that is the Carlitz-Olson row floor(2 * r_b / p) itself; for
+    a >= 3 it is row a minus row a-1 of the Carlitz-Olson matrix, a
+    unimodular row operation that keeps |det|.  Column b = 1 is
+    (1, 0, ..., 0), since r_1 = 1 and a mod p >= 1, so expanding along it
+    leaves the rows and columns a, b in [2, (p-1)/2] with the same
+    determinant.  Their +-1 entries `det_int`'s block search brings to the
+    diagonal as unit pivots.
     """
-    r = [pow(b, -1, p) for b in range(1, (p + 1) // 2)]
-    return [r] + [[1 if a * x % p < x else 0 for x in r]
-                  for a in range(2, len(r) + 1)]
+    r = [pow(b, -1, p) for b in range(2, (p + 1) // 2)]
+    return [[1 if a * x % p < x else 0 for x in r]
+            for a in range(2, len(r) + 2)]
 
 
 def _hp_minus_maillet(p):
-    """h_p^- as |det| of the p-reduced Maillet matrix (Carlitz-Olson)."""
-    d = abs(det_int(_maillet_reduced(p)))
+    """h_p^- as |det| of the 0/1 core of the p-reduced Maillet matrix
+    (Carlitz-Olson)."""
+    d = abs(det_int(_maillet_core(p)))
     if d == 0:
-        raise InternalCheckError("reduced Maillet determinant is zero")
+        raise InternalCheckError("Maillet core determinant is zero")
     return d
 
 

@@ -321,11 +321,14 @@ def cor_period_driver(monodromy, k, conj_witness) -> Tuple[int, int]:
     check_count("k", k, 2)
     if len(monodromy) != len(conj_witness):
         raise PreconditionError("need one conjugation witness per degree")
-    for j, (phi, (bmat, sign)) in enumerate(zip(monodromy, conj_witness)):
+    for j, (phi, witness) in enumerate(zip(monodromy, conj_witness)):
         if not isinstance(phi, FgAbelianAutomorphism):
             raise PreconditionError(
                 f"degree {j}: monodromy {phi!r} is not an FgAbelianAutomorphism")
-        _in_degree(j, _check_relation_input, phi.free_rank, bmat, sign)
+        if type(witness) not in (list, tuple) or len(witness) != 2:
+            raise PreconditionError(
+                f"degree {j}: conjugation witness {witness!r} is not a (B, sign) pair")
+        _in_degree(j, _check_relation_input, phi.free_rank, *witness)
     m = 1
     for j, (phi, (bmat, sign)) in enumerate(zip(monodromy, conj_witness)):
         if phi.free_rank:

@@ -9,6 +9,7 @@ polynomials and Maillet's full determinant.
 """
 
 import json
+import math
 import os
 
 import pytest
@@ -89,45 +90,47 @@ class TestAgainstOracles:
 
     def test_maillet_det_int_with_column_swaps(self):
         # at p = 103 the block search of det_int swaps columns (14 times on
-        # the 51 x 51 matrix); the signed determinant must still be the
-        # Fraction elimination's
-        a = classnumbers._maillet_reduced(103)
+        # the 50 x 50 core) and two-step updates follow the unit steps; the
+        # signed determinant must still be the Fraction elimination's
+        a = classnumbers._maillet_core(103)
         assert det_int(a) == fraction_det(a)
 
     @pytest.mark.parametrize("p", [p for p in ODD_PRIMES_TO_101 if p <= 61])
     def test_maillet_reduction(self, p):
         full = abs(fraction_det(maillet_matrix(p)))
-        reduced = abs(fraction_det(classnumbers._maillet_reduced(p)))
-        assert full == p ** ((p - 3) // 2) * reduced
+        core = abs(fraction_det(classnumbers._maillet_core(p)))
+        assert full == p ** ((p - 3) // 2) * core
 
     @pytest.mark.parametrize("p", ODD_PRIMES_TO_101)
     def test_maillet_rows_are_floor_differences(self, p):
-        # row a >= 2 is floor(a r_b / p) - floor((a-1) r_b / p), each 0 or 1,
-        # under the first row r_b = b^-1 mod p
+        # entry (a, b) of the core, a, b >= 2, is
+        # floor(a r_b / p) - floor((a-1) r_b / p), each 0 or 1, for
+        # r_b = b^-1 mod p; the dropped column b = 1 is (1, 0, ..., 0)
         h = (p - 1) // 2
         r = [pow(b, -1, p) for b in range(1, h + 1)]
-        want = [r] + [[a * x // p - (a - 1) * x // p for x in r]
+        full = [r] + [[a * x // p - (a - 1) * x // p for x in r]
                       for a in range(2, h + 1)]
-        got = classnumbers._maillet_reduced(p)
-        assert got == want
+        assert [row[0] for row in full] == [1] + [0] * (h - 1)
+        got = classnumbers._maillet_core(p)
+        assert got == [row[1:] for row in full[1:]]
         assert all(type(x) is int for row in got for x in row)
-        assert all(x in (0, 1) for row in got[1:] for x in row)
+        assert all(x in (0, 1) for row in got for x in row)
 
 
 def _record_residues(monkeypatch, tamper=None):
-    """Record every (s, modulus) the character sum uses; optionally replace
-    its residue v by tamper(v, modulus)."""
-    real = classnumbers._charsum_residue
+    """Record every (f, s, modulus) the character sum uses; optionally
+    replace its residue v by tamper(v, modulus)."""
+    real = classnumbers._paired_charsum_residue
     seen = []
 
-    def recording(f, pickers, s, modulus):
-        v = real(f, pickers, s, modulus)
+    def recording(f, s, modulus):
+        v = real(f, s, modulus)
         if tamper is not None:
             v = tamper(v, modulus) % modulus
-        seen.append((s, modulus))
+        seen.append((list(f), s, modulus))
         return v
 
-    monkeypatch.setattr(classnumbers, "_charsum_residue", recording)
+    monkeypatch.setattr(classnumbers, "_paired_charsum_residue", recording)
     return seen
 
 
@@ -155,13 +158,17 @@ def _add_one(v, modulus):
 class TestCharsumModuli:
     @pytest.mark.parametrize("p", [3, 5, 23, 61, 191, 211])
     def test_moduli_and_roots(self, p, monkeypatch):
-        # one modulus M = Phi_{p-1}(2^s), with 32 bits of headroom over 2B;
-        # 2^s, the image of zeta, has exact order p - 1 modulo M
+        # one modulus M = Phi_{p-1}(2^s), with 32 bits of headroom over
+        # twice the Parseval bound ceil(sqrt(S^m)), S = sum_j f_j^2; 2^s,
+        # the image of zeta, has exact order p - 1 modulo M
         seen = _record_residues(monkeypatch)
         hp_minus(p)
         n = p - 1
-        bound = (p * n // 2) ** (n // 2)
-        [(s, modulus)] = seen
+        [(f, s, modulus)] = seen
+        assert len(f) == n // 2
+        square_bound = sum(x * x for x in f) ** (n // 2)
+        bound = math.isqrt(square_bound)
+        bound += bound * bound < square_bound
         assert modulus == _cyclotomic_value(n, 2 ** s)
         assert modulus > 2 ** 33 * bound
         assert pow(2, s * n, modulus) == 1
@@ -177,7 +184,7 @@ class TestCharsumModuli:
     @pytest.mark.parametrize("p", [23, 59])
     def test_residue_outside_bound_is_caught(self, p, monkeypatch):
         _record_residues(monkeypatch, tamper=lambda v, m: v + m // 3)
-        with pytest.raises(InternalCheckError, match=r"outside \[-B, B\]"):
+        with pytest.raises(InternalCheckError, match=r"Parseval bound"):
             hp_minus(p)
 
     def test_tampered_residue_exits_3(self, monkeypatch, capsys):

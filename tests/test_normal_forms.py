@@ -186,6 +186,89 @@ class TestDeterminant:
                 make_singular(a, rng, [-1, 0, 1, 2])
             assert det_int(a) == fraction_det(a), a
 
+    # A non-unit step with at least 6 rows left and a nonzero 2 x 2 pivot
+    # minor D eliminates two columns at once (Sylvester's identity, a
+    # division by prev^2).  [DERIVED] by Fraction elimination; the routes
+    # named were checked on an instrumented copy of the loop.
+
+    @staticmethod
+    def no_unit_matrix(rng, n):
+        # entries without 0 or +-1, so no step is a unit step and no
+        # pivot search runs unless a pivot vanishes
+        return [[rng.choice([-1, 1]) * rng.randint(2, 9) for _ in range(n)]
+                for _ in range(n)]
+
+    def test_int_two_step_random(self):
+        # sizes 6..14: two-steps back to back (prev != 1 from the second
+        # one on), then one-steps on the last 5 rows
+        rng = random.Random(41)
+        for trial in range(60):
+            a = self.no_unit_matrix(rng, 6 + trial % 9)
+            assert det_int(a) == fraction_det(a), a
+
+    def test_int_two_step_singular_pivot_minor(self):
+        # D = 2*6 - 4*3 = 0 with the pivot 2: a one-step update at column
+        # 0, then a zero pivot at column 1 and a search
+        rng = random.Random(42)
+        for n in range(6, 15):
+            a = self.no_unit_matrix(rng, n)
+            a[0][:2] = [2, 4]
+            a[1][:2] = [3, 6]
+            d = fraction_det(a)
+            assert d != 0
+            assert det_int(a) == d, a
+
+    def test_int_zero_pivot_after_two_step(self):
+        # row 2 is row 0 plus row 1 on the first three columns, so the
+        # leading 3 x 3 minor vanishes while the 2 x 2 one does not: the
+        # two-step at column 0 leaves a zero pivot at column 2
+        rng = random.Random(43)
+        for n in range(6, 15):
+            a = self.no_unit_matrix(rng, n)
+            a[0][:3] = [2, 3, 5]
+            a[1][:3] = [4, -3, 7]
+            a[2][:3] = [6, 0, 12]
+            assert det_int(a) == fraction_det(a), a
+
+    def test_int_two_step_rank_deficient(self):
+        # a last row that is a combination of the first two, and a rank-2
+        # matrix (every row a combination of rows 0 and 1): determinant 0
+        rng = random.Random(44)
+        for n in range(6, 15):
+            a = self.no_unit_matrix(rng, n)
+            make_singular(a, rng, [-2, 2, 3])
+            assert det_int(a) == 0 == fraction_det(a), a
+            for i in range(2, n):
+                make_singular(a, rng, [-2, 2, 3])
+                a.insert(2, a.pop())
+            assert det_int(a) == 0 == fraction_det(a), a
+
+    def test_int_two_step_unit_rich(self):
+        # 0/1 on the first r columns and the first r rows, no units on the
+        # rest: unit steps with column swaps first, then two-steps on the
+        # Schur complement, as on Maillet's core
+        rng = random.Random(45)
+        for trial in range(60):
+            n = 8 + trial % 7
+            r = rng.randint(2, n - 6)
+            a = self.no_unit_matrix(rng, n)
+            for i in range(n):
+                for j in range(n):
+                    if i < r or j < r:
+                        a[i][j] = rng.choice([0, 1])
+            if trial % 4 == 1:
+                make_singular(a, rng, [1, 2])
+            assert det_int(a) == fraction_det(a), a
+
+    def test_poly_two_step_against_leibniz(self):
+        # a 6 x 6 matrix at t = 2^k: one two-step, then one-steps
+        rng = random.Random(46)
+        for _ in range(2):
+            a = [[[rng.choice([-1, 1]) * rng.randint(2, 5)]
+                  + [rng.randint(-3, 3) for _ in range(rng.randint(0, 2))]
+                  for _ in range(6)] for _ in range(6)]
+            self.check_against_leibniz(a)
+
     def test_int_entry_types(self):
         # only ints: a bool, float, str, Fraction or Poly entry is refused
         # before elimination; a float, str or bool used to raise TypeError

@@ -498,6 +498,22 @@ class TestDriver:
             cor_period_driver([FgAbelianAutomorphism([[1]]), entry], 2,
                               [([[1]], 1), ([], 1)])
 
+    @pytest.mark.parametrize("witness", [5, ([[1]],), [[[1]], 1, 1], "ab", None],
+                             ids=repr)
+    def test_witness_must_be_a_pair(self, witness):
+        # 5 used to end in a TypeError and ([[1]],) in a ValueError, from
+        # unpacking the witness as (B, sign)
+        with pytest.raises(PreconditionError,
+                           match="^degree 0: .* is not a \\(B, sign\\) pair"):
+            cor_period_driver([FgAbelianAutomorphism([[1]])], 2, [witness])
+        with pytest.raises(PreconditionError, match="^degree 1: "):
+            cor_period_driver([FgAbelianAutomorphism([[1]])] * 2, 2,
+                              [([[1]], 1), witness])
+
+    def test_witness_pair_as_list(self):
+        m, l = cor_period_driver([FgAbelianAutomorphism([[1]])], 2, [[[[1]], 1]])
+        assert (m, l) == (1, 1)
+
     def test_witness_length_mismatch(self):
         with pytest.raises(ValueError):
             cor_period_driver([FgAbelianAutomorphism([[1]], [], [], [])], 5, [])

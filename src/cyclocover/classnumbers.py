@@ -203,7 +203,12 @@ def default_fixture_path():
 
 
 def load_hplus_table(path) -> Dict[int, HplusRecord]:
-    """Parse the h_p^+ fixture CSV: p,hplus_factors,source,heuristic."""
+    """Parse the h_p^+ fixture CSV: p,hplus_factors,source,heuristic.
+    `path` must be a str or an os.PathLike: open() would take an int (a
+    bool included) as a file descriptor, read it and close it."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise PreconditionError(f"fixture path must be a str or os.PathLike, "
+                                f"not {path!r}")
     try:
         with open(path, newline="") as fh:
             text = fh.read()
@@ -263,7 +268,10 @@ class ClassGateReport(NamedTuple):
 
 
 def gate_theorem_CD(p, fixture) -> ClassGateReport:
-    """Do both h_p^- and (per the fixture) h_p^+ have odd prime factors?"""
+    """Do both h_p^- and (per the fixture, a dict p -> HplusRecord as
+    `load_hplus_table` returns) h_p^+ have odd prime factors?"""
+    if not isinstance(fixture, dict):
+        raise PreconditionError(f"fixture must be a dict, not {fixture!r}")
     h = hp_minus(p)
     minus_odd = odd_prime_factor(h)
     entry = fixture.get(p)

@@ -3,9 +3,11 @@
 Exit codes: 0 success, 1 corpus mismatch, 2 PreconditionError (bad
 input), 3 any other exception: a failed internal cross-check or a bug.
 
-A subcommand imports its library layer when it runs, and argparse and
-json are imported where they are used, so a request loads only what it
-needs: one process per request is the intended use.
+One table names each subcommand's runner and each parameter's `serialize`
+reader; a runner only calls the library and encodes the result, and
+imports its library layer when it runs.  argparse and json are imported
+where they are used, so a request loads only what it needs: one process
+per request is the intended use.
 """
 
 import functools
@@ -14,179 +16,98 @@ import sys
 
 from . import __version__
 from .errors import InternalCheckError, PreconditionError
-from .rings import GF, QQ
 from .serialize import (canonical_dumps, complex_to_json, input_digest,
-                        laurent_to_json, parse_complex, parse_int,
-                        parse_int_matrix, parse_presentation, parse_ranks,
-                        parse_rational_matrix, scalar_str)
-
-def _parse_kappa(raw):
-    if raw == "Q":
-        return QQ
-    if isinstance(raw, str) and raw.startswith("Fp:"):
-        return GF(parse_int(raw[3:]))
-    raise PreconditionError(f"kappa must be 'Q' or 'Fp:<p>', got {raw!r}")
+                        laurent_to_json, parse_complex, parse_fibre, parse_int,
+                        parse_int_list, parse_int_matrix, parse_kappa,
+                        parse_monodromy, parse_presentation,
+                        parse_rational_matrices, parse_witnesses, scalar_str)
 
 
-def _run_fingen(params):
+def _opt_str(x):
+    return None if x is None else str(x)
+
+
+def _run_fingen(module):
     from .modules import finitely_generated_over_Z
-    m = parse_presentation(params["module"])
-    v = finitely_generated_over_Z(m)
-    witness = None
-    if v.witness is not None:
-        witness = {"prime": str(v.witness.prime),
-                   "kind": v.witness.kind,
-                   "factor": (laurent_to_json(v.witness.factor)
-                              if v.witness.factor is not None else None)}
+    v = finitely_generated_over_Z(module)
+    w = v.witness
+    witness = None if w is None else {
+        "prime": str(w.prime), "kind": w.kind,
+        "factor": None if w.factor is None else laurent_to_json(w.factor)}
     return {"answer": "yes" if v.answer else "no",
             "witness": witness,
-            "underlying_rank": (str(v.underlying_rank)
-                                if v.underlying_rank is not None else None),
+            "underlying_rank": _opt_str(v.underlying_rank),
             "relevant_primes": [str(p) for p in v.relevant_primes]}
 
 
-def _run_order_ideal(params):
+def _run_order_ideal(module):
     from .modules import order_ideal
-    m = parse_presentation(params["module"])
-    return {"order_ideal": laurent_to_json(order_ideal(m))}
+    return {"order_ideal": laurent_to_json(order_ideal(module))}
 
 
-def _run_mapping_torus(params):
+def _run_mapping_torus(fibre):
     from .covers import mapping_torus_complex
-    spec = params["f"]
-    if not isinstance(spec, dict):
-        raise PreconditionError("mapping-torus input must be an object")
-    for key in ("ranks", "boundaries_F", "f"):
-        if key not in spec:
-            raise PreconditionError(f"mapping-torus input is missing {key!r}")
-        if not isinstance(spec[key], list):
-            raise PreconditionError(f"mapping-torus {key!r} must be a list")
-    bnds = [parse_int_matrix(b) for b in spec["boundaries_F"]]
-    f = [parse_int_matrix(b) for b in spec["f"]]
-    x = mapping_torus_complex(parse_ranks(spec["ranks"]), bnds, f)
-    return {"complex": complex_to_json(x)}
+    return {"complex": complex_to_json(mapping_torus_complex(*fibre))}
 
 
-def _run_cover_homology(params):
+def _run_cover_homology(x, kappa, q):
     from .covers import cover_homology_field
-    x = parse_complex(params["complex"])
-    kappa = _parse_kappa(params["kappa"])
-    q = parse_int(params["q"])
-    out = []
-    for dim, action in cover_homology_field(x, kappa, q):
-        out.append({"dim": dim,
-                    "t_action": [[scalar_str(e) for e in row] for row in action]})
-    return {"degrees": out}
+    return {"degrees": [
+        {"dim": dim, "t_action": [[scalar_str(e) for e in row] for row in action]}
+        for dim, action in cover_homology_field(x, kappa, q)]}
 
 
-def _run_wang(params):
+def _run_wang(x, kappa, q):
     from .covers import wang_dimensions
-    x = parse_complex(params["complex"])
-    kappa = _parse_kappa(params["kappa"])
-    q = parse_int(params["q"])
     return {"dims": wang_dimensions(x, kappa, q)}
 
 
-def _run_verify_selfcover(params):
+def _run_verify_selfcover(x, k, sign, hbar):
     from .covers import SelfCoverWitness, verify_self_cover_relation
-    x = parse_complex(params["complex"])
-    k = parse_int(params["k"])
-    sign = parse_int(params["sign"])
-    hbar = params["hbar"]
-    if not isinstance(hbar, list):
-        raise PreconditionError("hbar must be a list of matrices")
-    w = SelfCoverWitness(k, sign, [parse_rational_matrix(h) for h in hbar])
-    per_degree = verify_self_cover_relation(x, w)
+    per_degree = verify_self_cover_relation(x, SelfCoverWitness(k, sign, hbar))
     return {"per_degree": per_degree, "ok": all(per_degree)}
 
 
-def _run_dimension_bound(params):
+def _run_dimension_bound(x, kappa, qs):
     from .covers import cover_dimensions
-    x = parse_complex(params["complex"])
-    kappa = _parse_kappa(params["kappa"])
-    qs = params["q"]
-    if not isinstance(qs, list) or not qs:
-        raise PreconditionError("q must be a nonempty list of cover degrees")
-    qs = [parse_int(raw) for raw in qs]
-    per_q = []
-    for q, dims in zip(qs, cover_dimensions(x, kappa, qs)):
-        holds = all(d <= r for d, r in zip(dims, x.ranks))
-        per_q.append({"q": q, "dims": dims, "bounds": list(x.ranks), "ok": holds})
+    per_q = [{"q": q, "dims": dims, "bounds": list(x.ranks),
+              "ok": all(d <= r for d, r in zip(dims, x.ranks))}
+             for q, dims in zip(qs, cover_dimensions(x, kappa, qs))]
     return {"ok": all(e["ok"] for e in per_q), "per_q": per_q}
 
 
-def _run_prop_matrix(params):
+def _run_prop_matrix(a, b, k, sign):
     from .periodicity import solve_prop_matrix
-    a = parse_int_matrix(params["a"])
-    b = parse_int_matrix(params["b"])
-    k = parse_int(params["k"])
-    sign = parse_int(params["sign"])
     return {"m": str(solve_prop_matrix(a, b, k, sign))}
 
 
-def _parse_automorphism(obj):
-    from .periodicity import FgAbelianAutomorphism
-    if not isinstance(obj, dict) or "free" not in obj:
-        raise PreconditionError(f"bad automorphism {obj!r}")
-    orders = obj.get("torsion_orders", [])
-    if not isinstance(orders, list):
-        raise PreconditionError(f"torsion_orders must be a list, got {orders!r}")
-    return FgAbelianAutomorphism(parse_int_matrix(obj["free"]),
-                                 [parse_int(d) for d in orders],
-                                 parse_int_matrix(obj.get("torsion", [])),
-                                 parse_int_matrix(obj.get("mixing", [])))
-
-
-def _run_periodicity(params):
+def _run_periodicity(monodromy, k, witness):
     from .periodicity import cor_period_driver
-    mono_raw = params["monodromy"]
-    wit_raw = params["witness"]
-    if not isinstance(mono_raw, list) or not isinstance(wit_raw, list):
-        raise PreconditionError("monodromy and witness must be lists")
-    k = parse_int(params["k"])
-    monodromy = [_parse_automorphism(o) for o in mono_raw]
-    witness = []
-    for o in wit_raw:
-        if not isinstance(o, dict) or "b" not in o or "sign" not in o:
-            raise PreconditionError(f"bad conjugation witness {o!r}")
-        witness.append((parse_int_matrix(o["b"]), parse_int(o["sign"])))
     m, l = cor_period_driver(monodromy, k, witness)
     return {"m": str(m), "l": str(l)}
 
 
-def _run_hp_minus(params):
+def _run_hp_minus(p):
     from .classnumbers import hp_minus, odd_prime_factor
-    p = parse_int(params["p"])
     h = hp_minus(p)
-    odd = odd_prime_factor(h)
     return {"p": p, "h_minus": str(h),
-            "odd_prime_factor": str(odd) if odd is not None else None}
+            "odd_prime_factor": _opt_str(odd_prime_factor(h))}
 
 
-def _run_gate(params):
-    from .classnumbers import (default_fixture_path, gate_theorem_CD,
-                               load_hplus_table)
-    p = parse_int(params["p"])
-    fixture_path = params["fixture"]
-    if not isinstance(fixture_path, str):
-        raise PreconditionError(f"fixture must be a path, got {fixture_path!r}")
-    if fixture_path == "default":
-        fixture_path = default_fixture_path()
-    fixture = load_hplus_table(fixture_path)
-    rep = gate_theorem_CD(p, fixture)
-    entry = None
-    if rep.h_plus_entry is not None:
-        entry = {"factors": [str(q) for q in rep.h_plus_entry.factors],
-                 "source": rep.h_plus_entry.source,
-                 "heuristic": rep.h_plus_entry.heuristic}
-    return {"p": p,
-            "h_minus": str(rep.h_minus),
-            "h_minus_odd_factor": (str(rep.h_minus_odd_factor)
-                                   if rep.h_minus_odd_factor is not None else None),
+def _run_gate(p, fixture):
+    from .classnumbers import default_fixture_path, gate_theorem_CD, load_hplus_table
+    if fixture == "default":
+        fixture = default_fixture_path()
+    rep = gate_theorem_CD(p, load_hplus_table(fixture))
+    entry = rep.h_plus_entry
+    if entry is not None:
+        entry = {"factors": [str(q) for q in entry.factors],
+                 "source": entry.source, "heuristic": entry.heuristic}
+    return {"p": p, "h_minus": str(rep.h_minus),
+            "h_minus_odd_factor": _opt_str(rep.h_minus_odd_factor),
             "h_plus_entry": entry,
-            "h_plus_odd_factor": (str(rep.h_plus_odd_factor)
-                                  if rep.h_plus_odd_factor is not None else None),
-            "gate": rep.gate if rep.gate is not None else "unknown"}
+            "h_plus_odd_factor": _opt_str(rep.h_plus_odd_factor),
+            "gate": "unknown" if rep.gate is None else rep.gate}
 
 
 def _warnings(subcommand, result):
@@ -215,43 +136,48 @@ def _json_arg(raw):
         raise PreconditionError(f"bad JSON argument: {exc}")
 
 
-def _int_list_arg(raw):
-    """Comma-separated integers."""
-    return [parse_int(tok) for tok in raw.split(",")]
+def _as_given(raw):
+    """The reader of the gate fixture path: `load_hplus_table` checks it."""
+    return raw
 
 
-# One row per subcommand: name -> (runner, {flag: converter}).  Each
-# converter turns the raw --flag string into the parameter of the same
-# name.  Each runner imports the library functions it calls.
+# One row per subcommand: name -> (runner, {flag: reader}).  `compute`
+# calls the runner on each parameter as its `serialize` reader returns it.
 _COMMANDS = {
-    "fingen": (_run_fingen, {"module": _json_arg}),
-    "order-ideal": (_run_order_ideal, {"module": _json_arg}),
-    "mapping-torus": (_run_mapping_torus, {"f": _json_arg}),
+    "fingen": (_run_fingen, {"module": parse_presentation}),
+    "order-ideal": (_run_order_ideal, {"module": parse_presentation}),
+    "mapping-torus": (_run_mapping_torus, {"f": parse_fibre}),
     "cover-homology": (_run_cover_homology,
-                       {"complex": _json_arg, "kappa": str, "q": parse_int}),
+                       {"complex": parse_complex, "kappa": parse_kappa, "q": parse_int}),
     "wang": (_run_wang,
-             {"complex": _json_arg, "kappa": str, "q": parse_int}),
+             {"complex": parse_complex, "kappa": parse_kappa, "q": parse_int}),
     "verify-selfcover": (_run_verify_selfcover,
-                         {"complex": _json_arg, "k": parse_int,
-                          "sign": parse_int, "hbar": _json_arg}),
+                         {"complex": parse_complex, "k": parse_int,
+                          "sign": parse_int, "hbar": parse_rational_matrices}),
     "dimension-bound": (_run_dimension_bound,
-                        {"complex": _json_arg, "kappa": str, "q": _int_list_arg}),
+                        {"complex": parse_complex, "kappa": parse_kappa,
+                         "q": parse_int_list}),
     "prop-matrix": (_run_prop_matrix,
-                    {"a": _json_arg, "b": _json_arg, "k": parse_int,
-                     "sign": parse_int}),
+                    {"a": parse_int_matrix, "b": parse_int_matrix,
+                     "k": parse_int, "sign": parse_int}),
     "periodicity": (_run_periodicity,
-                    {"monodromy": _json_arg, "k": parse_int,
-                     "witness": _json_arg}),
+                    {"monodromy": parse_monodromy, "k": parse_int,
+                     "witness": parse_witnesses}),
     "hp-minus": (_run_hp_minus, {"p": parse_int}),
-    "gate": (_run_gate, {"p": parse_int, "fixture": str}),
+    "gate": (_run_gate, {"p": parse_int, "fixture": _as_given}),
 }
+
+# a flag's command-line text by its reader: these take the text as it is or
+# as integers (comma-separated for a list), every other reader JSON or @file
+_TEXT = {parse_int: parse_int, parse_kappa: str, _as_given: str,
+         parse_int_list: lambda raw: parse_int_list(raw.split(","))}
 
 # flags that may be left out, with the parameter recorded when they are
 _OPTIONAL_FLAGS = {"fixture": "default"}
 
 
 def compute(subcommand, params):
-    """Run one subcommand on already-parsed JSON parameters."""
+    """Read each decoded JSON parameter with its reader and run one subcommand."""
     if not isinstance(subcommand, str) or subcommand not in _COMMANDS:
         raise PreconditionError(f"unknown subcommand {subcommand!r}")
     runner, flags = _COMMANDS[subcommand]
@@ -259,7 +185,7 @@ def compute(subcommand, params):
                if not isinstance(params, dict) or flag not in params]
     if missing:
         raise PreconditionError(f"{subcommand} is missing parameters {missing}")
-    return runner(params)
+    return runner(*[read(params[flag]) for flag, read in flags.items()])
 
 
 def default_corpus_path():
@@ -320,11 +246,6 @@ def _parser():
     return parser
 
 
-def _collect_params(args):
-    _, flags = _COMMANDS[args.subcommand]
-    return {flag: convert(getattr(args, flag)) for flag, convert in flags.items()}
-
-
 def _emit(payload, out):
     text = canonical_dumps(payload) + "\n"
     sys.stdout.write(text)
@@ -347,7 +268,8 @@ def run(argv):
             params = {"path": args.path}
             result = run_corpus(args.path)
         else:
-            params = _collect_params(args)
+            params = {flag: _TEXT.get(read, _json_arg)(getattr(args, flag))
+                      for flag, read in _COMMANDS[args.subcommand][1].items()}
             result = compute(args.subcommand, params)
         report = {"subcommand": args.subcommand,
                   "input_digest": input_digest(params),

@@ -38,7 +38,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .arith import is_prime, totient
-from .errors import PreconditionError
+from .errors import PreconditionError, check_count
 
 
 class _IntegerRing:
@@ -363,10 +363,11 @@ _CYCLOTOMIC_CACHE = {}
 
 def cyclotomic(n: int) -> Poly:
     """The n-th cyclotomic polynomial over ZZ."""
-    if not isinstance(n, int) or n < 1:
-        raise ValueError("cyclotomic index must be a positive integer")
-    if n in _CYCLOTOMIC_CACHE:
+    # every cached key is a valid index; the exact type test keeps True,
+    # which hashes like the key 1, away from the cache
+    if type(n) is int and n in _CYCLOTOMIC_CACHE:
         return _CYCLOTOMIC_CACHE[n]
+    check_count("cyclotomic index", n, 1)
     num = [-1] + [0] * (n - 1) + [1]
     for d in range(1, n):
         if n % d == 0:

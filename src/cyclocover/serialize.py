@@ -6,16 +6,18 @@ out but read only over ZZ, as Laurent matrices are).  Matrix:
 {"rows": r, "cols": c, "entries": [[<laurent>, ...], ...]}.  Integer
 matrices are plain nested lists of decimal strings.
 
-`parse_presentation` and `parse_complex` import the classes they build,
-and `canonical_dumps` imports json, so a request that reads neither a
-presentation nor a complex loads neither `modules` nor `covers`.
+Every wire input has one `parse_*` reader here, which returns what the
+library takes or raises `PreconditionError`.  `parse_presentation`,
+`parse_complex` and `parse_monodromy` import the classes they build, and
+`canonical_dumps` imports json, so a request that reads none of them
+loads none of `modules`, `covers` and `periodicity`.
 """
 
 from fractions import Fraction
 
 from .errors import PreconditionError, is_count
 from .matrices import LaurentMatrix
-from .rings import LaurentPoly, Poly, QQ, ZZ
+from .rings import GF, LaurentPoly, Poly, QQ, ZZ
 
 # the largest chain-complex rank or matrix dimension a wire input may ask
 # for, and the largest degree the entries of one matrix may span (which
@@ -24,6 +26,30 @@ from .rings import LaurentPoly, Poly, QQ, ZZ
 # larger value is refused before anything is built
 _RANK_LIMIT = 2048
 _CLEARED_DEGREE_LIMIT = 2048
+
+
+def _fields(obj, what, keys):
+    """The values of the required keys of the JSON object obj, in order."""
+    if not isinstance(obj, dict):
+        raise PreconditionError(f"bad {what} {obj!r}")
+    try:
+        return list(map(obj.__getitem__, keys))
+    except KeyError as exc:
+        raise PreconditionError(f"{what} is missing field {exc}")
+
+
+def _list(obj, read, what):
+    """read applied to each item of the JSON list obj."""
+    if not isinstance(obj, list):
+        raise PreconditionError(f"{what} must be a list, got {obj!r}")
+    return list(map(read, obj))
+
+
+def _matrix(obj, read, what):
+    """read applied to each entry of obj, a JSON list of lists."""
+    if not isinstance(obj, list) or any(not isinstance(r, list) for r in obj):
+        raise PreconditionError(f"bad {what} {obj!r}")
+    return [[read(x) for x in row] for row in obj]
 
 
 def scalar_str(x):
@@ -64,8 +90,8 @@ def parse_laurent(obj) -> LaurentPoly:
         raise PreconditionError(f"bad Laurent polynomial {obj!r}")
     coeffs = obj.get("coeffs", [])
     if not isinstance(coeffs, list):
-        raise PreconditionError("coeffs must be a list")
-    # LaurentPoly checks the valuation
+        raise PreconditionError(f"coeffs must be a list, got {coeffs!r}")
+    # LaurentPoly checks the valuation; inline, not _list: one call per entry
     return LaurentPoly(ZZ, obj.get("val", 0), [parse_scalar(ZZ, c) for c in coeffs])
 
 
@@ -75,14 +101,7 @@ def matrix_to_json(m: LaurentMatrix):
 
 
 def parse_matrix(obj) -> LaurentMatrix:
-    if not isinstance(obj, dict):
-        raise PreconditionError(f"bad matrix {obj!r}")
-    try:
-        rows = obj["rows"]
-        cols = obj["cols"]
-        entries = obj["entries"]
-    except KeyError as exc:
-        raise PreconditionError(f"matrix is missing field {exc}")
+    rows, cols, entries = _fields(obj, "matrix", ("rows", "cols", "entries"))
     if not (is_count(rows) and is_count(cols)):
         raise PreconditionError(f"bad matrix shape {rows!r}x{cols!r}")
     if max(rows, cols) > _RANK_LIMIT:
@@ -114,15 +133,7 @@ def _span(entries):
 
 
 def parse_int_matrix(obj):
-    if not isinstance(obj, list) or any(not isinstance(r, list) for r in obj):
-        raise PreconditionError(f"bad integer matrix {obj!r}")
-    out = []
-    for row in obj:
-        orow = []
-        for x in row:
-            orow.append(parse_int(x))
-        out.append(orow)
-    return out
+    return _matrix(obj, parse_int, "integer matrix")
 
 
 def parse_int(raw):
@@ -137,10 +148,29 @@ def parse_int(raw):
     raise PreconditionError(f"bad integer {raw!r}")
 
 
+def parse_int_list(obj):
+    """A nonempty list of `parse_int` integers."""
+    if not isinstance(obj, list) or not obj:
+        raise PreconditionError(f"expected a nonempty list of integers, got {obj!r}")
+    return [parse_int(x) for x in obj]
+
+
+def parse_kappa(raw):
+    """The coefficient field: "Q", or "Fp:<p>" for GF(p)."""
+    if raw == "Q":
+        return QQ
+    if isinstance(raw, str) and raw.startswith("Fp:"):
+        return GF(parse_int(raw[3:]))
+    raise PreconditionError(f"kappa must be 'Q' or 'Fp:<p>', got {raw!r}")
+
+
 def parse_rational_matrix(obj):
-    if not isinstance(obj, list) or any(not isinstance(r, list) for r in obj):
-        raise PreconditionError(f"bad rational matrix {obj!r}")
-    return [[parse_scalar(QQ, x) for x in row] for row in obj]
+    return _matrix(obj, lambda x: parse_scalar(QQ, x), "rational matrix")
+
+
+def parse_rational_matrices(obj):
+    """hbar: one rational matrix per degree."""
+    return _list(obj, parse_rational_matrix, "hbar")
 
 
 def parse_ranks(ranks):
@@ -154,13 +184,7 @@ def parse_ranks(ranks):
 
 def parse_presentation(obj):
     from .modules import ModulePresentation
-    if not isinstance(obj, dict):
-        raise PreconditionError(f"bad module presentation {obj!r}")
-    try:
-        g = obj["generators"]
-        rel = obj["relations"]
-    except KeyError as exc:
-        raise PreconditionError(f"presentation is missing field {exc}")
+    g, rel = _fields(obj, "module presentation", ("generators", "relations"))
     # ModulePresentation checks the generator count
     return ModulePresentation(g, parse_matrix(rel))
 
@@ -172,17 +196,41 @@ def complex_to_json(x):
 
 def parse_complex(obj):
     from .covers import TwistedChainComplex
-    if not isinstance(obj, dict):
-        raise PreconditionError(f"bad chain complex {obj!r}")
-    try:
-        ranks = obj["ranks"]
-        bnds = obj["boundaries"]
-    except KeyError as exc:
-        raise PreconditionError(f"chain complex is missing field {exc}")
-    if not isinstance(bnds, list):
-        raise PreconditionError("boundaries must be a list")
+    ranks, bnds = _fields(obj, "chain complex", ("ranks", "boundaries"))
     return TwistedChainComplex(parse_ranks(ranks),
-                               [parse_matrix(b) for b in bnds])
+                               _list(bnds, parse_matrix, "boundaries"))
+
+
+def parse_fibre(obj):
+    """The mapping-torus input {"ranks", "boundaries_F", "f"}: the fibre
+    complex F and its endomorphism f, as (ranks, boundaries, f)."""
+    ranks, bnds, f = _fields(obj, "mapping-torus input", ("ranks", "boundaries_F", "f"))
+    return (parse_ranks(ranks), _list(bnds, parse_int_matrix, "boundaries_F"),
+            _list(f, parse_int_matrix, "f"))
+
+
+def parse_monodromy(obj):
+    """A list of automorphisms {"free", "torsion_orders", "torsion",
+    "mixing"}, one per degree; all but "free" default to []."""
+    from .periodicity import FgAbelianAutomorphism
+
+    def automorphism(o):
+        free, = _fields(o, "automorphism", ("free",))
+        return FgAbelianAutomorphism(
+            parse_int_matrix(free),
+            _list(o.get("torsion_orders", []), parse_int, "torsion_orders"),
+            parse_int_matrix(o.get("torsion", [])),
+            parse_int_matrix(o.get("mixing", [])))
+    return _list(obj, automorphism, "monodromy")
+
+
+def parse_witnesses(obj):
+    """A list of conjugation witnesses {"b", "sign"}, one per degree, as
+    (B, sign) pairs."""
+    def witness(o):
+        b, sign = _fields(o, "conjugation witness", ("b", "sign"))
+        return parse_int_matrix(b), parse_int(sign)
+    return _list(obj, witness, "witness")
 
 
 def canonical_dumps(obj) -> str:

@@ -274,6 +274,29 @@ class TestFixture:
         with pytest.raises(PreconditionError, match="4 fields"):
             load_hplus_table(str(f))
 
+    def test_path_like_accepted(self):
+        import pathlib
+        table = load_hplus_table(pathlib.Path(default_fixture_path()))
+        assert table == load_hplus_table(default_fixture_path())
+
+    def test_file_descriptor_refused_and_left_open(self):
+        # open() takes an int as a file descriptor, reads it and closes it
+        r, w = os.pipe()
+        os.write(w, self.HEADER.encode())
+        os.close(w)
+        try:
+            with pytest.raises(PreconditionError, match="str or os.PathLike"):
+                load_hplus_table(r)
+            os.fstat(r)
+            assert os.read(r, 100) == self.HEADER.encode()
+        finally:
+            os.close(r)
+
+    def test_other_path_types_refused(self):
+        for bad in (None, 1.5, b"hplus.csv", ["hplus.csv"]):
+            with pytest.raises(PreconditionError, match="str or os.PathLike"):
+                load_hplus_table(bad)
+
     def test_factor_list_parsing(self, tmp_path):
         f = tmp_path / "t.csv"
         f.write_text(self.HEADER + "163,2;2,src,false\n191,11,src,true\n5,,s,true\n")
@@ -315,6 +338,15 @@ class TestGate:
     def test_custom_fixture(self):
         rep = gate_theorem_CD(23, {23: HplusRecord(23, [3], "made up", True)})
         assert rep.gate is True
+
+    @pytest.mark.parametrize("fixture", [None, [], [(23, None)]])
+    def test_fixture_not_a_dict_refused_before_hp_minus(self, monkeypatch,
+                                                         fixture):
+        calls = []
+        monkeypatch.setattr(classnumbers, "hp_minus", calls.append)
+        with pytest.raises(PreconditionError, match="fixture must be a dict"):
+            gate_theorem_CD(23, fixture)
+        assert calls == []
 
     def test_env_bound_applies(self, monkeypatch):
         monkeypatch.setenv("CCK_PRIME_BOUND", "20")

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, report shape, determinism, corpus."""
 
 import argparse
+import copy
 import hashlib
 import json
 import os
@@ -13,6 +14,7 @@ import pytest
 from cyclocover import __version__, cli, modules
 from cyclocover.arith import primitive_root
 from cyclocover.cli import default_corpus_path, run
+from cyclocover.errors import PreconditionError
 from cyclocover.modules import finitely_generated_over_Z
 from cyclocover.serialize import parse_presentation
 
@@ -407,6 +409,56 @@ class TestInputBoundary:
         code, rep = invoke(capsys, "fingen", "--module", PRINCIPAL_TREFOIL)
         assert code == 3 and rep["error"]["kind"] == "internal-check"
         assert rep["error"]["message"].startswith(exc.__name__ + ": ")
+
+
+WRONG_TYPES = [None, True, 1.5, "x", [], {}, [None], [[None]], -1, "0"]
+
+# the substitutions of the sweep below that leave a valid request:
+# (subcommand, where, repr of the value)
+VALID_SUBSTITUTIONS = {
+    ("mapping-torus", ("f", "boundaries_F"), "[]"),
+    ("periodicity", ("monodromy", "mixing"), "[]"),
+    ("periodicity", ("monodromy", "torsion"), "[]"),
+    ("periodicity", ("monodromy", "torsion_orders"), "[]"),
+    ("periodicity", ("witness", "sign"), "-1"),
+    ("prop-matrix", ("sign",), "-1"),
+    ("verify-selfcover", ("sign",), "-1"),
+}
+
+
+def wrong_type_requests(params):
+    """(where, value, params) with one parameter, or one key of an object
+    parameter or of the first object of a list parameter, set to each of
+    WRONG_TYPES."""
+    for flag, value in params.items():
+        obj = value[0] if isinstance(value, list) and value else value
+        keys = list(obj) if isinstance(obj, dict) else []
+        for where in [(flag,)] + [(flag, key) for key in keys]:
+            for bad in WRONG_TYPES:
+                changed = copy.deepcopy(params)
+                if len(where) == 1:
+                    changed[flag] = bad
+                else:
+                    target = changed[flag]
+                    target = target[0] if isinstance(target, list) else target
+                    target[where[1]] = bad
+                yield where, bad, changed
+
+
+@pytest.mark.parametrize("subcommand", list(cli._COMMANDS))
+def test_wrong_types_raise_precondition_error_only(subcommand):
+    # every parameter goes through its serialize reader: a wrong type is
+    # bad input (exit 2), never a TypeError or the like (exit 3)
+    name = min(n for n in os.listdir(default_corpus_path())
+               if n.endswith(".json") and corpus_case(n)["subcommand"] == subcommand)
+    valid = set()
+    for where, bad, params in wrong_type_requests(corpus_params(name)):
+        try:
+            cli.compute(subcommand, params)
+        except PreconditionError:
+            continue
+        valid.add((subcommand, where, repr(bad)))
+    assert valid == {v for v in VALID_SUBSTITUTIONS if v[0] == subcommand}
 
 
 class TestSubcommands:

@@ -93,11 +93,11 @@ def _first_case(subcommand):
 def _argv(subcommand, params):
     """The command line whose flags `cli` converts back into `params`."""
     argv = [subcommand]
-    for flag, convert in cli._COMMANDS[subcommand][1].items():
+    for flag, read in cli._COMMANDS[subcommand][1].items():
         value = params[flag]
-        if convert is cli._json_arg:
+        if read not in cli._TEXT:
             text = json.dumps(value)
-        elif convert is cli._int_list_arg:
+        elif read is cli.parse_int_list:
             text = ",".join(map(str, value))
         else:
             text = str(value)

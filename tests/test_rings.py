@@ -384,8 +384,11 @@ class TestCyclotomic:
         assert -2 in cyclotomic(105).coeffs
 
     def test_bad_index(self):
-        with pytest.raises(ValueError):
-            cyclotomic(0)
+        # checked before the cache: True hashes like the cached key 1
+        cyclotomic(1)
+        for bad in (0, -1, 2.0, True, None, "3"):
+            with pytest.raises(PreconditionError, match="cyclotomic index"):
+                cyclotomic(bad)
 
     def test_still_works_when_wrapped(self, monkeypatch):
         # a wrapper rebinding the module name (as mocks and tracers do) is

@@ -13,10 +13,12 @@ from cyclocover.errors import PreconditionError
 from cyclocover.rings import GF, LaurentPoly, Poly, QQ, ZZ
 from cyclocover.serialize import (canonical_dumps, complex_to_json,
                                   input_digest, laurent_to_json, matrix_to_json,
-                                  parse_complex, parse_int, parse_int_matrix,
-                                  parse_laurent, parse_matrix,
-                                  parse_presentation, parse_rational_matrix,
-                                  parse_scalar, scalar_str)
+                                  parse_complex, parse_fibre, parse_int,
+                                  parse_int_list, parse_int_matrix, parse_kappa,
+                                  parse_laurent, parse_matrix, parse_monodromy,
+                                  parse_presentation, parse_rational_matrices,
+                                  parse_rational_matrix, parse_scalar,
+                                  parse_witnesses, scalar_str)
 
 from helpers import rand_unimodular_laurent
 
@@ -161,6 +163,68 @@ class TestCompositeRoundTrip:
         obj["boundaries"][1]["entries"][0][0] = {"val": 0, "coeffs": ["1"]}
         with pytest.raises(PreconditionError):
             parse_complex(obj)
+
+
+class TestReaders:
+    def test_kappa(self):
+        assert parse_kappa("Q") is QQ
+        assert parse_kappa("Fp:5") == GF(5)
+        for bad in ("q", "Fp:4", "Fp:", None, ["Q"]):
+            with pytest.raises(PreconditionError):
+                parse_kappa(bad)
+
+    def test_int_list(self):
+        assert parse_int_list(["2", 3]) == [2, 3]
+        for bad in ([], "2,3", None, {"2": 3}):
+            with pytest.raises(PreconditionError, match="nonempty list"):
+                parse_int_list(bad)
+        with pytest.raises(PreconditionError, match="bad integer"):
+            parse_int_list(["2", "x"])
+
+    def test_fibre(self):
+        ranks, bnds, f = parse_fibre({"ranks": [1, 1], "boundaries_F": [[["0"]]],
+                                      "f": [[["1"]], [["-1"]]]})
+        assert (ranks, bnds, f) == ([1, 1], [[[0]]], [[[1]], [[-1]]])
+
+    def test_monodromy_defaults(self):
+        phi, = parse_monodromy([{"free": [["1", "-1"], ["1", "0"]]}])
+        assert phi.free_block == [[1, -1], [1, 0]]
+        assert phi.torsion_orders == phi.torsion_block == phi.mixing_block == []
+
+    def test_witnesses(self):
+        assert parse_witnesses([{"b": [["1"]], "sign": "-1"}]) == [([[1]], -1)]
+
+    def test_rational_matrices(self):
+        from fractions import Fraction
+        assert parse_rational_matrices([[["1/2"]], []]) == [[[Fraction(1, 2)]], []]
+
+    # one message for every object with required keys, and for every list
+    @pytest.mark.parametrize("read, obj, message", [
+        (parse_matrix, {"rows": 1, "cols": 1}, "matrix is missing field 'entries'"),
+        (parse_presentation, {"relations": {}},
+         "module presentation is missing field 'generators'"),
+        (parse_complex, {"ranks": [1]}, "chain complex is missing field 'boundaries'"),
+        (parse_fibre, {"ranks": [1], "f": []},
+         "mapping-torus input is missing field 'boundaries_F'"),
+        (parse_monodromy, [{"torsion": []}], "automorphism is missing field 'free'"),
+        (parse_witnesses, [{"b": []}], "conjugation witness is missing field 'sign'"),
+        (parse_fibre, "x", "bad mapping-torus input 'x'"),
+        (parse_witnesses, [5], "bad conjugation witness 5"),
+        (parse_monodromy, {"free": []}, "monodromy must be a list"),
+        (parse_monodromy, [{"free": [], "torsion_orders": "3"}],
+         "torsion_orders must be a list"),
+        (parse_witnesses, None, "witness must be a list"),
+        (parse_rational_matrices, [["1"]], "bad rational matrix ['1']"),
+        (parse_rational_matrices, "x", "hbar must be a list"),
+        (parse_complex, {"ranks": [1], "boundaries": {}}, "boundaries must be a list"),
+        (parse_fibre, {"ranks": [1], "boundaries_F": [], "f": None},
+         "f must be a list"),
+        (parse_laurent, {"coeffs": "1"}, "coeffs must be a list"),
+    ])
+    def test_refusals(self, read, obj, message):
+        with pytest.raises(PreconditionError) as info:
+            read(obj)
+        assert str(info.value).startswith(message)
 
 
 class TestCanonical:

@@ -203,6 +203,67 @@ class TestExitCodes:
             run(["frobnicate"])
 
 
+WANG_USAGE = ("usage: cyclocover wang [-h] --complex COMPLEX --kappa KAPPA "
+              "--q Q [--out OUT]\n")
+WANG_MISSING = (WANG_USAGE + "cyclocover wang: error: the following arguments "
+                "are required: --complex, --kappa, --q\n")
+
+
+class TestUsageErrors:
+    """What argparse itself answers, before any request runs: stdout,
+    stderr and the exit code."""
+
+    @pytest.fixture(autouse=True)
+    def _fixed_width(self, monkeypatch):
+        # argparse wraps usage lines at the terminal width
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @staticmethod
+    def argparse_exit(capsys, *argv):
+        with pytest.raises(SystemExit) as exc:
+            run(list(argv))
+        out, err = capsys.readouterr()
+        return exc.value.code, out, err
+
+    @pytest.mark.parametrize("argv", [["wang"], ["wang", "--bogus", "x"],
+                                      ["wang", "--version"]])
+    def test_subcommand_missing_flags(self, capsys, argv):
+        assert self.argparse_exit(capsys, *argv) == (2, "", WANG_MISSING)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["frobnicate"], "argument subcommand: invalid choice: "),
+        ([], "the following arguments are required: subcommand\n")])
+    def test_no_known_subcommand_gets_the_top_level_usage(self, capsys, argv,
+                                                           message):
+        code, out, err = self.argparse_exit(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("usage: cyclocover [-h] [--version]\n")
+        assert "\ncyclocover: error: " + message in err
+        assert "frobnicate" in err if argv else err.endswith(message)
+
+    def test_version(self, capsys):
+        assert self.argparse_exit(capsys, "--version") == (0, __version__ + "\n", "")
+
+    def test_subcommand_help(self, capsys):
+        assert self.argparse_exit(capsys, "wang", "-h") == (0, (
+            WANG_USAGE + "\n"
+            "options:\n"
+            "  -h, --help         show this help message and exit\n"
+            "  --complex COMPLEX\n"
+            "  --kappa KAPPA\n"
+            "  --q Q\n"
+            "  --out OUT\n"), "")
+
+    def test_abbreviated_flag(self, capsys):
+        args = ["--kappa", "Q", "--q", "6"]
+        assert run(["wang", "--comp", TREFOIL] + args) == 0
+        abbreviated = capsys.readouterr()
+        assert run(["wang", "--complex", TREFOIL] + args) == 0
+        assert capsys.readouterr() == abbreviated
+        assert json.loads(abbreviated.out)["result"]["dims"]
+        assert abbreviated.err == ""
+
+
 # Z/3 under 2, with no free part
 TORSION_ONLY = json.dumps([{"free": [], "torsion_orders": ["3"],
                             "torsion": [["2"]], "mixing": [[]]}])

@@ -127,17 +127,18 @@ def primitive_root(p: int) -> int:
 
 
 def power(base, e, mul, one):
-    """base**e for an int e >= 0 by square-and-multiply; `one` is mul's unit."""
+    """base**e for an int e >= 0 by square-and-multiply: `one`, mul's unit, for
+    e = 0, else bit_length(e) + popcount(e) - 2 products (base itself for e = 1)."""
     if e < 0:
         raise ValueError(f"power needs an exponent >= 0, got {e}")
-    result = one
+    result = None
     while e:
         if e & 1:
-            result = mul(result, base)
+            result = base if result is None else mul(result, base)
         e >>= 1
         if e:
             base = mul(base, base)
-    return result
+    return one if result is None else result
 
 
 def order_from_multiple(n, primes, is_one):

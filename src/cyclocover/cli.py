@@ -19,8 +19,8 @@ from .errors import InternalCheckError, PreconditionError
 from .serialize import (canonical_dumps, complex_to_json, input_digest,
                         laurent_to_json, parse_complex, parse_fibre, parse_int,
                         parse_int_list, parse_int_matrix, parse_kappa,
-                        parse_monodromy, parse_presentation,
-                        parse_rational_matrices, parse_witnesses, scalar_str)
+                        parse_monodromy, parse_presentation, parse_rational_matrices,
+                        parse_witnesses, scalar_str, shown)
 
 
 def _opt_str(x):
@@ -179,12 +179,15 @@ _OPTIONAL_FLAGS = {"fixture": "default"}
 def compute(subcommand, params):
     """Read each decoded JSON parameter with its reader and run one subcommand."""
     if not isinstance(subcommand, str) or subcommand not in _COMMANDS:
-        raise PreconditionError(f"unknown subcommand {subcommand!r}")
+        raise PreconditionError(f"unknown subcommand {shown(subcommand)}")
     runner, flags = _COMMANDS[subcommand]
     missing = [flag for flag in flags
                if not isinstance(params, dict) or flag not in params]
     if missing:
         raise PreconditionError(f"{subcommand} is missing parameters {missing}")
+    unknown = [key for key in params if key not in flags]
+    if unknown:
+        raise PreconditionError(f"{subcommand} has unknown parameters {shown(unknown)}")
     return runner(*[read(params[flag]) for flag, read in flags.items()])
 
 
@@ -203,7 +206,6 @@ def run_corpus(path):
     import json
     names = sorted(n for n in os.listdir(path) if n.endswith(".json"))
     cases = []
-    failed = 0
     for name in names:
         full = os.path.join(path, name)
         try:
@@ -217,19 +219,18 @@ def run_corpus(path):
                 f"corrupted corpus case {full}: need subcommand/params/expected")
         actual = compute(case["subcommand"], case["params"])
         ok = canonical_dumps(actual) == canonical_dumps(case["expected"])
-        if not ok:
-            failed += 1
         entry = {"name": name, "subcommand": case["subcommand"], "ok": ok}
         if not ok:
-            entry["expected"] = case["expected"]
-            entry["actual"] = actual
+            entry.update(expected=case["expected"], actual=actual)
         cases.append(entry)
+    failed = sum(not entry["ok"] for entry in cases)
     return {"cases": cases, "total": len(names),
             "passed": len(names) - failed, "failed": failed}
 
 
 @functools.cache
 def _parser():
+    """The top-level parser and each subcommand's own parser by name."""
     import argparse
     parser = argparse.ArgumentParser(prog="cyclocover")
     parser.add_argument("--version", action="version", version=__version__)
@@ -243,7 +244,7 @@ def _parser():
     corpus = sub.add_parser("corpus")
     corpus.add_argument("--path", default="default")
     corpus.add_argument("--out")
-    return parser
+    return parser, sub.choices
 
 
 def _emit(payload, out):
@@ -254,7 +255,12 @@ def _emit(payload, out):
 
 
 def run(argv):
-    args = _parser().parse_args(argv)
+    parser, subparsers = _parser()
+    if argv and argv[0] in subparsers:  # its own parser reads the rest of argv
+        args = subparsers[argv[0]].parse_args(argv[1:])
+        args.subcommand = argv[0]
+    else:  # --version, -h, an empty argv or an unknown name
+        args = parser.parse_args(argv)
     out = None
     try:
         if args.out:

@@ -7,7 +7,6 @@ of t, and the cleared ZZ[t] rows reach the list core as they are over QQ
 and reduced modulo p over GF(p), with no Poly in between.
 """
 
-from .arith import factorize, order_from_multiple
 from .errors import PreconditionError
 from .matrices import (LaurentMatrix, det_coeffs, int_mat_check,
                        mat_is_identity, mat_pow)
@@ -165,11 +164,9 @@ def cyclotomic_indices(f):
 
 
 def finite_order(a):
-    """Exact multiplicative order of an invertible integer matrix.
-
-    Returns None when the order is infinite.  Requires |det A| = 1, read
-    off the constant term (-1)^n det A of the characteristic polynomial.
-    """
+    """Exact multiplicative order of an integer matrix A with det A = +-1,
+    read off the constant term (-1)^n det A of its characteristic
+    polynomial, or None when the order is infinite."""
     f = char_poly(a)  # checks that A is a square integer matrix
     if f.constant not in (1, -1):
         raise PreconditionError("matrix must have determinant +-1")
@@ -177,17 +174,15 @@ def finite_order(a):
 
 
 def cyclotomic_order(a, indices):
-    """`finite_order` of a square integer matrix A with det A = +-1, from
-    `indices`, the `cyclotomic_indices` of its characteristic polynomial,
-    for a caller that has factored it: None when `indices` is None or A is
-    not semisimple."""
+    """`finite_order` of a square integer matrix A with det A = +-1 from the
+    `cyclotomic_indices` of its characteristic polynomial: None when they
+    are None or A is not semisimple.  A^lcm(indices) = I makes A
+    semisimple, with a primitive d-th root of unity among its eigenvalues
+    for each d in `indices`, so that lcm is the order."""
     if indices is None:
         return None
     order = lcm(*indices)
-    if not mat_is_identity(mat_pow(a, order)):
-        return None  # eigenvalues are roots of unity but A is not semisimple
-    return order_from_multiple(order, factorize(order),
-                               lambda e: mat_is_identity(mat_pow(a, e)))
+    return order if mat_is_identity(mat_pow(a, order)) else None
 
 
 # ---------------------------------------------------------------------------

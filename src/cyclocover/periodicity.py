@@ -6,7 +6,6 @@ free-quotient period through the torsion subgroup, and aggregates the
 per-degree data of a monodromy action.
 """
 
-from copy import copy
 from math import gcd, lcm
 from operator import mul
 from typing import Tuple
@@ -134,25 +133,22 @@ class FgAbelianAutomorphism:
         self.torsion_orders = [] if torsion_orders is None else torsion_orders
         self.torsion_block = [] if torsion_block is None else torsion_block
         self.mixing_block = [] if mixing_block is None else mixing_block
-        r = len(self.free_block)
-        s = len(self.torsion_orders)
         d = self.torsion_orders
+        r, s = len(self.free_block), len(d)
         int_mat_check("free block", self.free_block, r, r)
         for x in d:
             check_count("a torsion order", x, 2)
         # orders >= 2 in a divisibility chain are sorted
-        for i in range(1, s):
-            if d[i] % d[i - 1]:
-                raise PreconditionError("torsion orders must form a divisibility chain")
+        if any(d[i] % d[i - 1] for i in range(1, s)):
+            raise PreconditionError("torsion orders must form a divisibility chain")
         int_mat_check("torsion block", self.torsion_block, s, s)
         int_mat_check("mixing block", self.mixing_block, s, r)
         if r and det_int(self.free_block) not in (1, -1):
             raise PreconditionError("free block is not invertible over ZZ")
         # well-definedness: column j has order d_j, so T[i][j]*d_j = 0 mod d_i
-        for i in range(s):
-            for j in range(s):
-                if (self.torsion_block[i][j] * d[j]) % d[i]:
-                    raise PreconditionError("torsion block does not preserve orders")
+        if any(x * d[j] % d[i] for i, row in enumerate(self.torsion_block)
+               for j, x in enumerate(row)):
+            raise PreconditionError("torsion block does not preserve orders")
         # invertibility on torsion: the mod-p reduction on T/pT is invertible
         # for each prime p dividing the exponent
         self._factors = factorize(d[-1]) if s else {}
@@ -185,8 +181,8 @@ class FgAbelianAutomorphism:
 
     def _checked(self, free, torsion, mixing):
         """Same group, blocks made from checked ones: reduced, not rechecked."""
-        phi = copy(self)
-        phi.free_block = free
+        phi = object.__new__(type(self))
+        phi.__dict__.update(self.__dict__, free_block=free)
         phi.torsion_block, phi.mixing_block = map(self._reduce_rows, (torsion, mixing))
         return phi
 
@@ -207,8 +203,7 @@ class FgAbelianAutomorphism:
 
     def power(self, e):
         r, s = self.free_rank, len(self.torsion_orders)
-        one = self._checked(mat_identity(r), mat_identity(s),
-                            [[0] * r for _ in range(s)])
+        one = self._checked(mat_identity(r), mat_identity(s), [[0] * r] * s)
         return power(self, e, FgAbelianAutomorphism.compose, one)
 
     def is_identity(self):
@@ -262,22 +257,17 @@ def _solve_relation(a, b, k, sign):
     indices = cyclotomic_indices(f.coeffs)
     if indices is None:
         raise RelationError("B A^k B^-1 = A^sign does not hold")
+    # A^m = I once `cyclotomic_order` returns m, so A^k = A^(k mod m)
     m = cyclotomic_order(a, indices)
     # B is invertible, so the relation reads B A^k = A B for sign +1 and
     # A B A^k = B for sign -1
-    bak = mat_mul(b, mat_pow(a, k))
-    if sign == 1:
-        holds = bak == mat_mul(a, b)
-    else:
-        holds = mat_mul(a, bak) == b
-    if not holds:
+    bak = mat_mul(b, mat_pow(a, k if m is None else k % m))
+    if not (bak == mat_mul(a, b) if sign == 1 else mat_mul(a, bak) == b):
         raise RelationError("B A^k B^-1 = A^sign does not hold")
     if m is None:
         raise InternalCheckError("A has infinite order despite the relation")
     if gcd(m, k) != 1:
         raise InternalCheckError(f"order {m} of A is not prime to k={k}")
-    if not mat_is_identity(mat_pow(a, m)):
-        raise InternalCheckError("powering verification failed")
     return m
 
 
@@ -332,8 +322,7 @@ def cor_period_driver(monodromy, k, conj_witness) -> Tuple[int, int]:
     m = 1
     for j, (phi, (bmat, sign)) in enumerate(zip(monodromy, conj_witness)):
         if phi.free_rank:
-            m = lcm(m, _in_degree(j, _solve_relation, phi.free_block, bmat,
-                                  k, sign))
+            m = lcm(m, _in_degree(j, _solve_relation, phi.free_block, bmat, k, sign))
     if gcd(m, k) != 1:
         raise InternalCheckError(f"aggregated m={m} is not prime to k={k}")
     l = 1

@@ -7,10 +7,10 @@ out but read only over ZZ, as Laurent matrices are).  Matrix:
 matrices are plain nested lists of decimal strings.
 
 Every wire input has one `parse_*` reader here, which returns what the
-library takes or raises `PreconditionError`.  `parse_presentation`,
-`parse_complex` and `parse_monodromy` import the classes they build, and
-`canonical_dumps` imports json, so a request that reads none of them
-loads none of `modules`, `covers` and `periodicity`.
+library takes or raises `PreconditionError`, on an unknown key as well.
+`parse_presentation`, `parse_complex` and `parse_monodromy` import the
+classes they build, and `canonical_dumps` imports json, so a request
+that reads none of them loads none of `modules`, `covers` and `periodicity`.
 """
 
 from fractions import Fraction
@@ -28,10 +28,20 @@ _RANK_LIMIT = 2048
 _CLEARED_DEGREE_LIMIT = 2048
 
 
-def _fields(obj, what, keys):
-    """The values of the required keys of the JSON object obj, in order."""
+def shown(obj, show=repr, limit=200):
+    """show(obj) cut to `limit` characters: a message echoes a refused value in part."""
+    text = show(obj)
+    return text if len(text) <= limit else text[:limit] + "..."
+
+
+def _fields(obj, what, keys, optional=()):
+    """The values of the required keys of the JSON object obj, in order; a
+    key neither in `keys` nor `optional` is refused, not read as absent."""
     if not isinstance(obj, dict):
-        raise PreconditionError(f"bad {what} {obj!r}")
+        raise PreconditionError(f"bad {what} {shown(obj)}")
+    unknown = [k for k in obj if k not in keys and k not in optional]
+    if unknown:
+        raise PreconditionError(f"{what} has unknown fields {shown(unknown)}")
     try:
         return list(map(obj.__getitem__, keys))
     except KeyError as exc:
@@ -41,14 +51,14 @@ def _fields(obj, what, keys):
 def _list(obj, read, what):
     """read applied to each item of the JSON list obj."""
     if not isinstance(obj, list):
-        raise PreconditionError(f"{what} must be a list, got {obj!r}")
+        raise PreconditionError(f"{what} must be a list, got {shown(obj)}")
     return list(map(read, obj))
 
 
 def _matrix(obj, read, what):
     """read applied to each entry of obj, a JSON list of lists."""
     if not isinstance(obj, list) or any(not isinstance(r, list) for r in obj):
-        raise PreconditionError(f"bad {what} {obj!r}")
+        raise PreconditionError(f"bad {what} {shown(obj)}")
     return [[read(x) for x in row] for row in obj]
 
 
@@ -75,8 +85,8 @@ def parse_scalar(ring, raw):
         try:
             return ring.coerce(int(raw) if _is_decimal(raw) else Fraction(raw))
         except (ValueError, ZeroDivisionError) as exc:
-            raise PreconditionError(f"bad coefficient {raw!r}: {exc}")
-    raise PreconditionError(f"bad coefficient {raw!r}")
+            raise PreconditionError(f"bad coefficient {shown(raw)}: {shown(exc, str)}")
+    raise PreconditionError(f"bad coefficient {shown(raw)}")
 
 
 def laurent_to_json(f):
@@ -87,10 +97,10 @@ def laurent_to_json(f):
 
 def parse_laurent(obj) -> LaurentPoly:
     if not isinstance(obj, dict) or set(obj) - {"val", "coeffs"}:
-        raise PreconditionError(f"bad Laurent polynomial {obj!r}")
+        raise PreconditionError(f"bad Laurent polynomial {shown(obj)}")
     coeffs = obj.get("coeffs", [])
     if not isinstance(coeffs, list):
-        raise PreconditionError(f"coeffs must be a list, got {coeffs!r}")
+        raise PreconditionError(f"coeffs must be a list, got {shown(coeffs)}")
     # LaurentPoly checks the valuation; inline, not _list: one call per entry
     return LaurentPoly(ZZ, obj.get("val", 0), [parse_scalar(ZZ, c) for c in coeffs])
 
@@ -103,7 +113,7 @@ def matrix_to_json(m: LaurentMatrix):
 def parse_matrix(obj) -> LaurentMatrix:
     rows, cols, entries = _fields(obj, "matrix", ("rows", "cols", "entries"))
     if not (is_count(rows) and is_count(cols)):
-        raise PreconditionError(f"bad matrix shape {rows!r}x{cols!r}")
+        raise PreconditionError(f"bad matrix shape {shown(rows)}x{shown(cols)}")
     if max(rows, cols) > _RANK_LIMIT:
         raise PreconditionError(
             f"matrix shape {rows}x{cols} is above the limit {_RANK_LIMIT}")
@@ -126,10 +136,8 @@ def _span(entries):
     """max(val + deg) - min(val) over the nonzero Laurent entries (0 if
     none): the degree they span once cleared by a power of t."""
     nonzero = [e for e in entries if e.body.coeffs]
-    if not nonzero:
-        return 0
     return (max(e.val + len(e.body.coeffs) for e in nonzero) - 1
-            - min(e.val for e in nonzero))
+            - min(e.val for e in nonzero)) if nonzero else 0
 
 
 def parse_int_matrix(obj):
@@ -145,13 +153,13 @@ def parse_int(raw):
             return int(raw)
         except ValueError:  # more digits than int() converts
             pass
-    raise PreconditionError(f"bad integer {raw!r}")
+    raise PreconditionError(f"bad integer {shown(raw)}")
 
 
 def parse_int_list(obj):
     """A nonempty list of `parse_int` integers."""
     if not isinstance(obj, list) or not obj:
-        raise PreconditionError(f"expected a nonempty list of integers, got {obj!r}")
+        raise PreconditionError(f"expected a nonempty list of integers, got {shown(obj)}")
     return [parse_int(x) for x in obj]
 
 
@@ -161,7 +169,7 @@ def parse_kappa(raw):
         return QQ
     if isinstance(raw, str) and raw.startswith("Fp:"):
         return GF(parse_int(raw[3:]))
-    raise PreconditionError(f"kappa must be 'Q' or 'Fp:<p>', got {raw!r}")
+    raise PreconditionError(f"kappa must be 'Q' or 'Fp:<p>', got {shown(raw)}")
 
 
 def parse_rational_matrix(obj):
@@ -175,7 +183,7 @@ def parse_rational_matrices(obj):
 
 def parse_ranks(ranks):
     if not isinstance(ranks, list) or not all(map(is_count, ranks)):
-        raise PreconditionError(f"bad rank list {ranks!r}")
+        raise PreconditionError(f"bad rank list {shown(ranks)}")
     if max(ranks, default=0) > _RANK_LIMIT:
         raise PreconditionError(
             f"rank {max(ranks)} is above the limit {_RANK_LIMIT}")
@@ -215,7 +223,8 @@ def parse_monodromy(obj):
     from .periodicity import FgAbelianAutomorphism
 
     def automorphism(o):
-        free, = _fields(o, "automorphism", ("free",))
+        free, = _fields(o, "automorphism", ("free",),
+                        ("torsion_orders", "torsion", "mixing"))
         return FgAbelianAutomorphism(
             parse_int_matrix(free),
             _list(o.get("torsion_orders", []), parse_int, "torsion_orders"),

@@ -80,8 +80,22 @@ class TestPower:
             calls.append((a, b))
             return a * b
         assert power(2, 0b1011, mul, 1) == 2 ** 11
-        # 3 multiplies into the result and 3 squarings, none past the top bit
-        assert len(calls) == 6
+        # 2 multiplies into the result, the lowest set bit taking 2 as it
+        # is, and 3 squarings, none past the top bit
+        assert len(calls) == 5
+
+    def test_product_count(self):
+        calls = []
+
+        def counting(a, b):
+            calls.append(None)
+            return a * b
+        one = object()
+        assert power(3, 0, counting, one) is one and not calls
+        for e in range(1, 300):
+            calls.clear()
+            assert power(3, e, counting, one) == 3 ** e
+            assert len(calls) == e.bit_length() + bin(e).count("1") - 2, e
 
 
 class TestOrderFromMultiple:

@@ -254,6 +254,15 @@ class TestUsageErrors:
             "  --q Q\n"
             "  --out OUT\n"), "")
 
+    def test_unknown_flag_after_every_required_one(self, capsys):
+        # the subcommand's own parser reports it, with its own usage line
+        code, out, err = self.argparse_exit(
+            capsys, "wang", "--complex", TREFOIL, "--kappa", "Q", "--q", "6",
+            "--bogus", "x")
+        assert (code, out) == (2, "")
+        assert err == (WANG_USAGE + "cyclocover wang: error: unrecognized "
+                       "arguments: --bogus x\n")
+
     def test_abbreviated_flag(self, capsys):
         args = ["--kappa", "Q", "--q", "6"]
         assert run(["wang", "--comp", TREFOIL] + args) == 0
@@ -472,6 +481,31 @@ class TestInputBoundary:
         assert rep["error"]["message"].startswith(exc.__name__ + ": ")
 
 
+class TestUnknownKeys:
+    def test_unknown_parameter_refused(self):
+        with pytest.raises(PreconditionError,
+                           match=r"^hp-minus has unknown parameters \['bogus'\]$"):
+            cli.compute("hp-minus", {"p": 23, "bogus": 1})
+
+    def test_misspelled_optional_key_refused(self, capsys):
+        # "torsion_order" used to read as a torsion-free automorphism
+        mono = json.dumps([{"free": [["1"]], "torsion_order": ["3"]}])
+        wit = json.dumps([{"b": [["1"]], "sign": 1}])
+        code, rep = invoke(capsys, "periodicity", "--monodromy", mono,
+                           "--k", "2", "--witness", wit)
+        assert code == 2
+        assert rep["error"]["message"] == \
+            "automorphism has unknown fields ['torsion_order']"
+
+    def test_refused_value_echoed_in_part(self):
+        with pytest.raises(PreconditionError) as info:
+            cli.compute("mapping-torus", {"f": [0] * 100000})
+        assert len(str(info.value)) < 1024
+        with pytest.raises(PreconditionError) as info:
+            cli.compute("x" * 100000, {})
+        assert len(str(info.value)) < 1024
+
+
 WRONG_TYPES = [None, True, 1.5, "x", [], {}, [None], [[None]], -1, "0"]
 
 # the substitutions of the sweep below that leave a valid request:
@@ -681,11 +715,13 @@ class TestCorpus:
 
 class TestCommandTable:
     def test_parser_lists_exactly_the_table(self):
-        parser = cli._parser()
-        assert cli._parser() is parser
+        parser, subparsers = cli._parser()
+        assert cli._parser()[0] is parser
         sub = next(a for a in parser._actions
                    if isinstance(a, argparse._SubParsersAction))
         assert list(sub.choices) == list(cli._COMMANDS) + ["corpus"]
+        # run hands argv to the very parsers the top-level one lists
+        assert subparsers == sub.choices
 
     def test_every_command_has_a_corpus_case(self):
         covered = {corpus_case(n)["subcommand"]

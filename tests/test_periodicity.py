@@ -15,7 +15,7 @@ from cyclocover import periodicity
 from cyclocover.arith import factorize
 from cyclocover.errors import InternalCheckError, PreconditionError
 from cyclocover.matrices import mat_identity, mat_mul, mat_pow
-from cyclocover.normal_forms import char_poly
+from cyclocover.normal_forms import char_poly, finite_order
 from cyclocover.periodicity import (FgAbelianAutomorphism, RelationError,
                                     cor_period_driver, full_order,
                                     solve_prop_matrix)
@@ -523,3 +523,128 @@ class TestDriver:
         wit = [([], 1)]
         m, l = cor_period_driver(mono, 5, wit)
         assert m == 1 and l == 2
+
+
+# Phi_d for the d whose phi(d) <= 4, low degree first, written out here
+# rather than taken from rings.cyclotomic
+CYCLOTOMIC = {1: [-1, 1], 2: [1, 1], 3: [1, 1, 1], 4: [1, 0, 1],
+              5: [1, 1, 1, 1, 1], 6: [1, -1, 1], 8: [1, 0, 0, 0, 1],
+              10: [1, -1, 1, -1, 1], 12: [1, 0, -1, 0, 1]}
+
+
+def companion(f):
+    """The companion matrix of the monic int coefficient list f."""
+    n = len(f) - 1
+    return [[int(i == j + 1) if j < n - 1 else -f[i] for j in range(n)]
+            for i in range(n)]
+
+
+def block_sum(blocks):
+    n = sum(map(len, blocks))
+    out, at = [[0] * n for _ in range(n)], 0
+    for b in blocks:
+        for i, row in enumerate(b):
+            out[at + i][at:at + len(row)] = row
+        at += len(b)
+    return out
+
+
+def jordan_pair(c):
+    """[[C, I], [0, C]]: eigenvalues those of C, never semisimple."""
+    n = len(c)
+    return ([row + [int(i == j) for j in range(n)] for i, row in enumerate(c)]
+            + [[0] * n + row for row in c])
+
+
+def conjugated(a, rng):
+    p, pinv = rand_unimodular_int(len(a), rng)
+    return mat_mul(mat_mul(p, a), pinv)
+
+
+def cyclotomic_sum(rng, size, semisimple=True):
+    """A seeded conjugate of a sum of companions of Phi_d on about `size`
+    rows; with semisimple False one summand is a `jordan_pair`."""
+    blocks = []
+    while sum(map(len, blocks)) < size:
+        blocks.append(companion(CYCLOTOMIC[rng.choice(list(CYCLOTOMIC))]))
+    if not semisimple:
+        blocks[0] = jordan_pair(blocks[0])
+    return conjugated(block_sum(blocks), rng)
+
+
+def brute_power(a, e):
+    acc = mat_identity(len(a))
+    for _ in range(e):
+        acc = mat_mul(acc, a)
+    return acc
+
+
+class TestOrdersAgainstOracles:
+    """`finite_order`, `solve_prop_matrix` and `cor_period_driver` on sums
+    of cyclotomic companions against the brute-force powering oracles."""
+
+    def test_finite_order(self):
+        rng = random.Random(2021)
+        for size in [1, 2, 3, 4, 5] * 6:
+            a = cyclotomic_sum(rng, size)
+            assert finite_order(a) == brute_order(a), a
+
+    def test_non_semisimple_has_no_finite_order(self):
+        rng = random.Random(2022)
+        for size in [1, 2, 3, 4] * 3:
+            a = cyclotomic_sum(rng, size, semisimple=False)
+            assert finite_order(a) is None
+            assert brute_order(a, cap=200) is None
+
+    def test_solve_prop_matrix(self):
+        # B a power of A commutes with A, so the relation reads A^k = A^sign
+        rng = random.Random(2023)
+        for size in [1, 2, 3, 4, 5] * 6:
+            a = cyclotomic_sum(rng, size)
+            b = brute_power(a, rng.randint(0, 3))
+            m, sign = brute_order(a), rng.choice((1, -1))
+            # about half the k hold: k = sign mod m
+            k = max(2, rng.choice((rng.randint(2, 40), m * rng.randint(1, 3) + sign)))
+            if brute_power(a, k) == brute_power(a, sign % m):
+                assert solve_prop_matrix(a, b, k, sign) \
+                    == brute_order_prime_to(a, k) == m
+            else:
+                with pytest.raises(RelationError, match="does not hold"):
+                    solve_prop_matrix(a, b, k, sign)
+
+    def test_solve_prop_matrix_refuses_non_semisimple(self):
+        rng = random.Random(2024)
+        for size in [1, 2, 3, 4] * 3:
+            a = cyclotomic_sum(rng, size, semisimple=False)
+            b = brute_power(a, rng.randint(0, 3))
+            with pytest.raises(RelationError, match="does not hold"):
+                solve_prop_matrix(a, b, rng.randint(2, 40), rng.choice((1, -1)))
+
+    def test_cor_period_driver(self):
+        rng = random.Random(2025)
+        for _ in range(20):
+            frees = [cyclotomic_sum(rng, rng.randint(1, 3)) for _ in range(2)]
+            sign = rng.choice((1, -1))
+            k = lcm(*map(brute_order, frees)) * rng.randint(1, 3) + sign
+            k += lcm(*map(brute_order, frees)) if k < 2 else 0
+            mono, wit, want_m, want_l = [], [], 1, 1
+            for free in frees:
+                d = rng.choice((3, 4, 5, 7, 9))
+                torsion = [[rng.choice([u for u in range(1, d) if gcd(u, d) == 1])]]
+                mixing = [[rng.randrange(d) for _ in free]]
+                mono.append(FgAbelianAutomorphism(free, [d], torsion, mixing))
+                wit.append((brute_power(free, rng.randint(0, 3)), sign))
+                want_m = lcm(want_m, brute_order_prime_to(free, k))
+                want_l = lcm(want_l, brute_automorphism_order(free, [d], torsion,
+                                                              mixing))
+            assert cor_period_driver(mono, k, wit) == (want_m, want_l)
+
+    def test_cor_period_driver_refuses_non_semisimple(self):
+        rng = random.Random(2026)
+        for _ in range(6):
+            good = cyclotomic_sum(rng, 2)
+            bad = cyclotomic_sum(rng, rng.randint(1, 2), semisimple=False)
+            mono = [FgAbelianAutomorphism(good), FgAbelianAutomorphism(bad)]
+            k = brute_order(good) + 1
+            with pytest.raises(RelationError, match="^degree 1: .*does not hold"):
+                cor_period_driver(mono, k, [(good, 1), (bad, 1)])

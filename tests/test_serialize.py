@@ -18,7 +18,7 @@ from cyclocover.serialize import (canonical_dumps, complex_to_json,
                                   parse_laurent, parse_matrix, parse_monodromy,
                                   parse_presentation, parse_rational_matrices,
                                   parse_rational_matrix, parse_scalar,
-                                  parse_witnesses, scalar_str)
+                                  parse_witnesses, scalar_str, shown)
 
 from helpers import rand_unimodular_laurent
 
@@ -45,14 +45,15 @@ class TestScalars:
     def test_parse_scalar_table(self):
         # integer strings take int() and the rest Fraction(); both accept and
         # reject exactly what Fraction() alone does on this Python, with the
-        # same message (Python 3.10's Fraction() rejects "1_000")
+        # same message, both echoed as `shown` cuts them (Python 3.10's
+        # Fraction() rejects "1_000")
         from fractions import Fraction
 
         def via_fraction(ring, raw):
             try:
                 return ring.coerce(Fraction(raw))
             except (ValueError, ZeroDivisionError) as exc:
-                return f"bad coefficient {raw!r}: {exc}"
+                return f"bad coefficient {shown(raw)}: {shown(exc, str)}"
 
         def parsed(ring, raw):
             try:
@@ -225,6 +226,78 @@ class TestReaders:
         with pytest.raises(PreconditionError) as info:
             read(obj)
         assert str(info.value).startswith(message)
+
+    # an unknown key in every object `_fields` reads, a misspelled
+    # optional key included: it used to read as absent
+    @pytest.mark.parametrize("read, obj, message", [
+        (parse_matrix, {"rows": 0, "cols": 0, "entries": [], "row": 1},
+         "matrix has unknown fields ['row']"),
+        (parse_presentation, {"generators": 1, "relations": {}, "x": 0},
+         "module presentation has unknown fields ['x']"),
+        (parse_complex, {"ranks": [1], "boundaries": [], "q": 2, "t": 1},
+         "chain complex has unknown fields ['q', 't']"),
+        (parse_fibre, {"ranks": [1], "boundaries_F": [], "f": [[["1"]]],
+                       "boundaries": []},
+         "mapping-torus input has unknown fields ['boundaries']"),
+        (parse_monodromy, [{"free": [["1"]], "torsion_order": ["3"]}],
+         "automorphism has unknown fields ['torsion_order']"),
+        (parse_witnesses, [{"b": [["1"]], "sign": 1, "k": 2}],
+         "conjugation witness has unknown fields ['k']"),
+    ])
+    def test_unknown_fields_refused(self, read, obj, message):
+        with pytest.raises(PreconditionError) as info:
+            read(obj)
+        assert str(info.value) == message
+
+    def test_optional_fields_still_read(self):
+        phi, = parse_monodromy([{"free": [], "torsion_orders": ["3"],
+                                 "torsion": [["2"]], "mixing": [[]]}])
+        assert (phi.torsion_orders, phi.torsion_block) == ([3], [[2]])
+
+
+class TestEchoedValues:
+    """A message echoes at most the first 200 characters of a refused value
+    (and of the exception text that echoes it), so it stays under 1 KB."""
+
+    HUGE = [0] * 100000
+    LONG = "x" * 100000
+
+    @pytest.mark.parametrize("read, obj", [
+        (parse_fibre, HUGE),                                       # _fields
+        (parse_rational_matrices, {"x": HUGE}),                    # _list
+        (parse_int_matrix, HUGE),                                  # _matrix
+        (parse_complex, {"ranks": HUGE + [None], "boundaries": []}),
+        (parse_laurent, {"coeffs": HUGE, "x": 1}),
+        (parse_laurent, {"coeffs": LONG}),
+        (parse_matrix, {"rows": HUGE, "cols": 1, "entries": []}),
+        (parse_int, LONG),
+        (parse_int_list, LONG),
+        (parse_kappa, LONG),
+        (lambda raw: parse_scalar(QQ, raw), LONG),
+        (parse_monodromy, [dict.fromkeys(map(str, range(100000)))]),
+    ], ids=lambda x: getattr(x, "__name__", "value"))
+    def test_message_is_bounded(self, read, obj):
+        with pytest.raises(PreconditionError) as info:
+            read(obj)
+        assert len(str(info.value)) < 1024
+
+    def test_cut(self):
+        assert shown("x" * 198) == repr("x" * 198)
+        assert shown("x" * 199) == repr("x" * 199)[:200] + "..."
+        assert shown(ValueError("y" * 500), str) == "y" * 200 + "..."
+
+    @pytest.mark.parametrize("read, obj, message", [
+        (parse_fibre, "x", "bad mapping-torus input 'x'"),
+        (parse_int, [1], "bad integer [1]"),
+        (parse_rational_matrices, [["1"]], "bad rational matrix ['1']"),
+        (parse_laurent, {"coeffs": "1"}, "coeffs must be a list, got '1'"),
+        (parse_complex, {"ranks": [-1], "boundaries": []}, "bad rank list [-1]"),
+        (parse_complex, {"ranks": [1], "boundaries": 1},
+         "boundaries must be a list, got 1")], ids=str)
+    def test_short_values_are_echoed_whole(self, read, obj, message):
+        with pytest.raises(PreconditionError) as info:
+            read(obj)
+        assert str(info.value) == message
 
 
 class TestCanonical:

@@ -230,7 +230,6 @@ def run_corpus(path):
 
 @functools.cache
 def _parser():
-    """The top-level parser and each subcommand's own parser by name."""
     import argparse
     parser = argparse.ArgumentParser(prog="cyclocover")
     parser.add_argument("--version", action="version", version=__version__)

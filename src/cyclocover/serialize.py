@@ -26,12 +26,13 @@ from .rings import GF, LaurentPoly, Poly, QQ, ZZ
 # larger value is refused before anything is built
 _RANK_LIMIT = 2048
 _CLEARED_DEGREE_LIMIT = 2048
+_SHOWN_LIMIT = 200  # the most characters of a refused value a message echoes
 
 
-def shown(obj, show=repr, limit=200):
-    """show(obj) cut to `limit` characters: a message echoes a refused value in part."""
+def shown(obj, show=repr):
+    """show(obj), cut to _SHOWN_LIMIT characters and an ellipsis."""
     text = show(obj)
-    return text if len(text) <= limit else text[:limit] + "..."
+    return text if len(text) <= _SHOWN_LIMIT else text[:_SHOWN_LIMIT] + "..."
 
 
 def _fields(obj, what, keys, optional=()):

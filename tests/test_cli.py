@@ -231,15 +231,16 @@ class TestUsageErrors:
         assert self.argparse_exit(capsys, *argv) == (2, "", WANG_MISSING)
 
     @pytest.mark.parametrize("argv, message", [
-        (["frobnicate"], "argument subcommand: invalid choice: "),
+        (["frobnicate"], "argument subcommand: invalid choice: 'frobnicate'"),
         ([], "the following arguments are required: subcommand\n")])
     def test_no_known_subcommand_gets_the_top_level_usage(self, capsys, argv,
                                                            message):
+        # the list of choices is left out: its quoting differs between
+        # Python versions
         code, out, err = self.argparse_exit(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("usage: cyclocover [-h] [--version]\n")
         assert "\ncyclocover: error: " + message in err
-        assert "frobnicate" in err if argv else err.endswith(message)
 
     def test_version(self, capsys):
         assert self.argparse_exit(capsys, "--version") == (0, __version__ + "\n", "")

@@ -625,8 +625,10 @@ class TestOrdersAgainstOracles:
         for _ in range(20):
             frees = [cyclotomic_sum(rng, rng.randint(1, 3)) for _ in range(2)]
             sign = rng.choice((1, -1))
-            k = lcm(*map(brute_order, frees)) * rng.randint(1, 3) + sign
-            k += lcm(*map(brute_order, frees)) if k < 2 else 0
+            order = lcm(*map(brute_order, frees))
+            k = order * rng.randint(1, 3) + sign  # so the relation holds
+            while k < 2:
+                k += order
             mono, wit, want_m, want_l = [], [], 1, 1
             for free in frees:
                 d = rng.choice((3, 4, 5, 7, 9))

@@ -255,6 +255,14 @@ class TestReaders:
         assert (phi.torsion_orders, phi.torsion_block) == ([3], [[2]])
 
 
+def parse_qq_scalar(raw):
+    return parse_scalar(QQ, raw)
+
+
+def reader_ids(x):
+    return getattr(x, "__name__", str(x))
+
+
 class TestEchoedValues:
     """A message echoes at most the first 200 characters of a refused value
     (and of the exception text that echoes it), so it stays under 1 KB."""
@@ -273,7 +281,7 @@ class TestEchoedValues:
         (parse_int, LONG),
         (parse_int_list, LONG),
         (parse_kappa, LONG),
-        (lambda raw: parse_scalar(QQ, raw), LONG),
+        (parse_qq_scalar, LONG),
         (parse_monodromy, [dict.fromkeys(map(str, range(100000)))]),
     ], ids=lambda x: getattr(x, "__name__", "value"))
     def test_message_is_bounded(self, read, obj):
@@ -293,7 +301,7 @@ class TestEchoedValues:
         (parse_laurent, {"coeffs": "1"}, "coeffs must be a list, got '1'"),
         (parse_complex, {"ranks": [-1], "boundaries": []}, "bad rank list [-1]"),
         (parse_complex, {"ranks": [1], "boundaries": 1},
-         "boundaries must be a list, got 1")], ids=str)
+         "boundaries must be a list, got 1")], ids=reader_ids)
     def test_short_values_are_echoed_whole(self, read, obj, message):
         with pytest.raises(PreconditionError) as info:
             read(obj)

@@ -15,12 +15,12 @@ import os
 import sys
 
 from . import __version__
-from .errors import InternalCheckError, PreconditionError
+from .errors import InternalCheckError, PreconditionError, shown
 from .serialize import (canonical_dumps, complex_to_json, input_digest,
                         laurent_to_json, parse_complex, parse_fibre, parse_int,
                         parse_int_list, parse_int_matrix, parse_kappa,
                         parse_monodromy, parse_presentation, parse_rational_matrices,
-                        parse_witnesses, scalar_str, shown)
+                        parse_witnesses, scalar_str)
 
 
 def _opt_str(x):

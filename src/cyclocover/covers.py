@@ -10,7 +10,7 @@ from typing import List, NamedTuple
 
 from .arith import power
 from .errors import (InternalCheckError, PreconditionError, check_count,
-                     check_sign, is_count)
+                     check_sign, is_count, shown)
 from .linfield import rref
 from .matrices import (LaurentMatrix, int_mat_check, laurent_product_is_zero,
                        mat_mul, mat_pow)
@@ -38,7 +38,7 @@ class TwistedChainComplex:
     def __init__(self, ranks, boundaries):
         ranks = list(ranks)
         if not all(map(is_count, ranks)):
-            raise PreconditionError(f"bad rank list {ranks!r}")
+            raise PreconditionError(f"bad rank list {shown(ranks)}")
         if len(boundaries) != max(len(ranks) - 1, 0):
             raise PreconditionError(
                 "need exactly one boundary per adjacent pair of degrees")
@@ -75,7 +75,7 @@ def mapping_torus_complex(ranks_f, boundaries_f, f) -> TwistedChainComplex:
     """
     ranks_f = list(ranks_f)
     if not all(map(is_count, ranks_f)):
-        raise PreconditionError(f"bad rank list {ranks_f!r}")
+        raise PreconditionError(f"bad rank list {shown(ranks_f)}")
     top = len(ranks_f) - 1
     if len(f) != len(ranks_f):
         raise PreconditionError("need one endomorphism block per degree")

@@ -4,7 +4,7 @@ from itertools import chain, combinations
 from math import prod
 
 from .arith import power
-from .errors import PreconditionError, is_count
+from .errors import PreconditionError, is_count, shown
 from .rings import LaurentPoly, Poly, ZZ, gcd_zz_coeffs
 
 
@@ -228,7 +228,7 @@ class LaurentMatrix:
         if ring is not ZZ:
             raise PreconditionError(f"Laurent matrices are over ZZ, got {ring}")
         if not (is_count(nrows) and is_count(ncols)):
-            raise PreconditionError(f"bad shape {nrows!r} x {ncols!r}")
+            raise PreconditionError(f"bad shape {shown(nrows)} x {shown(ncols)}")
         if len(entries) != nrows or any(len(r) != ncols for r in entries):
             raise PreconditionError("entry grid does not match declared shape")
         self.nrows = nrows
@@ -259,7 +259,7 @@ class LaurentMatrix:
         isomorphism type."""
         out = []
         for row in self.entries:
-            v = min((e.val for e in row if not e.is_zero), default=0)
+            v = min([e.val for e in row if e.body.coeffs], default=0)
             out.append([(0,) * (e.val - v) + e.body.coeffs if e.body.coeffs
                         else () for e in row])
         return out

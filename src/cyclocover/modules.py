@@ -15,7 +15,7 @@ as reduction mod p need not preserve the gcd.
 from typing import NamedTuple, Optional
 
 from .arith import factorize
-from .errors import PreconditionError, is_count
+from .errors import PreconditionError, is_count, shown
 from .matrices import LaurentMatrix, laurent_minor_gcd
 from .normal_forms import laurent_cokernel
 from .rings import GF, LaurentPoly, Poly, QQ, ZZ, monic_coeffs
@@ -37,7 +37,7 @@ class ModulePresentation:
 
     def __init__(self, generators: int, relations: LaurentMatrix):
         if not is_count(generators):
-            raise PreconditionError(f"bad generator count {generators!r}")
+            raise PreconditionError(f"bad generator count {shown(generators)}")
         if not isinstance(relations, LaurentMatrix):
             raise PreconditionError("relations is not a LaurentMatrix")
         if relations.nrows != generators:

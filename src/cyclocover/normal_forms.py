@@ -1,10 +1,11 @@
 """Smith normal form over k[t], plus derived invariants.
 
 The Smith form is taken over k[t] for k a field (QQ or a prime field),
-on coefficient lists (`_smith_lists`).  `laurent_cokernel` is its entry
-point: Laurent matrices over ZZ reduce to it by clearing rows with powers
-of t, and the cleared ZZ[t] rows reach the list core as they are over QQ
-and reduced modulo p over GF(p), with no Poly in between.
+on coefficient lists (`_smith_lists`, where a constant pivot, a unit,
+takes one Schur-complement pass).  `laurent_cokernel` is its entry point:
+Laurent matrices over ZZ reduce to it by clearing rows with powers of t,
+and the cleared ZZ[t] rows reach the list core as they are over QQ and
+reduced modulo p over GF(p), with no Poly in between.
 """
 
 from .errors import PreconditionError
@@ -24,33 +25,55 @@ def _smith_lists(D, p):
     trailing zeros; empty is zero), residues over GF(p) for p > 0 and ints
     read over QQ for p = 0.
 
-    Pivots are chosen by least degree, ties by lowest (row, col), until
-    the matrix is diagonal; the diagonal is then put in divisibility order
-    by diag(a, b) ~ diag(gcd, lcm) and made monic.
+    Pivots are chosen by least degree, ties by least |leading
+    coefficient| (a +-1 first) and then lowest (row, col), until the
+    matrix is diagonal.  The non-constant diagonal entries are then put in
+    divisibility order by diag(a, b) ~ diag(gcd, lcm) and made monic,
+    after a [1] for each constant one.
 
-    The loop runs fraction-free.  Over GF(p) each step takes the field
-    quotient.  Over QQ each row is divided by its content, and each
-    Euclidean step is a pseudo-division s*a = q*b + r (`pseudo_divmod`):
-    a row step sets D[i] to s*D[i] - q*D[0] and divides out the row's
-    content, a column step sets D[0][j] to r and multiplies the rest of
-    column j by s.  Every entry stays a nonzero rational multiple of the
-    entry Euclid over QQ[t] would hold, so degrees, zero patterns, pivots
-    and the monic factors are the same.  The closing pass runs on the same
-    lists, with `gcd_zz_coeffs` over QQ and Euclid over GF(p)
-    (`gcd_gf_coeffs`).
+    The loop runs fraction-free.  A constant pivot c is a unit: each lower
+    row with lead a becomes s*row - q*(row 0) on columns 1.. (s = 1 and q =
+    a/c over GF(p); s = c/h and q = a/h for h = gcd(c, content a) over QQ),
+    and row 0, all multiples of c, is dropped untouched.  At other pivots
+    each step is a pseudo-division s*a = q*b + r (`pseudo_divmod`, the field
+    quotient over GF(p)): a row step sets D[i] to s*D[i] - q*D[0], a column
+    step sets D[0][j] to r and multiplies the rest of column j by s.  Over
+    QQ every row step divides out the row's content.  Every step is
+    invertible over k[t] and monic invariant factors are unique, so they are
+    Euclid's over k[t].  The closing pass runs on the same lists
+    (`gcd_zz_coeffs` over QQ, `gcd_gf_coeffs` over GF(p)).
     """
     if not p:
         D = [_primitive_row(row) for row in D]
     diag = []
     while True:
-        nonzero = [(len(e), i, j) for i, row in enumerate(D)
+        nonzero = [(len(e), abs(e[-1]), i, j) for i, row in enumerate(D)
                    for j, e in enumerate(row) if e]
         if not nonzero:
             break
-        _, pi, pj = min(nonzero)
+        _, _, pi, pj = min(nonzero)
         D[0], D[pi] = D[pi], D[0]
         for row in D:
             row[0], row[pj] = row[pj], row[0]
+        if len(D[0][0]) == 1:
+            # a unit pivot c: one Schur-complement pass, row 0 dropped
+            c, top, rows = D[0][0][0], D[0][1:], []
+            c_inv = pow(c, -1, p) if p else 0
+            for row in D[1:]:
+                a = row[0]
+                if not a:
+                    rows.append(row[1:])
+                    continue
+                if p:
+                    s, q = 1, [x * c_inv % p for x in a]
+                else:
+                    h = gcd(c, *a) if c > 0 else -gcd(c, *a)
+                    s, q = c // h, [x // h for x in a]
+                row = [sub_mul_coeffs(s, x, q, y, p) for x, y in zip(row[1:], top)]
+                rows.append(row if p else _primitive_row(row))
+            diag.append(D[0][0])
+            D = rows
+            continue
         dirty = True
         while dirty:
             # clear column 0; a nonzero remainder becomes the pivot
@@ -89,6 +112,8 @@ def _smith_lists(D, p):
                     break
         diag.append(D[0][0])
         D = [row[1:] for row in D[1:]]
+    units = [[1] for f in diag if len(f) == 1]
+    diag = [f for f in diag if len(f) > 1]
     for i in range(len(diag)):
         for j in range(i + 1, len(diag)):
             a, b = diag[i], diag[j]
@@ -96,7 +121,7 @@ def _smith_lists(D, p):
                 # over QQ both are known up to a unit, and so are these
                 g = gcd_gf_coeffs(a, b, p) if p else gcd_zz_coeffs(a, b)
                 diag[i], diag[j] = g, mul_coeffs(a, pseudo_divmod(b, g, p)[1], p)
-    return [monic_coeffs(f, p) for f in diag]
+    return units + [monic_coeffs(f, p) for f in diag]
 
 
 def _primitive_row(row):

@@ -12,7 +12,7 @@ from typing import Tuple
 
 from .arith import factorize, order_from_multiple, power
 from .errors import (InternalCheckError, PreconditionError, check_count,
-                     check_sign)
+                     check_sign, shown)
 from .matrices import (det_int, int_mat_check, mat_identity, mat_is_identity,
                        mat_mul, mat_pow)
 from .normal_forms import char_poly, cyclotomic_indices, cyclotomic_order
@@ -202,9 +202,10 @@ class FgAbelianAutomorphism:
                              mat_mul(self.torsion_block, other.torsion_block), mix)
 
     def power(self, e):
+        if e:
+            return power(self, e, FgAbelianAutomorphism.compose, None)
         r, s = self.free_rank, len(self.torsion_orders)
-        one = self._checked(mat_identity(r), mat_identity(s), [[0] * r] * s)
-        return power(self, e, FgAbelianAutomorphism.compose, one)
+        return self._checked(mat_identity(r), mat_identity(s), [[0] * r] * s)
 
     def is_identity(self):
         # rows are reduced modulo d_i >= 2, so the identity's blocks are I, I, 0
@@ -283,6 +284,11 @@ def full_order(phi: FgAbelianAutomorphism, m_free: int) -> int:
     check_count("m_free", m_free, 1)
     if phi.free_rank and not mat_is_identity(mat_pow(phi.free_block, m_free)):
         raise RelationError("phi^m_free is not the identity on the free quotient")
+    return _full_order(phi, m_free)
+
+
+def _full_order(phi, m_free):
+    """`full_order` for an m_free whose check `_solve_relation` has made."""
     base = lcm(m_free, phi.torsion_order())
     mixing = phi.power(base).mixing_block
     j = lcm(*(d // gcd(d, *row) for d, row in zip(phi.torsion_orders, mixing)))
@@ -314,10 +320,10 @@ def cor_period_driver(monodromy, k, conj_witness) -> Tuple[int, int]:
     for j, (phi, witness) in enumerate(zip(monodromy, conj_witness)):
         if not isinstance(phi, FgAbelianAutomorphism):
             raise PreconditionError(
-                f"degree {j}: monodromy {phi!r} is not an FgAbelianAutomorphism")
+                f"degree {j}: monodromy {shown(phi)} is not an FgAbelianAutomorphism")
         if type(witness) not in (list, tuple) or len(witness) != 2:
-            raise PreconditionError(
-                f"degree {j}: conjugation witness {witness!r} is not a (B, sign) pair")
+            raise PreconditionError(f"degree {j}: conjugation witness "
+                                    f"{shown(witness)} is not a (B, sign) pair")
         _in_degree(j, _check_relation_input, phi.free_rank, *witness)
     m = 1
     for j, (phi, (bmat, sign)) in enumerate(zip(monodromy, conj_witness)):
@@ -325,9 +331,7 @@ def cor_period_driver(monodromy, k, conj_witness) -> Tuple[int, int]:
             m = lcm(m, _in_degree(j, _solve_relation, phi.free_block, bmat, k, sign))
     if gcd(m, k) != 1:
         raise InternalCheckError(f"aggregated m={m} is not prime to k={k}")
-    l = 1
-    for j, phi in enumerate(monodromy):
-        l = lcm(l, _in_degree(j, full_order, phi, m))
+    l = lcm(*(_full_order(phi, m) for phi in monodromy))
     for j, phi in enumerate(monodromy):
         if not phi.power(l).is_identity():
             raise InternalCheckError(f"degree {j}: phi^{l} is not the identity")

@@ -15,7 +15,7 @@ that reads none of them loads none of `modules`, `covers` and `periodicity`.
 
 from fractions import Fraction
 
-from .errors import PreconditionError, is_count
+from .errors import PreconditionError, is_count, shown
 from .matrices import LaurentMatrix
 from .rings import GF, LaurentPoly, Poly, QQ, ZZ
 
@@ -26,13 +26,6 @@ from .rings import GF, LaurentPoly, Poly, QQ, ZZ
 # larger value is refused before anything is built
 _RANK_LIMIT = 2048
 _CLEARED_DEGREE_LIMIT = 2048
-_SHOWN_LIMIT = 200  # the most characters of a refused value a message echoes
-
-
-def shown(obj, show=repr):
-    """show(obj), cut to _SHOWN_LIMIT characters and an ellipsis."""
-    text = show(obj)
-    return text if len(text) <= _SHOWN_LIMIT else text[:_SHOWN_LIMIT] + "..."
 
 
 def _fields(obj, what, keys, optional=()):

@@ -580,9 +580,10 @@ def minor_gcd_oracle(mat, size):
 def smith_oracle(rows, p=0):
     """(monic invariant factors, rank) of a matrix of coefficient lists
     over QQ (p = 0) or GF(p), the factors as coefficient lists, with every
-    step a long division over the field: the same pivot rule (least
-    degree, then lowest (row, col)) and diagonal read-off as the library's
-    Smith core, without its fraction-free steps."""
+    step a long division over the field.  Pivots are chosen by least
+    degree, then lowest (row, col); the library's Smith core breaks ties
+    by the leading coefficient and eliminates a constant pivot in one
+    pass, but monic invariant factors are unique, so the answers agree."""
     D = [[_trim(e, p) for e in row] for row in rows]
     diag = []
     while True:

@@ -971,3 +971,111 @@ class TestLaurentCokernelAgainstOracle:
             assert built[0] == len(factors), m
             total += len(factors)
         assert total
+
+
+class TestConstantPivots:
+    """The Smith core's pass for a constant pivot, a unit of kappa[t], and
+    its closing pass over the non-constant diagonal entries only, against
+    `TestLaurentCokernelAgainstOracle.oracle` (helpers.smith_oracle).  The
+    inputs are rich in constants: non-unit integers 2, 3, 4 and 6 (some of
+    them zero modulo 2), zero rows and columns, products of lower rank and
+    integer disguises of diagonals that mix constants with polynomials."""
+
+    FIELDS = [QQ, GF(2), GF(5), GF(2**31 - 1)]
+    CONSTANTS = (2, 3, 4, 6, -2, -3, -4, -6, 1, -1)
+
+    def rand_rows(self, rng, g, r):
+        def entry():
+            x = rng.random()
+            if x < 0.2:
+                return ()
+            if x < 0.6:
+                return (rng.choice(self.CONSTANTS),)
+            return tuple(rng.randint(-4, 4) for _ in range(rng.randint(2, 3)))
+        rows = [[entry() for _ in range(r)] for _ in range(g)]
+        if rng.random() < 0.3:
+            rows[rng.randrange(g)] = [()] * r
+        if rng.random() < 0.3:
+            j = rng.randrange(r)
+            for row in rows:
+                row[j] = ()
+        return rows
+
+    def disguised_diagonal(self, rng, n):
+        """P D Q for unimodular integer P, Q and D diagonal, its entries
+        constants from CONSTANTS, polynomials of degree 1 or 2 and zeros."""
+        from helpers import rand_unimodular_int
+        diag = [rng.choice([(rng.choice(self.CONSTANTS),), (),
+                            (rng.randint(-3, 3), rng.choice((1, 2, -3))),
+                            (rng.randint(-3, 3), rng.randint(-2, 2), 2)])
+                for _ in range(n)]
+        d = lmat([[diag[i] if i == j else () for j in range(n)] for i in range(n)])
+        p = LaurentMatrix(ZZ, n, n, rand_unimodular_int(n, rng, 12)[0])
+        q = LaurentMatrix(ZZ, n, n, rand_unimodular_int(n, rng, 12)[0])
+        return laurent_mat_mul(laurent_mat_mul(p, d), q)
+
+    @staticmethod
+    def check(m, field):
+        got = laurent_cokernel(m, field)
+        assert got == TestLaurentCokernelAgainstOracle.oracle(m, field), m
+        return got
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_random_constant_rich(self, field):
+        rng = random.Random(3607 + field.char % 1000)
+        for _ in range(150):
+            g, r = rng.randint(1, 5), rng.randint(1, 5)
+            self.check(lmat(self.rand_rows(rng, g, r)), field)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_rank_deficient_products(self, field):
+        rng = random.Random(3613 + field.char % 1000)
+        for _ in range(40):
+            g, k, r = rng.randint(2, 5), rng.randint(1, 3), rng.randint(2, 5)
+            b = lmat(self.rand_rows(rng, g, k))
+            c = lmat(self.rand_rows(rng, k, r))
+            _, free = self.check(laurent_mat_mul(b, c), field)
+            assert free >= g - k
+
+    @pytest.mark.parametrize("field", FIELDS, ids=str)
+    def test_disguised_diagonals(self, field):
+        rng = random.Random(3617 + field.char % 1000)
+        for _ in range(40):
+            self.check(self.disguised_diagonal(rng, rng.randint(2, 5)), field)
+
+    @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+    def test_unimodular_needs_no_division(self, field, monkeypatch):
+        # every entry of a disguised unimodular integer matrix is a
+        # constant, and so is every Schur complement: each pivot takes the
+        # constant pass, and no closing pass is left to run
+        from helpers import rand_unimodular_int
+        from cyclocover import normal_forms
+        calls = [0]
+        real = normal_forms.pseudo_divmod
+
+        def counted(*args):
+            calls[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(normal_forms, "pseudo_divmod", counted)
+        rng = random.Random(3623)
+        for n in (1, 3, 6, 9):
+            u = rand_unimodular_int(n, rng, 40)[0]
+            assert laurent_cokernel(LaurentMatrix(ZZ, n, n, u), field) == ([], 0)
+        assert calls[0] == 0
+
+    def test_roadmap_tori_over_qq(self):
+        # the 8 x 8 and 9 x 9 tori tI - A of ROADMAP's "What is still
+        # slow" table, A drawn row by row from Random(1000 n + 1).  The
+        # oracle runs on the transpose, which has the same invariant
+        # factors: its Euclid over QQ takes seconds on tI - A itself
+        for n in (8, 9):
+            rng = random.Random(1000 * n + 1)
+            a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+            m = lmat([[(-x, 1) if i == j else (-x,) for j, x in enumerate(row)]
+                      for i, row in enumerate(a)])
+            mt = lmat([[(-a[j][i], 1) if i == j else (-a[j][i],) for j in range(n)]
+                       for i in range(n)])
+            got = laurent_cokernel(m, QQ)
+            assert got == TestLaurentCokernelAgainstOracle.oracle(mt, QQ)
+            assert got == ([Poly(QQ, char_poly(a).coeffs)], 0)

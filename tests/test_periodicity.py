@@ -170,6 +170,22 @@ class TestAutomorphismGroup:
                            match=f"^{name} is not an integer matrix"):
             FgAbelianAutomorphism(free, [3], torsion, mixing)
 
+    def test_power_builds_the_identity_only_for_zero(self, monkeypatch):
+        phi = FgAbelianAutomorphism(TREFOIL, [3], [[2]], [[1, 0]])
+        calls = [0]
+        real = periodicity.mat_identity
+
+        def counted(n):
+            calls[0] += 1
+            return real(n)
+
+        monkeypatch.setattr(periodicity, "mat_identity", counted)
+        assert phi.power(1) == phi
+        assert phi.power(6) == phi.power(2).power(3)
+        assert calls[0] == 0
+        assert phi.power(0).is_identity()
+        assert calls[0] == 2
+
     @pytest.mark.parametrize("free, torsion, mixing, message", [
         ([[1, 0], [0]], [[2]], [[0, 0]], "free block is not 2x2"),
         ([[1]], [[2, 0]], [[0]], "torsion block is not 1x1"),
@@ -466,6 +482,26 @@ class TestDriver:
                 FgAbelianAutomorphism(TREFOIL, [], [], [])]
         wit = [([[1]], 1), ([[1, 0], [1, -1]], 1)]
         assert cor_period_driver(mono, 5, wit) == (6, 6)
+
+    def test_free_order_is_verified_once(self, monkeypatch):
+        # _solve_relation verifies A^m = I in each degree with a free
+        # part; the driver then powers the free block nowhere else but in
+        # its final phi^l = id check, which calls `power`, not `mat_pow`
+        calls = []
+        real = periodicity.mat_pow
+
+        def counted(a, e):
+            calls.append(e)
+            return real(a, e)
+
+        monkeypatch.setattr(periodicity, "mat_pow", counted)
+        mono = [FgAbelianAutomorphism([[1]], [], [], []),
+                FgAbelianAutomorphism(TREFOIL, [3], [[2]], [[1, 0]])]
+        wit = [([[1]], 1), ([[1, 0], [1, -1]], 1)]
+        m, l = cor_period_driver(mono, 5, wit)
+        assert (m, l) == (6, lcm(6, brute_automorphism_order(TREFOIL, [3], [[2]],
+                                                            [[1, 0]])))
+        assert len(calls) == 2  # one A^(k mod m) per degree
 
     def test_torsion_extends_l(self):
         mono = [FgAbelianAutomorphism([[1]], [4], [[3]], [[0]])]

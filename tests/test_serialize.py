@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from cyclocover.errors import PreconditionError
+from cyclocover.errors import PreconditionError, shown
 from cyclocover.rings import GF, LaurentPoly, Poly, QQ, ZZ
 from cyclocover.serialize import (canonical_dumps, complex_to_json,
                                   input_digest, laurent_to_json, matrix_to_json,
@@ -18,7 +18,7 @@ from cyclocover.serialize import (canonical_dumps, complex_to_json,
                                   parse_laurent, parse_matrix, parse_monodromy,
                                   parse_presentation, parse_rational_matrices,
                                   parse_rational_matrix, parse_scalar,
-                                  parse_witnesses, scalar_str, shown)
+                                  parse_witnesses, scalar_str)
 
 from helpers import rand_unimodular_laurent
 
@@ -306,6 +306,53 @@ class TestEchoedValues:
         with pytest.raises(PreconditionError) as info:
             read(obj)
         assert str(info.value) == message
+
+
+
+def _library_refusals():
+    """(name, call) for each library refusal that echoes the value it
+    refuses, every one given a value whose repr runs to 300,000 characters."""
+    from cyclocover.covers import (TwistedChainComplex, mapping_torus_complex)
+    from cyclocover.matrices import LaurentMatrix
+    from cyclocover.modules import ModulePresentation
+    from cyclocover.periodicity import (FgAbelianAutomorphism, cor_period_driver,
+                                        solve_prop_matrix)
+    huge = [0] * 100000
+    return [
+        ("mapping_torus_complex", lambda: mapping_torus_complex(huge + [-1], [], [])),
+        ("TwistedChainComplex", lambda: TwistedChainComplex(huge + [-1], [])),
+        ("check_count", lambda: solve_prop_matrix([[1]], [[1]], huge, 1)),
+        ("check_sign", lambda: solve_prop_matrix([[1]], [[1]], 2, huge)),
+        ("LaurentMatrix", lambda: LaurentMatrix(ZZ, huge, 1, [])),
+        ("ModulePresentation",
+         lambda: ModulePresentation(huge, LaurentMatrix(ZZ, 0, 0, []))),
+        ("monodromy", lambda: cor_period_driver([huge], 2, [([], 1)])),
+        ("witness", lambda: cor_period_driver([FgAbelianAutomorphism([])], 2, [huge])),
+    ]
+
+
+class TestLibraryEchoedValues:
+    """A library refusal outside the wire readers cuts the value it echoes
+    with the same `errors.shown`."""
+
+    @pytest.mark.parametrize("name, call", _library_refusals(),
+                             ids=[name for name, _ in _library_refusals()])
+    def test_message_is_bounded(self, name, call):
+        with pytest.raises(PreconditionError) as info:
+            call()
+        assert len(str(info.value)) < 1024
+        assert "..." in str(info.value)
+
+    def test_short_values_are_echoed_whole(self):
+        from cyclocover.covers import mapping_torus_complex
+        from cyclocover.errors import check_count, check_sign
+        for call, message in [
+                (lambda: mapping_torus_complex([-1], [], []), "bad rank list [-1]"),
+                (lambda: check_count("q", 0, 1), "q must be an int >= 1, not 0"),
+                (lambda: check_sign(2), "sign must be +1 or -1, not 2")]:
+            with pytest.raises(PreconditionError) as info:
+                call()
+            assert str(info.value) == message
 
 
 class TestCanonical:

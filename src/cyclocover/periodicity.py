@@ -288,7 +288,7 @@ def full_order(phi: FgAbelianAutomorphism, m_free: int) -> int:
 
 
 def _full_order(phi, m_free):
-    """`full_order` for an m_free whose check `_solve_relation` has made."""
+    """`full_order` past its check that phi^m_free is I on the free part."""
     base = lcm(m_free, phi.torsion_order())
     mixing = phi.power(base).mixing_block
     j = lcm(*(d // gcd(d, *row) for d, row in zip(phi.torsion_orders, mixing)))

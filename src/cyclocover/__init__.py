@@ -35,9 +35,8 @@ _EXPORTS = {
     "odd_prime_factor": "classnumbers",
 }
 
-_SUBMODULES = ("arith", "classnumbers", "cli", "covers", "errors", "linfield",
-               "matrices", "modules", "normal_forms", "periodicity", "rings",
-               "serialize")
+_SUBMODULES = ("arith", "classnumbers", "cli", "covers", "errors", "matrices",
+               "modules", "normal_forms", "periodicity", "rings", "serialize")
 
 __all__ = [*_EXPORTS, *_SUBMODULES]
 

@@ -11,9 +11,8 @@ from typing import List, NamedTuple
 from .arith import power
 from .errors import (InternalCheckError, PreconditionError, check_count,
                      check_sign, is_count, shown)
-from .linfield import rref
-from .matrices import (LaurentMatrix, int_mat_check, laurent_product_is_zero,
-                       mat_mul, mat_pow)
+from .matrices import (LaurentMatrix, det_int, int_mat_check,
+                       laurent_product_is_zero, mat_mul, mat_pow)
 from .normal_forms import cyclotomic_indices, laurent_cokernel, peel_cyclotomics
 from .rings import (Poly, QQ, ZZ, clear_denominators, cyclotomic, gcd_gf_coeffs,
                     mul_coeffs, mulmod_coeffs, sub_mul_coeffs)
@@ -268,10 +267,16 @@ def verify_self_cover_relation(X: TwistedChainComplex, w: SelfCoverWitness):
     is a root of unity.  A degree where one is not fails without powering,
     so no entry of T_j^k grows exponentially in k.  The eigenvalues are
     the roots of the last invariant factor, which all others divide.
+
+    Everything runs on integers.  hbar_j enters both sides linearly and
+    det(den * hbar_j) = den^dim * det(hbar_j), so its cleared multiple
+    den * hbar_j decides the relation and invertibility alike.  T_j is
+    integral once the last factor is: every factor is a monic divisor of
+    it, so lies in ZZ[t] by Gauss's lemma.
     """
     check_count("k", w.k, 2)
     check_sign(w.sign)
-    if len(w.hbar) != len(X.ranks):
+    if not isinstance(w.hbar, (list, tuple)) or len(w.hbar) != len(X.ranks):
         raise PreconditionError("need one hbar block per degree")
     inf = infinite_cover_homology_field(X, QQ)
     results = []
@@ -279,13 +284,16 @@ def verify_self_cover_relation(X: TwistedChainComplex, w: SelfCoverWitness):
         if free_rank:
             raise FreeHomologyError(f"H_{j}(X_inf; QQ) has a free part")
         dim = sum(f.degree for f in factors)
-        hb = [[QQ.coerce(x) for x in row] for row in w.hbar[j]]
-        if len(hb) != dim or any(len(r) != dim for r in hb):
+        block = w.hbar[j]
+        if (not isinstance(block, (list, tuple)) or len(block) != dim
+                or any(not isinstance(r, (list, tuple)) or len(r) != dim
+                       for r in block)):
             raise PreconditionError(f"hbar block {j} is not {dim}x{dim}")
+        hb = clear_denominators([[QQ.coerce(x) for x in row] for row in block])[1]
         if dim == 0:
             results.append(True)
             continue
-        if len(rref(QQ, hb)[1]) != dim:
+        if not det_int(hb):
             raise PreconditionError(f"hbar block {j} is not invertible")
         f = factors[-1]
         if (any(c.denominator != 1 for c in f.coeffs)

@@ -70,9 +70,6 @@ class _RationalField:
             return x
         raise PreconditionError(f"cannot coerce {x!r} into QQ")
 
-    def inv(self, x):
-        return self.coerce(1 / Fraction(x))
-
     def __repr__(self):
         return "QQ"
 
@@ -109,9 +106,6 @@ class PrimeField:
                 raise PreconditionError(f"denominator divisible by {self.p}")
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
         raise PreconditionError(f"cannot coerce {x!r} into {self.name}")
-
-    def inv(self, x):
-        return pow(x, -1, self.p)
 
     def __repr__(self):
         return self.name

@@ -4,9 +4,10 @@ The oracles here deliberately avoid the library's own decision paths:
 the lattice oracle uses rational companion matrices plus integer HNF,
 finite generation is also decided by Smith forms over the residue fields,
 matrix orders are found by brute-force powering, finite-cover homology
-is computed directly as ker/im of the cover's dense boundary matrices, and
-h_p^- comes from the exact product of cyclically shifted polynomials and
-from Maillet's full determinant, determinants come from Fraction
+is computed directly as ker/im of the cover's dense boundary matrices on
+the Gauss-Jordan loop below (`rref`, not a library kernel), h_p^- comes
+from the exact product of cyclically shifted polynomials and from
+Maillet's full determinant, determinants come from Fraction
 elimination and from the Leibniz permutation sum, gcds over ZZ[t] from
 Euclid over QQ[t], minor gcds from one Leibniz sum per minor folded by
 that gcd, Smith forms from Euclid over kappa[t], factor degrees over
@@ -23,7 +24,6 @@ from itertools import combinations, permutations, zip_longest
 from math import gcd, lcm
 
 from cyclocover.arith import factorize, primitive_root
-from cyclocover.linfield import rref
 from cyclocover.matrices import LaurentMatrix, mat_identity, mat_mul
 from cyclocover.modules import (FinGenVerdict, FinGenWitness,
                                 INFINITE_DIMENSION, T_NOT_INTEGRAL,
@@ -306,6 +306,34 @@ def residue_fingen(M) -> FinGenVerdict:
 
 # ---------------------------------------------------------------------------
 # direct finite-cover homology: ker/im of dense matrices over a field
+#
+# A matrix is a list of rows of entries of `ring` (QQ or GF(p)); `rref` is
+# the one elimination here, on the inverse above, and kernels, solutions
+# and quotients are read off its result.
+
+def rref(ring, rows):
+    """Reduced row echelon form; returns (R, pivot_columns)."""
+    R = [[ring.coerce(x) for x in row] for row in rows]
+    m = len(R)
+    n = len(R[0]) if m else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        piv = next((i for i in range(r, m) if R[i][c]), None)
+        if piv is None:
+            continue
+        R[r], R[piv] = R[piv], R[r]
+        inv = _inverse(R[r][c], ring.char)
+        R[r] = [ring.coerce(x * inv) for x in R[r]]
+        for i in range(m):
+            if i != r and R[i][c]:
+                f = R[i][c]
+                R[i] = [ring.coerce(x - f * y) for x, y in zip(R[i], R[r])]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return R, pivots
 
 def kernel_basis(ring, rows, ncols):
     """Basis (list of column vectors) of the right kernel of `rows`."""

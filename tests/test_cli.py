@@ -331,6 +331,10 @@ BAD_INPUTS = {
     "verify-selfcover hbar shape": (
         ["verify-selfcover", "--complex", TREFOIL, "--k", "5", "--sign", "1",
          "--hbar", '[[["1"]], [["1", "0"]], []]'], "not 2x2"),
+    "verify-selfcover singular rational hbar": (
+        ["verify-selfcover", "--complex", TREFOIL, "--k", "5", "--sign", "1",
+         "--hbar", '[[["1"]], [["1/2", "1"], ["1", "2"]], []]'],
+        "hbar block 1 is not invertible"),
     "fingen generators": (
         ["fingen", "--module", json.dumps({"generators": 2, "relations": ONE})],
         "one row per generator"),

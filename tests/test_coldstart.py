@@ -116,6 +116,50 @@ def test_each_subcommand_in_a_fresh_interpreter(subcommand):
     assert canonical_dumps(report["result"]) == canonical_dumps(case["expected"])
 
 
+# the modules a request through cli.run loads, in a fresh interpreter
+RUN_MODULES = """
+import io, sys
+from contextlib import redirect_stdout
+import cyclocover.cli
+with redirect_stdout(io.StringIO()):
+    code = cyclocover.cli.run(sys.argv[1:])
+assert code == 0
+print(repr(sorted(m for m in sys.modules if m.split(".")[0] == "cyclocover")))
+"""
+
+
+@pytest.mark.parametrize("subcommand", ["wang", "verify-selfcover"])
+def test_no_request_loads_linfield(subcommand):
+    # linfield is an empty module that only the benchmark harness imports
+    case = _first_case(subcommand)
+    loaded = ast.literal_eval(fresh(RUN_MODULES, *_argv(subcommand, case["params"])))
+    assert "cyclocover.covers" in loaded
+    assert "cyclocover.linfield" not in loaded
+
+
+def benchmark_layers():
+    """LAYERS of bench/layertrace.py, read from its source, not imported."""
+    tree = ast.parse((ROOT / "bench" / "layertrace.py").read_text())
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == ["LAYERS"]):
+            return ast.literal_eval(node.value)
+    raise AssertionError("bench/layertrace.py assigns no LAYERS")
+
+
+def test_every_benchmark_layer_imports_from_src():
+    # bench/run.py imports cyclocover.<layer> for each listed layer, so a
+    # listed module deleted from src would stop every benchmark run
+    layers = benchmark_layers()
+    assert "covers" in layers
+    for layer in layers:
+        path = SRC / "cyclocover" / f"{layer}.py"
+        assert path.is_file(), (
+            f"bench/layertrace.LAYERS lists {layer!r}, which src does not have")
+        module = importlib.import_module(f"cyclocover.{layer}")
+        assert pathlib.Path(module.__file__).resolve() == path.resolve(), layer
+
+
 def test_every_export_resolves():
     for name, module in cyclocover._EXPORTS.items():
         layer = importlib.import_module(f"cyclocover.{module}")

@@ -11,6 +11,7 @@ of t*I - f_* on homology.
 import random
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -444,7 +445,59 @@ class TestDirectCover:
                           for i in range(dim)]
 
 
+def torus_of_poly(coeffs):
+    """The complex with H_0 = coker(f), f given by its coefficients."""
+    f = LaurentPoly.from_poly(Poly(ZZ, coeffs))
+    return TwistedChainComplex([1, 1], [LaurentMatrix(ZZ, 1, 1, [[f]])])
+
+
+# every integral witness the self-cover tests below use:
+# (complex, k, sign, hbar, per-degree answer)
+WITNESSES = [
+    (trefoil, 5, 1, [[[1]], [[1, 1], [0, -1]], []], [True, True, True]),
+    (trefoil, 5, 1, [[[1]], [[1, 0], [0, 1]], []], [True, False, True]),
+    (klein, 3, -1, [[[1]], [[1]], []], [True, True, True]),
+    (trefoil, 7, -1, [[[1]], [[1, 1], [0, -1]], []], [True, True, True]),
+    (trefoil, 7, -1, [[[1]], [[1, 0], [0, 1]], []], [True, False, True]),
+    (trefoil, 5, -1, [[[1]], [[1, 0], [0, 1]], []], [True, True, True]),
+    (trefoil, 10**18 + 1, -1, [[[1]], [[1, 1], [0, -1]], []], [True, False, True]),
+    (trefoil, 10**18 + 1, -1, [[[1]], [[1, 0], [0, 1]], []], [True, True, True]),
+    (lambda: torus_of_poly((-2, 1)), 10**10, 1, [[[1]], []], [False, True]),
+    (lambda: torus_of_poly((-1, 2)), 10**10, -1, [[[1]], []], [False, True]),
+]
+
+
 class TestSelfCover:
+    @pytest.mark.parametrize("scale", [Fraction(1, 3), Fraction(-2, 5)], ids=str)
+    def test_rational_multiple_of_a_witness(self, scale):
+        # hbar enters both sides linearly: a nonzero rational multiple of a
+        # witness gives the same answer in every degree, with den > 1 in
+        # the cleared integer block
+        for complex_of, k, sign, hbar, want in WITNESSES:
+            x = complex_of()
+            assert verify_self_cover_relation(x, SelfCoverWitness(k, sign, hbar)) == want
+            scaled = [[[scale * e for e in row] for row in block] for block in hbar]
+            assert verify_self_cover_relation(
+                x, SelfCoverWitness(k, sign, scaled)) == want, (k, sign, hbar)
+
+    def test_singular_rational_hbar_rejected(self):
+        # the rows of [[1/2, 1], [1, 2]] are proportional; twice it is integral
+        hbar = [[[1]], [[Fraction(1, 2), 1], [1, 2]], []]
+        with pytest.raises(PreconditionError, match="hbar block 1 is not invertible"):
+            verify_self_cover_relation(trefoil(), SelfCoverWitness(5, 1, hbar))
+
+    @pytest.mark.parametrize("hbar, message", [
+        (None, "need one hbar block per degree"),
+        (5, "need one hbar block per degree"),
+        ([[[1]], 5, []], "hbar block 1 is not 2x2"),
+        ([[[1]], [[1, 0], 5], []], "hbar block 1 is not 2x2"),
+        # the shape is refused before the entry that cannot be coerced
+        ([[[1]], [["x"]], []], "hbar block 1 is not 2x2"),
+    ], ids=["none", "int", "int block", "int row", "bad entry"])
+    def test_hbar_shape_checked_before_its_entries(self, hbar, message):
+        with pytest.raises(PreconditionError, match=message):
+            verify_self_cover_relation(trefoil(), SelfCoverWitness(5, 1, hbar))
+
     def test_trefoil_k5(self):
         # t^5 = t^-1 on the order-6 part; conjugation by hbar realizes it
         w = SelfCoverWitness(5, 1, [[[1]], [[1, 1], [0, -1]], []])
@@ -576,15 +629,16 @@ class TestDimensionBound:
 
 class TestOraclesAreIndependent:
     """The oracles do not run on the library kernels they check.  With the
-    Bareiss loop, `det_coeffs`, the Smith core and every coefficient-list
-    kernel of `rings` but `strip_coeffs` (which `Poly` construction needs)
-    made to raise under every name a library module holds them by, the
-    oracles still return, and give what the library gave before."""
+    Bareiss loop, `det_int`, `det_coeffs`, the Smith core and every
+    coefficient-list kernel of `rings` but `strip_coeffs` (which `Poly`
+    construction needs) made to raise under every name a library module or
+    `helpers` holds them by, the oracles still return, and give what the
+    library gave before."""
 
-    KERNELS = (matrices._bareiss, matrices.det_coeffs, normal_forms._smith_lists,
-               rings.gcd_zz_coeffs, rings.pseudo_divmod, rings.sub_mul_coeffs,
-               rings.mul_coeffs, rings.mulmod_coeffs, rings.gcd_gf_coeffs,
-               rings.monic_coeffs)
+    KERNELS = (matrices._bareiss, matrices.det_int, matrices.det_coeffs,
+               normal_forms._smith_lists, rings.gcd_zz_coeffs,
+               rings.pseudo_divmod, rings.sub_mul_coeffs, rings.mul_coeffs,
+               rings.mulmod_coeffs, rings.gcd_gf_coeffs, rings.monic_coeffs)
 
     def refuse_kernels(self, monkeypatch):
         def refuse(*args):
@@ -592,7 +646,8 @@ class TestOraclesAreIndependent:
         kernels = set(map(id, self.KERNELS))
         patched = 0
         for name, mod in list(sys.modules.items()):
-            if name == "cyclocover" or name.startswith("cyclocover."):
+            if (name in ("cyclocover", "helpers")
+                    or name.startswith("cyclocover.")):
                 for attr, value in list(vars(mod).items()):
                     if id(value) in kernels:
                         monkeypatch.setattr(mod, attr, refuse)
@@ -649,3 +704,23 @@ class TestOraclesAreIndependent:
         # and the determinant is -(t - 1)(t + 1): factors 1 and t^2 - 1
         smith_rows = [[[-1, 0, 1], [-1, 1]], [[1, 1], []]]
         assert smith_oracle(smith_rows) == ([[1], [-1, 0, 1]], 2)
+
+    def test_direct_cover_homology_avoids_the_library_kernels(self, monkeypatch):
+        # the ker/im oracle eliminates on its own Gauss-Jordan loop, and the
+        # library's self-cover check, which decides invertibility by
+        # det_int, fails once the kernels are refused
+        x = mapping_torus_complex([1, 2], [[[0, 0]]], [[[1]], [[1, -1], [1, 0]]])
+        cases = [(QQ, 6), (GF(5), 6), (QQ, 4), (GF(5), 3)]
+        want = [direct_cover_homology(x, field, q) for field, q in cases]
+        # [DERIVED] by Wang, H_j(X_q) = coker(f^q - 1 | H_j F) + ker(f^q - 1 |
+        # H_{j-1} F), and f_* on H_1 F = kappa^2 has order 6 with f^3 = -1:
+        # f^q = 1 at q = 6, and f^q - 1 is invertible at q = 4 and at q = 3
+        # over GF(5), where f^3 - 1 = -2
+        assert [[d for d, _ in out] for out in want] == [[1, 3, 2], [1, 3, 2],
+                                                         [1, 1, 0], [1, 1, 0]]
+        witness = SelfCoverWitness(5, 1, [[[1]], [[1, 1], [0, -1]], []])
+        assert verify_self_cover_relation(x, witness) == [True, True, True]
+        self.refuse_kernels(monkeypatch)
+        with pytest.raises(AssertionError, match="library kernel"):
+            verify_self_cover_relation(x, witness)
+        assert [direct_cover_homology(x, field, q) for field, q in cases] == want

@@ -1,7 +1,8 @@
-"""The exact field kernel, rref, and the oracle's helpers on it.
+"""The direct cover-homology oracle's field kernel, `rref`, and its helpers.
 
-`solve` and `kernel_basis` belong to the direct cover-homology oracle in
-`tests/helpers.py`; they are tested here next to the kernel they use.
+`rref`, `solve` and `kernel_basis` are the Gauss-Jordan elimination of the
+oracle in `tests/helpers.py`, which runs on no library kernel.  The file
+is named after `cyclocover.linfield`, where `rref` lived.
 
 Oracle notes: every result is checked by multiplying back with
 `matrices.mat_mul`, never with the kernel itself.  Invertible matrices are
@@ -13,11 +14,10 @@ import random
 
 import pytest
 
-from cyclocover.linfield import rref
 from cyclocover.matrices import mat_mul
 from cyclocover.rings import GF, QQ
 
-from helpers import kernel_basis, solve
+from helpers import kernel_basis, rref, solve
 
 FIELDS = [QQ, GF(7)]
 

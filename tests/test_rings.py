@@ -202,13 +202,10 @@ class TestGcdZZ:
 class TestRationalValues:
     """QQ keeps an integral value as an int and a Fraction only otherwise."""
 
-    def test_coerce_and_inv(self):
+    def test_coerce(self):
         assert type(QQ.coerce(Fraction(4, 2))) is int
         assert type(QQ.coerce(7)) is int
         assert QQ.coerce(Fraction(1, 2)) == Fraction(1, 2)
-        assert type(QQ.inv(-1)) is int and QQ.inv(-1) == -1
-        assert type(QQ.inv(Fraction(1, 3))) is int and QQ.inv(Fraction(1, 3)) == 3
-        assert QQ.inv(2) == Fraction(1, 2)
 
     def test_no_poly_holds_an_integral_fraction(self):
         def ok(f):

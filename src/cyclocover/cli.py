@@ -20,7 +20,7 @@ from .serialize import (canonical_dumps, complex_to_json, input_digest,
                         laurent_to_json, parse_complex, parse_fibre, parse_int,
                         parse_int_list, parse_int_matrix, parse_kappa,
                         parse_monodromy, parse_presentation, parse_rational_matrices,
-                        parse_witnesses, scalar_str)
+                        parse_witnesses)
 
 
 def _opt_str(x):
@@ -53,7 +53,7 @@ def _run_mapping_torus(fibre):
 def _run_cover_homology(x, kappa, q):
     from .covers import cover_homology_field
     return {"degrees": [
-        {"dim": dim, "t_action": [[scalar_str(e) for e in row] for row in action]}
+        {"dim": dim, "t_action": [[str(e) for e in row] for row in action]}
         for dim, action in cover_homology_field(x, kappa, q)]}
 
 

@@ -13,7 +13,8 @@ from .errors import (InternalCheckError, PreconditionError, check_count,
                      check_sign, is_count, shown)
 from .matrices import (LaurentMatrix, det_int, int_mat_check,
                        laurent_product_is_zero, mat_mul, mat_pow)
-from .normal_forms import cyclotomic_indices, laurent_cokernel, peel_cyclotomics
+from .normal_forms import (cyclotomic_indices, cyclotomic_order, laurent_cokernel,
+                           peel_cyclotomics)
 from .rings import (Poly, QQ, ZZ, clear_denominators, cyclotomic, gcd_gf_coeffs,
                     mul_coeffs, mulmod_coeffs, sub_mul_coeffs)
 
@@ -80,34 +81,24 @@ def mapping_torus_complex(ranks_f, boundaries_f, f) -> TwistedChainComplex:
         raise PreconditionError("need one endomorphism block per degree")
     if len(boundaries_f) != max(top, 0):
         raise PreconditionError("need exactly one boundary per adjacent pair of degrees")
-    dF = [None] + list(boundaries_f)
     for j, fj in enumerate(f):
         int_mat_check(f"f[{j}]", fj, ranks_f[j], ranks_f[j])
     for j in range(1, top + 1):
-        int_mat_check(f"boundary {j}", dF[j], ranks_f[j - 1], ranks_f[j])
-
-    def rank_of(j):
-        return ranks_f[j] if 0 <= j <= top else 0
-
-    ranks = [rank_of(j) + rank_of(j - 1) for j in range(top + 2)]
+        int_mat_check(f"boundary {j}", boundaries_f[j - 1], ranks_f[j - 1], ranks_f[j])
+    # the zero maps off the ends as empty blocks: dF_0 is 0 x r_0 and
+    # dF_{top+1} is r_top x 0, and r[-1] = r[top+1] = 0
+    r = ranks_f + [0]
+    dF = [[]] + list(boundaries_f) + [[[]] * r[top]]
+    ranks = [r[j] + r[j - 1] for j in range(top + 2)]
     boundaries = []
     for j in range(1, top + 2):
-        rows = ranks[j - 1]
-        cols = ranks[j]
-        off = rank_of(j)
-        m = [[0] * cols for _ in range(rows)]
         # block [[dF_j, t - f_{j-1}], [0, -dF_{j-1}]]; the gluing
         # (x, 0) ~ (f(x), 1) reads t*x = f(x), so t acts as f on homology
-        if 1 <= j <= top:
-            for a, row in enumerate(dF[j]):
-                m[a][:off] = row
-        for a, row in enumerate(f[j - 1]):
-            m[a][off:] = [-c for c in row]
-            m[a][off + a] = Poly(ZZ, (-row[a], 1))
-        if j >= 2:
-            for a, row in enumerate(dF[j - 1]):
-                m[rank_of(j - 1) + a][off:] = [-c for c in row]
-        boundaries.append(LaurentMatrix(ZZ, rows, cols, m))
+        m = [row + [-c for c in f_row] for row, f_row in zip(dF[j], f[j - 1])]
+        for a, f_row in enumerate(f[j - 1]):
+            m[a][r[j] + a] = Poly(ZZ, (-f_row[a], 1))
+        m += [[0] * r[j] + [-c for c in row] for row in dF[j - 1]]
+        boundaries.append(LaurentMatrix(ZZ, ranks[j - 1], ranks[j], m))
     return TwistedChainComplex(ranks, boundaries)
 
 
@@ -266,7 +257,9 @@ def verify_self_cover_relation(X: TwistedChainComplex, w: SelfCoverWitness):
     so lambda -> lambda^{sign*k} permutes the eigenvalues of T_j and each
     is a root of unity.  A degree where one is not fails without powering,
     so no entry of T_j^k grows exponentially in k.  The eigenvalues are
-    the roots of the last invariant factor, which all others divide.
+    the roots of the last invariant factor, which all others divide.  When
+    T_j has a finite order m (`cyclotomic_order`), it is powered by k mod m,
+    so the number of digits of k costs nothing.
 
     Everything runs on integers.  hbar_j enters both sides linearly and
     det(den * hbar_j) = den^dim * det(hbar_j), so its cleared multiple
@@ -296,12 +289,15 @@ def verify_self_cover_relation(X: TwistedChainComplex, w: SelfCoverWitness):
         if not det_int(hb):
             raise PreconditionError(f"hbar block {j} is not invertible")
         f = factors[-1]
-        if (any(c.denominator != 1 for c in f.coeffs)
-                or cyclotomic_indices(f.coeffs) is None):
+        indices = (None if any(c.denominator != 1 for c in f.coeffs)
+                   else cyclotomic_indices(f.coeffs))
+        if indices is None:
             results.append(False)
             continue
         T = t_action_matrix(factors, QQ)
-        Tk = mat_pow(T, w.k)
+        # T^m = I once `cyclotomic_order` returns m, so T^k = T^(k mod m)
+        m = cyclotomic_order(T, indices)
+        Tk = mat_pow(T, w.k if m is None else w.k % m)
         if w.sign > 0:
             holds = mat_mul(hb, T) == mat_mul(Tk, hb)
         else:

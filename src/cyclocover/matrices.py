@@ -4,7 +4,7 @@ from itertools import chain, combinations
 from math import prod
 
 from .arith import power
-from .errors import PreconditionError, is_count, shown
+from .errors import PreconditionError, check_count, is_count, shown
 from .rings import LaurentPoly, Poly, ZZ, gcd_zz_coeffs
 
 
@@ -318,6 +318,7 @@ def laurent_minor_gcd(mat: LaurentMatrix, size: int) -> Poly:
     minor.  Each minor is then one integer Bareiss run, its t-power
     stripped and its coefficients read back as base-2^k digits.
     """
+    check_count("size", size, 0)
     if size > mat.nrows or size > mat.ncols:
         return Poly.zero(ZZ)
     if size == 0:

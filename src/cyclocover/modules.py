@@ -85,12 +85,6 @@ class FinGenVerdict(NamedTuple):
     relevant_primes: tuple
 
 
-def _residue_field(P):
-    if P == 0:
-        return QQ
-    return GF(P)
-
-
 def minor_gcd(M: ModulePresentation) -> Poly:
     """gcd over ZZ[t] (content included) of the maximal g x g minors."""
     return laurent_minor_gcd(M.relations, M.generators)
@@ -109,7 +103,7 @@ def order_ideal(M: ModulePresentation) -> Poly:
 
 def base_change_residue(M: ModulePresentation, P):
     """Invariant factors and free rank of kappa(P) tensor M over kappa[t,1/t]."""
-    return laurent_cokernel(M.relations, _residue_field(P))
+    return laurent_cokernel(M.relations, QQ if P == 0 else GF(P))
 
 
 def property1_check(M: ModulePresentation, P) -> Property1Result:

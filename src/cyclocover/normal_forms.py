@@ -227,10 +227,6 @@ def laurent_cokernel(mat: LaurentMatrix, field):
     """
     if not field.is_field:
         raise PreconditionError(f"laurent_cokernel needs a field, got {field}")
-    if mat.nrows == 0:
-        return [], 0
-    if mat.ncols == 0:
-        return [], mat.nrows
     p = field.char
     D = mat.cleared_rows()
     if p:

@@ -202,6 +202,7 @@ class FgAbelianAutomorphism:
                              mat_mul(self.torsion_block, other.torsion_block), mix)
 
     def power(self, e):
+        check_count("e", e, 0)
         if e:
             return power(self, e, FgAbelianAutomorphism.compose, None)
         r, s = self.free_rank, len(self.torsion_orders)

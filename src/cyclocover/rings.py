@@ -344,10 +344,7 @@ def clear_denominators(coeff_lists):
     """(den, int_lists): den is the lcm of the denominators of the QQ
     coefficients (ints or Fractions) in `coeff_lists`, and int_lists holds
     den times each coefficient, as lists of ints."""
-    den = 1
-    for cs in coeff_lists:
-        for c in cs:
-            den = lcm(den, c.denominator)
+    den = lcm(*(c.denominator for cs in coeff_lists for c in cs))
     return den, [[c.numerator * (den // c.denominator) for c in cs]
                  for cs in coeff_lists]
 

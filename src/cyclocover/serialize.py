@@ -56,14 +56,6 @@ def _matrix(obj, read, what):
     return [[read(x) for x in row] for row in obj]
 
 
-def scalar_str(x):
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return str(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
-    return str(x)
-
-
 def _is_decimal(raw):
     """Whether the str raw is an optional sign and ASCII digits: what int()
     and Fraction() read alike on every Python."""
@@ -86,7 +78,7 @@ def parse_scalar(ring, raw):
 def laurent_to_json(f):
     if isinstance(f, Poly):
         f = LaurentPoly.from_poly(f)
-    return {"val": f.val, "coeffs": [scalar_str(c) for c in f.body.coeffs]}
+    return {"val": f.val, "coeffs": [str(c) for c in f.body.coeffs]}
 
 
 def parse_laurent(obj) -> LaurentPoly:

@@ -12,7 +12,8 @@ elimination and from the Leibniz permutation sum, gcds over ZZ[t] from
 Euclid over QQ[t], minor gcds from one Leibniz sum per minor folded by
 that gcd, Smith forms from Euclid over kappa[t], factor degrees over
 GF(p) from the distinct-degree split, and Laurent matrix products from
-sums and products entry by entry.  Every polynomial step
+sums and products entry by entry, and mapping tori from the cone's
+block formula entry by entry.  Every polynomial step
 runs on the textbook coefficient-list arithmetic below (`poly_add`,
 `poly_sub`, `poly_mul`, `poly_divmod`, `monic_gcd`), not on the
 library's list primitives; library `Poly` values are built only where
@@ -724,6 +725,38 @@ def laurent_mat_mul(a, b):
             row.append(LaurentPoly(ZZ, v, acc))
         rows.append(row)
     return LaurentMatrix(ZZ, a.nrows, b.ncols, rows)
+
+
+# ---------------------------------------------------------------------------
+# mapping tori, entry by entry
+
+def cone_boundaries(ranks_f, boundaries_f, f):
+    """(ranks, boundaries) of the mapping torus of f, each entry written
+    out from the cone's block formula: C_j = F_j + F_{j-1}, and d_j is
+    [[dF_j, t - f_{j-1}], [0, -dF_{j-1}]], with every F_i off the ends of
+    the fibre read as rank 0."""
+    top = len(ranks_f) - 1
+
+    def rank(j):
+        return ranks_f[j] if 0 <= j <= top else 0
+
+    def entry(j, a, b):
+        # row a of C_{j-1} = F_{j-1} + F_{j-2}, column b of C_j = F_j + F_{j-1}
+        upper, left = a < rank(j - 1), b < rank(j)
+        if upper and left:
+            return Poly(ZZ, [boundaries_f[j - 1][a][b]])
+        if upper:
+            b -= rank(j)
+            return Poly(ZZ, [-f[j - 1][a][b], 1 if a == b else 0])
+        if left:
+            return Poly.zero(ZZ)
+        return Poly(ZZ, [-boundaries_f[j - 2][a - rank(j - 1)][b - rank(j)]])
+
+    ranks = [rank(j) + rank(j - 1) for j in range(top + 2)]
+    return ranks, [LaurentMatrix(ZZ, ranks[j - 1], ranks[j],
+                                 [[entry(j, a, b) for b in range(ranks[j])]
+                                  for a in range(ranks[j - 1])])
+                   for j in range(1, top + 2)]
 
 
 # ---------------------------------------------------------------------------

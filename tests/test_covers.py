@@ -23,12 +23,12 @@ from cyclocover.covers import (FreeHomologyError, SelfCoverWitness,
                                mapping_torus_complex, t_action_matrix,
                                verify_self_cover_relation, wang_dimensions)
 from cyclocover.errors import PreconditionError
-from cyclocover.matrices import LaurentMatrix, mat_pow
+from cyclocover.matrices import LaurentMatrix, mat_identity, mat_pow
 from cyclocover.normal_forms import char_poly
 from cyclocover.rings import GF, LaurentPoly, Poly, QQ, ZZ
 
-from helpers import (direct_cover_homology, gcd_zz_over_qq, laurent_mat_mul,
-                     minor_gcd_oracle, monic_gcd, poly_mul,
+from helpers import (cone_boundaries, direct_cover_homology, gcd_zz_over_qq,
+                     laurent_mat_mul, minor_gcd_oracle, monic_gcd, poly_mul,
                      rand_unimodular_laurent, random_chain_endo, smith_oracle,
                      strip_t_power)
 
@@ -118,6 +118,20 @@ class TestMappingTorus:
         assert inf[0] == ([Poly(QQ, (-1, 1))], 0)
         assert inf[1] == ([Poly(QQ, (1, 1))], 0)
         assert inf[2] == ([], 0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cone_block_formula(self, seed):
+        # the fibre's end maps enter the cone as empty blocks; the helper
+        # writes every entry of [[dF_j, t - f_{j-1}], [0, -dF_{j-1}]] out on
+        # its own, with the fibre read as rank 0 off its ends
+        rng = random.Random(3800 + seed)
+        fibres = [random_chain_endo(rng)[:3] for _ in range(100)] + [
+            ([], [], []), ([0], [], [[]]),
+            ([2, 0], [[[], []]], [[[1, 2], [3, 4]], []]),
+            ([0, 3], [[]], [[], [[1, 0, 0], [0, 2, 0], [0, 0, 3]]])]
+        for fibre in fibres:
+            x = mapping_torus_complex(*fibre)
+            assert (list(x.ranks), list(x.boundaries)) == cone_boundaries(*fibre), fibre
 
     def test_boundary_composition_validated(self):
         b2 = LaurentMatrix(ZZ, 1, 1, [[1]])
@@ -497,6 +511,29 @@ class TestSelfCover:
     def test_hbar_shape_checked_before_its_entries(self, hbar, message):
         with pytest.raises(PreconditionError, match=message):
             verify_self_cover_relation(trefoil(), SelfCoverWitness(5, 1, hbar))
+
+    @pytest.mark.parametrize("sign, residue, want", [
+        (1, 1, [True, True]), (-1, -1, [True, True]), (1, 2, [False, True])],
+        ids=["plus k=1", "minus k=-1", "plus k=2"])
+    def test_k_is_taken_modulo_the_order(self, sign, residue, want):
+        # with hbar = I the relation reads T^(sign*k) = T.  T permutes 29
+        # cells in cycles of 5, 7, 8 and 9, so it has order m = 2520 and is
+        # powered by k mod m; powering by a k of 1000 digits took seconds
+        perm = []
+        for length in (5, 7, 8, 9):
+            start = len(perm)
+            perm += [start + (i + 1) % length for i in range(length)]
+        n, m = len(perm), 2520
+        a = [[int(perm[j] == i) for j in range(n)] for i in range(n)]
+        x = mapping_torus_complex([n], [], [a])
+        hbar = [mat_identity(n), []]
+        k = m * 10**1000 + residue
+        start = time.perf_counter()
+        got = verify_self_cover_relation(x, SelfCoverWitness(k, sign, hbar))
+        assert time.perf_counter() - start < 0.5
+        assert got == want
+        assert verify_self_cover_relation(
+            x, SelfCoverWitness(k % m + m, sign, hbar)) == want
 
     def test_trefoil_k5(self):
         # t^5 = t^-1 on the order-6 part; conjugation by hbar realizes it

@@ -560,6 +560,14 @@ class TestMinorGcdAgainstOracle:
             assert not got.is_zero and got.content() % 6 == 0
             assert not poly_divmod(got.coeffs, [1, -1, 1])[1]
 
+    @pytest.mark.parametrize("size", [1.5, -1, True, "1", None], ids=repr)
+    def test_size_must_be_a_count(self, size):
+        # 1.5 used to give the zero polynomial here, a wrong answer, and -1
+        # a ValueError from itertools
+        mat = LaurentMatrix(ZZ, 1, 1, [[1]])
+        with pytest.raises(PreconditionError, match="^size must be an int >= 0"):
+            laurent_minor_gcd(mat, size)
+
     def test_empty_minor_is_one_without_the_column_range(self):
         # listing the column subsets of size 0 would first copy
         # range(ncols) into a tuple: about 40 MB at 10^6 columns
@@ -738,7 +746,8 @@ class TestSnfAgainstOracle:
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)
     def test_empty_and_zero(self, field):
-        for g, r in ((0, 0), (3, 0), (1, 3), (2, 2)):
+        # the empty shapes go through the Smith core like any other
+        for g, r in ((0, 0), (3, 0), (0, 3), (1, 3), (2, 2)):
             assert self.check(LaurentMatrix.zero(ZZ, g, r), field) == ([], g)
 
     @pytest.mark.parametrize("field", FIELDS, ids=str)

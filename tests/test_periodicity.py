@@ -170,6 +170,13 @@ class TestAutomorphismGroup:
                            match=f"^{name} is not an integer matrix"):
             FgAbelianAutomorphism(free, [3], torsion, mixing)
 
+    @pytest.mark.parametrize("e", [-1, 1.5, True, "2"], ids=repr)
+    def test_power_needs_a_count(self, e):
+        # -1 used to raise ValueError, 1.5 TypeError, and True to return phi
+        phi = FgAbelianAutomorphism(TREFOIL, [3], [[2]], [[1, 0]])
+        with pytest.raises(PreconditionError, match="^e must be an int >= 0"):
+            phi.power(e)
+
     def test_power_builds_the_identity_only_for_zero(self, monkeypatch):
         phi = FgAbelianAutomorphism(TREFOIL, [3], [[2]], [[1, 0]])
         calls = [0]

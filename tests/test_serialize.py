@@ -18,17 +18,20 @@ from cyclocover.serialize import (canonical_dumps, complex_to_json,
                                   parse_laurent, parse_matrix, parse_monodromy,
                                   parse_presentation, parse_rational_matrices,
                                   parse_rational_matrix, parse_scalar,
-                                  parse_witnesses, scalar_str)
+                                  parse_witnesses)
 
 from helpers import rand_unimodular_laurent
 
 
 class TestScalars:
     def test_fractions_and_ints(self):
+        # scalars go on the wire through str: a Fraction prints "n/d", and
+        # QQ holds an integral value as an int, which prints "n"
         from fractions import Fraction
-        assert scalar_str(Fraction(3, 1)) == "3"
-        assert scalar_str(Fraction(-1, 2)) == "-1/2"
-        assert scalar_str(7) == "7"
+        assert laurent_to_json(Poly(QQ, [Fraction(-1, 2), 1]))["coeffs"] == ["-1/2", "1"]
+        assert laurent_to_json(Poly(QQ, [Fraction(3, 1), Fraction(1, 3)]))["coeffs"] \
+            == ["3", "1/3"]
+        assert laurent_to_json(Poly(ZZ, [7]))["coeffs"] == ["7"]
 
     def test_parse_int(self):
         assert parse_int("12") == 12
